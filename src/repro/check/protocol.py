@@ -116,6 +116,9 @@ class ProtocolChecker:
         self._row_bus_free = 0
         self._col_bus_free = 0
         self._prev_cycle = 0
+        # min_gap counts from the previous *trace* command; refreshes the
+        # scheduler inserts on its own are not trace commands.
+        self._gap_anchor = 0
         # column history: (cycle, group or None, was_write, all_bank)
         self._last_col: Optional[Tuple[int, Optional[int], bool, bool]] = None
         # ACT history: last ACT of any flavour, plus the four most recent
@@ -127,8 +130,14 @@ class ProtocolChecker:
         self._modes = {"SB"}
 
     # ------------------------------------------------------------------
-    def observe(self, cycle: int, command: Command) -> List[Violation]:
-        """Check one command issued at *cycle*; return its violations."""
+    def observe(self, cycle: int, command: Command,
+                inserted: bool = False) -> List[Violation]:
+        """Check one command issued at *cycle*; return its violations.
+
+        *inserted* marks a command the scheduler added on its own (a
+        deferred refresh): it is checked like any other, but it does not
+        move the anchor the next trace command's ``min_gap`` counts from.
+        """
         index = self.commands_seen
         self.commands_seen += 1
         found: List[Violation] = []
@@ -144,10 +153,10 @@ class ProtocolChecker:
             flag("in-order", self._prev_cycle,
                  f"issued at {cycle} before predecessor "
                  f"at {self._prev_cycle}")
-        need = self._prev_cycle + command.min_gap
+        need = self._gap_anchor + command.min_gap
         if command.min_gap and cycle < need:
             flag("min_gap", need,
-                 f"min_gap {command.min_gap} after {self._prev_cycle}")
+                 f"min_gap {command.min_gap} after {self._gap_anchor}")
 
         kind = command.kind
         if kind is CommandType.MODE:
@@ -162,6 +171,8 @@ class ProtocolChecker:
             self._check_column(cycle, command, flag)
 
         self._prev_cycle = max(self._prev_cycle, cycle)
+        if not inserted:
+            self._gap_anchor = max(self._gap_anchor, cycle)
         self.violations.extend(found)
         if self.strict and found:
             raise CheckError(str(found[0]))

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional
 
 from ..config import SystemConfig
 from ..dram import (CommandType, EnergyReport, MemoryController,
-                    TimingParams, TraceEntry, as_run)
+                    TimingParams, TraceEntry)
 from ..errors import ExecutionError
 from .. import obs
 from .spmv import SpmvExecution
@@ -70,15 +70,13 @@ def price_trace(trace: List[TraceEntry], config: SystemConfig,
     attribution (:mod:`repro.obs.attrib`) can observe the one scheduling
     pass; pricing itself is unaffected.
     """
-    host_columns = sum(count for cmd, count in map(as_run, trace)
-                       if cmd.kind.is_column and cmd.tag in HOST_TAGS)
     controller = MemoryController(
         timing=timing, num_channels=config.memory.num_pseudo_channels,
         banks_per_channel=config.memory.banks_per_channel,
         enable_refresh=enable_refresh)
     with obs.span("price_trace", cat="dram", entries=len(trace)):
         result = controller.run(trace, with_energy=with_energy,
-                                host_column_traffic=host_columns,
+                                host_tags=HOST_TAGS,
                                 collector=collector)
     if with_energy and result.energy is not None:
         # Representative model: the trace covers one channel and every

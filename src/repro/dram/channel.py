@@ -18,6 +18,16 @@ four-activation window is not applied to broadcast activates: HBM-PIM's
 all-bank mode staggers the internal activation under a relaxed power budget,
 which the model reflects by spacing consecutive broadcast ACTs by tRC via the
 ordinary per-bank windows.
+
+Broadcasts drive the banks in lock step, and the scheduler exploits it. A
+broadcast ACT issues no earlier than every bank's ``act_ready`` and then
+sets every window of every bank from its own cycle alone, so from that
+point all banks hold one identical state. The scheduler keeps that state
+as a single shared :class:`BankState`, which broadcast commands and refresh
+query and update in O(1) instead of O(banks). The first single-bank
+command splits it back into the per-bank states (DESIGN.md, "Lock-step
+bank state"); :attr:`ChannelScheduler.banks` splits first as well, so the
+per-bank list stays the only bank model visible outside the scheduler.
 """
 
 from __future__ import annotations
@@ -55,8 +65,13 @@ class ChannelScheduler:
             self._checker = ProtocolChecker(timing, channel=channel)
         else:
             self._checker = None
-        self.banks: List[BankState] = [BankState(timing)
-                                       for _ in range(banks_per_channel)]
+        self._banks: List[BankState] = [BankState(timing)
+                                        for _ in range(banks_per_channel)]
+        # The states a broadcast reads and updates: every bank, or, in
+        # lock step (after a broadcast ACT), one state shared by all.
+        self._broadcast: List[BankState] = self._banks
+        # Banks with an open row; refresh may only go in when it is 0.
+        self._open_banks = 0
         self._row_bus_free = 0
         self._col_bus_free = 0
         # Column-command history for CCD spacing and bus turnaround.
@@ -84,6 +99,25 @@ class ChannelScheduler:
         """Violations found by the opt-in independent protocol checker."""
         return [] if self._checker is None else self._checker.violations
 
+    @property
+    def banks(self) -> List[BankState]:
+        """Exact per-bank states (a lock-step interval is split first)."""
+        self._split()
+        return self._banks
+
+    def _split(self) -> None:
+        """Leave lock step: copy the shared state into every bank."""
+        if self._broadcast is self._banks:
+            return
+        shared = self._broadcast[0]
+        for b in self._banks:
+            b.open_row = shared.open_row
+            b.act_ready = shared.act_ready
+            b.rd_ready = shared.rd_ready
+            b.wr_ready = shared.wr_ready
+            b.pre_ready = shared.pre_ready
+        self._broadcast = self._banks
+
     def _group_of(self, bank: int) -> int:
         return bank // BANKS_PER_GROUP
 
@@ -95,7 +129,7 @@ class ChannelScheduler:
         paper requires for PIM: out-of-order issue is disabled).
         """
         earliest = max(earliest, self._now + command.min_gap)
-        if self.enable_refresh:
+        if self.enable_refresh and self._next_refresh <= earliest:
             self._maybe_refresh(earliest)
         kind = command.kind
         if kind is CommandType.MODE:
@@ -146,7 +180,7 @@ class ChannelScheduler:
         last = first + (count - 1) * spacing
         write = kind.is_write
         if kind.is_all_bank:
-            for b in self.banks:
+            for b in self._broadcast:
                 (b.apply_write if write else b.apply_read)(last)
         else:
             bank = self._bank(command.bank)
@@ -177,13 +211,19 @@ class ChannelScheduler:
             cycle = max(cycle, self._rrd_window(command.bank, cycle))
             cycle = self._faw_window(cycle)
             bank.apply_act(cycle, command.row)
+            self._open_banks += 1
             self._act_times.append(cycle)
             self._last_act_cycle = cycle
             self._last_act_group = self._group_of(command.bank)
         elif kind is CommandType.ACT_AB:
-            cycle = max(cycle, *(b.earliest_act() for b in self.banks))
-            for b in self.banks:
-                b.apply_act(cycle, command.row)
+            cycle = max(cycle, *(b.earliest_act() for b in self._broadcast))
+            # The issue cycle is at or past every bank's act_ready, so
+            # apply_act leaves every bank in the same state: enter (or
+            # stay in) lock step with one fresh shared state.
+            shared = BankState(t)
+            shared.apply_act(cycle, command.row)
+            self._broadcast = [shared]
+            self._open_banks = self.banks_per_channel
             # Broadcast ACT resets single-bank RRD history; internal
             # staggering is folded into the per-bank tRC spacing.
             self._last_act_cycle = cycle
@@ -192,13 +232,15 @@ class ChannelScheduler:
             bank = self._bank(command.bank)
             cycle = max(cycle, bank.earliest_pre())
             bank.apply_pre(cycle)
+            self._open_banks -= 1
         elif kind is CommandType.PRE_AB:
-            open_banks = [b for b in self.banks if b.is_open]
-            if not open_banks:
+            if not self._open_banks:
                 raise TimingError("PRE_AB with no open banks")
+            open_banks = [b for b in self._broadcast if b.is_open]
             cycle = max(cycle, *(b.earliest_pre() for b in open_banks))
             for b in open_banks:
                 b.apply_pre(cycle)
+            self._open_banks = 0
         self._row_bus_free = cycle + 1
         return cycle
 
@@ -226,7 +268,7 @@ class ChannelScheduler:
         cycle = max(earliest, self._col_bus_free)
         if kind.is_all_bank:
             cycle = max(cycle, *(b.earliest_column(command.row, write)
-                                 for b in self.banks))
+                                 for b in self._broadcast))
             group: Optional[int] = None
         else:
             bank = self._bank(command.bank)
@@ -235,7 +277,7 @@ class ChannelScheduler:
         cycle = max(cycle, self._ccd_window(group))
         cycle = max(cycle, self._turnaround(write))
         if kind.is_all_bank:
-            for b in self.banks:
+            for b in self._broadcast:
                 (b.apply_write if write else b.apply_read)(cycle)
         else:
             (bank.apply_write if write else bank.apply_read)(cycle)
@@ -276,14 +318,13 @@ class ChannelScheduler:
 
     def _issue_refresh(self, earliest: int) -> int:
         """All-bank refresh; requires every bank precharged."""
-        open_banks = [b for b in self.banks if b.is_open]
-        if open_banks:
+        if self._open_banks:
             raise TimingError("REF issued while banks are open; "
                               "precharge first")
         cycle = max(earliest, self._row_bus_free,
-                    *(b.act_ready for b in self.banks))
+                    *(b.act_ready for b in self._broadcast))
         done = cycle + self.timing.trfc
-        for b in self.banks:
+        for b in self._broadcast:
             b.block_until(done)
         self._row_bus_free = cycle + 1
         self.refreshes_performed += 1
@@ -296,7 +337,7 @@ class ChannelScheduler:
         the next precharge; the model does the same, so a refresh can slide
         past its nominal tREFI point but is never dropped.
         """
-        if any(b.is_open for b in self.banks):
+        if self._open_banks:
             return
         while self._next_refresh <= max(earliest, self._now):
             self.counts[CommandType.REF] += 1
@@ -307,7 +348,8 @@ class ChannelScheduler:
                 # the checker observes them here, in issue order.
                 self._checker.observe(
                     self._now, Command(CommandType.REF,
-                                       channel=self._channel))
+                                       channel=self._channel),
+                    inserted=True)
             self._next_refresh += self.timing.trefi
 
     # ------------------------------------------------------------------
@@ -347,4 +389,5 @@ class ChannelScheduler:
     def _bank(self, index: int) -> BankState:
         if not 0 <= index < self.banks_per_channel:
             raise TimingError(f"bank index {index} outside channel")
-        return self.banks[index]
+        self._split()
+        return self._banks[index]

@@ -28,32 +28,23 @@ class CommandType(enum.Enum):
     REF = "ref"        # refresh (all banks of the channel)
     MODE = "mode"      # SB<->AB<->AB-PIM mode-switch sequence
 
-    @property
-    def is_row(self) -> bool:
-        """True for commands issued on the row-command bus."""
-        return self in (CommandType.ACT, CommandType.PRE, CommandType.ACT_AB,
-                        CommandType.PRE_AB, CommandType.REF)
+    def __init__(self, value: str) -> None:
+        # The channel scheduler tests a command's class on every issue,
+        # so each test is a plain member attribute fixed here once rather
+        # than a property doing a membership lookup per call.
+        #: Issued on the row-command bus.
+        self.is_row = value in ("act", "pre", "act_ab", "pre_ab", "ref")
+        #: Issued on the column-command bus.
+        self.is_column = value in ("rd", "wr", "rd_ab", "wr_ab")
+        #: One command drives every bank of the channel.
+        self.is_all_bank = value in ("act_ab", "pre_ab", "rd_ab", "wr_ab",
+                                     "ref")
+        self.is_read = value in ("rd", "rd_ab")
+        self.is_write = value in ("wr", "wr_ab")
 
-    @property
-    def is_column(self) -> bool:
-        """True for commands issued on the column-command bus."""
-        return self in (CommandType.RD, CommandType.WR, CommandType.RD_AB,
-                        CommandType.WR_AB)
-
-    @property
-    def is_all_bank(self) -> bool:
-        """True when one command drives every bank of the channel."""
-        return self in (CommandType.ACT_AB, CommandType.PRE_AB,
-                        CommandType.RD_AB, CommandType.WR_AB,
-                        CommandType.REF)
-
-    @property
-    def is_read(self) -> bool:
-        return self in (CommandType.RD, CommandType.RD_AB)
-
-    @property
-    def is_write(self) -> bool:
-        return self in (CommandType.WR, CommandType.WR_AB)
+    # Members are singletons, so identity hashing is exact; it keeps the
+    # per-kind counter dicts off ``Enum.__hash__`` (a Python-level call).
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)

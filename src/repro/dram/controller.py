@@ -12,7 +12,7 @@ scheduler keeps its own clock and the result is the max over channels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import AbstractSet, Dict, Iterable, Optional
 
 from ..errors import TimingError
 from .. import obs
@@ -71,11 +71,17 @@ class ScheduleResult:
 
     @property
     def bus_utilisation(self) -> float:
-        """Fraction of schedule cycles carrying a column command —
-        an upper bound on achieved data-bus utilisation."""
+        """Fraction of channel-cycles carrying a column command — an
+        upper bound on achieved data-bus utilisation.
+
+        Each active channel owns its own column bus, so the capacity is
+        active channels x schedule cycles: the mean over channels of
+        each one's column commands per schedule cycle.
+        """
         if self.total_cycles <= 0:
             return 0.0
-        return min(1.0, self.column_commands / self.total_cycles)
+        capacity = max(len(self.per_channel_cycles), 1) * self.total_cycles
+        return min(1.0, self.column_commands / capacity)
 
     @property
     def row_misses(self) -> int:
@@ -111,7 +117,7 @@ class MemoryController:
 
     def run(self, trace: Iterable[TraceEntry],
             with_energy: bool = False,
-            host_column_traffic: int = 0,
+            host_tags: AbstractSet[str] = frozenset(),
             alu_operations: int = 0,
             precision: str = "fp64",
             collector=None) -> ScheduleResult:
@@ -122,10 +128,11 @@ class MemoryController:
         exactly like its expansion (same cycles, counters and tag
         attributions) but in O(1) per run instead of O(count).
 
-        ``host_column_traffic``, ``alu_operations`` and ``precision`` feed
-        the energy model only; they describe how much of the column traffic
-        crossed the external interface and how much PU compute the trace's
-        PIM phases performed.
+        ``host_tags``, ``alu_operations`` and ``precision`` feed the
+        energy model only. Column commands tagged with one of
+        ``host_tags`` crossed the external interface; the scheduling walk
+        tallies them itself, so the trace is walked once. The other two
+        describe how much PU compute the trace's PIM phases performed.
 
         ``collector`` (e.g. an
         :class:`repro.obs.attrib.AttributionCollector`) is a passive
@@ -139,6 +146,7 @@ class MemoryController:
         tag_cycles: Dict[str, int] = {}
         last_cycle: Dict[int, int] = {}
         total = 0
+        host_columns = 0
         for entry in trace:
             command, count = as_run(entry)
             if command.channel >= self.num_channels:
@@ -160,13 +168,16 @@ class MemoryController:
                 first = last = sched.issue(command)
             else:
                 first, last = sched.issue_run(command, count)
-            if command.tag is not None:
+            tag = command.tag
+            if tag is not None:
                 # Per-command attributions sum the positive gaps: the gap
                 # to the run's first command plus the fixed spacings
                 # between its successors (all positive), i.e. last-first.
                 gap = first - last_cycle.get(command.channel, 0)
-                tag_cycles[command.tag] = (tag_cycles.get(command.tag, 0)
-                                           + max(gap, 0) + (last - first))
+                tag_cycles[tag] = (tag_cycles.get(tag, 0)
+                                   + max(gap, 0) + (last - first))
+                if tag in host_tags and command.kind.is_column:
+                    host_columns += count
             last_cycle[command.channel] = last
             counts[command.kind] += count
             total += count
@@ -191,7 +202,7 @@ class MemoryController:
         if with_energy:
             report = self._energy_model.command_energy(
                 counts, banks_per_channel=self.banks_per_channel,
-                host_column_traffic=host_column_traffic)
+                host_column_traffic=host_columns)
             self._energy_model.add_background(
                 report, total_cycles,
                 num_channels=max(len(channels), 1))

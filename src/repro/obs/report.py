@@ -194,7 +194,10 @@ def build_run_report(attribution: Attribution, perf, *, label: str,
                if k.name in ("ACT", "ACT_AB"))
     columns = perf.column_commands
     if cycles > 0:
-        utilization["bus_utilisation"] = min(1.0, columns / cycles)
+        # One column bus per active channel (see
+        # ScheduleResult.bus_utilisation).
+        capacity = max(len(attribution.channel_clock), 1) * cycles
+        utilization["bus_utilisation"] = min(1.0, columns / capacity)
     if acts > 0:
         utilization["row_buffer_locality"] = columns / acts
     for name, share in attribution.fractions().items():

@@ -93,6 +93,26 @@ class TestSchedulerConformance:
         assert result.refreshes > 0
         assert result.violations == []
 
+    def test_idle_gap_across_inserted_refresh(self):
+        # min_gap counts from the previous trace command. A refresh the
+        # scheduler inserts inside the idle stretch is not one, so the
+        # command after it may issue before refresh + min_gap.
+        trace = [Command(CommandType.MODE),
+                 Command(CommandType.MODE, min_gap=T.trefi + 100)]
+        result = MemoryController(validate_protocol=True).run(trace)
+        assert result.refreshes == 1
+        assert result.violations == []
+
+    def test_min_gap_still_checked_after_inserted_refresh(self):
+        ref = Command(CommandType.REF)
+        mode = Command(CommandType.MODE, min_gap=50)
+        checker = ProtocolChecker(T)
+        checker.observe(0, Command(CommandType.MODE))
+        checker.observe(T.trefi, ref, inserted=True)
+        assert checker.observe(T.trefi + 10, mode) == []
+        late = checker.observe(T.trefi + 50, mode)
+        assert [v.constraint for v in late] == ["min_gap"]
+
     def test_min_gap_throttled_runs(self):
         trace = [Command(CommandType.MODE),
                  Command(CommandType.ACT_AB, row=0),

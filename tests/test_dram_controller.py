@@ -3,9 +3,9 @@
 import pytest
 
 from repro.config import HBM2Config
-from repro.dram import (AddressMapper, Command, CommandType, EnergyModel,
-                        EnergyParams, MemoryController, TimingParams,
-                        count_commands)
+from repro.dram import (AddressMapper, Command, CommandRun, CommandType,
+                        EnergyModel, EnergyParams, MemoryController,
+                        TimingParams, count_commands)
 from repro.errors import AddressError, TimingError
 
 
@@ -130,6 +130,22 @@ class TestMemoryController:
         result = MemoryController(enable_refresh=False).run(trace)
         assert set(result.tag_cycles) == {"open", "stream"}
         assert result.tag_cycles["stream"] > 0
+
+    def test_host_tagged_columns_charge_external_energy(self):
+        """Host-tagged column commands are tallied in the scheduling
+        walk, runs by their count; row commands and other tags are not."""
+        stage = Command(CommandType.WR, bank=2, row=0, tag="stage_x")
+        trace = [Command(CommandType.ACT, bank=2, row=0, tag="stage_x"),
+                 stage, CommandRun(stage, 5),
+                 Command(CommandType.RD, bank=2, row=0, tag="other"),
+                 Command(CommandType.PRE, bank=2)]
+        controller = MemoryController(enable_refresh=False)
+        result = controller.run(trace, with_energy=True,
+                                host_tags=frozenset({"stage_x"}))
+        assert result.energy.external_pj == \
+            6 * EnergyParams().external_io_pj
+        untagged = controller.run(trace, with_energy=True)
+        assert untagged.energy.external_pj == 0
 
     def test_count_commands_without_scheduling(self):
         trace = _row_trace(CommandType.ACT, CommandType.RD,

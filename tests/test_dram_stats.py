@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.config import default_system
-from repro.core import run_spmv, spmv_ab_trace
+from repro.core import (plan_spmv, run_spmv, spmv_ab_trace,
+                        spmv_channels_trace, TraceParams)
 from repro.dram import Command, CommandType, MemoryController
 from repro.formats import generate
+from repro.obs import build_run_report
+from repro.obs.attrib import attribute_spmv
 
 CFG = default_system()
 
@@ -59,3 +62,48 @@ class TestScheduleStats:
         result = _run(spmv_ab_trace(execution, CFG))
         # phased schedule: several beats per row visit, far from thrash
         assert result.row_buffer_locality > 4.0
+
+
+class TestShardedBusUtilisation:
+    """Every active channel has its own column bus, so utilisation is
+    column commands over (active channels x schedule cycles)."""
+
+    @pytest.fixture(scope="class")
+    def cant(self):
+        return generate("cant", scale=0.02)
+
+    def _sharded(self, matrix, channels):
+        _, _, execution = plan_spmv(matrix, CFG, channels=channels,
+                                    validate=False)
+        trace = spmv_channels_trace(execution, CFG, TraceParams())
+        return execution, MemoryController().run(trace)
+
+    @pytest.mark.parametrize("channels", [4, 16])
+    def test_is_the_per_channel_mean(self, cant, channels):
+        _, result = self._sharded(cant, channels)
+        stats = result.per_channel_stats
+        assert len(stats) == channels
+        mean = sum(s["column_commands"] / result.total_cycles
+                   for s in stats.values()) / len(stats)
+        assert result.bus_utilisation < 1.0
+        assert result.bus_utilisation == pytest.approx(mean, rel=1e-12)
+
+    @pytest.mark.parametrize("channels", [4, 16])
+    def test_run_report_agrees(self, cant, channels):
+        execution, result = self._sharded(cant, channels)
+        attribution, perf = attribute_spmv(execution, CFG)
+        report = build_run_report(attribution, perf, label="cant",
+                                  kind="spmv", channels=channels)
+        assert (report.utilization["bus_utilisation"]
+                == result.bus_utilisation)
+
+    def test_single_channel_is_columns_over_cycles(self, cant):
+        for channels in (None, 1):
+            _, _, execution = plan_spmv(cant, CFG, channels=channels,
+                                        validate=False)
+            trace = (spmv_ab_trace(execution, CFG) if channels is None
+                     else spmv_channels_trace(execution, CFG,
+                                              TraceParams()))
+            result = MemoryController().run(trace)
+            assert (result.bus_utilisation
+                    == result.column_commands / result.total_cycles)

@@ -31,7 +31,7 @@ import time
 
 from conftest import BENCH_SCALE, RESULTS_DIR, SPMV_MATRICES, bench_matrix
 from repro.config import default_system
-from repro.core import plan_spmv, price_trace, spmv_ab_trace
+from repro.core import plan_spmv, price_trace, spmm_ab_trace
 from repro.dram import TimingParams
 from repro.obs.attrib import AttributionCollector, attribute_spmv
 from repro.obs.report import build_run_report, render_html, save_reports
@@ -46,7 +46,7 @@ def _suite_traces(config):
     for name in SPMV_MATRICES:
         matrix = bench_matrix(name)
         _, _, execution = plan_spmv(matrix, config, validate=False)
-        traces.append((name, execution, spmv_ab_trace(execution, config)))
+        traces.append((name, execution, spmm_ab_trace(execution, config)))
     return traces
 
 

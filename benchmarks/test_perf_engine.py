@@ -17,7 +17,7 @@ import numpy as np
 from conftest import BENCH_SCALE, RESULTS_DIR, bench_matrix, bench_vector
 from repro import obs
 from repro.config import default_system
-from repro.core import (price_trace, run_spmv, run_sptrsv, spmv_ab_trace,
+from repro.core import (price_trace, run_spmv, run_sptrsv, spmm_ab_trace,
                         time_spmv)
 from repro.dram import expand_trace
 from repro.formats.generators import uniform_random, unit_lower_from
@@ -73,7 +73,7 @@ def test_engine_microbenchmark():
 
     # --- trace pricing: run-length batching vs per-command issue ------
     execution = run_spmv(matrix, x, CFG).execution
-    trace = spmv_ab_trace(execution, CFG)
+    trace = spmm_ab_trace(execution, CFG)
     expanded = list(expand_trace(trace))
     t_percmd, p_percmd = _best_of(lambda: price_trace(expanded, CFG))
     t_batched, p_batched = _best_of(lambda: price_trace(trace, CFG))

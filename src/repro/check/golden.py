@@ -20,11 +20,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import SystemConfig, default_system
-from ..core import (dense_stream_trace, price_trace, run_spmm, run_spmv,
-                    run_sptrsv, spmm_ab_trace, spmm_pb_trace,
-                    spmv_ab_trace, spmv_pb_trace, sptrsv_ab_trace)
-from ..core.timing import PerfReport
+from ..config import default_system
+from ..core import dense_stream_trace, price_trace, run_spmm, run_sptrsv
+from ..core.timing import PerfReport, alu_operations
+from ..core.trace import synthesize
 from ..dram import TraceEntry, as_run
 from ..formats.generators import uniform_random, unit_lower_from
 
@@ -41,40 +40,16 @@ def default_golden_dir() -> Path:
 # ----------------------------------------------------------------------
 # canonical workloads
 # ----------------------------------------------------------------------
-def _spmv_parts(config: SystemConfig):
-    matrix = uniform_random(48, 48, 0.08, seed=11)
-    x = np.random.default_rng(12).random(48)
-    execution = run_spmv(matrix, x, config, engine_banks=4).execution
-    return matrix, execution
-
-
-def _spmv(mode: str) -> Tuple[List[TraceEntry], PerfReport]:
+def _spmm(mode: str, num_rhs: int) -> Tuple[List[TraceEntry], PerfReport]:
+    # One 48x48 matrix for every width: the plan is shared, and k = 1 is
+    # the spmv workload.
     config = default_system()
-    matrix, execution = _spmv_parts(config)
-    trace = (spmv_ab_trace if mode == "ab"
-             else spmv_pb_trace)(execution, config)
-    report = price_trace(trace, config, with_energy=True,
-                         alu_operations=2 * matrix.nnz,
-                         precision=execution.precision)
-    return trace, report
-
-
-def _spmm_parts(config: SystemConfig):
-    # The SpMV golden matrix with a 4-column dense rhs block: the plan
-    # (and at k=1 the whole trace) is shared with the spmv workloads.
     matrix = uniform_random(48, 48, 0.08, seed=11)
-    x = np.random.default_rng(12).random((48, 4))
+    x = np.random.default_rng(12).random((48, num_rhs))
     execution = run_spmm(matrix, x, config, engine_banks=4).execution
-    return matrix, execution
-
-
-def _spmm(mode: str) -> Tuple[List[TraceEntry], PerfReport]:
-    config = default_system()
-    matrix, execution = _spmm_parts(config)
-    trace = (spmm_ab_trace if mode == "ab"
-             else spmm_pb_trace)(execution, config)
+    trace = synthesize(execution, config, mode=mode).trace
     report = price_trace(trace, config, with_energy=True,
-                         alu_operations=2 * matrix.nnz * execution.num_rhs,
+                         alu_operations=alu_operations(execution),
                          precision=execution.precision)
     return trace, report
 
@@ -84,9 +59,9 @@ def _sptrsv() -> Tuple[List[TraceEntry], PerfReport]:
     tri = unit_lower_from(uniform_random(40, 40, 0.06, seed=7), seed=8)
     b = np.random.default_rng(9).random(40)
     execution = run_sptrsv(tri, b, config, engine_banks=4).execution
-    trace = sptrsv_ab_trace(execution, config)
+    trace = synthesize(execution, config).trace
     report = price_trace(trace, config, with_energy=True,
-                         alu_operations=2 * execution.total_elements,
+                         alu_operations=alu_operations(execution),
                          precision=execution.precision)
     return trace, report
 
@@ -101,10 +76,10 @@ def _dense_stream() -> Tuple[List[TraceEntry], PerfReport]:
 
 
 WORKLOADS: Dict[str, Callable[[], Tuple[List[TraceEntry], PerfReport]]] = {
-    "spmv_ab": lambda: _spmv("ab"),
-    "spmv_pb": lambda: _spmv("pb"),
-    "spmm_ab": lambda: _spmm("ab"),
-    "spmm_pb": lambda: _spmm("pb"),
+    "spmv_ab": lambda: _spmm("ab", 1),
+    "spmv_pb": lambda: _spmm("pb", 1),
+    "spmm_ab": lambda: _spmm("ab", 4),
+    "spmm_pb": lambda: _spmm("pb", 4),
     "sptrsv_ab": _sptrsv,
     "dense_stream_ab": _dense_stream,
 }

@@ -45,7 +45,7 @@ from . import __version__, obs
 from .analysis import format_table, table_x_model, unit_area
 from .baselines import GPUModel, SpaceAModel
 from .config import STRATEGY_CHOICES, default_system
-from .core import PSyncPIM, time_spmm, time_spmv
+from .core import PSyncPIM, as_spmm_execution, time_spmm, time_spmv
 from .dram import TimingParams
 from .errors import ReproError
 from .formats import (generate, matrix_spec, read_matrix_market,
@@ -457,7 +457,9 @@ def _cmd_spmm(args) -> int:
     ex = result.execution
     ab = pim.time_spmm(result, with_energy=True)
     pb = time_spmm(ex, pim.config, mode="pb")
-    spmv_cycles = time_spmv(ex, pim.config, mode="ab").cycles
+    # the SpMV baseline is the same plan priced at width 1
+    spmv_cycles = time_spmm(as_spmm_execution(ex, 1), pim.config,
+                            mode="ab").cycles
     print(format_table(["metric", "value"], [
         ["matrix", f"{matrix.shape[0]}x{matrix.shape[1]}, "
                    f"nnz={matrix.nnz}"],

@@ -17,10 +17,10 @@ from .strategies import (AutoStrategy, PartitionStrategy, TuneResult,
 from .sptrsv import (ILDUFactors, SpTrsvExecution, SpTrsvResult, ildu,
                      level_schedule, recursive_plan, reorder_by_levels,
                      run_sptrsv, solve_unit_triangular_reference)
-from .trace import (TraceParams, dense_stream_trace, rhs_block_width,
-                    spmm_ab_trace, spmm_channels_trace, spmm_pb_trace,
-                    spmv_ab_trace, spmv_channels_trace, spmv_pb_trace,
-                    sptrsv_ab_trace, sptrsv_channels_trace)
+from .trace import (SegmentedTrace, TraceParams, dense_stream_trace,
+                    rhs_block_width, spmm_ab_trace, spmm_channels_trace,
+                    spmm_pb_trace, sptrsv_ab_trace, sptrsv_channels_trace,
+                    synthesize)
 from .timing import (PerfReport, price_trace, time_dense_kernel, time_spmm,
                      time_spmv, time_sptrsv)
 from .runtime import PSyncPIM
@@ -37,10 +37,9 @@ __all__ = [
     "strategy_names", "tune_strategy", "ILDUFactors",
     "SpTrsvExecution", "SpTrsvResult", "ildu", "level_schedule",
     "recursive_plan", "reorder_by_levels", "run_sptrsv",
-    "solve_unit_triangular_reference", "TraceParams",
+    "solve_unit_triangular_reference", "SegmentedTrace", "TraceParams",
     "dense_stream_trace", "rhs_block_width", "spmm_ab_trace",
-    "spmm_channels_trace", "spmm_pb_trace", "spmv_ab_trace",
-    "spmv_channels_trace", "spmv_pb_trace", "sptrsv_ab_trace",
-    "sptrsv_channels_trace", "PerfReport", "price_trace",
+    "spmm_channels_trace", "spmm_pb_trace", "sptrsv_ab_trace",
+    "sptrsv_channels_trace", "synthesize", "PerfReport", "price_trace",
     "time_dense_kernel", "time_spmm", "time_spmv", "time_sptrsv",
 ]

@@ -26,8 +26,7 @@ from ..formats import COOMatrix
 from .spmm import SpmmResult, run_spmm
 from .spmv import SpmvResult, run_spmv
 from .sptrsv import ILDUFactors, SpTrsvResult, ildu, run_sptrsv
-from .timing import (PerfReport, time_dense_kernel, time_spmm, time_spmv,
-                     time_sptrsv)
+from .timing import PerfReport, time_dense_kernel, time_spmm, time_sptrsv
 from .trace import TraceParams
 
 
@@ -122,17 +121,14 @@ class PSyncPIM:
     # ------------------------------------------------------------------
     # performance modelling
     # ------------------------------------------------------------------
-    def time_spmv(self, result: SpmvResult, mode: str = "ab",
-                  with_energy: bool = False) -> PerfReport:
-        """Price an executed SpMV in all-bank or per-bank mode."""
-        return time_spmv(result.execution, self.config, mode=mode,
-                         params=self.trace_params, with_energy=with_energy)
-
     def time_spmm(self, result: SpmmResult, mode: str = "ab",
                   with_energy: bool = False) -> PerfReport:
-        """Price an executed SpMM in all-bank or per-bank mode."""
+        """Price an executed SpMV/SpMM in all-bank or per-bank mode."""
         return time_spmm(result.execution, self.config, mode=mode,
                          params=self.trace_params, with_energy=with_energy)
+
+    #: SpMV is SpMM at ``k = 1``.
+    time_spmv = time_spmm
 
     def time_sptrsv(self, result: SpTrsvResult,
                     with_energy: bool = False) -> PerfReport:

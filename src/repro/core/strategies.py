@@ -510,9 +510,9 @@ def _calibration(config: SystemConfig, precision: str,
                  params: TraceParams) -> np.ndarray:
     """Least-squares weights fitting modelled cycles on the probe set.
 
-    The probes run through the *real* pipeline — ``spmv_ab_trace`` (plus
-    ``spmm_ab_trace`` at the :data:`_PROBE_RHS` widths, conditioning the
-    marginal-rhs column) then ``price_trace`` — so the weights inherit
+    The probes run through the *real* pipeline — ``spmm_ab_trace`` at
+    width 1 and at the :data:`_PROBE_RHS` widths (conditioning the
+    marginal-rhs column), then ``price_trace`` — so the weights inherit
     the trace synthesis and JEDEC timing of the platform being tuned
     for; they are cached per (config, precision, trace params) for the
     process lifetime.
@@ -524,15 +524,11 @@ def _calibration(config: SystemConfig, precision: str,
         return weights
     from .spmm import as_spmm_execution
     from .timing import price_trace
-    from .trace import spmm_ab_trace, spmv_ab_trace
+    from .trace import spmm_ab_trace
     feats, cycles = [], []
     for batches, xs, ys in _PROBE_ROUNDS:
         execution = _probe_execution(batches, xs, ys, precision)
-        trace = spmv_ab_trace(execution, config, params)
-        report = price_trace(trace, config, precision=precision)
-        feats.append(_features(execution))
-        cycles.append(float(report.cycles))
-        for rhs in _PROBE_RHS:
+        for rhs in (1,) + _PROBE_RHS:
             widened = as_spmm_execution(execution, rhs)
             trace = spmm_ab_trace(widened, config, params)
             report = price_trace(trace, config, precision=precision)

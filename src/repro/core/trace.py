@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional
+from typing import Iterator, List, NamedTuple, Optional, Union
 
 from ..config import SystemConfig, element_size
 from ..dram import Command, CommandRun, CommandType, TraceEntry
-from ..errors import MappingError
+from ..errors import ExecutionError, MappingError
 from .spmv import SpmvExecution, element_bytes
 from .sptrsv import SpTrsvExecution
 
@@ -132,7 +132,8 @@ class TraceSegment(NamedTuple):
     """Half-open entry-index range ``[start, end)`` of one timeline phase.
 
     Labels are dotted ``<group>.<phase>`` pairs — ``r3.kernel`` (SpMV round
-    3's AB-PIM phase), ``L7.broadcast`` (SpTRSV level 7's solved-value
+    3's AB-PIM phase; ``r3.b1.kernel`` is an SpMM's second rhs-block of
+    it), ``L7.broadcast`` (SpTRSV level 7's solved-value
     broadcast), ``U1.r0.stage`` (an update SpMV's staging) — so consumers
     can aggregate per group (critical path over rounds/levels) or per
     phase suffix (stage/seam/kernel/merge timeline decomposition).
@@ -290,159 +291,6 @@ def _kernel_batches(batches: int, batch_elems: int, eb: float,
 
 
 # ----------------------------------------------------------------------
-# SpMV traces
-# ----------------------------------------------------------------------
-def spmv_ab_segments(execution: SpmvExecution, config: SystemConfig,
-                     params: TraceParams = TraceParams(),
-                     channel: int = 0,
-                     banks: Optional[int] = None,
-                     prefix: str = "") -> SegmentedTrace:
-    """All-bank SpMV schedule with its per-round phase segments.
-
-    Per round: ``r<N>.stage`` (SB host staging), ``r<N>.seam`` (mode
-    switches + kernel programming), ``r<N>.kernel`` (the AB-PIM phase)
-    and ``r<N>.merge`` (the exit switch + host merge). *prefix* namespaces
-    the labels when the SpMV is embedded in a larger schedule (SpTRSV
-    updates).
-    """
-    banks = banks if banks is not None else execution.banks_per_channel
-    vb = element_size(execution.precision)
-    eb = execution.stream_bytes_per_element
-    rf_batch = _queue_batch(execution.precision, params.subqueue_bytes)
-    out = _SegmentBuilder()
-    for r, round_elems in enumerate(execution.round_batches):
-        # host stages this round's input segments (SB mode, external bus)
-        out.add(f"{prefix}r{r}.stage", channel,
-                host_stage(execution.round_x_lengths[r] * vb, write=True,
-                           row=INPUT_ROW, tag="stage_x", channel=channel,
-                           banks=banks))
-        # SB -> AB: program; AB -> AB-PIM: execute
-        out.add(f"{prefix}r{r}.seam", channel,
-                mode_switch(channel) + program_load(params, channel=channel)
-                + mode_switch(channel))
-        phase = rf_batch * params.queue_phases
-        batches = max(1, math.ceil(round_elems / phase))
-        out.add(f"{prefix}r{r}.kernel", channel,
-                _kernel_batches(batches, phase, eb, params,
-                                all_bank=True,
-                                y_bytes=execution.round_y_lengths[r] * vb,
-                                channel=channel))
-        # AB-PIM -> SB, then the host merges the round's output partials
-        out.add(f"{prefix}r{r}.merge", channel,
-                mode_switch(channel)
-                + host_stage(execution.round_y_lengths[r] * vb, write=False,
-                             row=OUTPUT_ROW, tag="merge_y", channel=channel,
-                             banks=banks))
-    return out.done()
-
-
-def spmv_ab_trace(execution: SpmvExecution, config: SystemConfig,
-                  params: TraceParams = TraceParams(),
-                  channel: int = 0,
-                  banks: Optional[int] = None) -> List[TraceEntry]:
-    """All-bank pSyncPIM schedule of one SpMV on one channel.
-
-    *channel* stamps every command so channel-sharded executions can
-    concatenate per-channel streams into one trace; the default 0 is the
-    representative-channel model. *banks* (the channel width the host
-    staging fans over) defaults to the execution record's
-    ``banks_per_channel``.
-    """
-    return spmv_ab_segments(execution, config, params, channel=channel,
-                            banks=banks).trace
-
-
-def spmv_pb_segments(execution: SpmvExecution, config: SystemConfig,
-                     params: TraceParams = TraceParams(),
-                     channel: int = 0,
-                     banks: Optional[int] = None,
-                     prefix: str = "") -> SegmentedTrace:
-    """Per-bank SpMV schedule with per-round phase segments.
-
-    The kernel segment covers every bank's single-bank arm (each bank's
-    mode switch + stream); stage/merge match the AB labels so the two
-    modes diff phase-by-phase.
-    """
-    banks = banks if banks is not None else execution.banks_per_channel
-    vb = element_size(execution.precision)
-    eb = execution.stream_bytes_per_element
-    rf_batch = _queue_batch(execution.precision, params.subqueue_bytes)
-    per_bank = _representative_channel_loads(execution, banks)
-    rounds = max(1, execution.num_rounds)
-    out = _SegmentBuilder()
-    for r in range(rounds):
-        out.add(f"{prefix}r{r}.stage", channel,
-                host_stage(execution.round_x_lengths[r] * vb, write=True,
-                           row=INPUT_ROW, tag="stage_x", channel=channel,
-                           banks=banks))
-        arms: List[TraceEntry] = []
-        for bank, elements in enumerate(per_bank):
-            share = elements / rounds
-            if share <= 0:
-                continue
-            arms += mode_switch(channel)  # per-bank kernel arm
-            phase = rf_batch * params.queue_phases
-            batches = max(1, math.ceil(share / phase))
-            arms += _kernel_batches(
-                batches, phase, eb, params, all_bank=False, bank=bank,
-                y_bytes=execution.round_y_lengths[r] * vb, channel=channel)
-        out.add(f"{prefix}r{r}.kernel", channel, arms)
-        out.add(f"{prefix}r{r}.merge", channel,
-                mode_switch(channel)
-                + host_stage(execution.round_y_lengths[r] * vb, write=False,
-                             row=OUTPUT_ROW, tag="merge_y", channel=channel,
-                             banks=banks))
-    return out.done()
-
-
-def spmv_pb_trace(execution: SpmvExecution, config: SystemConfig,
-                  params: TraceParams = TraceParams(),
-                  channel: int = 0,
-                  banks: Optional[int] = None) -> List[TraceEntry]:
-    """Per-bank schedule: the host drives each bank's kernel separately.
-
-    Staging traffic is identical to AB mode; the kernel phase is replayed
-    per bank with single-bank commands, each bank streaming only its own
-    elements (no lock-step padding — PB's one advantage). *banks*
-    defaults to the execution record's ``banks_per_channel``.
-    """
-    return spmv_pb_segments(execution, config, params, channel=channel,
-                            banks=banks).trace
-
-
-def spmv_channels_trace(execution: SpmvExecution, config: SystemConfig,
-                        params: TraceParams = TraceParams(),
-                        mode: str = "ab") -> List[TraceEntry]:
-    """Concatenated per-channel streams of a channel-sharded SpMV.
-
-    Each shard's sub-execution is synthesised with its channel id stamped
-    on every command; the scheduler routes them to independent per-channel
-    clocks, so total time is the max over channels, not the sum. Shards
-    with no elements emit nothing (an idle channel issues no commands).
-    """
-    return spmv_channels_segments(execution, config, params,
-                                  mode=mode).trace
-
-
-def spmv_channels_segments(execution: SpmvExecution, config: SystemConfig,
-                           params: TraceParams = TraceParams(),
-                           mode: str = "ab") -> SegmentedTrace:
-    """Segmented form of :func:`spmv_channels_trace` (same trace)."""
-    if not execution.channel_execs:
-        raise MappingError(
-            "spmv_channels_trace needs a channel-sharded execution "
-            "(plan_spmv(..., channels=C))")
-    synth = spmv_ab_segments if mode == "ab" else spmv_pb_segments
-    out = _SegmentBuilder()
-    for ch, sub in enumerate(execution.channel_execs):
-        if sub.total_elements == 0:
-            continue
-        out.splice(synth(sub, config, params, channel=ch,
-                         banks=execution.banks_per_channel))
-    return out.done()
-
-
-# ----------------------------------------------------------------------
 # SpMM traces: one resident plan, k right-hand sides in rhs-blocks
 # ----------------------------------------------------------------------
 def rhs_block_width(precision: str) -> int:
@@ -463,25 +311,33 @@ def _rhs_blocks(num_rhs: int, precision: str) -> List[int]:
             for at in range(0, num_rhs, block)]
 
 
+def _kernel_label(prefix: str, r: int, j: int, num_rhs: int) -> str:
+    """``r<N>.b<J>.kernel`` per rhs-block; plain ``r<N>.kernel`` at k=1."""
+    return (f"{prefix}r{r}.b{j}.kernel" if num_rhs > 1
+            else f"{prefix}r{r}.kernel")
+
+
 def spmm_ab_segments(execution: SpmvExecution, config: SystemConfig,
                      params: TraceParams = TraceParams(),
                      channel: int = 0,
                      banks: Optional[int] = None,
                      prefix: str = "") -> SegmentedTrace:
-    """All-bank SpMM schedule with per-round, per-rhs-block segments.
+    """All-bank SpMV/SpMM schedule with per-round, per-rhs-block segments.
 
-    Per round: ``r<N>.stage`` stages all ``k`` input columns,
-    ``r<N>.seam`` programs the kernel ONCE (the amortised cost), then
-    one ``r<N>.b<J>.kernel`` segment per rhs-block streams the resident
-    matrix against that block's columns, and ``r<N>.merge`` collects all
-    ``k`` output columns. With ``num_rhs == 1`` this *is*
-    :func:`spmv_ab_segments` — same trace, same labels.
+    Per round: ``r<N>.stage`` (SB host staging of all ``k`` input
+    columns), ``r<N>.seam`` (mode switches + kernel programming, paid
+    ONCE per round — the amortised cost), one ``r<N>.b<J>.kernel``
+    AB-PIM segment per rhs-block streaming the resident matrix against
+    that block's columns, and ``r<N>.merge`` (the exit switch + host
+    merge of all ``k`` output columns). A plain SpMV execution record is
+    ``k = 1``: one block, labelled ``r<N>.kernel``. *channel* stamps
+    every command (channel-sharded executions concatenate per-channel
+    streams); *banks* (the channel width the host staging fans over)
+    defaults to the record's ``banks_per_channel``; *prefix* namespaces
+    the labels when the SpMV is embedded in a larger schedule (SpTRSV
+    updates).
     """
     num_rhs = getattr(execution, "num_rhs", 1)
-    if num_rhs == 1:
-        return spmv_ab_segments(execution, config, params,
-                                channel=channel, banks=banks,
-                                prefix=prefix)
     banks = banks if banks is not None else execution.banks_per_channel
     vb = element_size(execution.precision)
     eb = execution.stream_bytes_per_element
@@ -501,7 +357,7 @@ def spmm_ab_segments(execution: SpmvExecution, config: SystemConfig,
         phase = rf_batch * params.queue_phases
         batches = max(1, math.ceil(round_elems / phase))
         for j, width in enumerate(blocks):
-            out.add(f"{prefix}r{r}.b{j}.kernel", channel,
+            out.add(_kernel_label(prefix, r, j, num_rhs), channel,
                     _kernel_batches(
                         batches, phase, eb, params, all_bank=True,
                         y_bytes=execution.round_y_lengths[r] * vb * width,
@@ -519,7 +375,7 @@ def spmm_ab_trace(execution: SpmvExecution, config: SystemConfig,
                   params: TraceParams = TraceParams(),
                   channel: int = 0,
                   banks: Optional[int] = None) -> List[TraceEntry]:
-    """All-bank pSyncPIM schedule of one SpMM on one channel."""
+    """All-bank pSyncPIM schedule of one SpMV/SpMM on one channel."""
     return spmm_ab_segments(execution, config, params, channel=channel,
                             banks=banks).trace
 
@@ -529,17 +385,15 @@ def spmm_pb_segments(execution: SpmvExecution, config: SystemConfig,
                      channel: int = 0,
                      banks: Optional[int] = None,
                      prefix: str = "") -> SegmentedTrace:
-    """Per-bank SpMM schedule with per-round, per-rhs-block segments.
+    """Per-bank SpMV/SpMM schedule with per-round, per-rhs-block segments.
 
-    Each ``r<N>.b<J>.kernel`` segment replays every bank's single-bank
-    arm against one rhs-block; stage/merge carry all ``k`` columns. With
-    ``num_rhs == 1`` this *is* :func:`spmv_pb_segments`.
+    The host drives each bank's kernel separately: every kernel segment
+    replays each bank's single-bank arm (its mode switch + stream)
+    against one rhs-block, each bank streaming only its own elements (no
+    lock-step padding — PB's one advantage). Stage/merge traffic and
+    labels match AB mode so the two modes diff phase-by-phase.
     """
     num_rhs = getattr(execution, "num_rhs", 1)
-    if num_rhs == 1:
-        return spmv_pb_segments(execution, config, params,
-                                channel=channel, banks=banks,
-                                prefix=prefix)
     banks = banks if banks is not None else execution.banks_per_channel
     vb = element_size(execution.precision)
     eb = execution.stream_bytes_per_element
@@ -566,7 +420,7 @@ def spmm_pb_segments(execution: SpmvExecution, config: SystemConfig,
                     batches, phase, eb, params, all_bank=False, bank=bank,
                     y_bytes=execution.round_y_lengths[r] * vb * width,
                     channel=channel, rhs=width)
-            out.add(f"{prefix}r{r}.b{j}.kernel", channel, arms)
+            out.add(_kernel_label(prefix, r, j, num_rhs), channel, arms)
         out.add(f"{prefix}r{r}.merge", channel,
                 mode_switch(channel)
                 + host_stage(execution.round_y_lengths[r] * vb * num_rhs,
@@ -579,7 +433,7 @@ def spmm_pb_trace(execution: SpmvExecution, config: SystemConfig,
                   params: TraceParams = TraceParams(),
                   channel: int = 0,
                   banks: Optional[int] = None) -> List[TraceEntry]:
-    """Per-bank SpMM schedule (each bank streams each rhs-block)."""
+    """Per-bank SpMV/SpMM schedule (each bank streams each rhs-block)."""
     return spmm_pb_segments(execution, config, params, channel=channel,
                             banks=banks).trace
 
@@ -587,11 +441,17 @@ def spmm_pb_trace(execution: SpmvExecution, config: SystemConfig,
 def spmm_channels_segments(execution: SpmvExecution, config: SystemConfig,
                            params: TraceParams = TraceParams(),
                            mode: str = "ab") -> SegmentedTrace:
-    """Segmented per-channel streams of a channel-sharded SpMM."""
+    """Concatenated per-channel streams of a channel-sharded SpMV/SpMM.
+
+    Each shard's sub-execution is synthesised with its channel id stamped
+    on every command; the scheduler routes them to independent per-channel
+    clocks, so total time is the max over channels, not the sum. Shards
+    with no elements emit nothing (an idle channel issues no commands).
+    """
     if not execution.channel_execs:
         raise MappingError(
             "spmm_channels_trace needs a channel-sharded execution "
-            "(plan_spmm(..., channels=C))")
+            "(plan_spmv/plan_spmm(..., channels=C))")
     synth = spmm_ab_segments if mode == "ab" else spmm_pb_segments
     out = _SegmentBuilder()
     for ch, sub in enumerate(execution.channel_execs):
@@ -605,7 +465,7 @@ def spmm_channels_segments(execution: SpmvExecution, config: SystemConfig,
 def spmm_channels_trace(execution: SpmvExecution, config: SystemConfig,
                         params: TraceParams = TraceParams(),
                         mode: str = "ab") -> List[TraceEntry]:
-    """Concatenated per-channel streams of a channel-sharded SpMM."""
+    """Concatenated per-channel streams of a channel-sharded SpMV/SpMM."""
     return spmm_channels_segments(execution, config, params,
                                   mode=mode).trace
 
@@ -692,7 +552,7 @@ def sptrsv_ab_segments(execution: SpTrsvExecution, config: SystemConfig,
         out.add(f"L{level}.kernel", channel, kernel)
     # the recursive off-diagonal updates are ordinary SpMVs
     for u, update in enumerate(execution.update_execs):
-        out.splice(spmv_ab_segments(update, config, params, channel=channel,
+        out.splice(spmm_ab_segments(update, config, params, channel=channel,
                                     prefix=f"U{u}."))
     return out.done()
 
@@ -744,6 +604,38 @@ def sptrsv_channels_segments(execution: SpTrsvExecution,
         out.splice(sptrsv_ab_segments(sub, config, params, channel=ch,
                                       host_channels=execution.num_channels))
     return out.done()
+
+
+# ----------------------------------------------------------------------
+# the one synthesis dispatch
+# ----------------------------------------------------------------------
+def synthesize(execution: Union[SpmvExecution, SpTrsvExecution],
+               config: SystemConfig, mode: str = "ab",
+               params: TraceParams = TraceParams()) -> SegmentedTrace:
+    """The segmented command trace of one execution record.
+
+    The kernel comes from the record's type (SpTRSV, or SpMV/SpMM — an
+    SpMV is the ``k = 1`` SpMM), the channel model from its
+    ``num_channels`` (``None`` is one representative channel, ``C``
+    concatenates the per-channel shards), and *mode* picks all-bank
+    (``"ab"``) or per-bank (``"pb"``) driving; SpTRSV is all-bank only.
+    The synthesisers are called through this module's globals, so
+    wrapping one of them (tracing, profiling) also wraps every caller.
+    """
+    if mode not in ("ab", "pb"):
+        raise ExecutionError(f"unknown PIM mode {mode!r}")
+    sharded = execution.num_channels is not None
+    if isinstance(execution, SpTrsvExecution):
+        if mode != "ab":
+            raise ExecutionError("SpTRSV runs in all-bank mode only")
+        if sharded:
+            return sptrsv_channels_segments(execution, config, params)
+        return sptrsv_ab_segments(execution, config, params)
+    if sharded:
+        return spmm_channels_segments(execution, config, params, mode=mode)
+    if mode == "ab":
+        return spmm_ab_segments(execution, config, params)
+    return spmm_pb_segments(execution, config, params)
 
 
 # ----------------------------------------------------------------------

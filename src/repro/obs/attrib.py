@@ -469,74 +469,45 @@ def attribute_trace(trace, config, segments=None, useful_loads=None,
     return attribution, perf
 
 
-def attribute_spmv(execution, config, mode: str = "ab", params=None,
-                   timing=None, with_energy: bool = False):
-    """Attribute one SpMV execution; returns ``(Attribution, PerfReport)``."""
-    from ..core.trace import (TraceParams, spmv_ab_segments,
-                              spmv_channels_segments, spmv_pb_segments)
-    if params is None:
-        params = TraceParams()
-    if execution.num_channels is not None:
-        seg = spmv_channels_segments(execution, config, params, mode=mode)
-    elif mode == "ab":
-        seg = spmv_ab_segments(execution, config, params)
-    else:
-        seg = spmv_pb_segments(execution, config, params)
-    return attribute_trace(
-        seg.trace, config, segments=seg.segments,
-        useful_loads=spmv_useful_loads(execution, mode), timing=timing,
-        channels=execution.num_channels, precision=execution.precision,
-        alu_operations=2 * execution.total_elements,
-        with_energy=with_energy)
-
-
 def attribute_spmm(execution, config, mode: str = "ab", params=None,
                    timing=None, with_energy: bool = False):
-    """Attribute one SpMM execution; returns ``(Attribution, PerfReport)``.
+    """Attribute one SpMV/SpMM execution; returns ``(Attribution,
+    PerfReport)``.
 
-    The layout is the SpMV layout, so the useful-load split carries over
-    unchanged (both the useful and the lock-step streams scale by the
-    right-hand-side width, leaving the compute/padding ratio intact);
-    ALU work scales by ``num_rhs``. At width 1 the synthesised segments
-    delegate to the SpMV synthesisers, making the attribution bitwise
-    :func:`attribute_spmv`.
+    An SpMM's layout is the SpMV layout, so the useful-load split carries
+    over unchanged (both the useful and the lock-step streams scale by
+    the right-hand-side width, leaving the compute/padding ratio intact);
+    ALU work scales by ``num_rhs``. A plain SpMV record is ``k = 1``.
     """
-    from ..core.trace import (TraceParams, spmm_ab_segments,
-                              spmm_channels_segments, spmm_pb_segments)
-    if params is None:
-        params = TraceParams()
-    if execution.num_channels is not None:
-        seg = spmm_channels_segments(execution, config, params, mode=mode)
-    elif mode == "ab":
-        seg = spmm_ab_segments(execution, config, params)
-    else:
-        seg = spmm_pb_segments(execution, config, params)
-    num_rhs = getattr(execution, "num_rhs", 1)
+    from ..core.timing import alu_operations
+    from ..core.trace import TraceParams, synthesize
+    seg = synthesize(execution, config, mode=mode,
+                     params=TraceParams() if params is None else params)
     return attribute_trace(
         seg.trace, config, segments=seg.segments,
         useful_loads=spmv_useful_loads(execution, mode), timing=timing,
         channels=execution.num_channels, precision=execution.precision,
-        alu_operations=2 * execution.total_elements * num_rhs,
+        alu_operations=alu_operations(execution),
         with_energy=with_energy)
+
+
+#: SpMV is SpMM at ``k = 1``: one attribution body serves both names.
+attribute_spmv = attribute_spmm
 
 
 def attribute_sptrsv(execution, config, params=None, timing=None,
                      with_energy: bool = False):
     """Attribute one SpTRSV execution; returns ``(Attribution,
     PerfReport)``."""
-    from ..core.trace import (TraceParams, sptrsv_ab_segments,
-                              sptrsv_channels_segments)
-    if params is None:
-        params = TraceParams()
-    if execution.num_channels is not None:
-        seg = sptrsv_channels_segments(execution, config, params)
-    else:
-        seg = sptrsv_ab_segments(execution, config, params)
+    from ..core.timing import alu_operations
+    from ..core.trace import TraceParams, synthesize
+    seg = synthesize(execution, config,
+                     params=TraceParams() if params is None else params)
     return attribute_trace(
         seg.trace, config, segments=seg.segments,
         useful_loads=sptrsv_useful_loads(execution), timing=timing,
         channels=execution.num_channels, precision=execution.precision,
-        alu_operations=2 * execution.total_elements,
+        alu_operations=alu_operations(execution),
         with_energy=with_energy)
 
 

@@ -17,6 +17,7 @@ parameters, timing configuration).
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 import traceback as traceback_module
@@ -35,11 +36,8 @@ from ..config import (SystemConfig, default_system, gddr6_aim_system,
 from ..core.spmm import as_spmm_execution
 from ..core.spmv import plan_spmv
 from ..core.sptrsv import ildu, level_schedule, run_sptrsv
-from ..core.timing import PerfReport, price_trace
-from ..core.trace import (TraceParams, spmm_ab_trace, spmm_channels_trace,
-                          spmm_pb_trace, spmv_ab_trace,
-                          spmv_channels_trace, spmv_pb_trace,
-                          sptrsv_ab_trace, sptrsv_channels_trace)
+from ..core.timing import PerfReport, alu_operations, price_trace
+from ..core.trace import TraceParams, synthesize
 from ..errors import ExecutionError
 from ..formats import (COOMatrix, generate, matrix_spec,
                        read_matrix_market, suite_names)
@@ -176,94 +174,69 @@ class SweepJob:
 # ----------------------------------------------------------------------
 # kernel pipelines (run inside the worker, through the artifact cache)
 # ----------------------------------------------------------------------
-def _spmv_pipeline(job: SweepJob, cache: ArtifactCache,
-                   batch: str = "off",
-                   ) -> Tuple[Optional[PerfReport], Dict[str, Any]]:
-    matrix = job.load_matrix()
-    config = job.system()
-    params = TraceParams()
-    mkey = matrix_digest(matrix)
-    channels = resolve_channels(job.channels)
-    strategy = resolve_strategy(job.strategy)
+def _priced(job: SweepJob, cache: ArtifactCache, execution, config,
+            params: TraceParams, trace_key: str, mode: str = "ab",
+            ) -> Tuple[PerfReport, str]:
+    """Synthesise and price one execution record, both stages cached.
 
-    plan_key = cache.key("spmv-plan", mkey, config, job.precision,
-                         job.compress, job.policy, channels, strategy)
-    plan, assignment = cache.get_or_compute(
-        "plan", plan_key,
-        lambda: plan_spmv(matrix, config, precision=job.precision,
-                          compress=job.compress, policy=job.policy,
-                          matrix_format=job.matrix_format,
-                          validate=False, channels=channels,
-                          strategy=strategy, tuner_cache=cache)[:2])
-    _, _, execution = plan_spmv(matrix, config, precision=job.precision,
-                                compress=job.compress, policy=job.policy,
-                                matrix_format=job.matrix_format,
-                                plan=plan, assignment=assignment,
-                                validate=False, channels=channels)
-
-    trace_key = cache.key("spmv-trace", execution, config, params, job.mode)
-    schedule_key = cache.key("spmv-schedule", trace_key, job.with_energy)
+    Returns the report and its schedule key (which the attribution
+    stage extends).
+    """
+    schedule_key = cache.key("schedule", trace_key, job.with_energy)
 
     def compute_report() -> PerfReport:
-        if execution.num_channels is not None:
-            def synthesise(execution, config, params):
-                return spmv_channels_trace(execution, config, params,
-                                           mode=job.mode)
-        else:
-            synthesise = (spmv_ab_trace if job.mode == "ab"
-                          else spmv_pb_trace)
         trace = cache.get_or_compute(
             "trace", trace_key,
-            lambda: synthesise(execution, config, params))
+            lambda: synthesize(execution, config, mode=mode,
+                               params=params).trace)
         return price_trace(trace, config, with_energy=job.with_energy,
-                           alu_operations=2 * execution.total_elements,
+                           alu_operations=alu_operations(execution),
                            precision=job.precision,
                            channels=execution.num_channels)
 
     report = cache.get_or_compute("schedule", schedule_key, compute_report)
-    extras = {
-        "rows": matrix.shape[0],
-        "cols": matrix.shape[1],
-        "nnz": matrix.nnz,
-        "tiles": len(plan.tiles),
-        "rounds": execution.num_rounds,
-        "banks_used": execution.banks_used,
-        "imbalance": execution.imbalance,
-    }
-    if channels is not None:
-        extras["channels"] = channels
-    if strategy != "paper":
-        extras["strategy"] = strategy
-    if resolve_attrib(job.attrib):
-        from ..obs.attrib import ATTRIB_VERSION, attribute_spmv
-        from ..obs.report import build_run_report
+    return report, schedule_key
 
-        def compute_attrib():
-            attribution, perf = attribute_spmv(
-                execution, config, mode=job.mode,
-                with_energy=job.with_energy)
-            return build_run_report(
-                attribution, perf, label=job.resolved_label(),
-                kind="spmv", matrix=job.matrix, mode=job.mode,
-                channels=channels, strategy=strategy,
-                precision=job.precision, config=config,
-                alu_operations=2 * execution.total_elements)
 
-        extras["_attrib"] = cache.get_or_compute(
-            "attrib", cache.key("spmv-attrib", schedule_key,
-                                ATTRIB_VERSION), compute_attrib)
-    return report, extras
+def _attrib_report(job: SweepJob, cache: ArtifactCache,
+                   schedule_key: str, attribute, execution, config,
+                   channels: Optional[int], strategy: str,
+                   mode: str = "ab"):
+    """The job's cached :class:`~repro.obs.report.RunReport`.
+
+    The key covers the schedule and every identity field stamped into
+    the report (label, kind, matrix name, strategy), so two jobs that
+    price the same schedule under different names never share a report.
+    """
+    from ..obs.attrib import ATTRIB_VERSION
+    from ..obs.report import build_run_report
+    label = job.resolved_label()
+
+    def compute_attrib():
+        attribution, perf = attribute(execution, config,
+                                      with_energy=job.with_energy)
+        return build_run_report(
+            attribution, perf, label=label, kind=job.kernel,
+            matrix=job.matrix, mode=mode, channels=channels,
+            strategy=strategy, precision=job.precision, config=config,
+            alu_operations=alu_operations(execution))
+
+    key = cache.key("attrib", schedule_key, ATTRIB_VERSION, label,
+                    job.kernel, job.matrix, strategy)
+    return cache.get_or_compute("attrib", key, compute_attrib)
 
 
 def _spmm_pipeline(job: SweepJob, cache: ArtifactCache,
                    batch: str = "off",
                    ) -> Tuple[Optional[PerfReport], Dict[str, Any]]:
-    """The SpMM pipeline: the SpMV plan, widened to ``rhs`` columns.
+    """The SpMV/SpMM pipeline: one SpMV plan, widened to ``rhs`` columns.
 
-    The plan/assignment stage shares the ``spmv-plan`` cache entries
-    (the layout is identical, so an SpMV sweep warms an SpMM sweep and
-    vice versa); only the trace/schedule/attrib stages key on the
-    right-hand-side width.
+    ``kernel="spmv"`` jobs run at width 1 whatever ``rhs`` or
+    ``PSYNCPIM_RHS`` say (SpMV is SpMM at ``k = 1``). The plan/assignment
+    stage shares the ``spmv-plan`` cache entries (the layout does not
+    depend on the width); the trace/schedule stages key on the
+    right-hand-side width, so an SpMV job and an ``rhs=1`` SpMM job
+    share them too.
     """
     matrix = job.load_matrix()
     config = job.system()
@@ -271,7 +244,7 @@ def _spmm_pipeline(job: SweepJob, cache: ArtifactCache,
     mkey = matrix_digest(matrix)
     channels = resolve_channels(job.channels)
     strategy = resolve_strategy(job.strategy)
-    num_rhs = resolve_rhs(job.rhs)
+    num_rhs = 1 if job.kernel == "spmv" else resolve_rhs(job.rhs)
 
     plan_key = cache.key("spmv-plan", mkey, config, job.precision,
                          job.compress, job.policy, channels, strategy)
@@ -291,25 +264,8 @@ def _spmm_pipeline(job: SweepJob, cache: ArtifactCache,
 
     trace_key = cache.key("spmm-trace", execution, config, params,
                           job.mode, num_rhs)
-    schedule_key = cache.key("spmm-schedule", trace_key, job.with_energy)
-
-    def compute_report() -> PerfReport:
-        if execution.num_channels is not None:
-            def synthesise(execution, config, params):
-                return spmm_channels_trace(execution, config, params,
-                                           mode=job.mode)
-        else:
-            synthesise = (spmm_ab_trace if job.mode == "ab"
-                          else spmm_pb_trace)
-        trace = cache.get_or_compute(
-            "trace", trace_key,
-            lambda: synthesise(execution, config, params))
-        return price_trace(
-            trace, config, with_energy=job.with_energy,
-            alu_operations=2 * execution.total_elements * num_rhs,
-            precision=job.precision, channels=execution.num_channels)
-
-    report = cache.get_or_compute("schedule", schedule_key, compute_report)
+    report, schedule_key = _priced(job, cache, execution, config, params,
+                                   trace_key, mode=job.mode)
     extras = {
         "rows": matrix.shape[0],
         "cols": matrix.shape[1],
@@ -318,31 +274,20 @@ def _spmm_pipeline(job: SweepJob, cache: ArtifactCache,
         "rounds": execution.num_rounds,
         "banks_used": execution.banks_used,
         "imbalance": execution.imbalance,
-        "rhs": num_rhs,
-        "cycles_per_rhs": report.cycles / num_rhs,
     }
+    if job.kernel == "spmm":
+        extras["rhs"] = num_rhs
+        extras["cycles_per_rhs"] = report.cycles / num_rhs
     if channels is not None:
         extras["channels"] = channels
     if strategy != "paper":
         extras["strategy"] = strategy
     if resolve_attrib(job.attrib):
-        from ..obs.attrib import ATTRIB_VERSION, attribute_spmm
-        from ..obs.report import build_run_report
-
-        def compute_attrib():
-            attribution, perf = attribute_spmm(
-                execution, config, mode=job.mode,
-                with_energy=job.with_energy)
-            return build_run_report(
-                attribution, perf, label=job.resolved_label(),
-                kind="spmm", matrix=job.matrix, mode=job.mode,
-                channels=channels, strategy=strategy,
-                precision=job.precision, config=config,
-                alu_operations=2 * execution.total_elements * num_rhs)
-
-        extras["_attrib"] = cache.get_or_compute(
-            "attrib", cache.key("spmm-attrib", schedule_key,
-                                ATTRIB_VERSION), compute_attrib)
+        from ..obs.attrib import attribute_spmm
+        extras["_attrib"] = _attrib_report(
+            job, cache, schedule_key,
+            functools.partial(attribute_spmm, mode=job.mode), execution,
+            config, channels, strategy, mode=job.mode)
     return report, extras
 
 
@@ -377,22 +322,8 @@ def _sptrsv_pipeline(job: SweepJob, cache: ArtifactCache,
     residual = float(np.abs(tri.matvec(x) - b).max())
 
     trace_key = cache.key("sptrsv-trace", solve_key, params)
-    schedule_key = cache.key("sptrsv-schedule", trace_key, job.with_energy)
-
-    def compute_report() -> PerfReport:
-        if execution.num_channels is not None:
-            def synthesise():
-                return sptrsv_channels_trace(execution, config, params)
-        else:
-            def synthesise():
-                return sptrsv_ab_trace(execution, config, params)
-        trace = cache.get_or_compute("trace", trace_key, synthesise)
-        return price_trace(trace, config, with_energy=job.with_energy,
-                           alu_operations=2 * execution.total_elements,
-                           precision=job.precision,
-                           channels=execution.num_channels)
-
-    report = cache.get_or_compute("schedule", schedule_key, compute_report)
+    report, schedule_key = _priced(job, cache, execution, config, params,
+                                   trace_key)
     extras = {
         "dimension": n,
         "nnz": tri.nnz,
@@ -405,22 +336,10 @@ def _sptrsv_pipeline(job: SweepJob, cache: ArtifactCache,
     if strategy != "paper":
         extras["strategy"] = strategy
     if resolve_attrib(job.attrib):
-        from ..obs.attrib import ATTRIB_VERSION, attribute_sptrsv
-        from ..obs.report import build_run_report
-
-        def compute_attrib():
-            attribution, perf = attribute_sptrsv(
-                execution, config, with_energy=job.with_energy)
-            return build_run_report(
-                attribution, perf, label=job.resolved_label(),
-                kind="sptrsv", matrix=job.matrix,
-                channels=channels, strategy=strategy,
-                precision=job.precision, config=config,
-                alu_operations=2 * execution.total_elements)
-
-        extras["_attrib"] = cache.get_or_compute(
-            "attrib", cache.key("sptrsv-attrib", schedule_key,
-                                ATTRIB_VERSION), compute_attrib)
+        from ..obs.attrib import attribute_sptrsv
+        extras["_attrib"] = _attrib_report(
+            job, cache, schedule_key, attribute_sptrsv, execution, config,
+            channels, strategy)
     return report, extras
 
 
@@ -485,7 +404,7 @@ def _fuzz_pipeline(job: SweepJob, cache: ArtifactCache,
 
 
 _PIPELINES = {
-    "spmv": _spmv_pipeline,
+    "spmv": _spmm_pipeline,
     "spmm": _spmm_pipeline,
     "sptrsv": _sptrsv_pipeline,
     "suite": _suite_pipeline,

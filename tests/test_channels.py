@@ -20,8 +20,8 @@ import pytest
 from repro.check import check_trace
 from repro.config import (CHANNELS_ENV, default_system, resolve_channels)
 from repro.core import (distribute, ildu, partition, plan_spmv, run_spmv,
-                        run_sptrsv, shard_channels, spmv_ab_trace,
-                        spmv_channels_trace, sptrsv_channels_trace,
+                        run_sptrsv, shard_channels, spmm_ab_trace,
+                        spmm_channels_trace, sptrsv_channels_trace,
                         time_spmv, time_sptrsv, ChannelAssignment,
                         TraceParams)
 from repro.core.spmv import _fast_rounds
@@ -154,9 +154,9 @@ class TestSingleChannelBitwise:
                                      for r in range(legacy.num_rounds)]
         assert np.array_equal(sub.per_bank_elements,
                               legacy.per_bank_elements())
-        sharded_trace = spmv_channels_trace(execution, CONFIG,
+        sharded_trace = spmm_channels_trace(execution, CONFIG,
                                             TraceParams())
-        legacy_trace = spmv_ab_trace(sub, CONFIG, TraceParams())
+        legacy_trace = spmm_ab_trace(sub, CONFIG, TraceParams())
         assert sharded_trace == legacy_trace
         controller = MemoryController(timing=TimingParams())
         assert (controller.run(sharded_trace).total_cycles
@@ -164,7 +164,7 @@ class TestSingleChannelBitwise:
 
     def test_report_matches_controller_schedule(self):
         _, _, execution = plan_spmv(self.matrix, CONFIG, channels=1)
-        trace = spmv_channels_trace(execution, CONFIG, TraceParams())
+        trace = spmm_channels_trace(execution, CONFIG, TraceParams())
         report = time_spmv(execution, CONFIG, with_energy=True)
         raw = MemoryController(timing=TimingParams()).run(trace)
         assert report.cycles == raw.total_cycles
@@ -259,7 +259,7 @@ class TestChannelTiming:
     def test_commands_target_their_channels(self):
         _, _, execution = plan_spmv(self.matrix, CONFIG, channels=4,
                                     validate=False)
-        trace = spmv_channels_trace(execution, CONFIG, TraceParams())
+        trace = spmm_channels_trace(execution, CONFIG, TraceParams())
         seen = set()
         for entry in trace:
             command = getattr(entry, "command", entry)
@@ -270,7 +270,7 @@ class TestChannelTiming:
     def test_traces_are_protocol_clean(self):
         _, _, execution = plan_spmv(self.matrix, CONFIG, channels=4,
                                     validate=False)
-        trace = spmv_channels_trace(execution, CONFIG, TraceParams())
+        trace = spmm_channels_trace(execution, CONFIG, TraceParams())
         assert check_trace(trace) == []
 
     def test_more_channels_never_model_slower(self):
@@ -440,10 +440,10 @@ class TestRepresentativeChannelLoads:
             == [float(v) for v in loads[12:16]]
 
     def test_pb_trace_arms_at_most_width_banks(self):
-        from repro.core import spmv_pb_trace
+        from repro.core import spmm_pb_trace
         loads = np.arange(1, 25, dtype=np.int64)
         execution = self._execution(loads, bpc=8)
-        trace = spmv_pb_trace(execution, CONFIG)
+        trace = spmm_pb_trace(execution, CONFIG)
         kernel_banks = {entry.bank for entry in trace
                         if entry.bank is not None}
         assert kernel_banks and max(kernel_banks) < 8

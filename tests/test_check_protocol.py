@@ -13,7 +13,7 @@ import pytest
 from repro.check import ProtocolChecker, check_timed, check_trace, summarize
 from repro.config import default_system
 from repro.core import (dense_stream_trace, run_spmv, run_sptrsv,
-                        spmv_ab_trace, spmv_pb_trace, sptrsv_ab_trace)
+                        spmm_ab_trace, spmm_pb_trace, sptrsv_ab_trace)
 from repro.dram import (Command, CommandRun, CommandType, MemoryController,
                         TimingParams, expand_trace)
 from repro.errors import CheckError
@@ -56,14 +56,14 @@ class TestSchedulerConformance:
     """Every trace family the repo generates is protocol-clean."""
 
     def test_spmv_ab_trace(self, spmv_execution):
-        _assert_clean(spmv_ab_trace(spmv_execution, CFG))
+        _assert_clean(spmm_ab_trace(spmv_execution, CFG))
 
     def test_spmv_ab_trace_expanded(self, spmv_execution):
-        trace = spmv_ab_trace(spmv_execution, CFG)
+        trace = spmm_ab_trace(spmv_execution, CFG)
         _assert_clean(list(expand_trace(trace)))
 
     def test_spmv_pb_trace(self, spmv_execution):
-        _assert_clean(spmv_pb_trace(spmv_execution, CFG))
+        _assert_clean(spmm_pb_trace(spmv_execution, CFG))
 
     def test_sptrsv_trace(self):
         low = unit_lower_from(uniform_random(300, 300, 0.02, seed=2),

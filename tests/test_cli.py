@@ -75,6 +75,31 @@ class TestSpmvCommand:
         assert "unknown suite matrix" in err
 
 
+class TestSpmmCommand:
+    def test_amortisation_against_width_one(self, capsys, monkeypatch):
+        """The amortisation row prices the same plan at k = 1 and k = 4."""
+        import re
+
+        from repro.config import default_system
+        from repro.core import as_spmm_execution, plan_spmm, time_spmm
+        from repro.formats import generate
+        for name in ("PSYNCPIM_RHS", "PSYNCPIM_CHANNELS",
+                     "PSYNCPIM_STRATEGY"):
+            monkeypatch.delenv(name, raising=False)
+        code, out, _ = run_cli(capsys, "spmm", "--matrix", "facebook",
+                               "--scale", "0.1", "--rhs", "4")
+        assert code == 0
+        printed = re.search(r"amortisation ([0-9.]+)x", out)[1]
+        config = default_system()
+        _, _, ex = plan_spmm(generate("facebook", scale=0.1), config,
+                             num_rhs=4)
+        k1 = time_spmm(as_spmm_execution(ex, 1), config).cycles
+        k4 = time_spmm(ex, config).cycles
+        assert k4 > k1
+        assert printed == f"{4 * k1 / k4:.2f}"
+        assert float(printed) > 1.0
+
+
 class TestSptrsvCommand:
     def test_runs_both_factors(self, capsys):
         code, out, _ = run_cli(capsys, "sptrsv", "--matrix", "poisson3Da",

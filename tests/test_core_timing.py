@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.config import default_system
-from repro.core import (TraceParams, run_spmv, run_sptrsv, spmv_ab_trace,
-                        spmv_pb_trace, sptrsv_ab_trace, time_dense_kernel,
+from repro.core import (TraceParams, run_spmv, run_sptrsv, spmm_ab_trace,
+                        spmm_pb_trace, sptrsv_ab_trace, time_dense_kernel,
                         time_spmv, time_sptrsv, ildu)
 from repro.dram import CommandType
 from repro.errors import ExecutionError
@@ -38,14 +38,14 @@ class TestSpmvTraces:
         assert report.seconds == pytest.approx(report.cycles * 1e-9)
 
     def test_ab_uses_broadcast_commands(self, spmv_execution):
-        trace = spmv_ab_trace(spmv_execution, CFG)
+        trace = spmm_ab_trace(spmv_execution, CFG)
         kinds = {c.kind for c in trace}
         assert CommandType.RD_AB in kinds
         assert CommandType.ACT_AB in kinds
         assert CommandType.MODE in kinds
 
     def test_pb_uses_single_bank_kernel_commands(self, spmv_execution):
-        trace = spmv_pb_trace(spmv_execution, CFG)
+        trace = spmm_pb_trace(spmv_execution, CFG)
         kinds = {c.kind for c in trace}
         assert CommandType.RD in kinds
         assert CommandType.RD_AB not in kinds

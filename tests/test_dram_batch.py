@@ -11,7 +11,7 @@ import pytest
 
 from repro.config import default_system
 from repro.core import (dense_stream_trace, price_trace, run_spmv,
-                        run_sptrsv, spmv_ab_trace, spmv_pb_trace,
+                        run_sptrsv, spmm_ab_trace, spmm_pb_trace,
                         sptrsv_ab_trace)
 from repro.dram import (Command, CommandRun, CommandType, MemoryController,
                         TimingParams, as_run, count_commands, expand_trace)
@@ -167,12 +167,12 @@ class TestKernelTraceRuns:
         return run_spmv(m, x, CFG).execution
 
     def test_spmv_ab_trace(self, spmv_execution):
-        trace = spmv_ab_trace(spmv_execution, CFG)
+        trace = spmm_ab_trace(spmv_execution, CFG)
         assert any(isinstance(e, CommandRun) for e in trace)
         _schedules_match(trace)
 
     def test_spmv_pb_trace(self, spmv_execution):
-        _schedules_match(spmv_pb_trace(spmv_execution, CFG))
+        _schedules_match(spmm_pb_trace(spmv_execution, CFG))
 
     def test_sptrsv_trace(self):
         low = unit_lower_from(uniform_random(300, 300, 0.02, seed=2),
@@ -189,7 +189,7 @@ class TestKernelTraceRuns:
 
     def test_price_trace_host_columns_count_runs(self, spmv_execution):
         # Energy's external traffic must count a run's full beat count.
-        trace = spmv_ab_trace(spmv_execution, CFG)
+        trace = spmm_ab_trace(spmv_execution, CFG)
         batched = price_trace(trace, CFG, with_energy=True)
         expanded = price_trace(list(expand_trace(trace)), CFG,
                                with_energy=True)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.config import default_system
-from repro.core import (plan_spmv, run_spmv, spmv_ab_trace,
-                        spmv_channels_trace, TraceParams)
+from repro.core import (plan_spmv, run_spmv, spmm_ab_trace,
+                        spmm_channels_trace, synthesize, TraceParams)
 from repro.dram import Command, CommandType, MemoryController
 from repro.formats import generate
 from repro.obs import build_run_report
@@ -59,7 +59,7 @@ class TestScheduleStats:
         matrix = generate("cant", scale=0.03)
         x = np.random.default_rng(0).random(matrix.shape[1])
         execution = run_spmv(matrix, x, CFG).execution
-        result = _run(spmv_ab_trace(execution, CFG))
+        result = _run(spmm_ab_trace(execution, CFG))
         # phased schedule: several beats per row visit, far from thrash
         assert result.row_buffer_locality > 4.0
 
@@ -75,7 +75,7 @@ class TestShardedBusUtilisation:
     def _sharded(self, matrix, channels):
         _, _, execution = plan_spmv(matrix, CFG, channels=channels,
                                     validate=False)
-        trace = spmv_channels_trace(execution, CFG, TraceParams())
+        trace = spmm_channels_trace(execution, CFG, TraceParams())
         return execution, MemoryController().run(trace)
 
     @pytest.mark.parametrize("channels", [4, 16])
@@ -101,9 +101,7 @@ class TestShardedBusUtilisation:
         for channels in (None, 1):
             _, _, execution = plan_spmv(cant, CFG, channels=channels,
                                         validate=False)
-            trace = (spmv_ab_trace(execution, CFG) if channels is None
-                     else spmv_channels_trace(execution, CFG,
-                                              TraceParams()))
+            trace = synthesize(execution, CFG).trace
             result = MemoryController().run(trace)
             assert (result.bus_utilisation
                     == result.column_commands / result.total_cycles)

@@ -11,7 +11,7 @@ from repro.analysis.report import JobRecord, SweepResult
 from repro.config import (default_system, resolve_attrib, resolve_obs)
 from repro.core import plan_spmv, run_spmv
 from repro.core.sptrsv import ildu, run_sptrsv
-from repro.core.trace import spmv_ab_segments, spmv_ab_trace
+from repro.core.trace import spmm_ab_segments, spmm_ab_trace
 from repro.dram import Command, CommandRun, CommandType, TimingParams
 from repro.dram.commands import expand_trace
 from repro.errors import ConfigError, ExecutionError
@@ -256,7 +256,7 @@ def test_run_length_and_expanded_attribute_identically(seed, config):
 def test_real_trace_run_length_equivalence(config):
     matrix = generate("wiki-Vote", scale=SCALE)
     _, _, execution = plan_spmv(matrix, config, validate=False)
-    trace = spmv_ab_trace(execution, config)
+    trace = spmm_ab_trace(execution, config)
     att_runs, _ = attribute_trace(trace, config)
     att_flat, _ = attribute_trace(list(expand_trace(trace)), config)
     assert att_runs.lane_cycles == att_flat.lane_cycles
@@ -293,8 +293,8 @@ def test_collector_does_not_change_pricing(config):
 def test_segments_tile_the_trace(config):
     matrix = generate("cant", scale=SCALE)
     _, _, execution = plan_spmv(matrix, config, validate=False)
-    seg = spmv_ab_segments(execution, config)
-    assert seg.trace == spmv_ab_trace(execution, config)
+    seg = spmm_ab_segments(execution, config)
+    assert seg.trace == spmm_ab_trace(execution, config)
     covered = sorted((s.start, s.end) for s in seg.segments)
     assert covered[0][0] == 0
     assert covered[-1][1] == len(seg.trace)

@@ -505,3 +505,64 @@ class TestBatchSweep:
             == [f"spmv:{MATRIX}", "spmv:wiki-Vote"]
         solo = execute_job(spmv_job(), cache_dir=tmp_path / "solo")
         assert records[0].report == solo.report
+
+
+# ----------------------------------------------------------------------
+# one SpMV/SpMM pipeline: spmv jobs are the k = 1 case
+# ----------------------------------------------------------------------
+class TestSpmvThroughSpmmPipeline:
+    def test_spmv_job_ignores_rhs_env(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PSYNCPIM_RHS", raising=False)
+        plain = execute_job(spmv_job(attrib=True),
+                            cache_dir=tmp_path / "plain")
+        monkeypatch.setenv("PSYNCPIM_RHS", "4")
+        widened = execute_job(spmv_job(attrib=True),
+                              cache_dir=tmp_path / "env")
+        for record in (plain, widened):
+            assert not record.failed, record.error
+            assert record.kernel == "spmv"
+            assert record.attrib.kind == "spmv"
+            assert "rhs" not in record.extras
+            assert "cycles_per_rhs" not in record.extras
+        assert widened.label == plain.label == f"spmv:{MATRIX}"
+        assert widened.report == plain.report
+        assert widened.extras == plain.extras
+        assert widened.attrib.to_dict() == plain.attrib.to_dict()
+
+    def test_spmm_at_one_rhs_prices_like_spmv(self, tmp_path):
+        spmv = execute_job(spmv_job(), cache_dir=tmp_path)
+        spmm = execute_job(SweepJob(kernel="spmm", matrix=MATRIX,
+                                    scale=SCALE, rhs=1),
+                           cache_dir=tmp_path)
+        assert spmm.report.cycles == spmv.report.cycles
+        assert spmm.report == spmv.report
+        assert spmm.extras["rhs"] == 1
+        assert spmm.extras["cycles_per_rhs"] == spmv.report.cycles
+
+
+class TestAttribCacheIdentity:
+    """A cached RunReport carries the identity of the job that asked."""
+
+    def test_label_is_not_shared_through_the_cache(self, tmp_path):
+        first, second = (execute_job(
+            SweepJob(kernel="spmv", matrix="cant", scale=0.01,
+                     attrib=True, label=label), cache_dir=tmp_path)
+            for label in ("first", "second"))
+        assert first.attrib.label == "first"
+        assert second.attrib.label == "second"
+        assert second.attrib.total_cycles == first.attrib.total_cycles
+
+    def test_kind_is_not_shared_through_the_cache(self, tmp_path):
+        spmv = execute_job(spmv_job(attrib=True), cache_dir=tmp_path)
+        spmm = execute_job(SweepJob(kernel="spmm", matrix=MATRIX,
+                                    scale=SCALE, rhs=1, attrib=True),
+                           cache_dir=tmp_path)
+        assert (spmv.attrib.kind, spmm.attrib.kind) == ("spmv", "spmm")
+        assert spmm.attrib.label == f"spmm:{MATRIX}/k1"
+
+    def test_sptrsv_label_is_not_shared_through_the_cache(self, tmp_path):
+        reports = [execute_job(
+            SweepJob(kernel="sptrsv", matrix="poisson3Da", scale=0.05,
+                     attrib=True, label=label), cache_dir=tmp_path).attrib
+            for label in ("a", "b")]
+        assert [r.label for r in reports] == ["a", "b"]

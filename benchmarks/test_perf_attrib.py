@@ -16,6 +16,10 @@ CI perf-trend gate.
 * ``speedups.pricing_vs_attrib`` — plain over collector time (a ratio of
   two measurements from the same machine and run, so it transfers across
   CI hardware; 1.0 means free, lower means costlier attribution).
+* ``speedups.pricing_vs_attrib_sptrsv`` — the same ratio for what an
+  attributed SpTRSV costs: the Fig. 9 lower ILDU factors priced with a
+  collector that captures entry cycles, then ``finalize`` with segments,
+  padding split and all. Informational: no gate reads it.
 
 The bench also emits the run's full attribution bundle
 (``ATTRIB_run.json``) and a self-contained HTML report
@@ -29,11 +33,14 @@ from __future__ import annotations
 import json
 import time
 
-from conftest import BENCH_SCALE, RESULTS_DIR, SPMV_MATRICES, bench_matrix
+from conftest import (BENCH_SCALE, RESULTS_DIR, SPMV_MATRICES,
+                      SPTRSV_MATRICES, bench_matrix, bench_vector)
 from repro.config import default_system
-from repro.core import plan_spmv, price_trace, spmm_ab_trace
+from repro.core import (ildu, plan_spmv, price_trace, run_sptrsv,
+                        spmm_ab_trace, synthesize)
 from repro.dram import TimingParams
-from repro.obs.attrib import AttributionCollector, attribute_spmv
+from repro.obs.attrib import (AttributionCollector, attribute_spmv,
+                              sptrsv_useful_loads)
 from repro.obs.report import build_run_report, render_html, save_reports
 
 #: min-of-N repetitions per timing variant (shields the <5% gate from
@@ -62,15 +69,50 @@ def _price_suite(traces, config, with_collector):
     return time.perf_counter() - start
 
 
+def _sptrsv_traces(config):
+    traces = []
+    for name in SPTRSV_MATRICES:
+        tri = ildu(bench_matrix(name)).lower
+        execution = run_sptrsv(tri, bench_vector(tri.shape[0]),
+                               config).execution
+        traces.append((execution, synthesize(execution, config)))
+    return traces
+
+
+def _price_sptrsv(traces, config, with_collector):
+    """Plain pricing, or pricing plus the full segmented attribution."""
+    timing = TimingParams()
+    start = time.perf_counter()
+    for execution, seg in traces:
+        if not with_collector:
+            price_trace(seg.trace, config)
+            continue
+        collector = AttributionCollector(
+            trfc=timing.trfc, mode_switch_cycles=timing.mode_switch_cycles,
+            capture_entries=True)
+        perf = price_trace(seg.trace, config, collector=collector)
+        collector.finalize(
+            banks_per_channel=config.memory.banks_per_channel,
+            useful_loads=sptrsv_useful_loads(execution),
+            segments=seg.segments, total_cycles=perf.cycles)
+    return time.perf_counter() - start
+
+
 def test_attrib_overhead_benchmark():
     config = default_system()
     traces = _suite_traces(config)
+    sptrsv = _sptrsv_traces(config)
 
     # Interleaved min-of-N: frequency drift hits both variants alike.
     plain_s = attrib_s = float("inf")
+    sptrsv_plain_s = sptrsv_attrib_s = float("inf")
     for _ in range(REPS):
         plain_s = min(plain_s, _price_suite(traces, config, False))
         attrib_s = min(attrib_s, _price_suite(traces, config, True))
+        sptrsv_plain_s = min(sptrsv_plain_s,
+                             _price_sptrsv(sptrsv, config, False))
+        sptrsv_attrib_s = min(sptrsv_attrib_s,
+                              _price_sptrsv(sptrsv, config, True))
     overhead = attrib_s / plain_s - 1.0
 
     bench = {
@@ -79,10 +121,13 @@ def test_attrib_overhead_benchmark():
             "pricing_plain_s": plain_s,
             "pricing_attrib_s": attrib_s,
             "overhead_pct": 100.0 * overhead,
+            "sptrsv_pricing_plain_s": sptrsv_plain_s,
+            "sptrsv_pricing_attrib_s": sptrsv_attrib_s,
         },
         "speedups": {
             # Ratio of two same-machine measurements: machine-independent.
             "pricing_vs_attrib": plain_s / attrib_s,
+            "pricing_vs_attrib_sptrsv": sptrsv_plain_s / sptrsv_attrib_s,
         },
     }
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..config import SystemConfig, resolve_rhs
 from ..errors import ExecutionError
-from ..formats import COOMatrix
+from ..formats import COOMatrix, reject_nan
 from ..kernels import Tile, run_tile_block
 from .. import obs
 from ..pim import make_engine
@@ -137,6 +137,7 @@ def run_spmm(matrix: COOMatrix, x: np.ndarray, config: SystemConfig,
         raise ExecutionError(
             f"SpMM block shape mismatch: expected "
             f"({matrix.shape[1]}, k), got {x.shape}")
+    reject_nan(matrix=matrix.vals, x=x, y0=y0)
     num_rhs = x.shape[1]
     plan, assignment, execution = plan_spmm(
         matrix, config, num_rhs=num_rhs, precision=precision,

@@ -24,7 +24,7 @@ import numpy as np
 from ..config import (SystemConfig, element_size, resolve_channels,
                       resolve_strategy)
 from ..errors import ConfigError, ExecutionError
-from ..formats import COOMatrix
+from ..formats import COOMatrix, reject_nan
 from ..kernels import Tile, run_tile_round
 from .. import obs
 from ..pim import make_engine
@@ -331,6 +331,7 @@ def run_spmv(matrix: COOMatrix, x: np.ndarray, config: SystemConfig,
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (matrix.shape[1],):
         raise ExecutionError("SpMV vector length mismatch")
+    reject_nan(matrix=matrix.vals, x=x, y0=y0)
     plan, assignment, execution = plan_spmv(
         matrix, config, precision=precision, compress=compress,
         policy=policy, matrix_format=matrix_format, plan=plan,

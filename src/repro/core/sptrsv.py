@@ -27,7 +27,7 @@ import numpy as np
 
 from ..config import SystemConfig, resolve_channels, resolve_planner
 from ..errors import ConfigError, ExecutionError, MappingError, SolverError
-from ..formats import COOMatrix, CSRMatrix
+from ..formats import COOMatrix, CSRMatrix, reject_nan
 from ..kernels import Tile, run_tile_round
 from ..pim import make_engine
 from .. import obs
@@ -399,6 +399,7 @@ def run_sptrsv(tri: COOMatrix, b: np.ndarray, config: SystemConfig,
                 f"{available} pseudo-channels")
     if b.shape != (n,):
         raise ExecutionError("right-hand side length mismatch")
+    reject_nan(matrix=tri.vals, b=b)
     if not tri.is_square:
         raise ExecutionError("triangular solve needs a square matrix")
     if lower and not tri.is_lower_triangular():

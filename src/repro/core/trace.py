@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional, Union
 
 from ..config import SystemConfig, element_size
-from ..dram import Command, CommandRun, CommandType, TraceEntry
+from ..dram import BankSweep, Command, CommandRun, CommandType, TraceEntry
 from ..errors import ExecutionError, MappingError
 from .spmv import SpmvExecution, element_bytes
 from .sptrsv import SpTrsvExecution
@@ -206,18 +206,16 @@ def program_load(params: TraceParams, channel: int = 0) -> List[TraceEntry]:
 def host_stage(bytes_per_bank: float, write: bool, row: int,
                tag: str, channel: int = 0,
                banks: int = 16) -> List[TraceEntry]:
-    """SB-mode host traffic: stage/collect one region on a channel's banks."""
-    trace: List[TraceEntry] = []
+    """SB-mode host traffic: stage/collect one region on a channel's banks.
+
+    One :class:`~repro.dram.BankSweep`: per bank an ``ACT``, the column
+    beats and a ``PRE``.
+    """
     beats = _beats(bytes_per_bank)
     if beats == 0:
-        return trace
-    for bank in range(banks):
-        trace.append(Command(CommandType.ACT, bank=bank, row=row,
-                             channel=channel))
-        trace += _column_run(False, write, row, beats, bank=bank, tag=tag,
-                             channel=channel)
-        trace.append(Command(CommandType.PRE, bank=bank, channel=channel))
-    return trace
+        return []
+    return [BankSweep(_column(False, write, row, tag=tag, channel=channel),
+                      beats, banks)]
 
 
 def _kernel_batches(batches: int, batch_elems: int, eb: float,

@@ -7,20 +7,20 @@ DRAMPower-style energy model.
 """
 
 from .timing import HBM2_1GHZ, TimingParams
-from .commands import (Command, CommandRun, CommandType, TraceEntry,
-                       as_run, expand_trace)
+from .commands import (BankSweep, Command, CommandRun, CommandType,
+                       TraceEntry, as_run, expand_sweeps, expand_trace)
 from .address import AddressMapper, DecodedAddress
 from .bank import BankState
 from .channel import (BANKS_PER_CHANNEL, BANKS_PER_GROUP,
-                      GROUPS_PER_CHANNEL, ChannelScheduler)
+                      GROUPS_PER_CHANNEL, ChannelScheduler, SweepIssue)
 from .controller import MemoryController, ScheduleResult, count_commands
 from .power import EnergyModel, EnergyParams, EnergyReport
 
 __all__ = [
-    "HBM2_1GHZ", "TimingParams", "Command", "CommandRun", "CommandType",
-    "TraceEntry", "as_run", "expand_trace",
+    "HBM2_1GHZ", "TimingParams", "BankSweep", "Command", "CommandRun",
+    "CommandType", "TraceEntry", "as_run", "expand_sweeps", "expand_trace",
     "AddressMapper", "DecodedAddress", "BankState",
     "BANKS_PER_CHANNEL", "BANKS_PER_GROUP", "GROUPS_PER_CHANNEL",
-    "ChannelScheduler", "MemoryController", "ScheduleResult",
+    "ChannelScheduler", "SweepIssue", "MemoryController", "ScheduleResult",
     "count_commands", "EnergyModel", "EnergyParams", "EnergyReport",
 ]

@@ -33,16 +33,63 @@ per-bank list stays the only bank model visible outside the scheduler.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import TimingError
 from .bank import BankState
-from .commands import Command, CommandType
+from .commands import BankSweep, Command, CommandType
 from .timing import TimingParams
 
 BANKS_PER_GROUP = 4
 GROUPS_PER_CHANNEL = 4
 BANKS_PER_CHANNEL = BANKS_PER_GROUP * GROUPS_PER_CHANNEL
+
+
+#: ``(bank, act, last_col, pre, refreshes)`` of one bank of a sweep: its
+#: ACT, last column and PRE cycles, and the channel's refresh count
+#: after its ACT issued.
+SweepBank = Tuple[int, int, int, int, int]
+
+
+class SweepIssue(NamedTuple):
+    """Issue outcome of one :class:`~repro.dram.commands.BankSweep`.
+
+    ``anchors`` lists the banks issued command by command (the first
+    bank, and every bank where a guard failed or a refresh went in).
+    Every other bank issued in closed form right after its predecessor:
+    ``act = previous pre + 1``, ``last_col = act + col_span``,
+    ``pre = act + pre_span``, with the predecessor's refresh count. The
+    outcome is O(anchors) in size; :meth:`per_bank` expands it.
+    """
+
+    anchors: List[SweepBank]
+    banks: int
+    col_span: int
+    pre_span: int
+
+    @property
+    def last(self) -> int:
+        """Cycle of the sweep's final PRE."""
+        bank, _, _, pre, _ = self.anchors[-1]
+        return pre + (self.banks - 1 - bank) * (self.pre_span + 1)
+
+    @property
+    def column_cycles(self) -> int:
+        """Sum over banks of ``last_col - act`` (the columns' tag gaps)."""
+        return (sum(lc - act for _, act, lc, _, _ in self.anchors)
+                + (self.banks - len(self.anchors)) * self.col_span)
+
+    def per_bank(self) -> Iterator[SweepBank]:
+        """Every bank's :data:`SweepBank`, in issue order."""
+        anchors = self.anchors
+        for i, anchor in enumerate(anchors):
+            yield anchor
+            bank, _, _, pre, refreshes = anchor
+            end = anchors[i + 1][0] if i + 1 < len(anchors) else self.banks
+            for follower in range(bank + 1, end):
+                act = pre + 1
+                pre = act + self.pre_span
+                yield follower, act, act + self.col_span, pre, refreshes
 
 
 class ChannelScheduler:
@@ -197,6 +244,118 @@ class ChannelScheduler:
             for i in range(1, count):
                 self._checker.observe(first + i * spacing, command)
         return first, last
+
+    def issue_sweep(self, sweep: BankSweep) -> SweepIssue:
+        """Issue a host sweep; exactly its expansion, mostly in closed form.
+
+        An *anchor* bank issues command by command (``ACT``, the column
+        run, ``PRE``) and absorbs whatever state the sweep meets: busy
+        buses, RRD/FAW history, CCD and turnaround, the lock-step split,
+        a refresh due before its ``ACT``. Each following bank then runs
+        at fixed offsets from its own ``ACT`` cycle ``a``: the first
+        column at ``a + tRCD``, the last at ``a + col_span``, ``PRE`` at
+        ``a + pre_span`` and the next bank's ``ACT`` one cycle later
+        (DESIGN.md, "Host sweeps"). That holds while
+
+        * the columns carry no ``min_gap``, and the ``ACT`` period
+          ``pre_span + 1`` covers tFAW and tRRD_L, and ``tRCD + 1``
+          covers tCCD_L (sweep-wide);
+        * the first follower's ``ACT`` clears RRD/FAW against the
+          history, and every follower is precharged with ``act_ready``
+          at or before its ``ACT``;
+        * no refresh goes in before a follower's ``ACT``.
+
+        A bank that fails a per-bank check becomes the next anchor; a
+        sweep that fails a sweep-wide one issues command by command.
+        Every bank window is a max-accumulation, so applying each
+        follower's ``ACT``, last column and ``PRE`` reproduces the
+        per-command state exactly, as in :meth:`issue_run`.
+        """
+        t = self.timing
+        template = sweep.command
+        beats, banks = sweep.beats, sweep.banks
+        write = template.kind.is_write
+        spacing = max(template.min_gap, 1, t.burst_cycles, t.tccd_l)
+        col_span = t.trcd + (beats - 1) * spacing
+        recovery = t.write_recovery if write else t.trtp
+        pre_span = max(t.tras, col_span, col_span + recovery)
+        period = pre_span + 1
+        closed = (template.min_gap == 0 and period >= t.tfaw
+                  and period >= t.trrd_l and t.trcd + 1 >= t.tccd_l)
+        anchors: List[SweepBank] = []
+        bank = 0
+        while bank < banks:
+            anchors.append(self._sweep_anchor(sweep, bank))
+            bank += 1
+            if not closed or bank == banks:
+                continue
+            # The anchor split the lock-step state, and its PRE left the
+            # open-bank count as the sweep found it.
+            act = anchors[-1][3] + 1
+            refresh_can_insert = self.enable_refresh and not self._open_banks
+            if (self._rrd_window(bank, act) != act
+                    or self._faw_window(act) != act):
+                continue
+            start, first = bank, act
+            states = self._banks
+            while bank < banks:
+                state = states[bank]
+                if (state.open_row is not None or state.act_ready > act
+                        or (refresh_can_insert
+                            and self._next_refresh <= act - 1)):
+                    break
+                state.apply_act(act, template.row)
+                (state.apply_write if write else state.apply_read)(
+                    act + col_span)
+                state.apply_pre(act + pre_span)
+                bank += 1
+                act += period
+            if bank > start:
+                self._close_followers(sweep, start, bank, first, period,
+                                      spacing)
+        return SweepIssue(anchors, banks, col_span, pre_span)
+
+    def _sweep_anchor(self, sweep: BankSweep, bank: int) -> SweepBank:
+        """Issue one bank of a sweep command by command."""
+        act_cmd, column, pre_cmd = sweep.bank_commands(bank)
+        act = self.issue(act_cmd)
+        refreshes = self.refreshes_performed
+        last_col = (self.issue(column) if sweep.beats == 1
+                    else self.issue_run(column, sweep.beats)[1])
+        return bank, act, last_col, self.issue(pre_cmd), refreshes
+
+    def _close_followers(self, sweep: BankSweep, start: int, end: int,
+                         first: int, period: int, spacing: int) -> None:
+        """Scheduler history after closed-form banks ``[start, end)``."""
+        t = self.timing
+        beats = sweep.beats
+        n = end - start
+        last_act = first + (n - 1) * period
+        last_col = last_act + t.trcd + (beats - 1) * spacing
+        last_pre = last_act + period - 1
+        self._act_times.extend(first + i * period
+                               for i in range(max(0, n - 4), n))
+        self._last_act_cycle = last_act
+        self._last_act_group = self._group_of(end - 1)
+        self._last_col_cycle = last_col
+        self._last_col_group = self._group_of(end - 1)
+        self._col_bus_free = last_col + 1
+        self._row_bus_free = last_pre + 1
+        self.counts[CommandType.ACT] += n
+        self.counts[CommandType.PRE] += n
+        self.counts[sweep.command.kind] += n * beats
+        self._now = last_pre
+        if self._checker is not None:
+            # The checker sees the per-command expansion at the
+            # closed-form cycles, which validates the offsets themselves.
+            observe = self._checker.observe
+            for i, bank in enumerate(range(start, end)):
+                act = first + i * period
+                act_cmd, column, pre_cmd = sweep.bank_commands(bank)
+                observe(act, act_cmd)
+                for k in range(beats):
+                    observe(act + t.trcd + k * spacing, column)
+                observe(act + period - 1, pre_cmd)
 
     # ------------------------------------------------------------------
     # row commands

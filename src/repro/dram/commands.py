@@ -126,20 +126,88 @@ class CommandRun:
         return self.command.tag
 
 
-#: A command trace entry: a single command or a homogeneous run.
-TraceEntry = Union[Command, CommandRun]
+@dataclass(frozen=True)
+class BankSweep:
+    """One single-bank pass of the host over ``banks`` banks of a channel.
+
+    For each ``bank < banks`` in order: ``ACT(bank, row)``, ``beats``
+    column commands to that bank (a :class:`CommandRun` when ``beats >
+    1``), then ``PRE(bank)``. ``command`` is the column template: its
+    kind (``RD``/``WR``), row, col, tag, channel and ``min_gap`` apply to
+    every column of the sweep; its bank is ignored. The ``ACT``/``PRE``
+    commands carry no tag and no ``min_gap``.
+
+    This is the SB-mode staging pattern of the host (stage x, merge y,
+    read solved values). Like a run, a sweep means exactly its
+    expansion (:func:`expand_sweeps`); the scheduler prices it mostly in
+    closed form (:meth:`repro.dram.channel.ChannelScheduler.issue_sweep`).
+    """
+
+    command: Command
+    beats: int
+    banks: int
+
+    def __post_init__(self) -> None:
+        if self.command.kind not in (CommandType.RD, CommandType.WR):
+            raise ValueError("a bank sweep's template must be RD or WR")
+        if self.beats < 1 or self.banks < 1:
+            raise ValueError("a bank sweep needs at least one beat and "
+                             "one bank")
+
+    @property
+    def channel(self) -> int:
+        return self.command.channel
+
+    @property
+    def commands(self) -> int:
+        """Commands in the expansion."""
+        return self.banks * (self.beats + 2)
+
+    def bank_commands(self, bank: int) -> Tuple[Command, Command, Command]:
+        """The ``ACT``, column and ``PRE`` commands of one bank."""
+        c = self.command
+        return (Command(CommandType.ACT, c.channel, bank, c.row),
+                Command(c.kind, c.channel, bank, c.row, c.col, c.min_gap,
+                        c.tag),
+                Command(CommandType.PRE, c.channel, bank))
+
+
+#: A command trace entry: a single command, a homogeneous run or a sweep.
+TraceEntry = Union[Command, CommandRun, BankSweep]
 
 
 def as_run(entry: TraceEntry) -> Tuple[Command, int]:
-    """Normalise a trace entry to ``(command, count)``."""
+    """Normalise a command or run to ``(command, count)``.
+
+    A sweep has no single ``(command, count)`` form; expand it first
+    (:func:`expand_sweeps`).
+    """
     if isinstance(entry, CommandRun):
         return entry.command, entry.count
+    if isinstance(entry, BankSweep):
+        raise TypeError("a BankSweep has no (command, count) form; "
+                        "expand_sweeps() the trace first")
     return entry, 1
 
 
-def expand_trace(trace: Iterable[TraceEntry]) -> Iterator[Command]:
-    """Flatten runs into their per-command expansion (reference path)."""
+def expand_sweeps(trace: Iterable[TraceEntry]
+                  ) -> Iterator[Union[Command, CommandRun]]:
+    """Replace every sweep by its per-bank ``ACT``, columns, ``PRE``."""
     for entry in trace:
+        if not isinstance(entry, BankSweep):
+            yield entry
+            continue
+        for bank in range(entry.banks):
+            act, column, pre = entry.bank_commands(bank)
+            yield act
+            yield column if entry.beats == 1 else CommandRun(column,
+                                                            entry.beats)
+            yield pre
+
+
+def expand_trace(trace: Iterable[TraceEntry]) -> Iterator[Command]:
+    """Flatten sweeps and runs into per-command form (reference path)."""
+    for entry in expand_sweeps(trace):
         command, count = as_run(entry)
         for _ in range(count):
             yield command

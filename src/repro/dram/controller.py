@@ -17,7 +17,8 @@ from typing import AbstractSet, Dict, Iterable, Optional
 from ..errors import TimingError
 from .. import obs
 from .channel import BANKS_PER_CHANNEL, ChannelScheduler
-from .commands import Command, CommandType, TraceEntry, as_run
+from .commands import (BankSweep, CommandType, TraceEntry, as_run,
+                       expand_sweeps)
 from .power import EnergyModel, EnergyParams, EnergyReport
 from .timing import TimingParams
 
@@ -124,9 +125,11 @@ class MemoryController:
         """Schedule *trace* and return cycle counts (and optionally energy).
 
         *trace* may mix plain :class:`Command` entries with
-        :class:`~repro.dram.commands.CommandRun` batches; a run prices
-        exactly like its expansion (same cycles, counters and tag
-        attributions) but in O(1) per run instead of O(count).
+        :class:`~repro.dram.commands.CommandRun` batches and
+        :class:`~repro.dram.commands.BankSweep` host passes; both price
+        exactly like their expansion (same cycles, counters and tag
+        attributions), a run in O(1) instead of O(count) and a sweep
+        mostly in closed form.
 
         ``host_tags``, ``alu_operations`` and ``precision`` feed the
         energy model only. Column commands tagged with one of
@@ -137,7 +140,9 @@ class MemoryController:
         ``collector`` (e.g. an
         :class:`repro.obs.attrib.AttributionCollector`) is a passive
         observer whose ``observe(command, count, last, refreshes)`` hook
-        sees every entry's issue outcome as it prices — the attribution
+        sees every command or run's issue outcome as it prices, and
+        whose ``observe_sweep(sweep, issue)`` hook sees every sweep's
+        :class:`~repro.dram.channel.SweepIssue` — the attribution
         engine rides the one scheduling pass instead of re-running it.
         Issue decisions are never affected.
         """
@@ -148,14 +153,19 @@ class MemoryController:
         total = 0
         host_columns = 0
         for entry in trace:
-            command, count = as_run(entry)
+            sweep = entry if entry.__class__ is BankSweep else None
+            if sweep is not None:
+                command, count = sweep.command, 1
+                bank = sweep.banks - 1
+            else:
+                command, count = as_run(entry)
+                bank = command.bank
             if command.channel >= self.num_channels:
                 raise TimingError(
                     f"command channel {command.channel} exceeds "
                     f"{self.num_channels} channels")
-            if command.bank >= self.banks_per_channel:
-                raise TimingError(
-                    f"bank {command.bank} outside the channel")
+            if bank >= self.banks_per_channel:
+                raise TimingError(f"bank {bank} outside the channel")
             sched = channels.get(command.channel)
             if sched is None:
                 sched = ChannelScheduler(
@@ -164,6 +174,25 @@ class MemoryController:
                     channel=command.channel,
                     banks_per_channel=self.banks_per_channel)
                 channels[command.channel] = sched
+            if sweep is not None:
+                issue = sched.issue_sweep(sweep)
+                columns = sweep.banks * sweep.beats
+                tag = command.tag
+                if tag is not None:
+                    # The expansion's columns each gap from their own
+                    # bank's ACT; ACT and PRE carry no tag.
+                    tag_cycles[tag] = (tag_cycles.get(tag, 0)
+                                       + issue.column_cycles)
+                    if tag in host_tags:
+                        host_columns += columns
+                last_cycle[command.channel] = issue.last
+                counts[CommandType.ACT] += sweep.banks
+                counts[CommandType.PRE] += sweep.banks
+                counts[command.kind] += columns
+                total += sweep.commands
+                if collector is not None:
+                    collector.observe_sweep(sweep, issue)
+                continue
             if count == 1:
                 first = last = sched.issue(command)
             else:
@@ -261,7 +290,7 @@ class MemoryController:
 def count_commands(trace: Iterable[TraceEntry]) -> Dict[CommandType, int]:
     """Tally a trace without scheduling it (used for Figure 3)."""
     counts: Dict[CommandType, int] = {k: 0 for k in CommandType}
-    for entry in trace:
+    for entry in expand_sweeps(trace):
         command, count = as_run(entry)
         counts[command.kind] += count
     return counts

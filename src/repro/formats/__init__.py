@@ -11,7 +11,7 @@ Public surface of :mod:`repro.formats`:
 
 from .coo import COOMatrix
 from .csr import CSRMatrix
-from .vector import SparseVector, intersect, union
+from .vector import SparseVector, intersect, reject_nan, union
 from .bitmap import BitmapMatrix, best_format, coo_footprint_bytes
 from .conversions import (coo_to_scipy, scipy_to_coo, csr_to_scipy,
                           scipy_to_csr)
@@ -21,7 +21,8 @@ from .suite import (TABLE_IX, MatrixSpec, generate, matrices_for,
                     matrix_spec, suite_names)
 
 __all__ = [
-    "COOMatrix", "CSRMatrix", "SparseVector", "intersect", "union",
+    "COOMatrix", "CSRMatrix", "SparseVector", "intersect", "reject_nan",
+    "union",
     "BitmapMatrix", "best_format", "coo_footprint_bytes",
     "coo_to_scipy", "scipy_to_coo", "csr_to_scipy", "scipy_to_csr",
     "read_matrix_market", "reads_matrix_market", "write_matrix_market",

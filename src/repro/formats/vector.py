@@ -16,6 +16,18 @@ import numpy as np
 from ..errors import FormatError
 
 
+def reject_nan(**operands) -> None:
+    """Raise :class:`FormatError` if any named operand holds a NaN.
+
+    ``None`` operands are skipped. ``±inf`` stays legal: min-plus
+    semirings (SSSP) seed distances with ``inf``.
+    """
+    for name, values in operands.items():
+        if (values is not None
+                and np.isnan(np.asarray(values, dtype=np.float64)).any()):
+            raise FormatError(f"{name} contains NaN")
+
+
 class SparseVector:
     """A length-``n`` sparse vector as parallel (index, value) arrays."""
 

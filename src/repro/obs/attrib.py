@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..dram.commands import Command, CommandType
+from ..dram.commands import BankSweep, Command, CommandType
 from ..errors import ExecutionError
 
 #: Exclusive, exhaustive cycle categories, in reporting order.
@@ -196,10 +196,52 @@ class AttributionCollector:
         """Record one issue outcome (bucketing is deferred to finalize)."""
         self._log.append((command, count, last, refreshes))
 
+    def observe_sweep(self, sweep: BankSweep, issue) -> None:
+        """Record one sweep's :class:`~repro.dram.channel.SweepIssue`."""
+        self._log.append((sweep, issue))
+
     def _bucket(self, command: Command, count: int, last: int,
                 refreshes: int) -> None:
-        """Bucket one trace entry's issue-to-issue cycle delta."""
-        ch = command.channel
+        """Bucket one command or run's issue-to-issue cycle delta."""
+        self._charge(command.channel, command.kind, category_of(command),
+                     command.bank, count, last, refreshes)
+        if self.entry_cycles is not None:
+            self.entry_cycles.append(last)
+
+    def _bucket_sweep(self, sweep: BankSweep, issue) -> None:
+        """Bucket a sweep exactly as its ACT/columns/PRE expansion.
+
+        With no stall debt and no inserted refresh to split off, a
+        bank's three deltas land whole on its own lane: ``ACT`` and
+        ``PRE`` on ``row``, the columns on their category. The sweep is
+        one trace entry, so it records one entry cycle.
+        """
+        command = sweep.command
+        ch, kind, beats = command.channel, command.kind, sweep.beats
+        cat = category_of(command)
+        charge = self._charge
+        lanes = self._sb.setdefault(ch, {})
+        for bank, act, last_col, pre, refreshes in issue.per_bank():
+            if (self._debt_seam.get(ch, 0) or self._debt_refresh.get(ch, 0)
+                    or refreshes != self._refs.get(ch, 0)):
+                charge(ch, CommandType.ACT, C_ROW, bank, 1, act, refreshes)
+                charge(ch, kind, cat, bank, beats, last_col, refreshes)
+                charge(ch, CommandType.PRE, C_ROW, bank, 1, pre, refreshes)
+                continue
+            now = self._now.get(ch, 0)
+            lane = lanes.get(bank)
+            if lane is None:
+                lane = lanes[bank] = [0] * NCAT
+            lane[C_ROW] += (act - now) + (pre - last_col)
+            lane[cat] += last_col - act
+            self._sb_sum[ch] = self._sb_sum.get(ch, 0) + (pre - now)
+            self._now[ch] = pre
+        if self.entry_cycles is not None:
+            self.entry_cycles.append(issue.last)
+
+    def _charge(self, ch: int, kind: CommandType, cat: int, bank: int,
+                count: int, last: int, refreshes: int) -> None:
+        """Split one issue-to-issue delta into debts, refresh and *cat*."""
         delta = last - self._now.get(ch, 0)
         self._now[ch] = last
         ab = self._ab.get(ch)
@@ -230,8 +272,6 @@ class AttributionCollector:
             ab[C_REFRESH] += part
             delta -= part
         # (3) the command's own category and scope.
-        kind = command.kind
-        cat = category_of(command)
         if kind is CommandType.MODE:
             self._debt_seam[ch] = (self._debt_seam.get(ch, 0)
                                    + count * self.mode_switch_cycles)
@@ -244,13 +284,11 @@ class AttributionCollector:
             lanes = self._sb.get(ch)
             if lanes is None:
                 lanes = self._sb[ch] = {}
-            lane = lanes.get(command.bank)
+            lane = lanes.get(bank)
             if lane is None:
-                lane = lanes[command.bank] = [0] * NCAT
+                lane = lanes[bank] = [0] * NCAT
             lane[cat] += delta
             self._sb_sum[ch] = self._sb_sum.get(ch, 0) + delta
-        if self.entry_cycles is not None:
-            self.entry_cycles.append(last)
 
     def finalize(self, banks_per_channel: int,
                  useful_loads: Optional[
@@ -268,7 +306,10 @@ class AttributionCollector:
         """
         log, self._log = self._log, []
         for entry in log:
-            self._bucket(*entry)
+            if entry[0].__class__ is BankSweep:
+                self._bucket_sweep(*entry)
+            else:
+                self._bucket(*entry)
         observed = max(self._now.values()) if self._now else 0
         if total_cycles is None:
             total_cycles = observed

@@ -56,7 +56,9 @@ CACHE_DIR_ENV = "PSYNCPIM_CACHE_DIR"
 #: v6: sweep keys gained a partitioning-strategy component and a "tune"
 #: artifact kind; HBM2Config grew pseudo_channels_per_channel, which
 #: changes every config-keyed digest via the dataclass field walk.
-CACHE_VERSION = 6
+#: v7: host staging is emitted as BankSweep entries — regenerating stored
+#: ``trace`` artifacts keeps them in the current form (as for v2).
+CACHE_VERSION = 7
 
 #: On-disk artifact header: magic, then the SHA-256 of the payload.
 _MAGIC = b"PSPC1\n"

@@ -25,7 +25,7 @@ from repro.core import (distribute, ildu, partition, plan_spmv, run_spmv,
                         time_spmv, time_sptrsv, ChannelAssignment,
                         TraceParams)
 from repro.core.spmv import _fast_rounds
-from repro.dram import MemoryController, TimingParams
+from repro.dram import MemoryController, TimingParams, expand_sweeps
 from repro.errors import ConfigError, MappingError
 from repro.formats import COOMatrix, generate
 
@@ -444,7 +444,7 @@ class TestRepresentativeChannelLoads:
         loads = np.arange(1, 25, dtype=np.int64)
         execution = self._execution(loads, bpc=8)
         trace = spmm_pb_trace(execution, CONFIG)
-        kernel_banks = {entry.bank for entry in trace
+        kernel_banks = {entry.bank for entry in expand_sweeps(trace)
                         if entry.bank is not None}
         assert kernel_banks and max(kernel_banks) < 8
 

@@ -6,10 +6,16 @@ shared lock-step bank state. The traces interleave single-bank
 ACT/RD/WR/PRE on assorted banks with broadcast ACT/RD/WR/PRE, command
 runs, mode switches, explicit refreshes and idle stretches that cross
 tREFI (so refresh is deferred while rows are open and inserted at the
-next all-closed boundary). Replaying them must reproduce every recorded
-figure exactly — per-entry issue cycles, per-channel clocks, refreshes,
-command counts, tag attributions and the per-bank state after the last
-command — with zero violations from the independent protocol checker.
+next all-closed boundary). The traces of ``SWEEP_SEEDS`` also carry host
+``BankSweep``s (1-40 beats over 1-16 banks, reads and writes, some after
+single-bank traffic or with a ``min_gap``, many straddling a refresh);
+their records were taken by pricing each sweep's expansion with the
+per-command scheduler that predates the closed-form sweep. Replaying them
+must reproduce every recorded figure exactly — per-command/run issue
+cycles (a sweep contributes its expansion's), per-channel clocks,
+refreshes, command counts, tag attributions and the per-bank state after
+the last command — with zero violations from the independent protocol
+checker.
 
 The records are pinned, not regenerated: rewriting them with the code
 under test would prove nothing. ``python tests/test_dram_lockstep.py``
@@ -23,21 +29,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.dram import (BANKS_PER_CHANNEL, ChannelScheduler, Command,
-                        CommandRun, CommandType, MemoryController,
-                        TimingParams, as_run)
+from repro.dram import (BANKS_PER_CHANNEL, BankSweep, ChannelScheduler,
+                        Command, CommandRun, CommandType, MemoryController,
+                        TimingParams, as_run, expand_sweeps)
 from repro.dram.bank import BankState
 from repro.errors import TimingError
 
 RECORDS = Path(__file__).parent / "golden" / "scheduler_lockstep.json"
+#: Seeds of traces without sweeps, and of traces that also carry sweeps.
 SEEDS = range(24)
+SWEEP_SEEDS = range(24, 48)
+ALL_SEEDS = [*SEEDS, *SWEEP_SEEDS]
 ROWS = 4
 TAGS = (None, None, "a", "b", "stage_x")
+SWEEP_TAGS = (None, "a", "stage_x", "merge_y", "read_b")
 
 
 def random_trace(seed: int):
     """A legal random trace over one or two channels; deterministic."""
     rng = np.random.default_rng(seed)
+    sweeps = seed in SWEEP_SEEDS
     channels = 1 + seed % 2
     length = 120 + int(rng.integers(0, 120))
     open_rows = {ch: [None] * BANKS_PER_CHANNEL for ch in range(channels)}
@@ -61,9 +72,24 @@ def random_trace(seed: int):
                           tag=tag())
         trace.append(command if count == 1 else CommandRun(command, count))
 
+    def emit_sweep(ch, banks):
+        kind = CommandType.RD if rng.random() < 0.5 else CommandType.WR
+        min_gap = 0 if rng.random() < 0.85 else int(rng.integers(1, 12))
+        command = Command(kind, channel=ch, row=int(rng.integers(ROWS)),
+                          col=int(rng.integers(0, 32)), min_gap=min_gap,
+                          tag=SWEEP_TAGS[int(rng.integers(len(SWEEP_TAGS)))])
+        trace.append(BankSweep(command, 1 + int(rng.integers(40)), banks))
+
     while len(trace) < length:
         ch = int(rng.integers(channels))
         rows = open_rows[ch]
+        if sweeps and rng.random() < 0.3:
+            # A host sweep needs its banks precharged; the banks above
+            # it may hold rows open (which defers any refresh).
+            banks = 1 + int(rng.integers(BANKS_PER_CHANNEL))
+            if all(r is None for r in rows[:banks]):
+                emit_sweep(ch, banks)
+                continue
         opened = [b for b, r in enumerate(rows) if r is not None]
         closed = [b for b, r in enumerate(rows) if r is None]
         uniform = (not closed and len(set(rows)) == 1)
@@ -115,13 +141,20 @@ def random_trace(seed: int):
 
 
 class _IssueLog:
-    """Collector recording the last issue cycle of every trace entry."""
+    """Collector recording the last issue cycle of every command or run
+    (a sweep logs its expansion's: each bank's ACT, last column, PRE)."""
 
     def __init__(self):
         self.last = []
+        self.sweeps = []
 
     def observe(self, command, count, last, refreshes):
         self.last.append(last)
+
+    def observe_sweep(self, sweep, issue):
+        self.sweeps.append(issue)
+        for _, act, last_col, pre, _ in issue.per_bank():
+            self.last += [act, last_col, pre]
 
 
 def _bank_rows(banks):
@@ -129,11 +162,27 @@ def _bank_rows(banks):
             for b in banks]
 
 
-def build_record(seed: int, validate: bool = False) -> dict:
+def _schedule_channel(sched, trace, ch):
+    """Issue *trace*'s entries for channel *ch* on one scheduler."""
+    for entry in trace:
+        if isinstance(entry, BankSweep):
+            if entry.channel == ch:
+                sched.issue_sweep(entry)
+            continue
+        command, count = as_run(entry)
+        if command.channel != ch:
+            continue
+        if count == 1:
+            sched.issue(command)
+        else:
+            sched.issue_run(command, count)
+
+
+def build_record(seed: int, validate: bool = False, log=None) -> dict:
     """Schedule one seeded trace; return every pinned figure."""
     trace, channels = random_trace(seed)
     enable_refresh = seed % 6 != 5
-    log = _IssueLog()
+    log = _IssueLog() if log is None else log
     controller = MemoryController(TimingParams(), num_channels=channels,
                                   enable_refresh=enable_refresh,
                                   validate_protocol=validate)
@@ -142,18 +191,11 @@ def build_record(seed: int, validate: bool = False) -> dict:
     for ch in range(channels):
         sched = ChannelScheduler(TimingParams(), enable_refresh,
                                  channel=ch)
-        for entry in trace:
-            command, count = as_run(entry)
-            if command.channel != ch:
-                continue
-            if count == 1:
-                sched.issue(command)
-            else:
-                sched.issue_run(command, count)
+        _schedule_channel(sched, trace, ch)
         banks[str(ch)] = _bank_rows(sched.banks)
     record = {
         "seed": seed,
-        "entries": len(trace),
+        "entries": sum(1 for _ in expand_sweeps(trace)),
         "enable_refresh": enable_refresh,
         "issue_last": log.last,
         "total_cycles": result.total_cycles,
@@ -175,9 +217,9 @@ def pinned():
 
 class TestPinnedRecords:
     def test_every_seed_is_pinned(self, pinned):
-        assert sorted(pinned) == list(SEEDS)
+        assert sorted(pinned) == ALL_SEEDS
 
-    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("seed", ALL_SEEDS)
     def test_replay_matches_exactly(self, pinned, seed):
         record, violations = build_record(seed, validate=True)
         assert violations == []
@@ -194,6 +236,30 @@ class TestPinnedRecords:
             runs += sum(isinstance(entry, CommandRun) for entry in trace)
         assert kinds == set(CommandType)
         assert runs >= 100
+
+    def test_sweep_seeds_exercise_the_closed_form(self):
+        """Sweeps mostly run in closed form, re-anchor on refresh, and
+        fall back to per-command issue under a ``min_gap``."""
+        closed = straddled = per_command = beats = 0
+        widths = set()
+        for seed in SWEEP_SEEDS:
+            trace, _ = random_trace(seed)
+            log = _IssueLog()
+            build_record(seed, log=log)
+            sweeps = [e for e in trace if isinstance(e, BankSweep)]
+            for sweep, issue in zip(sweeps, log.sweeps):
+                widths.add(sweep.banks)
+                beats = max(beats, sweep.beats)
+                closed += sweep.banks - len(issue.anchors)
+                if sweep.command.min_gap:
+                    per_command += len(issue.anchors) == sweep.banks > 1
+                refreshes = [a[4] for a in issue.anchors]
+                straddled += refreshes[-1] > refreshes[0]
+        assert widths == set(range(1, BANKS_PER_CHANNEL + 1))
+        assert beats == 40
+        assert closed >= 1000
+        assert straddled >= 10
+        assert per_command >= 5
 
 
 class TestSharedStateErrors:
@@ -308,6 +374,95 @@ class TestBankView:
         assert _bank_rows(sched.banks) == _bank_rows(banks)
 
 
+class TestSweepClosedForm:
+    """``issue_sweep`` against its expansion where the guards bite.
+
+    Non-default timings make each guard fail in turn: a short tFAW
+    period, a long tRRD_L, tCCD_L beyond tRCD + 1, a tRP long enough that
+    a bank reopened by the next sweep is not ready, and a tREFI short
+    enough to re-anchor most sweeps on a refresh.
+    """
+
+    TIMINGS = {
+        "default": TimingParams(),
+        "faw": TimingParams(tfaw=200),
+        "rrd": TimingParams(trrd_l=60),
+        "ccd": TimingParams(tccd_l=20),
+        "trp": TimingParams(trp=1500),
+        "refi": TimingParams(trefi=400, trfc=100),
+    }
+
+    @staticmethod
+    def _price(trace, timing, channels, log):
+        controller = MemoryController(timing, num_channels=channels,
+                                      validate_protocol=True)
+        result = controller.run(trace, collector=log)
+        banks = {}
+        for ch in range(channels):
+            sched = ChannelScheduler(timing, channel=ch)
+            _schedule_channel(sched, trace, ch)
+            banks[ch] = _bank_rows(sched.banks)
+        return result, banks
+
+    @pytest.mark.parametrize("name", TIMINGS)
+    @pytest.mark.parametrize("seed", SWEEP_SEEDS[:6])
+    def test_sweep_prices_as_its_expansion(self, name, seed):
+        timing = self.TIMINGS[name]
+        trace, channels = random_trace(seed)
+        swept, flat = _IssueLog(), _IssueLog()
+        got, got_banks = self._price(trace, timing, channels, swept)
+        want, want_banks = self._price(list(expand_sweeps(trace)),
+                                       timing, channels, flat)
+        assert got.violations == [] and want.violations == []
+        assert swept.last == flat.last
+        assert got_banks == want_banks
+        for field in ("total_cycles", "per_channel_cycles", "counts",
+                      "command_total", "refreshes", "tag_cycles",
+                      "per_channel_stats"):
+            assert getattr(got, field) == getattr(want, field), field
+
+    def test_validated_sweep_is_not_priced_per_command(self, monkeypatch):
+        """Under the protocol checker the closed form still runs, and the
+        checker observes the whole expansion."""
+        issued = []
+        issue = ChannelScheduler.issue
+
+        def counting(self, command, earliest=0):
+            issued.append(command.kind)
+            return issue(self, command, earliest)
+
+        monkeypatch.setattr(ChannelScheduler, "issue", counting)
+        sched = ChannelScheduler(TimingParams(), validate_protocol=True)
+        sweep = BankSweep(Command(CommandType.WR, row=2, tag="stage_x"),
+                          beats=8, banks=16)
+        outcome = sched.issue_sweep(sweep)
+        # Only the anchor bank issues command by command.
+        assert issued == [CommandType.ACT, CommandType.WR, CommandType.PRE]
+        assert [a[0] for a in outcome.anchors] == [0]
+        assert sched._checker.commands_seen == sweep.commands == 160
+        assert sched.protocol_violations == []
+        assert sched.now == outcome.last
+
+    def test_min_gap_sweep_issues_per_command(self):
+        sched = ChannelScheduler(TimingParams(), enable_refresh=False)
+        sweep = BankSweep(Command(CommandType.RD, row=1, min_gap=3),
+                          beats=2, banks=4)
+        outcome = sched.issue_sweep(sweep)
+        assert [a[0] for a in outcome.anchors] == [0, 1, 2, 3]
+
+    def test_sweep_onto_open_bank_raises(self):
+        sched = ChannelScheduler(TimingParams(), enable_refresh=False)
+        sched.issue(Command(CommandType.ACT, bank=3, row=1))
+        with pytest.raises(TimingError, match="open row"):
+            sched.issue_sweep(BankSweep(Command(CommandType.RD, row=1),
+                                        beats=4, banks=8))
+
+    def test_as_run_refuses_a_sweep(self):
+        sweep = BankSweep(Command(CommandType.RD), beats=2, banks=2)
+        with pytest.raises(TypeError, match="expand_sweeps"):
+            as_run(sweep)
+
+
 def dump_records(records, out) -> None:
     """The pinned file's layout: a JSON list, one record per line."""
     out.write("[\n" + ",\n".join(
@@ -315,4 +470,4 @@ def dump_records(records, out) -> None:
 
 
 if __name__ == "__main__":
-    dump_records([build_record(seed)[0] for seed in SEEDS], sys.stdout)
+    dump_records([build_record(seed)[0] for seed in ALL_SEEDS], sys.stdout)

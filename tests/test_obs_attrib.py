@@ -12,8 +12,10 @@ from repro.config import (default_system, resolve_attrib, resolve_obs)
 from repro.core import plan_spmv, run_spmv
 from repro.core.sptrsv import ildu, run_sptrsv
 from repro.core.trace import spmm_ab_segments, spmm_ab_trace
-from repro.dram import Command, CommandRun, CommandType, TimingParams
-from repro.dram.commands import expand_trace
+from repro.core.trace import TraceSegment
+from repro.dram import (BankSweep, Command, CommandRun, CommandType,
+                        TimingParams)
+from repro.dram.commands import expand_sweeps, expand_trace
 from repro.errors import ConfigError, ExecutionError
 from repro.formats import generate, matrices_for
 from repro.obs.attrib import (ATTRIB_VERSION, CATEGORIES,
@@ -201,14 +203,15 @@ def test_categories_are_exclusive_per_command():
 # ----------------------------------------------------------------------
 # property tests: randomized traces, expanded vs run-length
 # ----------------------------------------------------------------------
-def _random_trace(seed, num_channels=3, banks=16):
-    """A structured random command stream over several channels."""
+def _random_trace(seed, num_channels=3, banks=16, sweeps=False):
+    """A structured random command stream over several channels
+    (``sweeps=True`` adds host ``BankSweep``s to the mix)."""
     rng = np.random.default_rng(seed)
     trace = []
     tags = [None, "stage_x", "merge_y", "read_b", "program", "kernel"]
     for _ in range(rng.integers(10, 40)):
         ch = int(rng.integers(0, num_channels))
-        burst = rng.integers(0, 4)
+        burst = rng.integers(0, 5 if sweeps else 4)
         if burst == 0:        # single-bank open/stream/close
             bank = int(rng.integers(0, banks))
             row = int(rng.integers(0, 64))
@@ -230,8 +233,15 @@ def _random_trace(seed, num_channels=3, banks=16):
             trace.append(Command(CommandType.PRE_AB, ch, row=row))
         elif burst == 2:      # explicit refresh
             trace.append(Command(CommandType.REF, ch))
-        else:                 # bare mode switch
+        elif burst == 3:      # bare mode switch
             trace.append(Command(CommandType.MODE, ch))
+        else:                 # host sweep over the channel's banks
+            column = Command(CommandType.RD if rng.integers(0, 2) else
+                             CommandType.WR, ch,
+                             row=int(rng.integers(0, 64)),
+                             tag=tags[int(rng.integers(0, len(tags)))])
+            trace.append(BankSweep(column, int(rng.integers(1, 40)),
+                                   int(rng.integers(1, banks + 1))))
     return trace
 
 
@@ -251,6 +261,34 @@ def test_run_length_and_expanded_attribute_identically(seed, config):
     assert perf_runs.cycles == perf_flat.cycles
     assert att_runs.lane_cycles == att_flat.lane_cycles
     assert att_runs.channel_clock == att_flat.channel_clock
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sweeps_and_expanded_attribute_identically(seed, config):
+    """A sweep attributes like its expansion, segment timelines too:
+    one segment per entry, remapped onto the expanded indices."""
+    trace = _random_trace(seed, sweeps=True)
+    assert any(isinstance(entry, BankSweep) for entry in trace)
+    expanded, starts = [], []
+    for entry in trace:
+        starts.append(len(expanded))
+        expanded.extend(expand_sweeps([entry]))
+    starts.append(len(expanded))
+    segments = [TraceSegment(f"e{i}", entry.channel, i, i + 1)
+                for i, entry in enumerate(trace)]
+    flat_segments = [TraceSegment(s.label, s.channel, starts[s.start],
+                                  starts[s.end]) for s in segments]
+    att_sweeps, perf_sweeps = attribute_trace(trace, config,
+                                              segments=segments,
+                                              with_energy=True)
+    att_flat, perf_flat = attribute_trace(expanded, config,
+                                          segments=flat_segments,
+                                          with_energy=True)
+    _assert_exact(att_sweeps, perf_sweeps)
+    assert perf_sweeps == perf_flat
+    assert att_sweeps.lane_cycles == att_flat.lane_cycles
+    assert att_sweeps.channel_clock == att_flat.channel_clock
+    assert att_sweeps.segment_cycles == att_flat.segment_cycles
 
 
 def test_real_trace_run_length_equivalence(config):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import PSyncPIM, default_system
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, FormatError
 from repro.formats import generate
 from repro.formats.generators import make_spd, uniform_random
 
@@ -96,3 +96,64 @@ class TestFacade:
         cube_watts = report.energy.average_power_watts(
             report.cycles, TimingParams())
         assert cube_watts < 6.0
+
+
+class TestNanOperands:
+    """NaN in a matrix, a right-hand side or ``y0`` is rejected at the
+    run entry points; ``±inf`` stays legal (min-plus seeds with inf)."""
+
+    @pytest.fixture
+    def square(self):
+        return uniform_random(48, 48, 0.1, seed=5)
+
+    @pytest.fixture
+    def lower(self, square):
+        from repro.formats.generators import unit_lower_from
+        return unit_lower_from(square, seed=6)
+
+    @staticmethod
+    def _with_nan(matrix):
+        from repro.formats import COOMatrix
+        vals = matrix.vals.copy()
+        vals[len(vals) // 2] = np.nan
+        return COOMatrix(matrix.shape, matrix.rows, matrix.cols, vals)
+
+    def test_spmv_nan_x(self, pim, square):
+        with pytest.raises(FormatError, match="x contains NaN"):
+            pim.spmv(square, np.full(48, np.nan))
+
+    def test_spmv_nan_matrix_value(self, pim, square):
+        with pytest.raises(FormatError, match="matrix contains NaN"):
+            pim.spmv(self._with_nan(square), np.ones(48))
+
+    def test_spmv_nan_y0(self, pim, square):
+        y0 = np.zeros(48)
+        y0[3] = np.nan
+        with pytest.raises(FormatError, match="y0 contains NaN"):
+            pim.spmv(square, np.ones(48), y0=y0)
+
+    def test_spmm_nan_column(self, pim, square):
+        x = np.ones((48, 4))
+        x[7, 2] = np.nan
+        with pytest.raises(FormatError, match="x contains NaN"):
+            pim.spmm(square, x)
+
+    @pytest.mark.parametrize("lower_solve", [True, False])
+    def test_sptrsv_nan_b(self, pim, lower, lower_solve):
+        tri = lower if lower_solve else lower.transpose()
+        with pytest.raises(FormatError, match="b contains NaN"):
+            pim.sptrsv(tri, np.full(48, np.nan), lower=lower_solve)
+
+    def test_sptrsv_nan_matrix_value(self, pim, lower):
+        with pytest.raises(FormatError, match="matrix contains NaN"):
+            pim.sptrsv(self._with_nan(lower), np.ones(48))
+
+    def test_inf_stays_legal(self, pim, square):
+        y0 = np.full(48, np.inf)
+        y0[0] = 0.0
+        result = pim.spmv(square, np.zeros(48), multiply="add",
+                          accumulate="min", y0=y0)
+        assert not np.isnan(result.y).any()
+        x = np.ones(48)
+        x[1] = np.inf
+        assert np.isinf(pim.spmv(square, x).y).any()

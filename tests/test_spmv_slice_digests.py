@@ -4,7 +4,9 @@ attribution slice.
 ``tests/golden/spmv_slice_digests.json`` holds one sha256 per grid case
 over the synthesised trace (every entry, tags included), the segment
 labels and ranges, the priced cycles, commands and energy, and the
-attribution's device-wide category cycles. The digests were recorded
+attribution's device-wide category cycles. The trace is hashed in its
+canonical expanded form (host sweeps as per-bank ACT/columns/PRE), the
+form it had when the digests were taken. The digests were recorded
 while SpMV still had its own synthesisers (``spmv_{ab,pb,channels}_*``),
 pricing body and attribution body, so replaying them pins that the one
 k-general synthesiser reproduces the old SpMV path exactly at k = 1, and
@@ -30,7 +32,7 @@ from repro.config import default_system
 from repro.core import (as_spmm_execution, ildu, plan_spmv, run_sptrsv,
                         time_spmm, time_spmv, time_sptrsv)
 from repro.core import trace as trace_module
-from repro.dram import as_run
+from repro.dram import as_run, expand_sweeps
 from repro.formats import generate
 from repro.obs.attrib import (attribute_spmm, attribute_spmv,
                               attribute_sptrsv)
@@ -116,15 +118,20 @@ def case_digest(case) -> str:
         attribute = attribute_spmv if kind == "spmv" else attribute_spmm
         perf = pricer(execution, config, mode=mode, with_energy=True)
         attribution, _ = attribute(execution, config, mode=mode)
-    rows = []
+    # The canonical form: every host sweep expanded into its ACT/column/
+    # PRE entries, segment ranges remapped to the expanded indices.
+    rows, starts = [], []
     for entry in seg.trace:
-        command, count = as_run(entry)
-        rows.append([command.kind.name, command.channel, command.bank,
-                     command.row, command.col, command.min_gap,
-                     command.tag, count])
+        starts.append(len(rows))
+        for part in expand_sweeps([entry]):
+            command, count = as_run(part)
+            rows.append([command.kind.name, command.channel, command.bank,
+                         command.row, command.col, command.min_gap,
+                         command.tag, count])
+    starts.append(len(rows))
     payload = {
         "trace": rows,
-        "segments": [[s.label, s.channel, s.start, s.end]
+        "segments": [[s.label, s.channel, starts[s.start], starts[s.end]]
                      for s in seg.segments],
         "cycles": perf.cycles,
         "commands": perf.commands,

@@ -58,19 +58,20 @@ class TestStableDigest:
 
 
 class TestCacheVersion:
-    """The strategy PR bumped the artifact layout version (v5 -> v6)."""
+    """Stored traces now hold host sweeps: the layout version is v7."""
 
-    def test_version_is_six(self):
+    def test_version_is_seven(self):
         from repro.sweep.cache import CACHE_VERSION
-        assert CACHE_VERSION == 6
+        assert CACHE_VERSION == 7
 
     def test_version_participates_in_every_digest(self, monkeypatch):
-        # Pre-v6 artifacts (keyed under CACHE_VERSION=5, before sweep keys
-        # carried a strategy component) must never be served: the version
-        # is folded into stable_digest, so bumping it rotates every key.
+        # Pre-v7 artifacts (keyed under CACHE_VERSION=6, whose traces
+        # spell host staging out per bank) must never be served: the
+        # version is folded into stable_digest, so bumping it rotates
+        # every key.
         from repro.sweep import cache as cache_mod
         current = cache_mod.stable_digest("spmv-plan", MATRIX)
-        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 5)
+        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 6)
         previous = cache_mod.stable_digest("spmv-plan", MATRIX)
         assert current != previous
 
@@ -78,10 +79,10 @@ class TestCacheVersion:
                                                   monkeypatch):
         from repro.sweep import cache as cache_mod
         cache = ArtifactCache(tmp_path)
-        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 5)
+        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 6)
         old_key = cache.key("kernel", MATRIX)
         cache.store("plan", old_key, {"stale": True})
-        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 6)
+        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 7)
         new_key = cache.key("kernel", MATRIX)
         assert new_key != old_key
         computed = cache.get_or_compute("plan", new_key,

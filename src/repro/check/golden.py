@@ -21,8 +21,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..config import default_system
-from ..core import dense_stream_trace, price_trace, run_spmm, run_sptrsv
-from ..core.timing import PerfReport, alu_operations
+from ..core import dense_stream_trace, run_spmm, run_sptrsv
+from ..core.timing import alu_operations
 from ..core.trace import synthesize
 from ..dram import TraceEntry, as_run, expand_sweeps
 from ..formats.generators import uniform_random, unit_lower_from
@@ -40,42 +40,37 @@ def default_golden_dir() -> Path:
 # ----------------------------------------------------------------------
 # canonical workloads
 # ----------------------------------------------------------------------
-def _spmm(mode: str, num_rhs: int) -> Tuple[List[TraceEntry], PerfReport]:
+#: A workload's command trace, ALU operation count and precision.
+Workload = Tuple[List[TraceEntry], int, str]
+
+
+def _spmm(mode: str, num_rhs: int) -> Workload:
     # One 48x48 matrix for every width: the plan is shared, and k = 1 is
     # the spmv workload.
     config = default_system()
     matrix = uniform_random(48, 48, 0.08, seed=11)
     x = np.random.default_rng(12).random((48, num_rhs))
     execution = run_spmm(matrix, x, config, engine_banks=4).execution
-    trace = synthesize(execution, config, mode=mode).trace
-    report = price_trace(trace, config, with_energy=True,
-                         alu_operations=alu_operations(execution),
-                         precision=execution.precision)
-    return trace, report
+    return (synthesize(execution, config, mode=mode).trace,
+            alu_operations(execution), execution.precision)
 
 
-def _sptrsv() -> Tuple[List[TraceEntry], PerfReport]:
+def _sptrsv() -> Workload:
     config = default_system()
     tri = unit_lower_from(uniform_random(40, 40, 0.06, seed=7), seed=8)
     b = np.random.default_rng(9).random(40)
     execution = run_sptrsv(tri, b, config, engine_banks=4).execution
-    trace = synthesize(execution, config).trace
-    report = price_trace(trace, config, with_energy=True,
-                         alu_operations=alu_operations(execution),
-                         precision=execution.precision)
-    return trace, report
+    return (synthesize(execution, config).trace,
+            alu_operations(execution), execution.precision)
 
 
-def _dense_stream() -> Tuple[List[TraceEntry], PerfReport]:
-    config = default_system()
+def _dense_stream() -> Workload:
     trace = dense_stream_trace(elements_per_bank=256, reads_per_group=2,
                                writes_per_group=1, precision="fp32")
-    report = price_trace(trace, config, with_energy=True,
-                         alu_operations=256 * 16, precision="fp32")
-    return trace, report
+    return trace, 256 * 16, "fp32"
 
 
-WORKLOADS: Dict[str, Callable[[], Tuple[List[TraceEntry], PerfReport]]] = {
+WORKLOADS: Dict[str, Callable[[], Workload]] = {
     "spmv_ab": lambda: _spmm("ab", 1),
     "spmv_pb": lambda: _spmm("pb", 1),
     "spmm_ab": lambda: _spmm("ab", 4),
@@ -100,11 +95,16 @@ def _trace_rows(trace: List[TraceEntry]) -> List[list]:
 
 
 def build_record(name: str) -> dict:
-    """Regenerate the snapshot for one workload (exact, deterministic)."""
+    """Regenerate the snapshot for one workload (exact, deterministic).
+
+    One pass of the trace-level primitive yields the schedule and its
+    attribution (no segments, no lock-step padding split)."""
     from ..obs.attrib import attribute_trace
-    trace, report = WORKLOADS[name]()
+    trace, alu, precision = WORKLOADS[name]()
+    attribution, report = attribute_trace(
+        trace, default_system(), with_energy=True, alu_operations=alu,
+        precision=precision)
     energy = report.energy.as_dict() if report.energy else {}
-    attribution, _ = attribute_trace(trace, default_system())
     return {
         "version": RECORD_VERSION,
         "workload": name,

@@ -46,6 +46,7 @@ from .analysis import format_table, table_x_model, unit_area
 from .baselines import GPUModel, SpaceAModel
 from .config import STRATEGY_CHOICES, default_system
 from .core import PSyncPIM, as_spmm_execution, time_spmm, time_spmv
+from .core.timing import alu_operations, price
 from .dram import TimingParams
 from .errors import ReproError
 from .formats import (generate, matrix_spec, read_matrix_market,
@@ -405,7 +406,8 @@ def _cmd_spmv(args) -> int:
                       matrix_format=args.matrix_format)
     assert np.allclose(result.y, matrix.matvec(x))
     ex = result.execution
-    ab = pim.time_spmv(result, with_energy=True)
+    ab, attribution = price(ex, pim.config, params=pim.trace_params,
+                            with_energy=True, attrib=want_attrib)
     pb = time_spmv(ex, pim.config, mode="pb")
     gpu = GPUModel().spmv_seconds(*matrix.shape, matrix.nnz,
                                   args.precision)
@@ -429,12 +431,11 @@ def _cmd_spmv(args) -> int:
     ], title=f"SpMV on pSyncPIM ({args.precision}, "
              f"{args.matrix_format})"))
     if want_attrib:
-        attribution, perf = obs.attribute_spmv(ex, pim.config, mode="ab")
         report = obs.build_run_report(
-            attribution, perf, label=f"spmv/{args.matrix}", kind="spmv",
+            attribution, ab, label=f"spmv/{args.matrix}", kind="spmv",
             matrix=args.matrix, mode="ab", channels=ex.num_channels,
             strategy=args.strategy or "", precision=args.precision,
-            config=pim.config, alu_operations=2 * ex.total_elements)
+            config=pim.config, alu_operations=alu_operations(ex))
         print()
         print(obs.render_report(report))
     return 0
@@ -455,7 +456,8 @@ def _cmd_spmm(args) -> int:
     for j in range(num_rhs):
         assert np.allclose(result.y[:, j], matrix.matvec(x[:, j]))
     ex = result.execution
-    ab = pim.time_spmm(result, with_energy=True)
+    ab, attribution = price(ex, pim.config, params=pim.trace_params,
+                            with_energy=True, attrib=want_attrib)
     pb = time_spmm(ex, pim.config, mode="pb")
     # the SpMV baseline is the same plan priced at width 1
     spmv_cycles = time_spmm(as_spmm_execution(ex, 1), pim.config,
@@ -477,13 +479,11 @@ def _cmd_spmm(args) -> int:
         ["energy", f"{ab.energy.total_joules * 1e6:.1f} uJ"],
     ], title=f"SpMM on pSyncPIM ({args.precision}, k={num_rhs})"))
     if want_attrib:
-        attribution, perf = obs.attribute_spmm(ex, pim.config, mode="ab")
         report = obs.build_run_report(
-            attribution, perf, label=f"spmm/{args.matrix}", kind="spmm",
+            attribution, ab, label=f"spmm/{args.matrix}", kind="spmm",
             matrix=args.matrix, mode="ab", channels=ex.num_channels,
             strategy=args.strategy or "", precision=args.precision,
-            config=pim.config,
-            alu_operations=2 * ex.total_elements * num_rhs)
+            config=pim.config, alu_operations=alu_operations(ex))
         print()
         print(obs.render_report(report))
     return 0
@@ -501,19 +501,20 @@ def _cmd_sptrsv(args) -> int:
     for label, tri, lower in (("lower", factors.lower, True),
                               ("upper", factors.upper, False)):
         solve = pim.sptrsv(tri, b, lower=lower)
-        report = pim.time_sptrsv(solve)
+        ex = solve.execution
+        report, attribution = price(ex, pim.config,
+                                    params=pim.trace_params,
+                                    attrib=want_attrib)
         residual = float(np.abs(tri.matvec(solve.x) - b).max())
-        rows.append([label, tri.nnz, solve.execution.num_levels,
+        rows.append([label, tri.nnz, ex.num_levels,
                      report.seconds * 1e6, f"{residual:.2e}"])
         if want_attrib:
-            ex = solve.execution
-            attribution, perf = obs.attribute_sptrsv(ex, pim.config)
             attrib_reports.append(obs.build_run_report(
-                attribution, perf,
+                attribution, report,
                 label=f"sptrsv/{args.matrix}/{label}", kind="sptrsv",
                 matrix=args.matrix, channels=ex.num_channels,
                 strategy=args.strategy or "", config=pim.config,
-                alu_operations=2 * ex.total_elements))
+                alu_operations=alu_operations(ex)))
     print(format_table(["factor", "nnz", "levels", "time (us)",
                         "residual"], rows,
                        title="SpTRSV via ILDU on pSyncPIM"))
@@ -630,14 +631,13 @@ def _build_attrib_reports(args) -> dict:
                        if n.strip()])
         sources = [(name, generate(name, scale=scale)) for name in names]
     reports = {}
+    kind = args.kernel
+    mode = args.mode if kind == "spmv" else "ab"
     for name, matrix in sources:
-        if args.kernel == "spmv":
+        if kind == "spmv":
             _, _, execution = plan_spmv(
                 matrix, config, precision=args.precision,
                 validate=False, channels=channels, strategy=strategy)
-            attribution, perf = obs.attribute_spmv(execution, config,
-                                                   mode=args.mode)
-            kind = "spmv"
         else:
             tri = ildu(matrix).lower
             b = np.random.default_rng(args.seed).random(tri.shape[0])
@@ -645,15 +645,13 @@ def _build_attrib_reports(args) -> dict:
                                    precision=args.precision,
                                    channels=channels,
                                    strategy=strategy).execution
-            attribution, perf = obs.attribute_sptrsv(execution, config)
-            kind = "sptrsv"
+        perf, attribution = price(execution, config, mode=mode, attrib=True)
         label = f"{kind}/{name}"
         reports[label] = obs.build_run_report(
             attribution, perf, label=label, kind=kind, matrix=name,
-            mode=args.mode if kind == "spmv" else "ab",
-            channels=channels, strategy=strategy,
+            mode=mode, channels=channels, strategy=strategy,
             precision=args.precision, config=config,
-            alu_operations=2 * execution.total_elements)
+            alu_operations=alu_operations(execution))
     return reports
 
 

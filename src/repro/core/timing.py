@@ -3,23 +3,23 @@
 This is the glue between execution records (what a kernel did), trace
 synthesis (the command stream it implies on one channel) and the
 :mod:`repro.dram` scheduler (how many cycles/joules that stream costs).
+
+:func:`price` is the one synthesise-and-price pass of a record; the
+``time_*`` pricers and ``repro.obs.attrib.attribute_*`` are views over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..config import SystemConfig
-from ..dram import (CommandType, EnergyReport, MemoryController,
+from ..dram import (HOST_TAGS, CommandType, EnergyReport, MemoryController,
                     TimingParams, TraceEntry)
 from .. import obs
 from .spmv import SpmvExecution
 from .sptrsv import SpTrsvExecution
 from .trace import TraceParams, dense_stream_trace, synthesize
-
-#: Tags marking host-side (external interface) column traffic.
-HOST_TAGS = frozenset({"stage_x", "merge_y", "read_b", "broadcast"})
 
 
 @dataclass
@@ -117,6 +117,47 @@ def alu_operations(execution) -> int:
     return 2 * execution.total_elements * getattr(execution, "num_rhs", 1)
 
 
+def price(execution, config: SystemConfig, mode: str = "ab",
+          params: TraceParams = TraceParams(), with_energy: bool = False,
+          attrib: bool = False
+          ) -> Tuple[PerfReport, Optional[obs.Attribution]]:
+    """Synthesise and price one execution record in a single pass.
+
+    Returns ``(PerfReport, Attribution or None)``; the report is bitwise
+    the same either way (the attribution collector only observes).
+    """
+    seg = synthesize(execution, config, mode=mode, params=params)
+    return price_segmented(seg, execution, config, mode=mode,
+                           with_energy=with_energy, attrib=attrib)
+
+
+def price_segmented(seg, execution, config: SystemConfig,
+                    mode: str = "ab", with_energy: bool = False,
+                    attrib: bool = False
+                    ) -> Tuple[PerfReport, Optional[obs.Attribution]]:
+    """:func:`price` for a trace already synthesised from *execution*.
+
+    The record's type picks the padding split's useful loads, as it picks
+    the kernel in ``synthesize``. The primitives are called through their
+    module globals, so wrapping one (tracing, profiling) wraps this pass.
+    """
+    kwargs = dict(with_energy=with_energy,
+                  alu_operations=alu_operations(execution),
+                  precision=execution.precision,
+                  channels=execution.num_channels)
+    if not attrib:
+        return price_trace(seg.trace, config, **kwargs), None
+    attrib_mod = obs.attrib
+    if isinstance(execution, SpTrsvExecution):
+        loads = attrib_mod.sptrsv_useful_loads(execution)
+    else:
+        loads = attrib_mod.spmv_useful_loads(execution, mode)
+    attribution, perf = attrib_mod.attribute_trace(
+        seg.trace, config, segments=seg.segments, useful_loads=loads,
+        **kwargs)
+    return perf, attribution
+
+
 def time_spmm(execution: SpmvExecution, config: SystemConfig,
               mode: str = "ab", params: TraceParams = TraceParams(),
               with_energy: bool = False) -> PerfReport:
@@ -127,14 +168,11 @@ def time_spmm(execution: SpmvExecution, config: SystemConfig,
     :class:`~repro.core.spmm.SpmmExecution`'s ``num_rhs``); a plain
     :class:`~repro.core.spmv.SpmvExecution` is priced as ``k = 1``.
     """
-    seg = synthesize(execution, config, mode=mode, params=params)
-    return price_trace(seg.trace, config, with_energy=with_energy,
-                       alu_operations=alu_operations(execution),
-                       precision=execution.precision,
-                       channels=execution.num_channels)
+    return price(execution, config, mode=mode, params=params,
+                 with_energy=with_energy)[0]
 
 
-#: SpMV is SpMM at ``k = 1``: one pricing body serves both names.
+#: SpMV is SpMM at ``k = 1``: one pricing view serves both names.
 time_spmv = time_spmm
 
 
@@ -142,11 +180,8 @@ def time_sptrsv(execution: SpTrsvExecution, config: SystemConfig,
                 params: TraceParams = TraceParams(),
                 with_energy: bool = False) -> PerfReport:
     """Price one triangular solve (leaf levels + recursive updates)."""
-    seg = synthesize(execution, config, params=params)
-    return price_trace(seg.trace, config, with_energy=with_energy,
-                       alu_operations=alu_operations(execution),
-                       precision=execution.precision,
-                       channels=execution.num_channels)
+    return price(execution, config, params=params,
+                 with_energy=with_energy)[0]
 
 
 def time_dense_kernel(elements: int, reads_per_group: int,

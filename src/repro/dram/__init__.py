@@ -7,8 +7,9 @@ DRAMPower-style energy model.
 """
 
 from .timing import HBM2_1GHZ, TimingParams
-from .commands import (BankSweep, Command, CommandRun, CommandType,
-                       TraceEntry, as_run, expand_sweeps, expand_trace)
+from .commands import (HOST_TAGS, BankSweep, Command, CommandRun,
+                       CommandType, TraceEntry, as_run, expand_sweeps,
+                       expand_trace)
 from .address import AddressMapper, DecodedAddress
 from .bank import BankState
 from .channel import (BANKS_PER_CHANNEL, BANKS_PER_GROUP,
@@ -19,7 +20,7 @@ from .power import EnergyModel, EnergyParams, EnergyReport
 __all__ = [
     "HBM2_1GHZ", "TimingParams", "BankSweep", "Command", "CommandRun",
     "CommandType", "TraceEntry", "as_run", "expand_sweeps", "expand_trace",
-    "AddressMapper", "DecodedAddress", "BankState",
+    "HOST_TAGS", "AddressMapper", "DecodedAddress", "BankState",
     "BANKS_PER_CHANNEL", "BANKS_PER_GROUP", "GROUPS_PER_CHANNEL",
     "ChannelScheduler", "SweepIssue", "MemoryController", "ScheduleResult",
     "count_commands", "EnergyModel", "EnergyParams", "EnergyReport",

@@ -13,6 +13,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
+#: Tags marking host-side (external interface) column traffic.
+HOST_TAGS = frozenset({"stage_x", "merge_y", "read_b", "broadcast"})
+
 
 class CommandType(enum.Enum):
     """Kinds of entries a command trace may contain."""

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..dram.commands import BankSweep, Command, CommandType
+from ..dram.commands import HOST_TAGS, BankSweep, Command, CommandType
 from ..errors import ExecutionError
 
 #: Exclusive, exhaustive cycle categories, in reporting order.
@@ -59,11 +59,6 @@ CATEGORIES: Tuple[str, ...] = (
 NCAT = len(CATEGORIES)
 C_COMPUTE, C_PADDING, C_SEAM, C_ROW, C_REFRESH, C_HOST, C_IDLE = range(NCAT)
 
-#: Column tags carrying host-side external traffic. Mirrors
-#: ``repro.core.timing.HOST_TAGS`` — duplicated because ``core`` imports
-#: ``repro.obs`` at module level, so the dependency must point this way.
-HOST_COLUMN_TAGS = frozenset({"stage_x", "merge_y", "read_b", "broadcast"})
-
 #: Bump when the taxonomy or bookkeeping changes (keys cached RunReports).
 ATTRIB_VERSION = 1
 
@@ -78,7 +73,7 @@ def category_of(command: Command) -> int:
     if kind.is_row:
         return C_ROW
     tag = command.tag
-    if tag in HOST_COLUMN_TAGS:
+    if tag in HOST_TAGS:
         return C_HOST
     if tag == "program":
         return C_SEAM
@@ -484,7 +479,7 @@ def phase_cycles(attribution: Attribution) -> Dict[str, int]:
 # high-level builders (lazy core imports: core imports repro.obs)
 # ----------------------------------------------------------------------
 def attribute_trace(trace, config, segments=None, useful_loads=None,
-                    timing=None, channels=None, precision: str = "fp64",
+                    channels=None, precision: str = "fp64",
                     alu_operations: int = 0, with_energy: bool = False):
     """Price *trace* once and attribute it; returns ``(Attribution,
     PerfReport)``.
@@ -494,13 +489,11 @@ def attribute_trace(trace, config, segments=None, useful_loads=None,
     """
     from ..core.timing import price_trace
     from ..dram import TimingParams
-    if timing is None:
-        timing = TimingParams()
+    timing = TimingParams()
     collector = AttributionCollector(
         trfc=timing.trfc, mode_switch_cycles=timing.mode_switch_cycles,
         capture_entries=segments is not None)
-    perf = price_trace(trace, config, timing=timing,
-                       with_energy=with_energy,
+    perf = price_trace(trace, config, with_energy=with_energy,
                        alu_operations=alu_operations, precision=precision,
                        channels=channels, collector=collector)
     attribution = collector.finalize(
@@ -510,54 +503,45 @@ def attribute_trace(trace, config, segments=None, useful_loads=None,
     return attribution, perf
 
 
+def _attributed(execution, config, mode, params, with_energy):
+    """:func:`repro.core.timing.price` with attribution, in this module's
+    ``(Attribution, PerfReport)`` order."""
+    from ..core.timing import price
+    from ..core.trace import TraceParams
+    perf, attribution = price(
+        execution, config, mode=mode,
+        params=TraceParams() if params is None else params,
+        with_energy=with_energy, attrib=True)
+    return attribution, perf
+
+
 def attribute_spmm(execution, config, mode: str = "ab", params=None,
-                   timing=None, with_energy: bool = False):
-    """Attribute one SpMV/SpMM execution; returns ``(Attribution,
-    PerfReport)``.
-
-    An SpMM's layout is the SpMV layout, so the useful-load split carries
-    over unchanged (both the useful and the lock-step streams scale by
-    the right-hand-side width, leaving the compute/padding ratio intact);
-    ALU work scales by ``num_rhs``. A plain SpMV record is ``k = 1``.
-    """
-    from ..core.timing import alu_operations
-    from ..core.trace import TraceParams, synthesize
-    seg = synthesize(execution, config, mode=mode,
-                     params=TraceParams() if params is None else params)
-    return attribute_trace(
-        seg.trace, config, segments=seg.segments,
-        useful_loads=spmv_useful_loads(execution, mode), timing=timing,
-        channels=execution.num_channels, precision=execution.precision,
-        alu_operations=alu_operations(execution),
-        with_energy=with_energy)
+                   with_energy: bool = False):
+    """Attribute one SpMV/SpMM execution (a plain SpMV record is
+    ``k = 1``); returns ``(Attribution, PerfReport)``."""
+    return _attributed(execution, config, mode, params, with_energy)
 
 
-#: SpMV is SpMM at ``k = 1``: one attribution body serves both names.
+#: SpMV is SpMM at ``k = 1``: one attribution view serves both names.
 attribute_spmv = attribute_spmm
 
 
-def attribute_sptrsv(execution, config, params=None, timing=None,
+def attribute_sptrsv(execution, config, params=None,
                      with_energy: bool = False):
     """Attribute one SpTRSV execution; returns ``(Attribution,
     PerfReport)``."""
-    from ..core.timing import alu_operations
-    from ..core.trace import TraceParams, synthesize
-    seg = synthesize(execution, config,
-                     params=TraceParams() if params is None else params)
-    return attribute_trace(
-        seg.trace, config, segments=seg.segments,
-        useful_loads=sptrsv_useful_loads(execution), timing=timing,
-        channels=execution.num_channels, precision=execution.precision,
-        alu_operations=alu_operations(execution),
-        with_energy=with_energy)
+    return _attributed(execution, config, "ab", params, with_energy)
 
 
 def spmv_useful_loads(execution, mode: str = "ab"
                       ) -> Optional[Dict[int, Tuple[List[float], float]]]:
     """Per-channel (per-bank useful elements, lock-step stream length).
 
-    PB mode has no lock-step padding (each bank streams only its own
-    elements), so it returns ``None`` and the split is skipped.
+    An SpMM's layout is the SpMV layout, so the split carries over
+    unchanged: the useful and the lock-step streams both scale by the
+    right-hand-side width. PB mode has no lock-step padding (each bank
+    streams only its own elements), so it returns ``None`` and the split
+    is skipped.
     """
     if mode != "ab":
         return None

@@ -58,7 +58,10 @@ CACHE_DIR_ENV = "PSYNCPIM_CACHE_DIR"
 #: changes every config-keyed digest via the dataclass field walk.
 #: v7: host staging is emitted as BankSweep entries — regenerating stored
 #: ``trace`` artifacts keeps them in the current form (as for v2).
-CACHE_VERSION = 7
+#: v8: one pricing pass per job — ``trace`` holds the SegmentedTrace,
+#: ``schedule`` holds ``(PerfReport, RunReport or None)`` and the
+#: separate ``attrib`` kind is gone.
+CACHE_VERSION = 8
 
 #: On-disk artifact header: magic, then the SHA-256 of the payload.
 _MAGIC = b"PSPC1\n"

@@ -17,7 +17,6 @@ parameters, timing configuration).
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 import traceback as traceback_module
@@ -36,7 +35,7 @@ from ..config import (SystemConfig, default_system, gddr6_aim_system,
 from ..core.spmm import as_spmm_execution
 from ..core.spmv import plan_spmv
 from ..core.sptrsv import ildu, level_schedule, run_sptrsv
-from ..core.timing import PerfReport, alu_operations, price_trace
+from ..core.timing import PerfReport, alu_operations, price_segmented
 from ..core.trace import TraceParams, synthesize
 from ..errors import ExecutionError
 from ..formats import (COOMatrix, generate, matrix_spec,
@@ -175,55 +174,39 @@ class SweepJob:
 # kernel pipelines (run inside the worker, through the artifact cache)
 # ----------------------------------------------------------------------
 def _priced(job: SweepJob, cache: ArtifactCache, execution, config,
-            params: TraceParams, trace_key: str, mode: str = "ab",
-            ) -> Tuple[PerfReport, str]:
-    """Synthesise and price one execution record, both stages cached.
-
-    Returns the report and its schedule key (which the attribution
-    stage extends).
-    """
-    schedule_key = cache.key("schedule", trace_key, job.with_energy)
-
-    def compute_report() -> PerfReport:
-        trace = cache.get_or_compute(
-            "trace", trace_key,
-            lambda: synthesize(execution, config, mode=mode,
-                               params=params).trace)
-        return price_trace(trace, config, with_energy=job.with_energy,
-                           alu_operations=alu_operations(execution),
-                           precision=job.precision,
-                           channels=execution.num_channels)
-
-    report = cache.get_or_compute("schedule", schedule_key, compute_report)
-    return report, schedule_key
-
-
-def _attrib_report(job: SweepJob, cache: ArtifactCache,
-                   schedule_key: str, attribute, execution, config,
-                   channels: Optional[int], strategy: str,
-                   mode: str = "ab"):
-    """The job's cached :class:`~repro.obs.report.RunReport`.
-
-    The key covers the schedule and every identity field stamped into
-    the report (label, kind, matrix name, strategy), so two jobs that
-    price the same schedule under different names never share a report.
+            params: TraceParams, trace_key: str, channels: Optional[int],
+            strategy: str, mode: str = "ab"):
+    """The job's ``(PerfReport, RunReport or None)``: one cached pricing
+    pass over the ``trace`` stage, which jobs with and without
+    attribution share. With attribution the ``schedule`` key covers the
+    identity stamped into the report, so jobs pricing the same schedule
+    under different names never share one.
     """
     from ..obs.attrib import ATTRIB_VERSION
     from ..obs.report import build_run_report
+    attrib = resolve_attrib(job.attrib)
     label = job.resolved_label()
+    identity = ((ATTRIB_VERSION, label, job.kernel, job.matrix, strategy)
+                if attrib else ())
+    schedule_key = cache.key("schedule", trace_key, job.with_energy,
+                             *identity)
 
-    def compute_attrib():
-        attribution, perf = attribute(execution, config,
-                                      with_energy=job.with_energy)
-        return build_run_report(
-            attribution, perf, label=label, kind=job.kernel,
+    def compute():
+        seg = cache.get_or_compute(
+            "trace", trace_key,
+            lambda: synthesize(execution, config, mode=mode, params=params))
+        report, attribution = price_segmented(
+            seg, execution, config, mode=mode,
+            with_energy=job.with_energy, attrib=attrib)
+        if attribution is None:
+            return report, None
+        return report, build_run_report(
+            attribution, report, label=label, kind=job.kernel,
             matrix=job.matrix, mode=mode, channels=channels,
             strategy=strategy, precision=job.precision, config=config,
             alu_operations=alu_operations(execution))
 
-    key = cache.key("attrib", schedule_key, ATTRIB_VERSION, label,
-                    job.kernel, job.matrix, strategy)
-    return cache.get_or_compute("attrib", key, compute_attrib)
+    return cache.get_or_compute("schedule", schedule_key, compute)
 
 
 def _spmm_pipeline(job: SweepJob, cache: ArtifactCache,
@@ -264,8 +247,9 @@ def _spmm_pipeline(job: SweepJob, cache: ArtifactCache,
 
     trace_key = cache.key("spmm-trace", execution, config, params,
                           job.mode, num_rhs)
-    report, schedule_key = _priced(job, cache, execution, config, params,
-                                   trace_key, mode=job.mode)
+    report, run_report = _priced(job, cache, execution, config, params,
+                                 trace_key, channels, strategy,
+                                 mode=job.mode)
     extras = {
         "rows": matrix.shape[0],
         "cols": matrix.shape[1],
@@ -282,12 +266,7 @@ def _spmm_pipeline(job: SweepJob, cache: ArtifactCache,
         extras["channels"] = channels
     if strategy != "paper":
         extras["strategy"] = strategy
-    if resolve_attrib(job.attrib):
-        from ..obs.attrib import attribute_spmm
-        extras["_attrib"] = _attrib_report(
-            job, cache, schedule_key,
-            functools.partial(attribute_spmm, mode=job.mode), execution,
-            config, channels, strategy, mode=job.mode)
+    extras["_attrib"] = run_report
     return report, extras
 
 
@@ -322,8 +301,8 @@ def _sptrsv_pipeline(job: SweepJob, cache: ArtifactCache,
     residual = float(np.abs(tri.matvec(x) - b).max())
 
     trace_key = cache.key("sptrsv-trace", solve_key, params)
-    report, schedule_key = _priced(job, cache, execution, config, params,
-                                   trace_key)
+    report, run_report = _priced(job, cache, execution, config, params,
+                                 trace_key, channels, strategy)
     extras = {
         "dimension": n,
         "nnz": tri.nnz,
@@ -335,11 +314,7 @@ def _sptrsv_pipeline(job: SweepJob, cache: ArtifactCache,
         extras["channels"] = channels
     if strategy != "paper":
         extras["strategy"] = strategy
-    if resolve_attrib(job.attrib):
-        from ..obs.attrib import attribute_sptrsv
-        extras["_attrib"] = _attrib_report(
-            job, cache, schedule_key, attribute_sptrsv, execution, config,
-            channels, strategy)
+    extras["_attrib"] = run_report
     return report, extras
 
 

@@ -58,20 +58,21 @@ class TestStableDigest:
 
 
 class TestCacheVersion:
-    """Stored traces now hold host sweeps: the layout version is v7."""
+    """One pricing pass per job: ``schedule`` artifacts carry the
+    RunReport and the ``attrib`` kind is gone, so the layout is v8."""
 
-    def test_version_is_seven(self):
+    def test_version_is_eight(self):
         from repro.sweep.cache import CACHE_VERSION
-        assert CACHE_VERSION == 7
+        assert CACHE_VERSION == 8
 
     def test_version_participates_in_every_digest(self, monkeypatch):
-        # Pre-v7 artifacts (keyed under CACHE_VERSION=6, whose traces
-        # spell host staging out per bank) must never be served: the
+        # Pre-v8 artifacts (keyed under CACHE_VERSION=7, whose schedule
+        # entries hold a bare PerfReport) must never be served: the
         # version is folded into stable_digest, so bumping it rotates
         # every key.
         from repro.sweep import cache as cache_mod
         current = cache_mod.stable_digest("spmv-plan", MATRIX)
-        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 6)
+        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 7)
         previous = cache_mod.stable_digest("spmv-plan", MATRIX)
         assert current != previous
 
@@ -79,10 +80,10 @@ class TestCacheVersion:
                                                   monkeypatch):
         from repro.sweep import cache as cache_mod
         cache = ArtifactCache(tmp_path)
-        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 6)
+        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 7)
         old_key = cache.key("kernel", MATRIX)
         cache.store("plan", old_key, {"stale": True})
-        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 7)
+        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 8)
         new_key = cache.key("kernel", MATRIX)
         assert new_key != old_key
         computed = cache.get_or_compute("plan", new_key,

@@ -28,12 +28,19 @@ query and update in O(1) instead of O(banks). The first single-bank
 command splits it back into the per-bank states (DESIGN.md, "Lock-step
 bank state"); :attr:`ChannelScheduler.banks` splits first as well, so the
 per-bank list stays the only bank model visible outside the scheduler.
+
+A host sweep that meets the channel in lock step with every bank
+precharged leaves the banks' states *pending*: the shared state plus the
+sweeps (and refreshes) applied to it since, replayed into the per-bank
+list only when something reads a single bank (DESIGN.md, "Sweeps from
+lock step").
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (Deque, Dict, Iterator, List, NamedTuple, Optional, Tuple,
+                    Union)
 
 from ..errors import TimingError
 from .bank import BankState
@@ -79,6 +86,20 @@ class SweepIssue(NamedTuple):
         return (sum(lc - act for _, act, lc, _, _ in self.anchors)
                 + (self.banks - len(self.anchors)) * self.col_span)
 
+    def bank(self, index: int) -> Optional[SweepBank]:
+        """Bank *index*'s :data:`SweepBank`, or ``None`` if not swept."""
+        anchors = self.anchors
+        if not anchors[0][0] <= index < self.banks:
+            return None
+        i = len(anchors) - 1
+        while anchors[i][0] > index:
+            i -= 1
+        bank, _, _, pre, refreshes = anchors[i]
+        if bank == index:
+            return anchors[i]
+        act = pre + 1 + (index - bank - 1) * (self.pre_span + 1)
+        return index, act, act + self.col_span, act + self.pre_span, refreshes
+
     def per_bank(self) -> Iterator[SweepBank]:
         """Every bank's :data:`SweepBank`, in issue order."""
         anchors = self.anchors
@@ -90,6 +111,11 @@ class SweepIssue(NamedTuple):
                 act = pre + 1
                 pre = act + self.pre_span
                 yield follower, act, act + self.col_span, pre, refreshes
+
+
+#: One pending update of the per-bank states: a sweep's banks (with
+#: their issue outcome), or a refresh's block cycle.
+_PendingOp = Union[int, Tuple[BankSweep, SweepIssue]]
 
 
 class ChannelScheduler:
@@ -117,6 +143,13 @@ class ChannelScheduler:
         # The states a broadcast reads and updates: every bank, or, in
         # lock step (after a broadcast ACT), one state shared by all.
         self._broadcast: List[BankState] = self._banks
+        # Pending per-bank states after sweeps from lock step: the shared
+        # state they started from, then each sweep (with its issue
+        # outcome) and each refresh's block cycle, in issue order. While
+        # pending, ``_broadcast`` holds one precharged state carrying the
+        # banks' maximum ``act_ready``.
+        self._base: Optional[BankState] = None
+        self._pending: Optional[List[_PendingOp]] = None
         # Banks with an open row; refresh may only go in when it is 0.
         self._open_banks = 0
         self._row_bus_free = 0
@@ -153,17 +186,35 @@ class ChannelScheduler:
         return self._banks
 
     def _split(self) -> None:
-        """Leave lock step: copy the shared state into every bank."""
+        """Leave lock step: copy the shared state into every bank and
+        replay whatever is pending on top of it."""
         if self._broadcast is self._banks:
             return
-        shared = self._broadcast[0]
-        for b in self._banks:
+        pending = self._pending
+        shared = self._broadcast[0] if pending is None else self._base
+        banks = self._banks
+        for b in banks:
             b.open_row = shared.open_row
             b.act_ready = shared.act_ready
             b.rd_ready = shared.rd_ready
             b.wr_ready = shared.wr_ready
             b.pre_ready = shared.pre_ready
-        self._broadcast = self._banks
+        self._broadcast = banks
+        if pending is None:
+            return
+        self._base = self._pending = None
+        for op in pending:
+            if op.__class__ is int:
+                for b in banks:
+                    b.block_until(op)
+                continue
+            sweep, issue = op
+            row, write = sweep.command.row, sweep.command.kind.is_write
+            for bank, act, last_col, pre, _ in issue.per_bank():
+                state = banks[bank]
+                state.apply_act(act, row)
+                (state.apply_write if write else state.apply_read)(last_col)
+                state.apply_pre(pre)
 
     def _group_of(self, bank: int) -> int:
         return bank // BANKS_PER_GROUP
@@ -270,6 +321,10 @@ class ChannelScheduler:
         Every bank window is a max-accumulation, so applying each
         follower's ``ACT``, last column and ``PRE`` reproduces the
         per-command state exactly, as in :meth:`issue_run`.
+
+        A closed-form sweep that finds the channel in lock step with
+        every bank precharged touches no bank state at all
+        (:meth:`_sweep_from_lockstep`).
         """
         t = self.timing
         template = sweep.command
@@ -283,7 +338,12 @@ class ChannelScheduler:
         closed = (template.min_gap == 0 and period >= t.tfaw
                   and period >= t.trrd_l and t.trcd + 1 >= t.tccd_l)
         anchors: List[SweepBank] = []
+        issue = SweepIssue(anchors, banks, col_span, pre_span)
         bank = 0
+        if (closed and self._broadcast is not self._banks
+                and not self._open_banks
+                and banks <= self.banks_per_channel):
+            bank = self._sweep_from_lockstep(sweep, issue, spacing)
         while bank < banks:
             anchors.append(self._sweep_anchor(sweep, bank))
             bank += 1
@@ -313,7 +373,174 @@ class ChannelScheduler:
             if bank > start:
                 self._close_followers(sweep, start, bank, first, period,
                                       spacing)
-        return SweepIssue(anchors, banks, col_span, pre_span)
+        return issue
+
+    def _sweep_from_lockstep(self, sweep: BankSweep, issue: SweepIssue,
+                             spacing: int) -> int:
+        """Issue *sweep* from lock step; return the first bank left to
+        the per-bank path (``sweep.banks`` when it is all issued).
+
+        Anchors come from :meth:`_lockstep_anchor` and followers from
+        :meth:`_close_followers`; the per-bank states stay pending, and
+        only the shared state's ``act_ready`` tracks the banks' maximum.
+        A refresh lands before the first follower whose ``ACT - 1``
+        reaches ``_next_refresh`` (found by division), and that bank
+        becomes the next anchor. A follower that pending ``act_ready``
+        windows would delay hands the rest of the sweep to the per-bank
+        path, after the pending states are replayed.
+        """
+        t = self.timing
+        if self._pending is None:
+            self._base = self._broadcast[0]
+            self._pending = []
+            # The banks' shared view while pending: precharged, with
+            # their maximum act_ready.
+            shared = BankState(t)
+            shared.act_ready = self._base.act_ready
+            self._broadcast = [shared]
+        shared = self._broadcast[0]
+        pending = self._pending
+        anchors = issue.anchors
+        banks, col_span, pre_span = issue.banks, issue.col_span, issue.pre_span
+        period = pre_span + 1
+        recorded = 0    # anchors already in a pending op
+        bank = 0
+        while bank < banks:
+            if self.enable_refresh and self._next_refresh <= self._now:
+                # The refresh blocks every bank after this sweep's banks
+                # so far and before the rest.
+                if len(anchors) > recorded:
+                    pending.append((sweep, SweepIssue(
+                        anchors[recorded:], bank, col_span, pre_span)))
+                    recorded = len(anchors)
+                self._maybe_refresh(self._now)
+            anchor = self._lockstep_anchor(sweep, bank, spacing)
+            anchors.append(anchor)
+            _, act, _, pre, _ = anchor
+            shared.act_ready = max(shared.act_ready, act + t.trc,
+                                   pre + t.trp)
+            bank += 1
+            if bank == banks:
+                break
+            act = pre + 1
+            if (self._rrd_window(bank, act) != act
+                    or self._faw_window(act) != act):
+                continue
+            end = banks
+            if self.enable_refresh:
+                end = min(end, bank + max(
+                    0, -((act - 1 - self._next_refresh) // period)))
+            if end == bank:
+                continue
+            if not self._pending_clear(bank, end, act, period):
+                pending.append((sweep, SweepIssue(
+                    anchors[recorded:], bank, col_span, pre_span)))
+                self._split()
+                return bank
+            self._close_followers(sweep, bank, end, act, period, spacing)
+            last_act = act + (end - 1 - bank) * period
+            shared.act_ready = max(shared.act_ready, last_act + t.trc,
+                                   last_act + pre_span + t.trp)
+            bank = end
+        pending.append((sweep, issue if not recorded else SweepIssue(
+            anchors[recorded:], banks, col_span, pre_span)))
+        return banks
+
+    def _lockstep_anchor(self, sweep: BankSweep, bank: int,
+                         spacing: int) -> SweepBank:
+        """One bank of a sweep from lock step, priced as :meth:`issue`
+        would its ``ACT``, column run and ``PRE`` (refresh already in).
+
+        ``apply_act`` assigns the bank's column windows ``act + tRCD``
+        and ``pre_ready = act + tRAS``; the columns then only add their
+        recovery, so the bank's own state enters through ``act_ready``
+        alone.
+        """
+        t = self.timing
+        template = sweep.command
+        write = template.kind.is_write
+        group = self._group_of(bank)
+        act = max(self._now, self._row_bus_free,
+                  self._pending_act_ready(bank))
+        act = self._faw_window(self._rrd_window(bank, act))
+        refreshes = self.refreshes_performed
+        self._act_times.append(act)
+        self._last_act_cycle = act
+        self._last_act_group = group
+        first = max(act + t.trcd, self._col_bus_free,
+                    self._ccd_window(group), self._turnaround(write))
+        last_col = first + (sweep.beats - 1) * spacing
+        self._last_col_cycle = last_col
+        self._last_col_group = group
+        self._last_col_was_write = write
+        self._last_col_all_bank = False
+        self._col_bus_free = last_col + 1
+        recovery = t.write_recovery if write else t.trtp
+        pre = max(act + t.tras, last_col, last_col + recovery)
+        self._row_bus_free = pre + 1
+        self._now = pre
+        counts = self.counts
+        counts[CommandType.ACT] += 1
+        counts[template.kind] += sweep.beats
+        counts[CommandType.PRE] += 1
+        if self._checker is not None:
+            observe = self._checker.observe
+            act_cmd, column, pre_cmd = sweep.bank_commands(bank)
+            observe(act, act_cmd)
+            for k in range(sweep.beats):
+                observe(first + k * spacing, column)
+            observe(pre, pre_cmd)
+        return bank, act, last_col, pre, refreshes
+
+    def _pending_act_ready(self, bank: int) -> int:
+        """One bank's ``act_ready``, replayed from the pending updates
+        (``ACT`` adds ``+ tRC``, ``PRE`` adds ``+ tRP``, refresh blocks)."""
+        t = self.timing
+        ready = self._base.act_ready
+        for op in self._pending:
+            if op.__class__ is int:
+                ready = max(ready, op)
+                continue
+            swept = op[1].bank(bank)
+            if swept is not None:
+                ready = max(ready, swept[1] + t.trc, swept[3] + t.trp)
+        return ready
+
+    def _pending_clear(self, start: int, end: int, first: int,
+                       period: int) -> bool:
+        """Whether banks ``[start, end)`` are ready for ACTs at ``first +
+        (bank - start) * period`` under the pending sweeps.
+
+        A pending sweep's ``act_ready`` contribution is linear in the
+        bank across each anchor's followers, and so is the ACT cycle,
+        so checking the ends of every stretch checks every bank. The
+        shared state before the sweeps and every refresh block are at
+        or before the current anchor's ``ACT``, hence before ``first``.
+        """
+        t = self.timing
+        for op in self._pending:
+            if op.__class__ is int:
+                continue
+            issue = op[1]
+            anchors = issue.anchors
+            span = issue.pre_span
+            for i, (a_bank, a_act, _, a_pre, _) in enumerate(anchors):
+                if a_bank >= end:
+                    break
+                if (a_bank >= start and max(a_act + t.trc, a_pre + t.trp)
+                        > first + (a_bank - start) * period):
+                    return False
+                stop = (anchors[i + 1][0] if i + 1 < len(anchors)
+                        else issue.banks)
+                lo, hi = max(a_bank + 1, start), min(stop, end) - 1
+                if lo > hi:
+                    continue
+                for b in (lo, hi):
+                    act = a_pre + 1 + (b - a_bank - 1) * (span + 1)
+                    if (max(act + t.trc, act + span + t.trp)
+                            > first + (b - start) * period):
+                        return False
+        return True
 
     def _sweep_anchor(self, sweep: BankSweep, bank: int) -> SweepBank:
         """Issue one bank of a sweep command by command."""
@@ -382,6 +609,7 @@ class ChannelScheduler:
             shared = BankState(t)
             shared.apply_act(cycle, command.row)
             self._broadcast = [shared]
+            self._base = self._pending = None
             self._open_banks = self.banks_per_channel
             # Broadcast ACT resets single-bank RRD history; internal
             # staggering is folded into the per-bank tRC spacing.
@@ -485,6 +713,8 @@ class ChannelScheduler:
         done = cycle + self.timing.trfc
         for b in self._broadcast:
             b.block_until(done)
+        if self._pending is not None:
+            self._pending.append(done)
         self._row_bus_free = cycle + 1
         self.refreshes_performed += 1
         return cycle

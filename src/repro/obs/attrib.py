@@ -180,6 +180,10 @@ class AttributionCollector:
         #: Per-channel, per-bank cycles of single-bank scope.
         self._sb: Dict[int, Dict[int, List[int]]] = {}
         self._sb_sum: Dict[int, int] = {}
+        #: Per-channel single-bank cycles charged to bank ranges, as a
+        #: difference array: the vector at ``lo`` applies to banks
+        #: ``lo`` and up, cancelled at ``hi`` (resolved in finalize).
+        self._sb_ranges: Dict[int, Dict[int, List[int]]] = {}
         self.entry_cycles: Optional[List[int]] = (
             [] if capture_entries else None)
         #: Raw issue outcomes in observation order; bucketed lazily so the
@@ -206,33 +210,74 @@ class AttributionCollector:
     def _bucket_sweep(self, sweep: BankSweep, issue) -> None:
         """Bucket a sweep exactly as its ACT/columns/PRE expansion.
 
-        With no stall debt and no inserted refresh to split off, a
-        bank's three deltas land whole on its own lane: ``ACT`` and
-        ``PRE`` on ``row``, the columns on their category. The sweep is
-        one trace entry, so it records one entry cycle.
+        Each anchor bank is bucketed on its own (:meth:`_bucket_bank`).
+        Its closed-form followers share its refresh count, and once no
+        stall debt is left each one's deltas are the same: ``1 +
+        pre_span - col_span`` on ``row`` and ``col_span`` on the
+        columns' category. They are charged as one bank-range tally,
+        so a sweep costs O(anchors). The sweep is one trace entry, so
+        it records one entry cycle.
         """
         command = sweep.command
-        ch, kind, beats = command.channel, command.kind, sweep.beats
+        ch = command.channel
         cat = category_of(command)
-        charge = self._charge
-        lanes = self._sb.setdefault(ch, {})
-        for bank, act, last_col, pre, refreshes in issue.per_bank():
-            if (self._debt_seam.get(ch, 0) or self._debt_refresh.get(ch, 0)
-                    or refreshes != self._refs.get(ch, 0)):
-                charge(ch, CommandType.ACT, C_ROW, bank, 1, act, refreshes)
-                charge(ch, kind, cat, bank, beats, last_col, refreshes)
-                charge(ch, CommandType.PRE, C_ROW, bank, 1, pre, refreshes)
+        anchors = issue.anchors
+        col_span, pre_span = issue.col_span, issue.pre_span
+        period = pre_span + 1
+        for i, (bank, act, last_col, pre, refreshes) in enumerate(anchors):
+            self._bucket_bank(sweep, cat, bank, act, last_col, pre,
+                              refreshes)
+            end = anchors[i + 1][0] if i + 1 < len(anchors) else issue.banks
+            bank += 1
+            while bank < end and (self._debt_seam.get(ch, 0)
+                                  or self._debt_refresh.get(ch, 0)):
+                act = pre + 1
+                pre = act + pre_span
+                self._bucket_bank(sweep, cat, bank, act, act + col_span,
+                                  pre, refreshes)
+                bank += 1
+            if bank == end:
                 continue
-            now = self._now.get(ch, 0)
-            lane = lanes.get(bank)
-            if lane is None:
-                lane = lanes[bank] = [0] * NCAT
-            lane[C_ROW] += (act - now) + (pre - last_col)
-            lane[cat] += last_col - act
-            self._sb_sum[ch] = self._sb_sum.get(ch, 0) + (pre - now)
-            self._now[ch] = pre
+            ranges = self._sb_ranges.setdefault(ch, {})
+            for edge, sign in ((bank, 1), (end, -1)):
+                diff = ranges.get(edge)
+                if diff is None:
+                    diff = ranges[edge] = [0] * NCAT
+                diff[C_ROW] += sign * (period - col_span)
+                diff[cat] += sign * col_span
+            n = end - bank
+            self._sb_sum[ch] = self._sb_sum.get(ch, 0) + n * period
+            self._now[ch] = pre + n * period
         if self.entry_cycles is not None:
             self.entry_cycles.append(issue.last)
+
+    def _bucket_bank(self, sweep: BankSweep, cat: int, bank: int, act: int,
+                     last_col: int, pre: int, refreshes: int) -> None:
+        """Bucket one bank of a sweep as its ACT, columns and PRE.
+
+        With no stall debt and no inserted refresh to split off, the
+        bank's three deltas land whole on its own lane: ``ACT`` and
+        ``PRE`` on ``row``, the columns on their category.
+        """
+        command = sweep.command
+        ch = command.channel
+        if (self._debt_seam.get(ch, 0) or self._debt_refresh.get(ch, 0)
+                or refreshes != self._refs.get(ch, 0)):
+            charge = self._charge
+            charge(ch, CommandType.ACT, C_ROW, bank, 1, act, refreshes)
+            charge(ch, command.kind, cat, bank, sweep.beats, last_col,
+                   refreshes)
+            charge(ch, CommandType.PRE, C_ROW, bank, 1, pre, refreshes)
+            return
+        now = self._now.get(ch, 0)
+        lanes = self._sb.setdefault(ch, {})
+        lane = lanes.get(bank)
+        if lane is None:
+            lane = lanes[bank] = [0] * NCAT
+        lane[C_ROW] += (act - now) + (pre - last_col)
+        lane[cat] += last_col - act
+        self._sb_sum[ch] = self._sb_sum.get(ch, 0) + (pre - now)
+        self._now[ch] = pre
 
     def _charge(self, ch: int, kind: CommandType, cat: int, bank: int,
                 count: int, last: int, refreshes: int) -> None:
@@ -285,6 +330,23 @@ class AttributionCollector:
             lane[cat] += delta
             self._sb_sum[ch] = self._sb_sum.get(ch, 0) + delta
 
+    def _resolve_ranges(self, banks_per_channel: int) -> None:
+        """Fold the bank-range tallies into the per-bank lanes, once."""
+        ranges_by_channel, self._sb_ranges = self._sb_ranges, {}
+        for ch, ranges in ranges_by_channel.items():
+            lanes = self._sb.setdefault(ch, {})
+            running = [0] * NCAT
+            for bank in range(banks_per_channel):
+                diff = ranges.get(bank)
+                if diff is not None:
+                    for i in range(NCAT):
+                        running[i] += diff[i]
+                lane = lanes.get(bank)
+                if lane is None:
+                    lane = lanes[bank] = [0] * NCAT
+                for i in range(NCAT):
+                    lane[i] += running[i]
+
     def finalize(self, banks_per_channel: int,
                  useful_loads: Optional[
                      Dict[int, Tuple[Sequence[float], float]]] = None,
@@ -305,6 +367,7 @@ class AttributionCollector:
                 self._bucket_sweep(*entry)
             else:
                 self._bucket(*entry)
+        self._resolve_ranges(banks_per_channel)
         observed = max(self._now.values()) if self._now else 0
         if total_cycles is None:
             total_cycles = observed

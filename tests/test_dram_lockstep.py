@@ -140,6 +140,68 @@ def random_trace(seed: int):
     return trace, channels
 
 
+#: Seeds of SpTRSV-shaped traces (sweeps between broadcast phases).
+LEVEL_SEEDS = range(12)
+
+
+def sptrsv_trace(seed: int):
+    """A seeded SpTRSV-shaped trace over one or two channels.
+
+    Per level and channel: 1-3 back-to-back host sweeps (the later ones
+    meet the earlier ones' banks), sometimes an explicit refresh, a
+    mode switch, 1-3 broadcast ``ACT_AB``/column runs/``PRE_AB``
+    phases and a mode switch back. Idle gaps of 500-5000 cycles cross
+    tREFI, so refreshes fall due between and inside sweeps. A broadcast
+    phase opens every channel, so even the first sweep meets lock step,
+    and host sweeps close every channel, so its banks are still pending
+    after the last command.
+    """
+    rng = np.random.default_rng(10_000 + seed)
+    channels = 1 + seed % 2
+
+    def gap():
+        return int(rng.integers(500, 5000)) if rng.random() < 0.15 else 0
+
+    def broadcast(ch):
+        row = int(rng.integers(ROWS))
+        kind = CommandType.RD_AB if rng.random() < 0.5 else CommandType.WR_AB
+        column = Command(kind, channel=ch, row=row, tag="broadcast")
+        count = 1 + int(rng.integers(30))
+        return [Command(CommandType.ACT_AB, channel=ch, row=row,
+                        min_gap=gap()),
+                column if count == 1 else CommandRun(column, count),
+                Command(CommandType.PRE_AB, channel=ch)]
+
+    def sweeps(ch):
+        out = []
+        for _ in range(1 + int(rng.integers(3))):
+            kind = CommandType.RD if rng.random() < 0.5 else CommandType.WR
+            banks = (BANKS_PER_CHANNEL if rng.random() < 0.7
+                     else 1 + int(rng.integers(BANKS_PER_CHANNEL)))
+            command = Command(kind, channel=ch, row=int(rng.integers(ROWS)),
+                              tag=SWEEP_TAGS[int(rng.integers(
+                                  len(SWEEP_TAGS)))])
+            out.append(BankSweep(command, 1 + int(rng.integers(40)), banks))
+        return out
+
+    trace = []
+    for ch in range(channels):
+        trace += [Command(CommandType.MODE, channel=ch), *broadcast(ch),
+                  Command(CommandType.MODE, channel=ch)]
+    for _ in range(20 + int(rng.integers(20))):
+        ch = int(rng.integers(channels))
+        trace += sweeps(ch)
+        if rng.random() < 0.1:
+            trace.append(Command(CommandType.REF, channel=ch))
+        trace.append(Command(CommandType.MODE, channel=ch, min_gap=gap()))
+        for _ in range(1 + int(rng.integers(3))):
+            trace += broadcast(ch)
+        trace.append(Command(CommandType.MODE, channel=ch))
+    for ch in range(channels):
+        trace += sweeps(ch)
+    return trace, channels
+
+
 class _IssueLog:
     """Collector recording the last issue cycle of every command or run
     (a sweep logs its expansion's: each bank's ACT, last column, PRE)."""
@@ -374,6 +436,36 @@ class TestBankView:
         assert _bank_rows(sched.banks) == _bank_rows(banks)
 
 
+def _price(trace, timing, channels, log):
+    """Price *trace* under the protocol checker; return the result and
+    each channel's per-bank state after its last command."""
+    controller = MemoryController(timing, num_channels=channels,
+                                  validate_protocol=True)
+    result = controller.run(trace, collector=log)
+    banks = {}
+    for ch in range(channels):
+        sched = ChannelScheduler(timing, channel=ch)
+        _schedule_channel(sched, trace, ch)
+        banks[ch] = _bank_rows(sched.banks)
+    return result, banks
+
+
+def assert_prices_as_expansion(trace, timing, channels):
+    """Pricing *trace* reproduces pricing its ``expand_sweeps``
+    expansion exactly, with no protocol violation on either."""
+    swept, flat = _IssueLog(), _IssueLog()
+    got, got_banks = _price(trace, timing, channels, swept)
+    want, want_banks = _price(list(expand_sweeps(trace)), timing, channels,
+                              flat)
+    assert got.violations == [] and want.violations == []
+    assert swept.last == flat.last
+    assert got_banks == want_banks
+    for field in ("total_cycles", "per_channel_cycles", "counts",
+                  "command_total", "refreshes", "tag_cycles",
+                  "per_channel_stats"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
 class TestSweepClosedForm:
     """``issue_sweep`` against its expansion where the guards bite.
 
@@ -392,34 +484,11 @@ class TestSweepClosedForm:
         "refi": TimingParams(trefi=400, trfc=100),
     }
 
-    @staticmethod
-    def _price(trace, timing, channels, log):
-        controller = MemoryController(timing, num_channels=channels,
-                                      validate_protocol=True)
-        result = controller.run(trace, collector=log)
-        banks = {}
-        for ch in range(channels):
-            sched = ChannelScheduler(timing, channel=ch)
-            _schedule_channel(sched, trace, ch)
-            banks[ch] = _bank_rows(sched.banks)
-        return result, banks
-
     @pytest.mark.parametrize("name", TIMINGS)
     @pytest.mark.parametrize("seed", SWEEP_SEEDS[:6])
     def test_sweep_prices_as_its_expansion(self, name, seed):
-        timing = self.TIMINGS[name]
         trace, channels = random_trace(seed)
-        swept, flat = _IssueLog(), _IssueLog()
-        got, got_banks = self._price(trace, timing, channels, swept)
-        want, want_banks = self._price(list(expand_sweeps(trace)),
-                                       timing, channels, flat)
-        assert got.violations == [] and want.violations == []
-        assert swept.last == flat.last
-        assert got_banks == want_banks
-        for field in ("total_cycles", "per_channel_cycles", "counts",
-                      "command_total", "refreshes", "tag_cycles",
-                      "per_channel_stats"):
-            assert getattr(got, field) == getattr(want, field), field
+        assert_prices_as_expansion(trace, self.TIMINGS[name], channels)
 
     def test_validated_sweep_is_not_priced_per_command(self, monkeypatch):
         """Under the protocol checker the closed form still runs, and the
@@ -461,6 +530,94 @@ class TestSweepClosedForm:
         sweep = BankSweep(Command(CommandType.RD), beats=2, banks=2)
         with pytest.raises(TypeError, match="expand_sweeps"):
             as_run(sweep)
+
+
+class TestSweepFromLockstep:
+    """Sweeps that meet the channel in lock step, with every bank
+    precharged, leave the per-bank states pending; the SpTRSV-shaped
+    traces price exactly as their expansion under every timing set."""
+
+    @pytest.mark.parametrize("name", TestSweepClosedForm.TIMINGS)
+    @pytest.mark.parametrize("seed", LEVEL_SEEDS)
+    def test_sptrsv_shaped_trace_prices_as_its_expansion(self, name, seed):
+        trace, channels = sptrsv_trace(seed)
+        assert_prices_as_expansion(trace, TestSweepClosedForm.TIMINGS[name],
+                                   channels)
+
+    def test_lockstep_path_prices_most_sweeps(self, monkeypatch):
+        """Most sweeps issue no command through ``issue()``, including
+        sweeps that meet pending states and sweeps a refresh lands in."""
+        counts = {"sweeps": 0, "lockstep": 0, "pending": 0, "refresh": 0}
+        issued = []
+        issue, issue_sweep = ChannelScheduler.issue, ChannelScheduler.issue_sweep
+
+        def counting_issue(self, command, earliest=0):
+            issued.append(command.kind)
+            return issue(self, command, earliest)
+
+        def counting_sweep(self, sweep):
+            pending = self._pending is not None
+            before = len(issued)
+            outcome = issue_sweep(self, sweep)
+            counts["sweeps"] += 1
+            if len(issued) == before:
+                counts["lockstep"] += 1
+                counts["pending"] += pending
+                counts["refresh"] += (outcome.anchors[-1][4]
+                                      > outcome.anchors[0][4])
+            return outcome
+
+        monkeypatch.setattr(ChannelScheduler, "issue", counting_issue)
+        monkeypatch.setattr(ChannelScheduler, "issue_sweep", counting_sweep)
+        for seed in LEVEL_SEEDS:
+            trace, channels = sptrsv_trace(seed)
+            MemoryController(TimingParams(), num_channels=channels).run(trace)
+        assert counts["lockstep"] >= 0.9 * counts["sweeps"]
+        assert counts["pending"] >= 100
+        assert counts["refresh"] >= 10
+
+    def test_broadcast_act_drops_pending_states(self):
+        """``ACT_AB`` after a pending sweep, ``PRE_AB``, then a sweep on
+        the per-command path: the banks are the broadcast's, not the
+        pending sweep's."""
+        trace = [Command(CommandType.MODE),
+                 Command(CommandType.ACT_AB, row=1),
+                 Command(CommandType.PRE_AB),
+                 BankSweep(Command(CommandType.WR, row=2), beats=6, banks=16),
+                 Command(CommandType.ACT_AB, row=1),
+                 Command(CommandType.PRE_AB),
+                 BankSweep(Command(CommandType.RD, row=3, min_gap=2),
+                           beats=3, banks=16)]
+        assert_prices_as_expansion(trace, TimingParams(), 1)
+        sched = ChannelScheduler(TimingParams(), validate_protocol=True)
+        _schedule_channel(sched, trace[:4], 0)
+        assert sched._pending
+        _schedule_channel(sched, trace[4:], 0)
+        assert sched.protocol_violations == []
+
+    def test_refresh_due_at_every_cycle_of_a_sweep(self):
+        """Move tREFI across two sweeps one cycle at a time, so refresh
+        falls due at, just before and just after every ``ACT``."""
+        trace = [Command(CommandType.MODE), Command(CommandType.ACT_AB, row=1),
+                 Command(CommandType.PRE_AB),
+                 BankSweep(Command(CommandType.WR, row=2), beats=2, banks=16),
+                 BankSweep(Command(CommandType.RD, row=3), beats=1, banks=7)]
+        for trefi in range(60, 400):
+            assert_prices_as_expansion(trace, TimingParams(trefi=trefi,
+                                                           trfc=50), 1)
+
+    def test_pending_states_materialise_on_demand(self):
+        """A single-bank command and ``banks`` replay pending sweeps and
+        refreshes exactly as the per-command expansion leaves them."""
+        t = TimingParams(trefi=400, trfc=100)
+        head = [Command(CommandType.MODE), Command(CommandType.ACT_AB, row=1),
+                Command(CommandType.PRE_AB),
+                BankSweep(Command(CommandType.WR, row=2), beats=6, banks=16),
+                BankSweep(Command(CommandType.RD, row=0), beats=2, banks=9),
+                Command(CommandType.REF)]
+        for tail in ([], [Command(CommandType.ACT, bank=12, row=3)],
+                     [Command(CommandType.MODE), Command(CommandType.REF)]):
+            assert_prices_as_expansion(head + tail, t, 1)
 
 
 def dump_records(records, out) -> None:

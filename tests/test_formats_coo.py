@@ -90,6 +90,42 @@ class TestOrdering:
         assert small.sorted_cols() == small
         assert small.sorted_rows() == small
 
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(7)
+        cases = [COOMatrix.empty((4, 5)),
+                 COOMatrix((3, 3), [2], [1], [1.0]),
+                 # duplicate coordinates: ties keep their storage order
+                 COOMatrix((4, 4), [3, 1, 3, 1, 0, 3], [2, 0, 2, 0, 3, 1],
+                           np.arange(6.0), check=False)]
+        for _ in range(6):
+            shape = tuple(int(v) for v in rng.integers(1, 60, size=2))
+            n = int(rng.integers(0, 200))
+            cases.append(COOMatrix(
+                shape, rng.integers(0, shape[0], n),
+                rng.integers(0, shape[1], n), rng.random(n), check=False))
+        return cases
+
+    def test_orders_are_lexsort_permutations(self):
+        """One fused-key argsort gives exactly ``lexsort``'s permutation,
+        duplicates and all."""
+        for m in self._cases():
+            for srt, major, minor, shape in (
+                    (m.sorted_rows(), m.rows, m.cols, m.shape),
+                    (m.sorted_cols(), m.cols, m.rows, m.shape[::-1])):
+                order = np.lexsort((minor, major))
+                assert np.array_equal(COOMatrix._order(major, minor, shape),
+                                      order)
+                assert np.array_equal(srt.rows, m.rows[order])
+                assert np.array_equal(srt.cols, m.cols[order])
+                assert np.array_equal(srt.vals, m.vals[order])
+
+    def test_order_falls_back_to_lexsort_past_int64(self):
+        rows, cols = np.array([5, 1, 5, 0]), np.array([2, 9, 0, 9])
+        huge = (2 ** 40, 2 ** 40)
+        assert np.array_equal(COOMatrix._order(rows, cols, huge),
+                              np.lexsort((cols, rows)))
+
 
 class TestArithmetic:
     def test_matvec_matches_dense(self, small):

@@ -11,7 +11,8 @@ from repro.analysis.report import JobRecord, SweepResult
 from repro.config import (default_system, resolve_attrib, resolve_obs)
 from repro.core import plan_spmv, run_spmv
 from repro.core.sptrsv import ildu, run_sptrsv
-from repro.core.trace import spmm_ab_segments, spmm_ab_trace
+from repro.core.timing import price_trace
+from repro.core.trace import spmm_ab_segments, spmm_ab_trace, synthesize
 from repro.core.trace import TraceSegment
 from repro.dram import (BankSweep, Command, CommandRun, CommandType,
                         TimingParams)
@@ -26,6 +27,8 @@ from repro.obs.attrib import (ATTRIB_VERSION, CATEGORIES,
 from repro.obs.report import (RunReport, build_run_report, diff_reports,
                               load_reports, render_diff, render_html,
                               render_report, save_reports)
+from tests.test_dram_lockstep import (LEVEL_SEEDS, SWEEP_SEEDS, random_trace,
+                                      sptrsv_trace)
 
 SCALE = 0.02
 SPMV_SUITE = list(matrices_for("spmv"))
@@ -289,6 +292,85 @@ def test_sweeps_and_expanded_attribute_identically(seed, config):
     assert att_sweeps.lane_cycles == att_flat.lane_cycles
     assert att_sweeps.channel_clock == att_flat.channel_clock
     assert att_sweeps.segment_cycles == att_flat.segment_cycles
+
+
+def _collect(trace, segments, config):
+    """Attribute *trace*; return the attribution and its entry cycles."""
+    timing = TimingParams()
+    collector = AttributionCollector(
+        trfc=timing.trfc, mode_switch_cycles=timing.mode_switch_cycles,
+        capture_entries=True)
+    perf = price_trace(trace, config, collector=collector)
+    attribution = collector.finalize(
+        banks_per_channel=config.memory.banks_per_channel,
+        segments=segments, total_cycles=perf.cycles)
+    return attribution, collector.entry_cycles
+
+
+def _assert_collects_as_expansion(trace, segments, config):
+    """The O(anchors) sweep bucketing equals a collector fed each
+    sweep's expansion: lanes, clocks, entry and segment cycles."""
+    expanded, starts = [], []
+    for entry in trace:
+        starts.append(len(expanded))
+        expanded.extend(expand_sweeps([entry]))
+    starts.append(len(expanded))
+    flat_segments = [TraceSegment(s.label, s.channel, starts[s.start],
+                                  starts[s.end]) for s in segments]
+    got, got_entries = _collect(trace, segments, config)
+    want, want_entries = _collect(expanded, flat_segments, config)
+    assert got.lane_cycles == want.lane_cycles
+    assert got.channel_clock == want.channel_clock
+    # One entry cycle per sweep entry: its expansion's last PRE.
+    assert got_entries == [want_entries[end - 1] for end in starts[1:]]
+    assert got.segment_cycles == want.segment_cycles
+
+
+@pytest.mark.parametrize("seed", [*SWEEP_SEEDS, *LEVEL_SEEDS])
+def test_sweep_bucketing_matches_expansion(seed, config):
+    trace, _ = (random_trace(seed) if seed in SWEEP_SEEDS
+                else sptrsv_trace(seed))
+    segments = [TraceSegment(f"e{i}", entry.channel, i, i + 1)
+                for i, entry in enumerate(trace)]
+    _assert_collects_as_expansion(trace, segments, config)
+
+
+@pytest.mark.parametrize("lockstep", [False, True])
+def test_sweep_followers_pay_leftover_debt(lockstep, config):
+    """A long mode-switch run leaves more seam debt than the anchor bank
+    absorbs, so closed-form followers split it off as the expansion."""
+    head = ([Command(CommandType.MODE), Command(CommandType.ACT_AB, row=1),
+             Command(CommandType.PRE_AB)] if lockstep else [])
+    trace = head + [CommandRun(Command(CommandType.MODE), 12),
+                    BankSweep(Command(CommandType.RD, row=2, tag="read_b"),
+                              beats=1, banks=16)]
+    segments = [TraceSegment(f"e{i}", 0, i, i + 1)
+                for i in range(len(trace))]
+    _assert_collects_as_expansion(trace, segments, config)
+
+
+@pytest.fixture(scope="module")
+def fig9_traces(config):
+    """Both ILDU factors of every Fig. 9 matrix, at scale 0.005, on the
+    representative channel and sharded over 4 channels."""
+    traces = {}
+    for name in SPTRSV_SUITE:
+        factors = ildu(generate(name, scale=0.005))
+        for lower in (True, False):
+            tri = factors.lower if lower else factors.upper
+            b = np.random.default_rng(0).random(tri.shape[0])
+            for channels in (None, 4):
+                execution = run_sptrsv(tri, b, config, lower=lower,
+                                       channels=channels).execution
+                traces[name, lower, channels] = synthesize(execution, config)
+    return traces
+
+
+def test_fig9_sweep_bucketing_matches_expansion(fig9_traces, config):
+    assert len(fig9_traces) == 20
+    for segmented in fig9_traces.values():
+        _assert_collects_as_expansion(segmented.trace, segmented.segments,
+                                      config)
 
 
 def test_real_trace_run_length_equivalence(config):

@@ -5,6 +5,8 @@ SpTRSV execution (per-beat PU interpretation) and DRAM trace pricing
 (per-command issue) — under both implementations at ``PSYNCPIM_SCALE``,
 asserts the results stay bitwise identical, and writes the measurements
 to ``benchmarks/results/BENCH_engine.json`` for the CI perf-smoke gate.
+The scalar runs swap the oracle in with
+:func:`repro.check.oracles.use_scalar_engine`.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from conftest import BENCH_SCALE, RESULTS_DIR, bench_matrix, bench_vector
 from repro import obs
+from repro.check import oracles
 from repro.config import default_system
 from repro.core import (price_trace, run_spmv, run_sptrsv, spmm_ab_trace,
                         time_spmv)
@@ -34,6 +38,15 @@ def _best_of(fn, repeats=3):
     return best, result
 
 
+def _on_scalar_engine(fn):
+    """*fn*, run with every kernel driver on the scalar engine oracle."""
+    def run():
+        with pytest.MonkeyPatch.context() as mp:
+            oracles.use_scalar_engine(mp.setattr)
+            return fn()
+    return run
+
+
 def test_engine_microbenchmark():
     matrix = bench_matrix("facebook")
     x = bench_vector(matrix.shape[1], seed=1)
@@ -46,12 +59,11 @@ def test_engine_microbenchmark():
     bench = {"scale": BENCH_SCALE, "times": {}, "speedups": {}}
 
     # --- functional SpMV: the per-beat interpreter hot loop -----------
-    t_scalar, r_scalar = _best_of(
-        lambda: run_spmv(matrix, x, CFG, fidelity="functional",
-                         engine="scalar"))
-    t_lane, r_lane = _best_of(
-        lambda: run_spmv(matrix, x, CFG, fidelity="functional",
-                         engine="lane"))
+    def spmv():
+        return run_spmv(matrix, x, CFG, fidelity="functional")
+
+    t_scalar, r_scalar = _best_of(_on_scalar_engine(spmv))
+    t_lane, r_lane = _best_of(spmv)
     assert np.array_equal(r_scalar.y, r_lane.y), \
         "lane engine diverged from the scalar oracle on SpMV"
     bench["times"]["spmv_scalar_s"] = t_scalar
@@ -59,12 +71,11 @@ def test_engine_microbenchmark():
     bench["speedups"]["spmv"] = t_scalar / t_lane
 
     # --- functional SpTRSV --------------------------------------------
-    t_scalar, r_scalar = _best_of(
-        lambda: run_sptrsv(low, b, CFG, fidelity="functional",
-                           engine="scalar"), repeats=2)
-    t_lane, r_lane = _best_of(
-        lambda: run_sptrsv(low, b, CFG, fidelity="functional",
-                           engine="lane"), repeats=2)
+    def sptrsv():
+        return run_sptrsv(low, b, CFG, fidelity="functional")
+
+    t_scalar, r_scalar = _best_of(_on_scalar_engine(sptrsv), repeats=2)
+    t_lane, r_lane = _best_of(sptrsv, repeats=2)
     assert np.array_equal(r_scalar.x, r_lane.x), \
         "lane engine diverged from the scalar oracle on SpTRSV"
     bench["times"]["sptrsv_scalar_s"] = t_scalar

@@ -5,7 +5,8 @@ matrix partitioning (compressed and uncompressed), tile distribution
 (paper and balanced policies) and SpTRSV level scheduling — under both
 planners at ``PSYNCPIM_SCALE``, asserts the plans stay bitwise identical,
 and writes the measurements to ``benchmarks/results/BENCH_plan.json`` for
-the CI perf-smoke gate.
+the CI perf-smoke gate. The scalar runs swap the oracles in with
+:func:`repro.check.oracles.use_scalar_planner`.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from conftest import BENCH_SCALE, RESULTS_DIR
+from repro.check import oracles
 from repro.config import default_system
 from repro.core import distribute, partition
 from repro.core.sptrsv import level_schedule
@@ -32,6 +35,15 @@ def _best_of(fn, repeats=3):
         result = fn()
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def _on_scalar_planner(fn):
+    """*fn*, run with every planning stage on its scalar oracle."""
+    def run():
+        with pytest.MonkeyPatch.context() as mp:
+            oracles.use_scalar_planner(mp.setattr)
+            return fn()
+    return run
 
 
 def _assert_plans_equal(fast, scalar):
@@ -73,8 +85,8 @@ def test_planner_microbenchmark():
                         "tri_n": tri_n, "tri_nnz": tri.nnz},
              "times": {}, "speedups": {}}
 
-    def measure(key, fast_fn, scalar_fn, check, repeats=3):
-        t_scalar, r_scalar = _best_of(scalar_fn, repeats)
+    def measure(key, fast_fn, check, repeats=3):
+        t_scalar, r_scalar = _best_of(_on_scalar_planner(fast_fn), repeats)
         t_fast, r_fast = _best_of(fast_fn, repeats)
         check(r_fast, r_scalar)
         bench["times"][f"{key}_scalar_s"] = t_scalar
@@ -88,20 +100,15 @@ def test_planner_microbenchmark():
         measure(
             key,
             lambda: partition(matrix, CFG, compress=compress,
-                              planner="fast", validate=False),
-            lambda: partition(matrix, CFG, compress=compress,
-                              planner="scalar", validate=False),
+                              validate=False),
             _assert_plans_equal)
 
     # --- distribution --------------------------------------------------
-    plan = partition(matrix, CFG, planner="fast", validate=False)
+    plan = partition(matrix, CFG, validate=False)
     for policy in ("paper", "balanced"):
         measure(
             f"distribute_{policy}",
-            lambda: distribute(plan, CFG.total_units, policy=policy,
-                               planner="fast"),
-            lambda: distribute(plan, CFG.total_units, policy=policy,
-                               planner="scalar"),
+            lambda: distribute(plan, CFG.total_units, policy=policy),
             _assert_assignments_equal)
 
     # --- level scheduling ----------------------------------------------
@@ -110,11 +117,8 @@ def test_planner_microbenchmark():
         for lf, ls in zip(fast, scalar):
             assert np.array_equal(lf, ls)
 
-    measure(
-        "level_schedule",
-        lambda: level_schedule(tri, planner="fast"),
-        lambda: level_schedule(tri, planner="scalar"),
-        levels_equal, repeats=2)
+    measure("level_schedule", lambda: level_schedule(tri), levels_equal,
+            repeats=2)
 
     scalar_total = sum(v for k, v in bench["times"].items()
                        if k.endswith("_scalar_s"))

@@ -13,6 +13,10 @@ produce results (DESIGN.md, "three-oracle strategy"):
 * :mod:`repro.check.golden` — golden-trace regression snapshots of
   canonical workloads (full command traces, cycle counts, energy),
   compared exactly in CI.
+
+:mod:`repro.check.oracles` holds the scalar planning oracles and the
+hooks tests use to swap them, and the scalar engine, into the production
+path; it is not imported here.
 """
 
 from .fuzz import (FuzzCase, build_case, fuzz_batch, fuzz_range,

@@ -24,58 +24,6 @@ from typing import Dict, Optional
 
 from .errors import ConfigError
 
-#: Environment variable selecting the functional execution engine.
-ENGINE_ENV = "PSYNCPIM_ENGINE"
-
-#: Engines the functional tier can run on: the vectorized lane engine
-#: (default) and the scalar reference oracle.
-ENGINE_CHOICES = ("lane", "scalar")
-
-#: Engine used when neither the caller nor the environment chooses one.
-DEFAULT_ENGINE = "lane"
-
-
-def resolve_engine(explicit: Optional[str] = None) -> str:
-    """Resolve the functional engine: explicit arg > env var > default.
-
-    Raises :class:`ConfigError` for unknown engine names so typos fail
-    loudly instead of silently falling back to a different simulator.
-    """
-    name = explicit if explicit is not None \
-        else os.environ.get(ENGINE_ENV, DEFAULT_ENGINE)
-    name = name.strip().lower()
-    if name not in ENGINE_CHOICES:
-        raise ConfigError(f"unknown engine {name!r}; expected one of "
-                          f"{list(ENGINE_CHOICES)}")
-    return name
-
-#: Environment variable selecting the planning front-end implementation.
-PLANNER_ENV = "PSYNCPIM_PLANNER"
-
-#: Planners the host-side layout tier can run on: the vectorized array
-#: pipeline (default) and the scalar reference oracle.
-PLANNER_CHOICES = ("fast", "scalar")
-
-#: Planner used when neither the caller nor the environment chooses one.
-DEFAULT_PLANNER = "fast"
-
-
-def resolve_planner(explicit: Optional[str] = None) -> str:
-    """Resolve the planning front-end: explicit arg > env var > default.
-
-    Mirrors :func:`resolve_engine` for the host-side planning tier
-    (partition, distribution, level scheduling). Unknown names raise
-    :class:`ConfigError` so typos fail loudly.
-    """
-    name = explicit if explicit is not None \
-        else os.environ.get(PLANNER_ENV, DEFAULT_PLANNER)
-    name = name.strip().lower()
-    if name not in PLANNER_CHOICES:
-        raise ConfigError(f"unknown planner {name!r}; expected one of "
-                          f"{list(PLANNER_CHOICES)}")
-    return name
-
-
 #: Environment variable selecting cross-job batched execution.
 BATCH_ENV = "PSYNCPIM_BATCH"
 
@@ -92,9 +40,9 @@ DEFAULT_BATCH = "off"
 def resolve_batch(explicit: Optional[str] = None) -> str:
     """Resolve the cross-job batch mode: explicit arg > env var > default.
 
-    Mirrors :func:`resolve_engine` for the jobs dimension (sweep runner,
-    ISA fuzzer). Unknown names raise :class:`ConfigError` so typos fail
-    loudly instead of silently running the other execution path.
+    Applies to the jobs dimension (sweep runner, ISA fuzzer). Unknown
+    names raise :class:`ConfigError` so typos fail loudly instead of
+    silently running the other execution path.
     """
     name = explicit if explicit is not None \
         else os.environ.get(BATCH_ENV, DEFAULT_BATCH)
@@ -122,7 +70,7 @@ DEFAULT_STRATEGY = "paper"
 def resolve_strategy(explicit: Optional[str] = None) -> str:
     """Resolve the partitioning strategy: explicit arg > env var > default.
 
-    Mirrors :func:`resolve_engine` for the partitioning front-end (see
+    Applies to the partitioning front-end (see
     :mod:`repro.core.strategies`). Unknown names raise
     :class:`ConfigError` so typos fail loudly instead of silently
     planning with a different layout.
@@ -151,7 +99,7 @@ def resolve_channels(explicit: Optional[int] = None) -> Optional[int]:
     ``C`` explicitly modelled channels, each with its own 16-bank
     distribution, command stream and scheduler clock.
 
-    Mirrors :func:`resolve_engine`: invalid values raise
+    Mirrors :func:`resolve_batch`: invalid values raise
     :class:`ConfigError` so typos fail loudly rather than silently
     running the other execution model.
     """

@@ -3,7 +3,6 @@ execution, trace synthesis and timing."""
 
 from .partition import (PartitionPlan, SubMatrix, partition, reassemble,
                         tile_capacity)
-from .planner import Planner, make_planner
 from .distribution import (Assignment, ChannelAssignment,
                            accumulation_traffic_bytes, distribute,
                            replication_traffic_bytes, shard_channels)
@@ -27,8 +26,8 @@ from .runtime import PSyncPIM
 
 __all__ = [
     "PartitionPlan", "SubMatrix", "partition", "reassemble",
-    "tile_capacity", "Planner", "make_planner",
-    "Assignment", "ChannelAssignment", "accumulation_traffic_bytes",
+    "tile_capacity", "Assignment", "ChannelAssignment",
+    "accumulation_traffic_bytes",
     "distribute", "replication_traffic_bytes", "shard_channels",
     "SpmvExecution", "SpmvResult", "element_bytes", "plan_spmv",
     "run_spmv", "SpmmExecution", "SpmmResult", "as_spmm_execution",

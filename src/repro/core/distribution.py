@@ -18,6 +18,10 @@ Two policies are provided:
   built by sorting tiles by nnz and placing each into the currently
   lightest bank. Used by the ablation benchmark to quantify what evenness
   would buy.
+
+Round formation is array bookkeeping (argsort orders, sliced rounds, a
+load heap); its bitwise oracles are per-tile Python loops in
+:mod:`repro.check.oracles`, used by tests only.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..config import resolve_planner
 from ..errors import MappingError
 from .partition import PartitionPlan, SubMatrix
 from .planner import stable_desc_order
@@ -176,8 +179,7 @@ def split_oversized(tiles: Sequence[SubMatrix],
 
 def distribute(plan: PartitionPlan, num_banks: int,
                policy: str = "paper",
-               balance_slack: float = 0.6,
-               planner: Optional[str] = None) -> Assignment:
+               balance_slack: float = 0.6) -> Assignment:
     """Assign a partition plan's tiles to *num_banks* banks.
 
     Under the default policy, tiles heavier than ``balance_slack`` times
@@ -185,28 +187,20 @@ def distribute(plan: PartitionPlan, num_banks: int,
     then placed round-robin in (row-block, column-block) order. Pass
     ``balance_slack=0`` to disable splitting (the naive-distribution
     ablation).
-
-    ``planner`` selects the round-formation implementation (``"fast"``
-    array bookkeeping vs the ``"scalar"`` per-tile oracle, see
-    :mod:`repro.core.planner`); both produce identical assignments,
-    including the greedy tie-break order.
     """
     assignment = _distribute_tiles(plan.tiles, num_banks, policy,
-                                   balance_slack, planner,
-                                   total_nnz=plan.total_nnz)
+                                   balance_slack, total_nnz=plan.total_nnz)
     _check(assignment.total_elements, plan.total_nnz)
     return assignment
 
 
 def _distribute_tiles(tiles: Sequence[SubMatrix], num_banks: int,
                       policy: str, balance_slack: float,
-                      planner: Optional[str],
                       total_nnz: Optional[int] = None) -> Assignment:
     """Round-formation core shared by :func:`distribute` (whole plan) and
     :func:`shard_channels` (one channel's tile shard)."""
     if num_banks <= 0:
         raise MappingError("need at least one bank")
-    fast = resolve_planner(planner) == "fast"
     if total_nnz is None:
         total_nnz = int(_tile_nnz(tiles).sum()) if tiles else 0
     if policy == "paper":
@@ -217,19 +211,11 @@ def _distribute_tiles(tiles: Sequence[SubMatrix], num_banks: int,
         # Descending-size round packing: each lock-step round costs its
         # heaviest tile, so grouping similar-sized tiles makes the round
         # maxima telescope instead of every round paying for one straggler.
-        if fast:
-            order = stable_desc_order(_tile_nnz(tiles))
-            tiles = [tiles[i] for i in order]
-        else:
-            tiles = sorted(tiles, key=lambda t: -t.nnz)
-        rounds = _round_robin_fast(tiles, num_banks) if fast \
-            else _round_robin(tiles, num_banks)
+        rounds = _round_robin_fast(_by_desc_nnz(tiles), num_banks)
     elif policy == "naive":
-        rounds = _round_robin_fast(tiles, num_banks) if fast \
-            else _round_robin(tiles, num_banks)
+        rounds = _round_robin_fast(tiles, num_banks)
     elif policy == "balanced":
-        rounds = _balanced_fast(tiles, num_banks) if fast \
-            else _balanced(tiles, num_banks)
+        rounds = _balanced_fast(tiles, num_banks)
     else:
         raise MappingError(f"unknown distribution policy {policy!r}")
     return Assignment(num_banks=num_banks, rounds=rounds, policy=policy)
@@ -238,8 +224,7 @@ def _distribute_tiles(tiles: Sequence[SubMatrix], num_banks: int,
 def shard_channels(plan: PartitionPlan, num_channels: int,
                    banks_per_channel: int = 16,
                    policy: str = "paper",
-                   balance_slack: float = 0.6,
-                   planner: Optional[str] = None) -> ChannelAssignment:
+                   balance_slack: float = 0.6) -> ChannelAssignment:
     """Shard a partition plan across *num_channels* pseudo-channels.
 
     Two-level distribution: tiles are first assigned to channels by greedy
@@ -279,7 +264,7 @@ def shard_channels(plan: PartitionPlan, num_channels: int,
         shard_tiles = [tiles[i] for i in range(len(tiles))
                        if channel_of[i] == channel]
         shards.append(_distribute_tiles(shard_tiles, banks_per_channel,
-                                        policy, balance_slack, planner))
+                                        policy, balance_slack))
     assignment = ChannelAssignment(num_channels=num_channels,
                                    banks_per_channel=banks_per_channel,
                                    shards=shards, policy=policy)
@@ -292,15 +277,9 @@ def _tile_nnz(tiles: Sequence[SubMatrix]) -> np.ndarray:
                        count=len(tiles))
 
 
-def _round_robin(tiles: Sequence[SubMatrix],
-                 num_banks: int) -> List[List[Optional[SubMatrix]]]:
-    rounds: List[List[Optional[SubMatrix]]] = []
-    for index, tile in enumerate(tiles):
-        round_index, bank = divmod(index, num_banks)
-        if round_index == len(rounds):
-            rounds.append([None] * num_banks)
-        rounds[round_index][bank] = tile
-    return rounds or [[None] * num_banks]
+def _by_desc_nnz(tiles: Sequence[SubMatrix]) -> List[SubMatrix]:
+    """*tiles* by descending nnz, ties in original order."""
+    return [tiles[i] for i in stable_desc_order(_tile_nnz(tiles))]
 
 
 def _round_robin_fast(tiles: Sequence[SubMatrix],
@@ -312,23 +291,6 @@ def _round_robin_fast(tiles: Sequence[SubMatrix],
         chunk.extend([None] * (num_banks - len(chunk)))
         rounds.append(chunk)
     return rounds or [[None] * num_banks]
-
-
-def _balanced(tiles: Sequence[SubMatrix],
-              num_banks: int) -> List[List[Optional[SubMatrix]]]:
-    order = sorted(range(len(tiles)), key=lambda i: -tiles[i].nnz)
-    per_bank: List[List[SubMatrix]] = [[] for _ in range(num_banks)]
-    loads = np.zeros(num_banks, dtype=np.int64)
-    for index in order:
-        bank = int(np.argmin(loads))
-        per_bank[bank].append(tiles[index])
-        loads[bank] += tiles[index].nnz
-    depth = max((len(stack) for stack in per_bank), default=0)
-    rounds = []
-    for r in range(max(depth, 1)):
-        rounds.append([stack[r] if r < len(stack) else None
-                       for stack in per_bank])
-    return rounds
 
 
 def _balanced_fast(tiles: Sequence[SubMatrix],

@@ -11,12 +11,11 @@ The output is a list of :class:`SubMatrix` descriptors with *tile-local*
 indices plus the metadata the host needs to stage inputs (which global
 columns to replicate) and merge outputs (which global rows to accumulate).
 
-Two planners produce bitwise-identical plans (see :mod:`repro.core.planner`):
-the ``"scalar"`` oracle cuts each row block segment-by-segment with boolean
-masks; the default ``"fast"`` planner sorts all nonzeros once by a
-(row-block, column-segment) composite key, derives every block's kept-column
-set from a single global ``np.unique`` pass and emits all tiles from
-contiguous slices of the sorted arrays.
+The planner sorts all nonzeros once by a (row-block, column-segment)
+composite key, derives every block's kept-column set from a single global
+``np.unique`` pass and emits all tiles from contiguous slices of the sorted
+arrays. It is bitwise identical to the per-block, per-segment mask scans of
+the scalar oracle in :mod:`repro.check.oracles`.
 """
 
 from __future__ import annotations
@@ -24,11 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from ..config import SystemConfig, element_size, resolve_planner
+from ..config import SystemConfig, element_size
 from ..errors import MappingError
 from ..formats import COOMatrix
 
@@ -145,7 +144,6 @@ def tile_capacity(config: SystemConfig, precision: str) -> int:
 def partition(matrix: COOMatrix, config: SystemConfig,
               precision: str = "fp64", compress: bool = True,
               tile_rows: int = None, tile_cols: int = None,
-              planner: Optional[str] = None,
               validate: bool = True) -> PartitionPlan:
     """Cut *matrix* into 1 KB-bounded tiles (optionally compressed).
 
@@ -153,8 +151,6 @@ def partition(matrix: COOMatrix, config: SystemConfig,
     improves on: column ranges are kept whole, so input replication covers
     all-zero columns too. The ablation benchmark flips this switch.
 
-    ``planner`` selects the implementation (``"fast"``/``"scalar"``, see
-    :mod:`repro.core.planner`); both emit bitwise-identical plans.
     ``validate=False`` skips the O(nnz) plan self-checks — the sweep hot
     path disables them, tests keep them on.
     """
@@ -168,79 +164,14 @@ def partition(matrix: COOMatrix, config: SystemConfig,
             f"tiles of {tile_rows}x{tile_cols} exceed the one-memory-row "
             f"constraint ({capacity} elements at {precision})")
 
-    cut = (_partition_fast if resolve_planner(planner) == "fast"
-           else _partition_scalar)
-    tiles = cut(matrix.sorted_rows(), matrix.shape, tile_rows, tile_cols,
-                compress)
+    tiles = _partition_fast(matrix.sorted_rows(), matrix.shape, tile_rows,
+                            tile_cols, compress)
     plan = PartitionPlan(shape=matrix.shape, tiles=tiles,
                          tile_rows=tile_rows, tile_cols=tile_cols,
                          compressed=compress)
     if validate:
         _check_plan(plan, matrix)
     return plan
-
-
-# ----------------------------------------------------------------------
-# scalar oracle: per-block, per-segment mask scans
-# ----------------------------------------------------------------------
-def _partition_scalar(srt: COOMatrix, shape, tile_rows, tile_cols,
-                      compress) -> List[SubMatrix]:
-    nrows, ncols = shape
-    tiles: List[SubMatrix] = []
-    block_starts = np.searchsorted(
-        srt.rows, np.arange(0, nrows, tile_rows), side="left")
-    block_bounds = np.append(block_starts, srt.nnz)
-
-    for block_index in range(len(block_starts)):
-        lo_el = block_bounds[block_index]
-        hi_el = block_bounds[block_index + 1]
-        row_lo = block_index * tile_rows
-        row_hi = min(row_lo + tile_rows, nrows)
-        if lo_el == hi_el:
-            continue  # empty row block: no tiles at all
-        rows = srt.rows[lo_el:hi_el] - row_lo
-        cols = srt.cols[lo_el:hi_el]
-        vals = srt.vals[lo_el:hi_el]
-        tiles.extend(_cut_columns(rows, cols, vals, (row_lo, row_hi),
-                                  ncols, tile_cols, compress))
-    return tiles
-
-
-def _cut_columns(rows, cols, vals, row_range, ncols, tile_cols,
-                 compress) -> List[SubMatrix]:
-    """Column-cut one row block, compacting all-zero columns first."""
-    tiles = []
-    if compress:
-        # Fig. 6: remove all-zero columns, then cut the *compacted* axis.
-        kept, local = np.unique(cols, return_inverse=True)
-        num_segments = math.ceil(kept.size / tile_cols)
-        for seg in range(num_segments):
-            seg_lo = seg * tile_cols
-            seg_hi = min(seg_lo + tile_cols, kept.size)
-            mask = (local >= seg_lo) & (local < seg_hi)
-            if not mask.any():
-                continue
-            tiles.append(SubMatrix(
-                row_range=row_range,
-                global_cols=kept[seg_lo:seg_hi],
-                rows=rows[mask],
-                cols=local[mask] - seg_lo,
-                vals=vals[mask]))
-    else:
-        num_segments = math.ceil(ncols / tile_cols)
-        for seg in range(num_segments):
-            seg_lo = seg * tile_cols
-            seg_hi = min(seg_lo + tile_cols, ncols)
-            mask = (cols >= seg_lo) & (cols < seg_hi)
-            if not mask.any():
-                continue
-            tiles.append(SubMatrix(
-                row_range=row_range,
-                global_cols=np.arange(seg_lo, seg_hi),
-                rows=rows[mask],
-                cols=cols[mask] - seg_lo,
-                vals=vals[mask]))
-    return tiles
 
 
 # ----------------------------------------------------------------------

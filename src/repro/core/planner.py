@@ -1,41 +1,23 @@
-"""Planner selection: the vectorized planning front-end vs its oracle.
+"""Array helpers shared by the vectorized planning front-end.
 
 The host-side planning tier — cutting a matrix into 1 KB tiles
 (:func:`repro.core.partition.partition`), arranging tiles into lock-step
 rounds (:func:`repro.core.distribution.distribute`) and computing SpTRSV
-dependency levels (:func:`repro.core.sptrsv.level_schedule`) — ships two
-implementations with bitwise-identical outputs, mirroring the
-``AllBankEngine``/``LaneEngine`` split of the functional tier:
+dependency levels (:func:`repro.core.sptrsv.level_schedule`) — runs as
+single-pass array pipelines (global lexsort + unique / searchsorted
+grouping, frontier sweeps, argsort bookkeeping). Their bitwise oracles,
+per-segment / per-tile / per-row Python loops, are in
+:mod:`repro.check.oracles` and used by tests only.
 
-* ``"scalar"`` — the original per-segment / per-tile / per-row Python
-  loops, kept as the readable reference oracle;
-* ``"fast"`` — single-pass array pipelines (global lexsort + unique /
-  searchsorted grouping, frontier sweeps, argsort bookkeeping), the
-  default.
-
-Selection follows the engine convention: the ``planner=`` argument of the
-planning entry points, or the ``PSYNCPIM_PLANNER`` environment variable
-(:func:`repro.config.resolve_planner`). :func:`make_planner` pins a choice
-into a small façade so callers can hold one resolved planner across many
-calls.
-
-This module also hosts the array helpers the fast paths share; it imports
-none of the planning modules at import time, so they can be loaded in any
-order.
+This module imports none of the planning modules, so they can be loaded
+in any order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..config import resolve_planner
 
-
-# ----------------------------------------------------------------------
-# shared array helpers for the fast paths
-# ----------------------------------------------------------------------
 def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Concatenate ``[starts[k], ends[k])`` index ranges into one array.
 
@@ -61,60 +43,4 @@ def stable_desc_order(weights: np.ndarray) -> np.ndarray:
     return np.argsort(-np.asarray(weights, dtype=np.int64), kind="stable")
 
 
-# ----------------------------------------------------------------------
-# the factory
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Planner:
-    """One resolved planning front-end bound to its implementation name.
-
-    A thin façade over the module-level planning functions with the
-    ``planner=`` choice pinned; produced by :func:`make_planner`.
-    """
-
-    name: str
-
-    def partition(self, matrix, config, **kwargs):
-        from .partition import partition
-        from .. import obs
-        with obs.span("plan.partition", cat="planner", impl=self.name):
-            return partition(matrix, config, planner=self.name, **kwargs)
-
-    def distribute(self, plan, num_banks, **kwargs):
-        from .distribution import distribute
-        from .. import obs
-        with obs.span("plan.distribute", cat="planner", impl=self.name):
-            return distribute(plan, num_banks, planner=self.name, **kwargs)
-
-    def level_schedule(self, tri, **kwargs):
-        from .sptrsv import level_schedule
-        from .. import obs
-        with obs.span("plan.level_schedule", cat="planner",
-                      impl=self.name):
-            return level_schedule(tri, planner=self.name, **kwargs)
-
-    def reorder_by_levels(self, tri, **kwargs):
-        from .sptrsv import reorder_by_levels
-        from .. import obs
-        with obs.span("plan.reorder_by_levels", cat="planner",
-                      impl=self.name):
-            return reorder_by_levels(tri, planner=self.name, **kwargs)
-
-    def plan_spmv(self, matrix, config, **kwargs):
-        from .spmv import plan_spmv
-        from .. import obs
-        with obs.span("plan.spmv", cat="planner", impl=self.name):
-            return plan_spmv(matrix, config, planner=self.name, **kwargs)
-
-
-def make_planner(planner: str = None) -> Planner:
-    """Build the selected planning front-end (fast by default).
-
-    *planner* overrides the ``PSYNCPIM_PLANNER`` environment variable;
-    both planners expose the same interface and produce bitwise-identical
-    plans, rounds and level schedules.
-    """
-    return Planner(resolve_planner(planner))
-
-
-__all__ = ["Planner", "concat_ranges", "make_planner", "stable_desc_order"]
+__all__ = ["concat_ranges", "stable_desc_order"]

@@ -34,11 +34,12 @@ from ..errors import ExecutionError
 from ..formats import COOMatrix, reject_nan
 from ..kernels import Tile, run_tile_block
 from .. import obs
-from ..pim import make_engine
+from ..pim import LaneEngine
 from .distribution import Assignment
 from .partition import PartitionPlan
 from .spmv import (_ACCUM_UFUNC, _MERGE, _MULT_FUNC, AnyAssignment,
-                   SpmvExecution, _lane_rounds, plan_spmv)
+                   SpmvExecution, _lane_rounds, check_engine_banks,
+                   plan_spmv)
 
 
 @dataclass
@@ -83,7 +84,7 @@ def plan_spmm(matrix: COOMatrix, config: SystemConfig,
               matrix_format: str = "coo",
               plan: Optional[PartitionPlan] = None,
               assignment: Optional[AnyAssignment] = None,
-              planner: Optional[str] = None, validate: bool = True,
+              validate: bool = True,
               channels: Optional[int] = None,
               strategy: Optional[str] = None, tuner_cache=None,
               ) -> "tuple[PartitionPlan, AnyAssignment, SpmmExecution]":
@@ -100,7 +101,7 @@ def plan_spmm(matrix: COOMatrix, config: SystemConfig,
     plan, assignment, execution = plan_spmv(
         matrix, config, precision=precision, compress=compress,
         policy=policy, matrix_format=matrix_format, plan=plan,
-        assignment=assignment, planner=planner, validate=validate,
+        assignment=assignment, validate=validate,
         channels=channels, strategy=strategy, tuner_cache=tuner_cache)
     if obs.enabled():
         obs.set_gauge("spmm.num_rhs", num_rhs)
@@ -116,8 +117,6 @@ def run_spmm(matrix: COOMatrix, x: np.ndarray, config: SystemConfig,
              matrix_format: str = "coo",
              plan: Optional[PartitionPlan] = None,
              assignment: Optional[AnyAssignment] = None,
-             engine: Optional[str] = None,
-             planner: Optional[str] = None,
              validate: bool = True,
              channels: Optional[int] = None,
              strategy: Optional[str] = None,
@@ -137,13 +136,14 @@ def run_spmm(matrix: COOMatrix, x: np.ndarray, config: SystemConfig,
         raise ExecutionError(
             f"SpMM block shape mismatch: expected "
             f"({matrix.shape[1]}, k), got {x.shape}")
+    check_engine_banks(engine_banks)
     reject_nan(matrix=matrix.vals, x=x, y0=y0)
     num_rhs = x.shape[1]
     plan, assignment, execution = plan_spmm(
         matrix, config, num_rhs=num_rhs, precision=precision,
         compress=compress, policy=policy, matrix_format=matrix_format,
-        plan=plan, assignment=assignment, planner=planner,
-        validate=validate, channels=channels, strategy=strategy,
+        plan=plan, assignment=assignment, validate=validate,
+        channels=channels, strategy=strategy,
         tuner_cache=tuner_cache)
 
     rounds = (assignment.rounds if isinstance(assignment, Assignment)
@@ -158,7 +158,7 @@ def run_spmm(matrix: COOMatrix, x: np.ndarray, config: SystemConfig,
                       rounds=len(rounds), num_rhs=num_rhs):
             y = _functional_block_rounds(matrix, x, rounds, precision,
                                          accumulate, multiply, y0,
-                                         engine_banks, engine)
+                                         engine_banks)
     else:
         raise ExecutionError(f"unknown fidelity {fidelity!r}")
     return SpmmResult(y=y, execution=execution, plan=plan,
@@ -208,9 +208,7 @@ def _fast_block_rounds(matrix, x, rounds: Sequence[list], accumulate,
 # ----------------------------------------------------------------------
 def _functional_block_rounds(matrix, x, rounds: Sequence[list], precision,
                              accumulate, multiply, y0,
-                             engine_banks: Optional[int],
-                             engine_name: Optional[str] = None,
-                             ) -> np.ndarray:
+                             engine_banks: Optional[int]) -> np.ndarray:
     num_rhs = x.shape[1]
     shape = (matrix.shape[0], num_rhs)
     if y0 is None:
@@ -239,8 +237,7 @@ def _functional_block_rounds(matrix, x, rounds: Sequence[list], precision,
         width = engine_banks or len(active)
         waves = [active[i:i + width] for i in range(0, len(active), width)]
         for wave in waves:
-            eng = make_engine(num_banks=len(wave) * num_rhs,
-                              precision=precision, engine=engine_name)
+            eng = LaneEngine(len(wave) * num_rhs, precision=precision)
             tiles = [Tile(t.rows, t.cols, t.vals, t.x_segment(x),
                           t.y_length) for _, t in wave]
             result = run_tile_block(eng, tiles, num_rhs=num_rhs,

@@ -27,7 +27,7 @@ from ..errors import ConfigError, ExecutionError
 from ..formats import COOMatrix, reject_nan
 from ..kernels import Tile, run_tile_round
 from .. import obs
-from ..pim import make_engine
+from ..pim import LaneEngine
 from .distribution import (Assignment, ChannelAssignment,
                            accumulation_traffic_bytes, distribute,
                            replication_traffic_bytes, shard_channels)
@@ -112,7 +112,7 @@ def plan_spmv(matrix: COOMatrix, config: SystemConfig,
               policy: str = "paper", matrix_format: str = "coo",
               plan: Optional[PartitionPlan] = None,
               assignment: Optional[AnyAssignment] = None,
-              planner: Optional[str] = None, validate: bool = True,
+              validate: bool = True,
               channels: Optional[int] = None,
               strategy: Optional[str] = None, tuner_cache=None,
               ) -> "tuple[PartitionPlan, AnyAssignment, SpmvExecution]":
@@ -124,9 +124,8 @@ def plan_spmv(matrix: COOMatrix, config: SystemConfig,
     runner calls it directly (optionally injecting a cached *plan* /
     *assignment*) when only performance numbers are needed.
 
-    ``planner`` selects the planning implementation (see
-    :mod:`repro.core.planner`); ``validate=False`` skips the plan
-    round-trip check in trusted hot paths such as the sweep runner.
+    ``validate=False`` skips the plan round-trip check in trusted hot
+    paths such as the sweep runner.
 
     ``channels`` selects the execution model (explicit arg >
     ``PSYNCPIM_CHANNELS`` > default). ``None`` is the legacy
@@ -150,8 +149,7 @@ def plan_spmv(matrix: COOMatrix, config: SystemConfig,
             with obs.span("plan.tune", cat="planner", nnz=matrix.nnz):
                 tuned = tune_strategy(matrix, config, precision=precision,
                                       compress=compress, policy=policy,
-                                      channels=channels, planner=planner,
-                                      cache=tuner_cache)
+                                      channels=channels, cache=tuner_cache)
             strategy = tuned.chosen
             if obs.enabled():
                 obs.add_counter("spmv.tuned", 1)
@@ -159,8 +157,7 @@ def plan_spmv(matrix: COOMatrix, config: SystemConfig,
             with obs.span("plan.partition", cat="planner",
                           nnz=matrix.nnz, compress=compress):
                 plan = partition(matrix, config, precision=precision,
-                                 compress=compress, planner=planner,
-                                 validate=validate)
+                                 compress=compress, validate=validate)
         else:
             from .strategies import make_strategy
             with obs.span("plan.partition", cat="planner",
@@ -168,8 +165,7 @@ def plan_spmv(matrix: COOMatrix, config: SystemConfig,
                           strategy=strategy):
                 plan = make_strategy(strategy).partition(
                     matrix, config, precision=precision,
-                    compress=compress, planner=planner,
-                    validate=validate)
+                    compress=compress, validate=validate)
     value_bytes = element_size(precision)
     stream_bpe = _stream_bytes_per_element(matrix_format, plan,
                                            value_bytes, matrix)
@@ -179,8 +175,7 @@ def plan_spmv(matrix: COOMatrix, config: SystemConfig,
         if assignment is None:
             with obs.span("plan.distribute", cat="planner",
                           tiles=len(plan.tiles), policy=policy):
-                assignment = distribute(plan, num_banks, policy=policy,
-                                        planner=planner)
+                assignment = distribute(plan, num_banks, policy=policy)
         execution = _assignment_execution(assignment, precision, policy,
                                           compress, matrix_format,
                                           stream_bpe)
@@ -201,8 +196,7 @@ def plan_spmv(matrix: COOMatrix, config: SystemConfig,
                           channels=channels):
                 assignment = shard_channels(plan, channels,
                                             banks_per_channel=bpc,
-                                            policy=policy,
-                                            planner=planner)
+                                            policy=policy)
         elif not isinstance(assignment, ChannelAssignment):
             raise ConfigError(
                 "channels= requires a ChannelAssignment layout")
@@ -306,8 +300,6 @@ def run_spmv(matrix: COOMatrix, x: np.ndarray, config: SystemConfig,
              matrix_format: str = "coo",
              plan: Optional[PartitionPlan] = None,
              assignment: Optional[AnyAssignment] = None,
-             engine: Optional[str] = None,
-             planner: Optional[str] = None,
              validate: bool = True,
              channels: Optional[int] = None,
              strategy: Optional[str] = None,
@@ -317,7 +309,8 @@ def run_spmv(matrix: COOMatrix, x: np.ndarray, config: SystemConfig,
     ``engine_banks`` caps the functional engine size (the plan itself is
     always laid out over the full ``config.total_units``); it exists because
     interpreting 256 units in Python is slow while the plan's semantics are
-    bank-count independent per round.
+    bank-count independent per round. ``None`` runs each round as one wave;
+    a cap must be at least 1.
 
     ``matrix_format`` selects the on-bank representation for the timing
     model — functional results are format-independent. ``"coo"`` is the
@@ -331,11 +324,16 @@ def run_spmv(matrix: COOMatrix, x: np.ndarray, config: SystemConfig,
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (matrix.shape[1],):
         raise ExecutionError("SpMV vector length mismatch")
+    if y0 is not None and np.shape(y0) != (matrix.shape[0],):
+        raise ExecutionError(
+            f"SpMV y0 shape mismatch: expected ({matrix.shape[0]},), "
+            f"got {np.shape(y0)}")
+    check_engine_banks(engine_banks)
     reject_nan(matrix=matrix.vals, x=x, y0=y0)
     plan, assignment, execution = plan_spmv(
         matrix, config, precision=precision, compress=compress,
         policy=policy, matrix_format=matrix_format, plan=plan,
-        assignment=assignment, planner=planner, validate=validate,
+        assignment=assignment, validate=validate,
         channels=channels, strategy=strategy, tuner_cache=tuner_cache)
 
     # Channel-sharded layouts execute as one big lane array of
@@ -352,12 +350,18 @@ def run_spmv(matrix: COOMatrix, x: np.ndarray, config: SystemConfig,
         with obs.span("spmv.rounds", cat="kernel", fidelity=fidelity,
                       rounds=len(rounds)):
             y = _functional_rounds(matrix, x, rounds, precision,
-                                   accumulate, multiply, y0, engine_banks,
-                                   engine)
+                                   accumulate, multiply, y0, engine_banks)
     else:
         raise ExecutionError(f"unknown fidelity {fidelity!r}")
     return SpmvResult(y=y, execution=execution, plan=plan,
                       assignment=assignment)
+
+
+def check_engine_banks(engine_banks: Optional[int]) -> None:
+    """Reject a functional-engine width cap below one bank."""
+    if engine_banks is not None and engine_banks < 1:
+        raise ConfigError(
+            f"engine_banks must be >= 1 (or None), got {engine_banks}")
 
 
 def _lane_rounds(assignment: ChannelAssignment) -> List[list]:
@@ -448,8 +452,7 @@ _MERGE = {"add": (0.0, np.add), "sub": (0.0, np.add),
 
 def _functional_rounds(matrix, x, rounds: Sequence[list], precision,
                        accumulate, multiply, y0,
-                       engine_banks: Optional[int],
-                       engine_name: Optional[str] = None) -> np.ndarray:
+                       engine_banks: Optional[int]) -> np.ndarray:
     y = (np.zeros(matrix.shape[0]) if y0 is None
          else np.asarray(y0, dtype=np.float64).copy())
     try:
@@ -467,8 +470,7 @@ def _functional_rounds(matrix, x, rounds: Sequence[list], precision,
         # because banks never interact within a round.
         waves = [active[i:i + width] for i in range(0, len(active), width)]
         for wave in waves:
-            engine = make_engine(num_banks=len(wave), precision=precision,
-                                 engine=engine_name)
+            engine = LaneEngine(len(wave), precision=precision)
             tiles = [Tile(t.rows, t.cols, t.vals, t.x_segment(x),
                           t.y_length) for _, t in wave]
             result = run_tile_round(engine, tiles, accumulate=accumulate,

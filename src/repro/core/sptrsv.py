@@ -25,14 +25,15 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..config import SystemConfig, resolve_channels, resolve_planner
+from ..config import SystemConfig, resolve_channels
 from ..errors import ConfigError, ExecutionError, MappingError, SolverError
 from ..formats import COOMatrix, CSRMatrix, reject_nan
 from ..kernels import Tile, run_tile_round
-from ..pim import make_engine
+from ..pim import LaneEngine
 from .. import obs
 from .partition import tile_capacity
 from .planner import concat_ranges
+from .spmv import check_engine_banks
 
 # ----------------------------------------------------------------------
 # host preprocessing: ILDU factorisation
@@ -154,8 +155,7 @@ def _flip(tri: COOMatrix) -> COOMatrix:
                      tri.vals.copy(), check=False)
 
 
-def level_schedule(tri: COOMatrix, lower: bool = True,
-                   planner: Optional[str] = None) -> List[np.ndarray]:
+def level_schedule(tri: COOMatrix, lower: bool = True) -> List[np.ndarray]:
     """Group rows into dependency levels (host row-reordering support).
 
     Row i's level is 1 + max level of the rows it depends on; rows in one
@@ -163,32 +163,20 @@ def level_schedule(tri: COOMatrix, lower: bool = True,
     batch. Upper solves are scheduled on the flipped (lower) matrix and
     mapped back.
 
-    ``planner`` selects the implementation: the ``"scalar"`` per-row loop
-    or the default ``"fast"`` frontier sweep over CSC (one numpy
-    relaxation pass per dependency level). Both return identical levels.
+    Depths come from a frontier sweep over CSC (one numpy relaxation pass
+    per dependency level); its bitwise oracle is a per-row CSR loop in
+    :mod:`repro.check.oracles`.
     """
     n = tri.shape[0]
     if not lower:
-        flipped_levels = level_schedule(_flip(tri), lower=True,
-                                        planner=planner)
+        flipped_levels = level_schedule(_flip(tri), lower=True)
         return [np.sort(n - 1 - lvl) for lvl in flipped_levels]
-    if resolve_planner(planner) == "fast":
-        depth = _level_depths_fast(n, tri.rows, tri.cols)
-    else:
-        depth = _level_depths_scalar(n, tri)
-    return _levels_from_depths(depth)
+    return _levels_from_depths(_level_depths(n, tri))
 
 
-def _level_depths_scalar(n: int, tri: COOMatrix) -> np.ndarray:
-    """Oracle: O(n) per-row loop over CSR, longest dependency path."""
-    depth = np.zeros(n, dtype=np.int64)
-    csr = CSRMatrix.from_coo(tri)
-    for i in range(n):
-        idx, _ = csr.row(i)
-        deps = idx[idx < i]
-        if deps.size:
-            depth[i] = depth[deps].max() + 1
-    return depth
+def _level_depths(n: int, tri: COOMatrix) -> np.ndarray:
+    """Longest-dependency-path depth of every row of lower *tri*."""
+    return _level_depths_fast(n, tri.rows, tri.cols)
 
 
 def _level_depths_fast(n: int, rows: np.ndarray,
@@ -249,7 +237,6 @@ def _levels_from_depths(depth: np.ndarray) -> List[np.ndarray]:
 
 
 def reorder_by_levels(tri: COOMatrix, lower: bool = True,
-                      planner: Optional[str] = None,
                       ) -> Tuple[np.ndarray, COOMatrix]:
     """Permute rows/cols so dependency levels are contiguous (§VI-D).
 
@@ -260,13 +247,13 @@ def reorder_by_levels(tri: COOMatrix, lower: bool = True,
     if not lower:
         n = tri.shape[0]
         perm_flipped, reordered_flipped = reorder_by_levels(
-            _flip(tri), lower=True, planner=planner)
+            _flip(tri), lower=True)
         perm = (n - 1 - perm_flipped)[::-1].copy()
         reordered = _flip(reordered_flipped)
         if not reordered.is_upper_triangular():
             raise MappingError("level reordering broke upper-triangularity")
         return perm, reordered
-    levels = level_schedule(tri, lower=True, planner=planner)
+    levels = level_schedule(tri, lower=True)
     perm = (np.concatenate(levels) if levels
             else np.zeros(0, dtype=np.int64))
     inverse = np.empty_like(perm)
@@ -360,19 +347,20 @@ def run_sptrsv(tri: COOMatrix, b: np.ndarray, config: SystemConfig,
                fidelity: str = "fast", reorder: bool = True,
                leaf_size: Optional[int] = None,
                engine_banks: Optional[int] = None,
-               engine: Optional[str] = None,
-               planner: Optional[str] = None,
                channels: Optional[int] = None,
                strategy: Optional[str] = None) -> SpTrsvResult:
     """Solve ``T x = b`` for unit triangular T on the pSyncPIM model.
+
+    T's diagonal is implied: an absent diagonal entry reads as 1.0, and a
+    stored one must be exactly 1.0 (:func:`ildu` factors store theirs
+    explicitly); any other stored value raises :class:`ExecutionError`.
 
     Upper solves are run as lower solves on the reversed ordering
     (rows/cols mapped through ``n-1-i``), which is how the hardware reuses
     one kernel for L and U (Table III lists both under SpTRSV).
 
-    ``planner`` selects the host-side scheduling implementation (level
-    computation, leaf level formation); results and execution records are
-    bitwise identical either way (see :mod:`repro.core.planner`).
+    ``engine_banks`` caps the functional engine's width (``None`` runs each
+    level as one wave); it must be at least 1.
 
     ``channels`` selects the execution model (explicit arg >
     ``PSYNCPIM_CHANNELS`` > default): ``None`` is the legacy
@@ -390,6 +378,7 @@ def run_sptrsv(tri: COOMatrix, b: np.ndarray, config: SystemConfig,
     """
     b = np.asarray(b, dtype=np.float64)
     n = tri.shape[0]
+    check_engine_banks(engine_banks)
     channels = resolve_channels(channels)
     if channels is not None:
         available = config.memory.num_pseudo_channels
@@ -406,6 +395,10 @@ def run_sptrsv(tri: COOMatrix, b: np.ndarray, config: SystemConfig,
         raise ExecutionError("matrix is not lower triangular")
     if not lower and not tri.is_upper_triangular():
         raise ExecutionError("matrix is not upper triangular")
+    if np.any(tri.vals[tri.rows == tri.cols] != 1.0):
+        raise ExecutionError(
+            "triangular solve needs a unit diagonal: a stored diagonal "
+            "entry differs from 1.0")
 
     if not lower:
         flipped = COOMatrix(tri.shape, n - 1 - tri.rows, n - 1 - tri.cols,
@@ -413,21 +406,18 @@ def run_sptrsv(tri: COOMatrix, b: np.ndarray, config: SystemConfig,
         result = run_sptrsv(flipped, b[::-1].copy(), config, lower=True,
                             precision=precision, fidelity=fidelity,
                             reorder=reorder, leaf_size=leaf_size,
-                            engine_banks=engine_banks, engine=engine,
-                            planner=planner, channels=channels,
+                            engine_banks=engine_banks, channels=channels,
                             strategy=strategy)
         result.x = result.x[::-1].copy()
         return result
 
-    planner_name = resolve_planner(planner)
     perm = None
     work = tri
     rhs = b.copy()
     if reorder:
         with obs.span("sptrsv.level_schedule", cat="planner", n=n,
                       nnz=tri.nnz):
-            perm, work = reorder_by_levels(tri, lower=True,
-                                           planner=planner_name)
+            perm, work = reorder_by_levels(tri, lower=True)
         rhs = b[perm].copy()
 
     leaf = leaf_size or tile_capacity(config, precision)
@@ -448,25 +438,18 @@ def run_sptrsv(tri: COOMatrix, b: np.ndarray, config: SystemConfig,
                                 n=n, leaf_size=leaf)
                 for _ in range(channels)])
     strict = work.strictly_lower()
-    if planner_name == "fast":
-        # Column-major order gives every leaf block's elements as one
-        # contiguous (column, row)-sorted slice range.
-        solve_leaf = _solve_leaf_fast
-        leaf_source = strict.sorted_cols()
-    else:
-        solve_leaf = _solve_leaf_scalar
-        leaf_source = CSRMatrix.from_coo(strict.transpose())  # col access
+    leaf_source = _leaf_columns(strict)
 
     with obs.span("sptrsv.solve", cat="kernel", n=n, steps=len(plan),
                   fidelity=fidelity):
         for step in plan:
             if step.kind == "update":
                 _apply_update(strict, rhs, step, config, precision,
-                              fidelity, engine_banks, execution, engine,
-                              planner_name, channels, strategy)
+                              fidelity, engine_banks, execution, channels,
+                              strategy)
             else:
-                solve_leaf(leaf_source, rhs, step, config, precision,
-                           fidelity, engine_banks, execution, engine)
+                _solve_leaf_fast(leaf_source, rhs, step, config, precision,
+                                 fidelity, engine_banks, execution)
     if obs.enabled():
         obs.set_gauge("sptrsv.levels", execution.num_levels)
         obs.add_counter("sptrsv.solves", 1)
@@ -482,8 +465,6 @@ def run_sptrsv(tri: COOMatrix, b: np.ndarray, config: SystemConfig,
 def _apply_update(strict: COOMatrix, rhs: np.ndarray, step: SolveStep,
                   config, precision, fidelity, engine_banks,
                   execution: SpTrsvExecution,
-                  engine: Optional[str] = None,
-                  planner: Optional[str] = None,
                   channels: Optional[int] = None,
                   strategy: Optional[str] = None) -> None:
     """b1 -= M @ x0 (Eq. 3's SpMV between the two recursive solves)."""
@@ -496,8 +477,7 @@ def _apply_update(strict: COOMatrix, rhs: np.ndarray, step: SolveStep,
     result = run_spmv(block, rhs[c0:c1], config, precision=precision,
                       fidelity=fidelity, accumulate="sub",
                       y0=rhs[r0:r1], engine_banks=engine_banks,
-                      engine=engine, planner=planner, channels=channels,
-                      strategy=strategy)
+                      channels=channels, strategy=strategy)
     rhs[r0:r1] = result.y
     execution.update_elements.append(block.nnz)
     execution.update_batches.append(result.execution.num_rounds)
@@ -514,59 +494,25 @@ def _apply_update(strict: COOMatrix, rhs: np.ndarray, step: SolveStep,
         sub.update_execs.append(sub_exec)
 
 
-def _solve_leaf_scalar(csr_cols: CSRMatrix, rhs: np.ndarray,
-                       step: SolveStep, config, precision, fidelity,
-                       engine_banks, execution: SpTrsvExecution,
-                       engine: Optional[str] = None) -> None:
-    """Algorithm 3 with level batching inside one diagonal block (oracle:
-    per-column loops over a column-access CSR)."""
-    lo, hi = step.row_range
-    width = hi - lo
-    # Level schedule restricted to the block: depth over in-block deps.
-    depth = np.zeros(width, dtype=np.int64)
-    block_cols: List[Tuple[np.ndarray, np.ndarray]] = []
-    for local_col in range(width):
-        idx, val = csr_cols.row(lo + local_col)
-        mask = (idx >= lo) & (idx < hi)
-        block_cols.append((idx[mask] - lo, val[mask]))
-    for local_col in range(width):
-        rows_below, _ = block_cols[local_col]
-        if rows_below.size:
-            np.maximum.at(depth, rows_below, depth[local_col] + 1)
-
-    num_levels = int(depth.max()) + 1 if width else 0
-    for level in range(num_levels):
-        cols = np.nonzero(depth == level)[0]
-        rows_list, cols_list, vals_list = [], [], []
-        for local_index, col in enumerate(cols):
-            rows_below, vals_below = block_cols[col]
-            rows_list.append(rows_below)
-            cols_list.append(np.full(rows_below.size, local_index,
-                                     dtype=np.int64))
-            vals_list.append(vals_below)
-        rows = np.concatenate(rows_list) if rows_list else np.zeros(
-            0, dtype=np.int64)
-        lcols = np.concatenate(cols_list) if cols_list else np.zeros(
-            0, dtype=np.int64)
-        vals = np.concatenate(vals_list) if vals_list else np.zeros(0)
-        _run_leaf_level(cols, rows, lcols, vals, rhs, lo, width, config,
-                        precision, fidelity, engine_banks, execution,
-                        engine)
+def _leaf_columns(strict: COOMatrix) -> COOMatrix:
+    """The leaf solver's view of the strict part: column-major order gives
+    every leaf block's elements as one contiguous (column, row)-sorted
+    slice range."""
+    return strict.sorted_cols()
 
 
 def _solve_leaf_fast(col_sorted: COOMatrix, rhs: np.ndarray,
                      step: SolveStep, config, precision, fidelity,
-                     engine_banks, execution: SpTrsvExecution,
-                     engine: Optional[str] = None) -> None:
-    """Fast leaf scheduler over the column-sorted strict matrix.
+                     engine_banks, execution: SpTrsvExecution) -> None:
+    """Algorithm 3 with level batching inside one diagonal block.
 
     The block's elements are one column-range slice (rows filtered to the
     block), already in the oracle's (column, row) emission order; depth
     comes from the same frontier sweep as :func:`level_schedule` and each
     level's elements are gathered with ``concat_ranges`` instead of
     per-column concatenation. All per-level arrays — and therefore the
-    float accumulation order of the rhs updates — match the scalar oracle
-    exactly.
+    float accumulation order of the rhs updates — match the per-column
+    loops of the scalar oracle in :mod:`repro.check.oracles` exactly.
     """
     lo, hi = step.row_range
     width = hi - lo
@@ -595,15 +541,13 @@ def _solve_leaf_fast(col_sorted: COOMatrix, rhs: np.ndarray,
         lcols = np.repeat(np.arange(cols.size, dtype=np.int64),
                           ends - starts)
         _run_leaf_level(cols, rows, lcols, vals, rhs, lo, width, config,
-                        precision, fidelity, engine_banks, execution,
-                        engine)
+                        precision, fidelity, engine_banks, execution)
 
 
 def _run_leaf_level(cols, rows, lcols, vals, rhs, lo, width, config,
                     precision, fidelity, engine_banks,
-                    execution: SpTrsvExecution,
-                    engine: Optional[str] = None) -> None:
-    """Execute one leaf level (shared by both planners)."""
+                    execution: SpTrsvExecution) -> None:
+    """Execute one leaf level (shared with the scalar leaf oracle)."""
     # The columns of this level are solved: x = b (unit diagonal).
     scales = rhs[lo + cols]
     per_bank: List[tuple] = []
@@ -620,7 +564,7 @@ def _run_leaf_level(cols, rows, lcols, vals, rhs, lo, width, config,
             np.subtract.at(rhs, lo + rows, vals * scales[lcols])
         else:
             _leaf_level_functional(per_bank, scales, rhs, lo, width,
-                                   precision, engine_banks, engine)
+                                   precision, engine_banks)
     else:
         execution.level_batches.append(0)
     execution.level_elements.append(int(rows.size))
@@ -652,15 +596,13 @@ def _split_rows(rows, cols, vals, num_banks):
 
 
 def _leaf_level_functional(per_bank, scales, rhs, lo, width, precision,
-                           engine_banks,
-                           engine_name: Optional[str] = None) -> None:
+                           engine_banks) -> None:
     """Run one level on the instruction-accurate engine."""
     width_banks = min(len(per_bank), engine_banks or len(per_bank))
     waves = [per_bank[i:i + width_banks]
              for i in range(0, len(per_bank), width_banks)]
     for wave in waves:
-        engine = make_engine(num_banks=len(wave), precision=precision,
-                             engine=engine_name)
+        engine = LaneEngine(len(wave), precision=precision)
         tiles = [Tile(rows, cols, vals, scales, width)
                  for rows, cols, vals in wave]
         result = run_tile_round(engine, tiles, accumulate="sub")

@@ -4,8 +4,7 @@ SparseP (PAPERS.md) shows that on real PIM hardware the best sparse
 partitioning — 1D vs 2D, equal-rows vs equal-nnz vs variable-sized — is
 strongly matrix-dependent. This module generalises the paper's fixed
 row-cut scheme (:func:`repro.core.partition.partition`) behind a
-:class:`PartitionStrategy` registry (:func:`make_strategy`, mirroring
-:func:`repro.core.planner.make_planner` / :func:`repro.pim.make_engine`):
+:class:`PartitionStrategy` registry (:func:`make_strategy`):
 
 * ``"paper"`` — the §V row-cut + Fig. 6 compression scheme, bitwise
   identical to the pre-registry planner and the default.
@@ -58,7 +57,7 @@ class PartitionStrategy:
 
     ``cutter`` is ``None`` for the paper strategy, which delegates to
     :func:`repro.core.partition.partition` so the default path stays
-    bitwise identical (including its scalar-oracle ``planner`` dispatch).
+    bitwise identical.
     """
 
     name: str
@@ -68,20 +67,15 @@ class PartitionStrategy:
     def partition(self, matrix: COOMatrix, config: SystemConfig,
                   precision: str = "fp64", compress: bool = True,
                   tile_rows: int = None, tile_cols: int = None,
-                  planner: Optional[str] = None,
                   validate: bool = True) -> PartitionPlan:
         """Cut *matrix* into 1 KB-bounded tiles under this strategy.
 
-        The signature matches :func:`repro.core.partition.partition`;
-        ``planner`` only affects the paper strategy (the alternatives have
-        a single array-native implementation and are differentially
-        checked against the functional oracle instead).
+        The signature matches :func:`repro.core.partition.partition`.
         """
         if self.cutter is None:
             return partition(matrix, config, precision=precision,
                              compress=compress, tile_rows=tile_rows,
-                             tile_cols=tile_cols, planner=planner,
-                             validate=validate)
+                             tile_cols=tile_cols, validate=validate)
         capacity = tile_capacity(config, precision)
         tile_rows = capacity if tile_rows is None else tile_rows
         tile_cols = capacity if tile_cols is None else tile_cols
@@ -119,14 +113,12 @@ class AutoStrategy:
     def partition(self, matrix: COOMatrix, config: SystemConfig,
                   precision: str = "fp64", compress: bool = True,
                   tile_rows: int = None, tile_cols: int = None,
-                  planner: Optional[str] = None,
                   validate: bool = True) -> PartitionPlan:
         result = tune_strategy(matrix, config, precision=precision,
-                               compress=compress, planner=planner)
+                               compress=compress)
         return make_strategy(result.chosen).partition(
             matrix, config, precision=precision, compress=compress,
-            tile_rows=tile_rows, tile_cols=tile_cols, planner=planner,
-            validate=validate)
+            tile_rows=tile_rows, tile_cols=tile_cols, validate=validate)
 
 
 _REGISTRY: Dict[str, PartitionStrategy] = {}
@@ -146,9 +138,8 @@ def strategy_names() -> Tuple[str, ...]:
 def make_strategy(strategy: Optional[str] = None):
     """Resolve a strategy name into its implementation.
 
-    Mirrors :func:`repro.core.planner.make_planner`: explicit arg >
-    ``PSYNCPIM_STRATEGY`` > ``"paper"``. ``"auto"`` returns the
-    :class:`AutoStrategy` facade; unknown names raise
+    Explicit arg > ``PSYNCPIM_STRATEGY`` > ``"paper"``. ``"auto"``
+    returns the :class:`AutoStrategy` facade; unknown names raise
     :class:`ConfigError` via :func:`repro.config.resolve_strategy`.
     """
     name = resolve_strategy(strategy)
@@ -580,7 +571,6 @@ def tune_strategy(matrix: COOMatrix, config: SystemConfig,
                   policy: str = "paper", channels: Optional[int] = None,
                   mode: str = "ab",
                   params: Optional[TraceParams] = None,
-                  planner: Optional[str] = None,
                   cache=None) -> TuneResult:
     """Pick the cheapest partitioning strategy for *matrix*.
 
@@ -613,7 +603,7 @@ def tune_strategy(matrix: COOMatrix, config: SystemConfig,
         for name in names:
             plan = make_strategy(name).partition(
                 matrix, config, precision=precision, compress=compress,
-                planner=planner, validate=False)
+                validate=False)
             _, _, execution = plan_spmv(
                 matrix, config, precision=precision, compress=compress,
                 policy=policy, plan=plan, validate=False,

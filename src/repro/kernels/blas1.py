@@ -19,10 +19,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..config import ProcessingUnitConfig
 from ..errors import ExecutionError
 from ..formats import SparseVector
-from ..pim import AllBankEngine, Beat, make_engine, padded_triples
+from ..pim import AllBankEngine, Beat, LaneEngine, padded_triples
 from . import programs
 from .base import (LaunchStats, groups_for, join_even, launch, passes,
                    read_scalars, split_even)
@@ -35,15 +34,6 @@ class KernelRun:
     result: object
     stats: LaunchStats
     engine: AllBankEngine
-
-
-def _make_engine(num_banks: int, precision: str,
-                 engine: Optional[str] = None):
-    """Build the selected functional engine (PSYNCPIM_ENGINE default)."""
-    return make_engine(num_banks=num_banks,
-                       config=ProcessingUnitConfig(),
-                       precision=precision,
-                       engine=engine)
 
 
 def _lanes(engine: AllBankEngine) -> int:
@@ -92,7 +82,7 @@ def dcopy(x: np.ndarray, num_banks: int = 16,
           precision: str = "fp64") -> KernelRun:
     """DCOPY: returns y = x streamed through the PIM datapath."""
     x = np.asarray(x, dtype=np.float64)
-    engine = _make_engine(num_banks, precision)
+    engine = LaneEngine(num_banks, precision=precision)
     chunk = _dense_setup(engine, x=x, y=np.zeros_like(x))
 
     def beats(offset, step):
@@ -113,7 +103,7 @@ def dswap(x: np.ndarray, y: np.ndarray, num_banks: int = 16,
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size:
         raise ExecutionError("DSWAP operands must have equal length")
-    engine = _make_engine(num_banks, precision)
+    engine = LaneEngine(num_banks, precision=precision)
     chunk = _dense_setup(engine, x=x, y=y)
 
     def beats(offset, step):
@@ -134,7 +124,7 @@ def dscal(alpha: float, x: np.ndarray, num_banks: int = 16,
           precision: str = "fp64") -> KernelRun:
     """DSCAL: returns alpha * x (computed in place on the banks)."""
     x = np.asarray(x, dtype=np.float64)
-    engine = _make_engine(num_banks, precision)
+    engine = LaneEngine(num_banks, precision=precision)
     chunk = _dense_setup(engine, x=x)
 
     def beats(offset, step):
@@ -156,7 +146,7 @@ def daxpy(alpha: float, x: np.ndarray, y: np.ndarray, num_banks: int = 16,
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size:
         raise ExecutionError("DAXPY operands must have equal length")
-    engine = _make_engine(num_banks, precision)
+    engine = LaneEngine(num_banks, precision=precision)
     chunk = _dense_setup(engine, x=x, y=y)
 
     def beats(offset, step):
@@ -179,7 +169,7 @@ def ddot(x: np.ndarray, y: np.ndarray, num_banks: int = 16,
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size:
         raise ExecutionError("DDOT operands must have equal length")
-    engine = _make_engine(num_banks, precision)
+    engine = LaneEngine(num_banks, precision=precision)
     chunk = _dense_setup(engine, x=x, y=y)
 
     def beats(offset, step):
@@ -208,7 +198,7 @@ def elementwise(x: np.ndarray, y: np.ndarray, binary: str,
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size:
         raise ExecutionError("elementwise operands must have equal length")
-    engine = _make_engine(num_banks, precision)
+    engine = LaneEngine(num_banks, precision=precision)
     chunk = _dense_setup(engine, x=x, y=y, z=np.zeros_like(x))
 
     def beats(offset, step):
@@ -256,7 +246,7 @@ def spaxpy(alpha: float, x: SparseVector, y: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     if x.length != y.size:
         raise ExecutionError("SpAXPY operands must have equal length")
-    engine = _make_engine(num_banks, precision)
+    engine = LaneEngine(num_banks, precision=precision)
     chunk = _dense_setup(engine, y=y)
     total = _sparse_setup(engine, "xsp", x, chunk)
     group = _group(engine)
@@ -289,7 +279,7 @@ def spdot(x: SparseVector, y: np.ndarray, num_banks: int = 16,
     y = np.asarray(y, dtype=np.float64)
     if x.length != y.size:
         raise ExecutionError("SpDOT operands must have equal length")
-    engine = _make_engine(num_banks, precision)
+    engine = LaneEngine(num_banks, precision=precision)
     chunk = _dense_setup(engine, y=y)
     total = _sparse_setup(engine, "xsp", x, chunk)
     group = _group(engine)
@@ -319,7 +309,7 @@ def gather(dense: np.ndarray, num_banks: int = 16,
            precision: str = "fp64") -> KernelRun:
     """GATHER: returns the SparseVector of non-zeros of *dense*."""
     dense = np.asarray(dense, dtype=np.float64)
-    engine = _make_engine(num_banks, precision)
+    engine = LaneEngine(num_banks, precision=precision)
     chunk = _dense_setup(engine, y=dense)
     group = _group(engine)
     total_groups = groups_for(chunk, group)
@@ -365,7 +355,7 @@ def scatter(x: SparseVector, length: Optional[int] = None,
              else np.asarray(base, dtype=np.float64).copy())
     if dense.size != x.length:
         raise ExecutionError("scatter base length mismatch")
-    engine = _make_engine(num_banks, precision)
+    engine = LaneEngine(num_banks, precision=precision)
     chunk = _dense_setup(engine, y=dense)
     total = _sparse_setup(engine, "xsp", x, chunk)
     group = _group(engine)

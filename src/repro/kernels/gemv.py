@@ -17,10 +17,10 @@ import math
 import numpy as np
 
 from ..errors import ExecutionError
-from ..pim import Beat
+from ..pim import Beat, LaneEngine
 from . import programs
 from .base import LaunchStats, groups_for, join_even, launch, split_even
-from .blas1 import KernelRun, _lanes, _make_engine
+from .blas1 import KernelRun, _lanes
 
 
 def dgemv(matrix: np.ndarray, x: np.ndarray, num_banks: int = 16,
@@ -31,7 +31,7 @@ def dgemv(matrix: np.ndarray, x: np.ndarray, num_banks: int = 16,
     if matrix.ndim != 2 or matrix.shape[1] != x.size:
         raise ExecutionError("DGEMV operand shapes do not match")
     m, n = matrix.shape
-    engine = _make_engine(num_banks, precision)
+    engine = LaneEngine(num_banks, precision=precision)
     lanes = _lanes(engine)
 
     rows_per_bank = math.ceil(m / num_banks)
@@ -82,7 +82,7 @@ def dtrsv(matrix: np.ndarray, b: np.ndarray, lower: bool = True,
         raise ExecutionError("DTRSV operand shapes do not match")
     if np.any(np.diag(matrix) == 0.0):
         raise ExecutionError("singular triangular matrix")
-    engine = _make_engine(num_banks, precision)
+    engine = LaneEngine(num_banks, precision=precision)
     lanes = _lanes(engine)
 
     chunks = split_even(b, num_banks, lanes)

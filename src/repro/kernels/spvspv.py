@@ -24,9 +24,9 @@ import numpy as np
 from ..errors import ExecutionError
 from ..formats import SparseVector
 from ..isa import assemble
-from ..pim import AllBankEngine, Beat, padded_triples
+from ..pim import AllBankEngine, Beat, LaneEngine, padded_triples
 from .base import LaunchStats, launch, passes
-from .blas1 import KernelRun, _group, _make_engine
+from .blas1 import KernelRun, _group
 
 
 def spvspv_program(outer: int, batch: int, binary: str, set_mode: str,
@@ -55,7 +55,7 @@ def spvspv(x: SparseVector, y: SparseVector, binary: str = "add",
     """z_sp = x_sp (.) y_sp with union or intersection semantics."""
     if x.length != y.length:
         raise ExecutionError("sparse operands must share a length")
-    engine = _make_engine(num_banks, precision)
+    engine = LaneEngine(num_banks, precision=precision)
     group = _group(engine)
     chunk = max(group, math.ceil(x.length / num_banks))
 

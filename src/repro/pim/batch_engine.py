@@ -183,11 +183,10 @@ def make_batch_engine(num_jobs: int, num_banks: int,
                       config: ProcessingUnitConfig = ProcessingUnitConfig(),
                       precision: str = "fp64",
                       check_lockstep: bool = True) -> BatchEngine:
-    """Build a jobs x banks batch engine (mirrors :func:`make_engine`).
+    """Build a jobs x banks batch engine.
 
-    There is only one batched implementation; the factory exists so batch
-    construction reads like the engine/planner tiers and stays a single
-    call site if alternatives ever appear.
+    There is only one batched implementation; the factory keeps batch
+    construction a single call site.
     """
     return BatchEngine(num_jobs, num_banks, config=config,
                        precision=precision, check_lockstep=check_lockstep)

@@ -29,8 +29,8 @@ by differential tests (``tests/test_pim_lane_engine.py``):
 * queue and cursor state advance through the same sequence of predicated
   steps, so FIFO orders and stream positions match exactly.
 
-The scalar engine remains the reference oracle; select between them with
-``PSYNCPIM_ENGINE`` (see :func:`repro.config.resolve_engine`).
+The scalar engine remains the reference oracle; it is reachable from
+tests only, through :mod:`repro.check.oracles`.
 """
 
 from __future__ import annotations

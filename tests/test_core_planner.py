@@ -1,21 +1,26 @@
 """Differential tests: the fast planner against its scalar oracle.
 
-The vectorized planning front-end (:mod:`repro.core.planner`) promises
-*bitwise-identical* outputs to the scalar reference for every planning
+The vectorized planning front-end promises *bitwise-identical* outputs to
+the scalar reference (:mod:`repro.check.oracles`) for every planning
 stage — tiles, round assignments, dependency levels, and the numerical
 results / execution records built on top of them. These tests pin that
-contract on randomized and pathological inputs.
+contract on randomized and pathological inputs, running each production
+entry point once as shipped and once with its stages swapped for the
+oracles.
 """
+
+import importlib
 
 import numpy as np
 import pytest
 
-from repro.config import (PLANNER_ENV, default_system, resolve_planner)
-from repro.core import (Planner, distribute, make_planner, partition,
-                        reassemble, run_spmv, run_sptrsv)
+from repro.check import oracles
+from repro.config import default_system
+from repro.core import (distribute, partition, reassemble, run_spmv,
+                        run_sptrsv)
 from repro.core.planner import concat_ranges, stable_desc_order
 from repro.core.sptrsv import level_schedule, reorder_by_levels
-from repro.errors import ConfigError, MappingError
+from repro.errors import MappingError
 from repro.formats import COOMatrix
 from repro.formats.generators import (power_law_graph, uniform_random,
                                       unit_lower_from)
@@ -51,9 +56,16 @@ def assert_assignments_equal(fast, scalar):
                 assert_tiles_equal(tf, ts)
 
 
+def on_oracle(fn, *args, **kwargs):
+    """Call *fn* with every planning stage swapped for its scalar oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        oracles.use_scalar_planner(mp.setattr)
+        return fn(*args, **kwargs)
+
+
 def both_partitions(matrix, **kwargs):
-    return (partition(matrix, CFG, planner="fast", **kwargs),
-            partition(matrix, CFG, planner="scalar", **kwargs))
+    return (partition(matrix, CFG, **kwargs),
+            on_oracle(partition, matrix, CFG, **kwargs))
 
 
 # ----------------------------------------------------------------------
@@ -108,8 +120,7 @@ def test_partition_identical_int8_capacity():
     # int8 quadruples the per-row element capacity vs fp64, exercising a
     # different default tiling without explicit tile dimensions.
     matrix = power_law_graph(900, avg_degree=4, seed=11)
-    fast = partition(matrix, CFG, precision="int8", planner="fast")
-    scalar = partition(matrix, CFG, precision="int8", planner="scalar")
+    fast, scalar = both_partitions(matrix, precision="int8")
     assert_plans_equal(fast, scalar)
 
 
@@ -118,8 +129,8 @@ def test_partition_identical_int8_capacity():
 def test_distribute_identical(policy, num_banks):
     matrix = power_law_graph(600, avg_degree=8, seed=21)
     plan = partition(matrix, CFG, tile_rows=48, tile_cols=48)
-    fast = distribute(plan, num_banks, policy=policy, planner="fast")
-    scalar = distribute(plan, num_banks, policy=policy, planner="scalar")
+    fast = distribute(plan, num_banks, policy=policy)
+    scalar = on_oracle(distribute, plan, num_banks, policy=policy)
     assert_assignments_equal(fast, scalar)
 
 
@@ -133,8 +144,8 @@ def test_distribute_identical_with_ties():
     nnz = {t.nnz for t in plan.tiles}
     assert len(nnz) == 1  # all tiles identical in weight: pure tie-break
     for policy in ("paper", "balanced"):
-        fast = distribute(plan, 5, policy=policy, planner="fast")
-        scalar = distribute(plan, 5, policy=policy, planner="scalar")
+        fast = distribute(plan, 5, policy=policy)
+        scalar = on_oracle(distribute, plan, 5, policy=policy)
         assert_assignments_equal(fast, scalar)
 
 
@@ -162,8 +173,8 @@ def triangular_cases():
 @pytest.mark.parametrize("lower", [True, False])
 def test_level_schedule_identical(name, tri, lower):
     work = tri if lower else tri.transpose()
-    fast = level_schedule(work, lower=lower, planner="fast")
-    scalar = level_schedule(work, lower=lower, planner="scalar")
+    fast = level_schedule(work, lower=lower)
+    scalar = on_oracle(level_schedule, work, lower=lower)
     assert len(fast) == len(scalar)
     for lf, ls in zip(fast, scalar):
         assert np.array_equal(lf, ls)
@@ -174,8 +185,8 @@ def test_reorder_by_levels_identical(lower):
     tri = unit_lower_from(
         uniform_random(250, 250, density=0.03, seed=41), seed=42)
     work = tri if lower else tri.transpose()
-    perm_f, re_f = reorder_by_levels(work, lower=lower, planner="fast")
-    perm_s, re_s = reorder_by_levels(work, lower=lower, planner="scalar")
+    perm_f, re_f = reorder_by_levels(work, lower=lower)
+    perm_s, re_s = on_oracle(reorder_by_levels, work, lower=lower)
     assert np.array_equal(perm_f, perm_s)
     assert re_f == re_s
 
@@ -189,9 +200,9 @@ def test_spmv_end_to_end_identical(compress, fidelity):
     matrix = power_law_graph(400, avg_degree=7, seed=51)
     x = np.random.default_rng(52).random(matrix.shape[1])
     fast = run_spmv(matrix, x, CFG, compress=compress, fidelity=fidelity,
-                    engine_banks=4, planner="fast")
-    scalar = run_spmv(matrix, x, CFG, compress=compress, fidelity=fidelity,
-                      engine_banks=4, planner="scalar")
+                    engine_banks=4)
+    scalar = on_oracle(run_spmv, matrix, x, CFG, compress=compress,
+                       fidelity=fidelity, engine_banks=4)
     assert np.array_equal(fast.y, scalar.y)
     assert fast.execution.round_batches == scalar.execution.round_batches
     assert np.array_equal(fast.execution.per_bank_elements,
@@ -206,8 +217,8 @@ def test_sptrsv_end_to_end_identical(reorder):
     tri = unit_lower_from(
         uniform_random(350, 350, density=0.02, seed=61), seed=62)
     b = np.random.default_rng(63).random(350)
-    fast = run_sptrsv(tri, b, CFG, reorder=reorder, planner="fast")
-    scalar = run_sptrsv(tri, b, CFG, reorder=reorder, planner="scalar")
+    fast = run_sptrsv(tri, b, CFG, reorder=reorder)
+    scalar = on_oracle(run_sptrsv, tri, b, CFG, reorder=reorder)
     assert np.array_equal(fast.x, scalar.x)
     assert fast.execution.level_batches == scalar.execution.level_batches
     assert fast.execution.level_elements == scalar.execution.level_elements
@@ -227,8 +238,8 @@ def test_sptrsv_deep_chain_identical():
                     np.concatenate([np.ones(n), 0.25 * np.ones(n - 1)]))
     b = np.random.default_rng(64).random(n)
     for reorder in (True, False):
-        fast = run_sptrsv(tri, b, CFG, reorder=reorder, planner="fast")
-        scalar = run_sptrsv(tri, b, CFG, reorder=reorder, planner="scalar")
+        fast = run_sptrsv(tri, b, CFG, reorder=reorder)
+        scalar = on_oracle(run_sptrsv, tri, b, CFG, reorder=reorder)
         assert np.array_equal(fast.x, scalar.x)
         assert fast.execution.level_widths == scalar.execution.level_widths
 
@@ -238,44 +249,78 @@ def test_sptrsv_upper_identical():
         uniform_random(220, 220, density=0.03, seed=71), seed=72)
     upper = tri.transpose()
     b = np.random.default_rng(73).random(220)
-    fast = run_sptrsv(upper, b, CFG, lower=False, planner="fast")
-    scalar = run_sptrsv(upper, b, CFG, lower=False, planner="scalar")
+    fast = run_sptrsv(upper, b, CFG, lower=False)
+    scalar = on_oracle(run_sptrsv, upper, b, CFG, lower=False)
     assert np.array_equal(fast.x, scalar.x)
 
 
 # ----------------------------------------------------------------------
-# selection plumbing and helpers
+# oracle substitution and helpers
 # ----------------------------------------------------------------------
-class TestSelection:
-    def test_factory_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv(PLANNER_ENV, raising=False)
-        assert make_planner().name == "fast"
+def test_oracle_substitution_is_scoped():
+    """The oracles replace exactly the listed stages, and only inside
+    the substitution."""
+    stages = [(importlib.import_module(module), name, oracle)
+              for module, name, oracle in oracles.PLANNER_STAGES]
+    shipped = [getattr(module, name) for module, name, _ in stages]
+    assert all(fn is not oracle
+               for fn, (_, _, oracle) in zip(shipped, stages))
+    with pytest.MonkeyPatch.context() as mp:
+        oracles.use_scalar_planner(mp.setattr)
+        for module, name, oracle in stages:
+            assert getattr(module, name) is oracle
+    assert [getattr(module, name) for module, name, _ in stages] == shipped
 
-    def test_factory_explicit(self):
-        assert make_planner("scalar").name == "scalar"
-        assert isinstance(make_planner("fast"), Planner)
+
+def test_direct_oracle_calls_match_stages():
+    """The oracles are plain functions: called directly on a stage's own
+    inputs they return the stage's output bitwise."""
+    partition_mod = importlib.import_module("repro.core.partition")
+    distribution_mod = importlib.import_module("repro.core.distribution")
+    sptrsv_mod = importlib.import_module("repro.core.sptrsv")
+    matrix = power_law_graph(300, avg_degree=6, seed=12)
+    srt = matrix.sorted_rows()
+    for compress in (True, False):
+        fast = partition_mod._partition_fast(srt, matrix.shape, 40, 40,
+                                             compress)
+        scalar = oracles._partition_scalar(srt, matrix.shape, 40, 40,
+                                           compress)
+        assert len(fast) == len(scalar)
+        for tf, ts in zip(fast, scalar):
+            assert_tiles_equal(tf, ts)
+    tiles = fast
+    assert ([id(t) for t in distribution_mod._by_desc_nnz(tiles)]
+            == [id(t) for t in oracles._by_desc_nnz_scalar(tiles)])
+    for rf, rs in zip(distribution_mod._balanced_fast(tiles, 6),
+                      oracles._balanced(tiles, 6)):
+        assert [id(t) for t in rf] == [id(t) for t in rs]
+    tri = unit_lower_from(uniform_random(120, 120, density=0.05, seed=13),
+                          seed=14)
+    assert np.array_equal(sptrsv_mod._level_depths(120, tri),
+                          oracles._level_depths_scalar(120, tri))
+
+
+class TestSelection:
+    """There is one planner: no argument or environment variable picks
+    the scalar loops in production."""
 
     def test_env_selection(self, monkeypatch):
-        monkeypatch.setenv(PLANNER_ENV, "scalar")
-        assert resolve_planner() == "scalar"
-        assert make_planner().name == "scalar"
-        # explicit argument wins over the environment
-        assert resolve_planner("fast") == "fast"
+        matrix = uniform_random(120, 120, density=0.05, seed=81)
+        fast = partition(matrix, CFG)
+        monkeypatch.setenv("PSYNCPIM_PLANNER", "scalar")
+        calls = []
+        monkeypatch.setattr(oracles, "_cut_columns",
+                            lambda *args: calls.append(args) or [])
+        assert_plans_equal(partition(matrix, CFG), fast)
+        assert calls == []  # the oracle never ran
 
     def test_unknown_planner_rejected(self):
-        with pytest.raises(ConfigError):
-            resolve_planner("magic")
-        with pytest.raises(ConfigError):
+        with pytest.raises(TypeError, match="planner"):
             partition(uniform_random(50, 50, density=0.05, seed=1), CFG,
                       planner="magic")
-
-    def test_planner_facade_routes(self):
-        matrix = uniform_random(120, 120, density=0.05, seed=81)
-        p = make_planner("scalar")
-        plan = p.partition(matrix, CFG)
-        assert reassemble(plan) == matrix
-        assignment = p.distribute(plan, 8)
-        assert assignment.num_banks == 8
+        with pytest.raises(TypeError, match="planner"):
+            run_spmv(uniform_random(50, 50, density=0.05, seed=1),
+                     np.ones(50), CFG, planner="scalar")
 
 
 class TestValidationGate:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check import oracles
 from repro.config import default_system
 from repro.core import plan_spmm, run_spmm, run_spmv, time_spmm
 from repro.core.spmm import SpmmExecution, as_spmm_execution
@@ -139,13 +140,14 @@ class TestFunctionalTier:
                             engine_banks=4)
             np.testing.assert_array_equal(block.y[:, j], solo.y)
 
-    def test_lane_equals_scalar_engine(self):
+    def test_lane_equals_scalar_engine(self, monkeypatch):
         m = uniform_random(80, 80, 0.06, seed=9)
         x = RNG.random((80, 2))
         lane = run_spmm(m, x, CFG, fidelity="functional",
-                        engine_banks=4, engine="lane")
+                        engine_banks=4)
+        oracles.use_scalar_engine(monkeypatch.setattr)
         scalar = run_spmm(m, x, CFG, fidelity="functional",
-                          engine_banks=4, engine="scalar")
+                          engine_banks=4)
         np.testing.assert_array_equal(lane.y, scalar.y)
 
     def test_functional_stencil(self):

@@ -13,13 +13,13 @@ Covers the three tentpole guarantees:
 
 import json
 import os
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.config import ENGINE_ENV, default_system
+from repro.check import oracles
+from repro.config import default_system
 from repro.core import run_spmv, run_sptrsv, time_spmv
 from repro.core.spmv import plan_spmv
 from repro.core.sptrsv import ildu
@@ -41,19 +41,6 @@ def recording():
         obs.reset()
         if not was:
             obs.disable()
-
-
-@contextmanager
-def _engine_env(name):
-    old = os.environ.get(ENGINE_ENV)
-    os.environ[ENGINE_ENV] = name
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ[ENGINE_ENV]
-        else:
-            os.environ[ENGINE_ENV] = old
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +228,9 @@ def test_scalar_and_lane_engine_counters_match(recording):
     states = {}
     for engine in ("scalar", "lane"):
         obs.reset()
-        with _engine_env(engine):
+        with pytest.MonkeyPatch.context() as mp:
+            if engine == "scalar":
+                oracles.use_scalar_engine(mp.setattr)
             run_spmv(m, x, CFG, fidelity="functional", engine_banks=8)
         states[engine] = _counter_state()
     scalar_counters, scalar_banks = states["scalar"]
@@ -258,7 +247,10 @@ def test_scalar_and_fast_planner_counters_match(recording):
     states = {}
     for planner in ("scalar", "fast"):
         obs.reset()
-        _, _, execution = plan_spmv(m, CFG, planner=planner)
+        with pytest.MonkeyPatch.context() as mp:
+            if planner == "scalar":
+                oracles.use_scalar_planner(mp.setattr)
+            _, _, execution = plan_spmv(m, CFG)
         time_spmv(execution, CFG)
         counters, _ = _counter_state()
         states[planner] = {k: v for k, v in counters.items()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.report import JobRecord, SweepResult
+from repro.check import oracles
 from repro.config import (default_system, resolve_attrib, resolve_obs)
 from repro.core import plan_spmv, run_spmv
 from repro.core.sptrsv import ildu, run_sptrsv
@@ -184,8 +185,11 @@ def test_both_engines_attribute_identically(config):
     x = np.random.default_rng(3).random(matrix.shape[1])
     results = {}
     for engine in ("lane", "scalar"):
-        execution = run_spmv(matrix, x, config, engine=engine,
-                             engine_banks=4, validate=False).execution
+        with pytest.MonkeyPatch.context() as mp:
+            if engine == "scalar":
+                oracles.use_scalar_engine(mp.setattr)
+            execution = run_spmv(matrix, x, config, fidelity="functional",
+                                 engine_banks=4, validate=False).execution
         results[engine] = attribute_spmv(execution, config)
     lane_att, lane_perf = results["lane"]
     scalar_att, scalar_perf = results["scalar"]

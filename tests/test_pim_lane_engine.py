@@ -5,22 +5,27 @@ The scalar :class:`AllBankEngine` is the reference semantics; the
 every stats counter, exit/exhaustion state — on driver-produced programs
 and on randomized workloads covering predication, conditional exit,
 per-unit IndMOV columns and queue exhaustion.
+
+Kernel drivers build the lane engine; their scalar runs swap in the
+oracle with :func:`repro.check.oracles.use_scalar_engine`.
 """
 
-import os
-from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.config import ENGINE_ENV, resolve_engine
-from repro.errors import ConfigError, ExecutionError
+import repro
+from repro.check import oracles
+from repro.config import default_system
+from repro.core import run_spmv
+from repro.errors import ExecutionError
 from repro.formats import SparseVector
+from repro.formats.generators import uniform_random
 from repro.isa import assemble
 from repro.kernels import (Tile, daxpy, ddot, dscal, empty_tile, gather,
                            run_tile_round, scatter, spaxpy, spdot, spvspv)
-from repro.pim import (AllBankEngine, Beat, LaneEngine, Mode, make_engine,
-                       padded_triples)
+from repro.pim import AllBankEngine, Beat, LaneEngine, Mode, padded_triples
 
 ENGINE_STATS = ("beats", "mode_switches", "programs_loaded",
                 "kernel_launches", "instructions", "alu_ops",
@@ -28,25 +33,12 @@ ENGINE_STATS = ("beats", "mode_switches", "programs_loaded",
 UNIT_STATS = ("instructions", "alu_ops", "beats", "nop_beats")
 
 
-@contextmanager
-def _engine_env(name):
-    old = os.environ.get(ENGINE_ENV)
-    os.environ[ENGINE_ENV] = name
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ[ENGINE_ENV]
-        else:
-            os.environ[ENGINE_ENV] = old
-
-
 def _both(fn):
     """Run *fn* once per engine implementation; return (scalar, lane)."""
-    with _engine_env("scalar"):
+    with pytest.MonkeyPatch.context() as mp:
+        oracles.use_scalar_engine(mp.setattr)
         scalar = fn()
-    with _engine_env("lane"):
-        lane = fn()
+    lane = fn()
     return scalar, lane
 
 
@@ -102,29 +94,32 @@ def _sparse(rng, length, density):
 
 
 # ----------------------------------------------------------------------
-# engine selection
+# engine selection: there is none, the drivers build the lane engine
 # ----------------------------------------------------------------------
 class TestEngineSelection:
-    def test_default_is_lane(self):
-        old = os.environ.pop(ENGINE_ENV, None)
-        try:
-            assert resolve_engine() == "lane"
-            assert isinstance(make_engine(num_banks=2), LaneEngine)
-        finally:
-            if old is not None:
-                os.environ[ENGINE_ENV] = old
+    def test_default_is_lane(self, monkeypatch):
+        x = np.arange(40.0)
+        monkeypatch.setenv("PSYNCPIM_ENGINE", "scalar")
+        assert isinstance(dscal(2.0, x, num_banks=4).engine, LaneEngine)
+        oracles.use_scalar_engine(monkeypatch.setattr)
+        assert isinstance(dscal(2.0, x, num_banks=4).engine, AllBankEngine)
 
-    def test_env_selects_scalar(self):
-        with _engine_env("scalar"):
-            assert isinstance(make_engine(num_banks=2), AllBankEngine)
-
-    def test_explicit_beats_env(self):
-        with _engine_env("scalar"):
-            assert resolve_engine("lane") == "lane"
+    def test_every_construction_site_is_swappable(self):
+        """Every production module that builds a ``LaneEngine`` is listed
+        in ``ENGINE_SITES``, so the scalar runs reach all of them."""
+        src = Path(repro.__file__).parent
+        builders = {
+            ".".join(path.relative_to(src.parent).with_suffix("").parts)
+            for path in src.rglob("*.py")
+            if path.relative_to(src).parts[0] not in ("pim", "check")
+            and "LaneEngine(" in path.read_text()}
+        assert builders == set(oracles.ENGINE_SITES)
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError, match="unknown engine"):
-            resolve_engine("warp")
+        matrix = uniform_random(40, 40, density=0.1, seed=1)
+        with pytest.raises(TypeError, match="engine"):
+            run_spmv(matrix, np.ones(40), default_system(),
+                     fidelity="functional", engine="warp")
 
 
 # ----------------------------------------------------------------------
@@ -227,11 +222,12 @@ class TestTileRoundEquivalence:
         max_nnz = int(rng.integers(1, 70))
         tiles = _random_tiles(rng, num_banks, x_len, y_len, max_nnz)
 
-        def round_once():
-            engine = make_engine(num_banks=num_banks)
+        def round_once(cls):
+            engine = cls(num_banks)
             return run_tile_round(engine, tiles), engine
 
-        (sres, seng), (lres, leng) = _both(round_once)
+        sres, seng = round_once(AllBankEngine)
+        lres, leng = round_once(LaneEngine)
         assert sres.batches == lres.batches
         assert sres.nnz_per_bank == lres.nnz_per_bank
         for sy, ly in zip(sres.y_per_bank, lres.y_per_bank):
@@ -244,12 +240,13 @@ class TestTileRoundEquivalence:
         rng = np.random.default_rng(99)
         tiles = _random_tiles(rng, 4, 16, 16, 40)
 
-        def round_once():
-            engine = make_engine(num_banks=4)
+        def round_once(cls):
+            engine = cls(4)
             return run_tile_round(engine, tiles, accumulate=accumulate,
                                   y_init=y_init), engine
 
-        (sres, seng), (lres, leng) = _both(round_once)
+        sres, seng = round_once(AllBankEngine)
+        lres, leng = round_once(LaneEngine)
         for sy, ly in zip(sres.y_per_bank, lres.y_per_bank):
             assert np.array_equal(sy, ly)
         _assert_engines_match(seng, leng)
@@ -279,8 +276,8 @@ class TestBeatByBeat:
                                   rng.standard_normal(3 * b), cap)
                    for b in range(num_banks)]
         engines = []
-        for name in ("scalar", "lane"):
-            eng = make_engine(num_banks=num_banks, engine=name)
+        for cls in (AllBankEngine, LaneEngine):
+            eng = cls(num_banks)
             eng.host_write_triples("x", streams)
             eng.host_write_dense("y", [np.zeros(8)] * num_banks)
             eng.switch_mode(Mode.AB)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.check import oracles
 from repro.config import (STRATEGY_CHOICES, STRATEGY_ENV, default_system,
                           resolve_strategy)
 from repro.core import (PSyncPIM, make_strategy, partition, plan_spmv,
@@ -172,7 +173,9 @@ class TestFunctionalDifferential:
         rng = np.random.default_rng(5)
         matrix = random_coo(rng, 260, 260, density=0.025)
         x = rng.standard_normal(260)
-        oracle = run_spmv(matrix, x, CONFIG, planner="scalar").y
+        with pytest.MonkeyPatch.context() as mp:
+            oracles.use_scalar_planner(mp.setattr)
+            oracle = run_spmv(matrix, x, CONFIG).y
         got = run_spmv(matrix, x, CONFIG, strategy=strategy).y
         assert np.allclose(got, oracle)
 

@@ -2,7 +2,7 @@
 """Perf-trend gate: compare fresh BENCH_*.json against committed baselines.
 
 The perf microbenchmarks (``test_perf_engine.py``, ``test_perf_plan.py``,
-``test_perf_fuzz.py``, ``test_perf_channels.py``,
+``test_perf_channels.py``,
 ``test_perf_partition.py``, ``test_perf_attrib.py``,
 ``test_perf_spmm.py``) each write a
 ``benchmarks/results/BENCH_*.json``
@@ -24,8 +24,8 @@ baseline against a 1.0-scale run would compare different workloads.
 Re-baselining (after a deliberate perf change)::
 
     PSYNCPIM_SCALE=0.02 python -m pytest benchmarks/test_perf_engine.py \
-        benchmarks/test_perf_plan.py benchmarks/test_perf_fuzz.py \
-        benchmarks/test_perf_channels.py benchmarks/test_perf_partition.py
+        benchmarks/test_perf_plan.py benchmarks/test_perf_channels.py \
+        benchmarks/test_perf_partition.py
     python benchmarks/check_trend.py --update
     git add benchmarks/results/baselines/
 
@@ -49,13 +49,12 @@ TOLERANCE = 0.30
 
 #: speedups.* keys gated per BENCH file. Only ratios that past PRs
 #: established as stable wins are pinned; noisy or informational metrics
-#: (e.g. fuzz end_to_end, per-template speedups) stay unpinned.
+#: (e.g. the 2- and 8-channel ratios, per-strategy speedups) stay unpinned.
 PINNED = {
     "BENCH_engine.json": ("spmv", "sptrsv", "pricing"),
     "BENCH_plan.json": ("partition_compressed", "partition_raw",
                         "distribute_paper", "distribute_balanced",
                         "level_schedule", "combined"),
-    "BENCH_fuzz.json": ("execution",),
     "BENCH_channels.json": ("channels_16v1", "channels_4v1"),
     "BENCH_spmm.json": ("amortisation_16v1", "amortisation_4v1"),
     "BENCH_partition.json": ("auto_vs_paper",),

@@ -117,8 +117,7 @@ def test_planner_microbenchmark():
         for lf, ls in zip(fast, scalar):
             assert np.array_equal(lf, ls)
 
-    measure("level_schedule", lambda: level_schedule(tri), levels_equal,
-            repeats=2)
+    measure("level_schedule", lambda: level_schedule(tri), levels_equal)
 
     scalar_total = sum(v for k, v in bench["times"].items()
                        if k.endswith("_scalar_s"))

@@ -132,9 +132,6 @@ class SweepResult:
     workers: int = 1
     cache_enabled: bool = True
     cache_dir: str = ""
-    #: Batch mode the sweep ran under (``"off"`` or ``"jobs"``; see
-    #: :func:`repro.config.resolve_batch`).
-    batch: str = "off"
 
     def __len__(self) -> int:
         return len(self.records)
@@ -294,7 +291,7 @@ class SweepResult:
 
     @property
     def jobs_per_second(self) -> float:
-        """Sweep throughput against wall-clock (batch-mode headline)."""
+        """Sweep throughput against wall-clock."""
         if self.wall_seconds <= 0:
             return 0.0
         return len(self.records) / self.wall_seconds
@@ -331,7 +328,7 @@ class SweepResult:
         footer = (
             f"jobs: {len(self.records)}  wall: {self.wall_seconds:.2f} s  "
             f"({self.jobs_per_second:.1f} jobs/s)  "
-            f"workers: {self.workers}  batch: {self.batch}  "
+            f"workers: {self.workers}  "
             f"utilisation: {100.0 * self.worker_utilisation:.0f}%  "
             f"parallel speedup: {self.parallel_speedup:.2f}x\n"
             f"cache: {self.cache_hits} hits / {self.cache_misses} misses "

@@ -19,9 +19,8 @@ hooks tests use to swap them, and the scalar engine, into the production
 path; it is not imported here.
 """
 
-from .fuzz import (FuzzCase, build_case, fuzz_batch, fuzz_range,
-                   generate_case, generate_spmm_case, run_batch_group,
-                   run_case, run_single, shrink_case, vary_case)
+from .fuzz import (FuzzCase, build_case, fuzz_range, generate_case,
+                   generate_spmm_case, run_case, shrink_case)
 from .golden import (build_record, compare_golden, default_golden_dir,
                      golden_traces, update_golden)
 from .protocol import (ProtocolChecker, Violation, check_timed,
@@ -39,14 +38,11 @@ __all__ = [
     "check_trace",
     "compare_golden",
     "default_golden_dir",
-    "fuzz_batch",
     "fuzz_range",
     "generate_case",
     "generate_spmm_case",
     "golden_traces",
-    "run_batch_group",
     "run_case",
-    "run_single",
     "shrink_case",
     "summarize",
     "update_golden",

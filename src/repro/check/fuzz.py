@@ -12,13 +12,6 @@ failing case block-by-block before reporting.
 Determinism is load-bearing: :class:`FuzzCase` fields plus the seed fully
 determine the program, the beat stream and all input data. Shrinking
 works by rebuilding a smaller case and re-checking the predicate.
-
-:func:`fuzz_batch` is the throughput tier: it stacks whole seed blocks —
-one template leader plus data-only variants (:func:`vary_case`) — into a
-single :class:`~repro.pim.BatchEngine` launch and checks every job
-bitwise against a solo lane run, while the leader still goes through the
-full three-oracle :func:`run_case`. Verdicts are identical to the
-per-seed path; only the wall-clock changes.
 """
 
 from __future__ import annotations
@@ -30,13 +23,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import obs
-from ..config import ProcessingUnitConfig, element_size, resolve_batch
-from ..errors import CheckError, ReproError
+from ..config import ProcessingUnitConfig, element_size
+from ..errors import CheckError
 from ..isa import (BInstruction, BinaryOp, CInstruction, Identity, Opcode,
                    Operand, Program, SetMode)
 from ..isa.opcodes import ValueFormat
-from ..pim import AllBankEngine, BatchEngine, Beat, LaneEngine, Mode
+from ..pim import AllBankEngine, Beat, LaneEngine, Mode
 from .reference import ReferenceEngine
 
 _PRECISIONS = ("fp64", "fp32", "fp16", "int8")
@@ -74,23 +66,13 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class FuzzCase:
-    """A fully seeded differential test case.
-
-    ``data_seed`` decouples input data from program structure: ``None``
-    (the default, and what :func:`generate_case` produces) derives the
-    data from ``seed`` as always, while an explicit value re-seeds only
-    the input data. Cases that differ solely in ``data_seed`` build to an
-    identical program and beat stream — the template — which is what lets
-    :func:`fuzz_batch` stack whole seed blocks into one
-    :class:`~repro.pim.BatchEngine` launch.
-    """
+    """A fully seeded differential test case."""
 
     seed: int
     precision: str
     num_banks: int
     stream_len: int
     blocks: Tuple[BlockSpec, ...]
-    data_seed: Optional[int] = None
     #: Name of the generator that produced this case — keeps reproducer
     #: strings exact for cases from the SpMM template universe
     #: (:func:`generate_spmm_case`), whose seeds deliberately do NOT
@@ -98,26 +80,10 @@ class FuzzCase:
     generator: str = "generate_case"
 
     def reproducer(self) -> str:
-        make = (f"{self.generator}({self.seed})"
-                if self.data_seed is None
-                else f"vary_case({self.generator}({self.seed}), "
-                     f"{self.data_seed})")
-        return (f"repro.check.fuzz.run_case({make}) "
+        return (f"repro.check.fuzz.run_case({self.generator}({self.seed})) "
                 f"[precision={self.precision} banks={self.num_banks} "
                 f"stream={self.stream_len} "
                 f"blocks={[b.kind for b in self.blocks]}]")
-
-
-def vary_case(case: FuzzCase, data_seed: Optional[int]) -> FuzzCase:
-    """Same program/beat template as *case*, fresh input data.
-
-    The returned case draws its dense arrays and COO streams from
-    *data_seed* instead of ``case.seed`` but keeps every structural field,
-    so it expands to the same instructions and beats and may run in one
-    batch with *case*. ``data_seed=None`` restores the original data.
-    """
-    return dataclasses.replace(
-        case, data_seed=None if data_seed is None else int(data_seed))
 
 
 @dataclass
@@ -242,8 +208,7 @@ def build_case(case: FuzzCase,
                config: ProcessingUnitConfig = ProcessingUnitConfig(),
                ) -> BuiltCase:
     """Expand *case* into a program, a beat stream and input data."""
-    data_seed = case.seed if case.data_seed is None else case.data_seed
-    rng = np.random.default_rng(data_seed + 0x5EED)
+    rng = np.random.default_rng(case.seed + 0x5EED)
     value_bytes = element_size(case.precision)
     lanes = config.datapath_bytes // value_bytes
     capacity = min(config.subqueue_bytes // value_bytes,
@@ -648,7 +613,7 @@ def run_case(case: FuzzCase,
 
 
 # ----------------------------------------------------------------------
-# shrinking and batch driving
+# shrinking and driving
 # ----------------------------------------------------------------------
 def shrink_case(case: FuzzCase,
                 failed: Callable[[FuzzCase], bool]) -> FuzzCase:
@@ -689,16 +654,23 @@ def _case_fails(case: FuzzCase) -> bool:
     return False
 
 
-def fuzz_range(start: int, count: int,
-               shrink: bool = True) -> List[Tuple[int, str]]:
+def fuzz_range(start: int, count: int, shrink: bool = True,
+               generator: Callable[[int], FuzzCase] = generate_case,
+               ) -> List[Tuple[int, str]]:
     """Run seeds ``[start, start+count)``; return (seed, message) failures.
 
-    Each failure is shrunk (when *shrink*) before being reported, and the
+    Every seed goes through the full three-oracle :func:`run_case`. Each
+    failure is shrunk (when *shrink*) before being reported, and the
     reported message always carries the original reproducer seed.
+
+    *generator* selects the case universe: the classic
+    :func:`generate_case` (the default) or the SpMM-template
+    :func:`generate_spmm_case` — the two draw from disjoint RNG streams,
+    so the same seed range may safely cover both without correlation.
     """
     failures: List[Tuple[int, str]] = []
     for seed in range(start, start + count):
-        case = generate_case(seed)
+        case = generator(seed)
         try:
             run_case(case)
         except CheckError as exc:
@@ -708,200 +680,4 @@ def fuzz_range(start: int, count: int,
                 if small != case:
                     message += f"; shrunk: {small.reproducer()}"
             failures.append((seed, message))
-    return failures
-
-
-# ----------------------------------------------------------------------
-# batched fuzzing (jobs x banks execution of whole seed blocks)
-# ----------------------------------------------------------------------
-#: Seeds per batch group in ``fuzz_batch`` (one BatchEngine launch each).
-FUZZ_BATCH_GROUP = 8
-
-
-def template_key(case: FuzzCase, built: BuiltCase) -> tuple:
-    """Hashable template identity: equal keys may share one batch.
-
-    Two cases batch together exactly when they agree on precision, bank
-    count, the expanded instruction tuple and the expanded beat stream —
-    input data is free to differ per job.
-    """
-    return (case.precision, case.num_banks,
-            built.program.instructions, tuple(built.beats))
-
-
-def run_single(case: FuzzCase,
-               config: ProcessingUnitConfig = ProcessingUnitConfig(),
-               engine: str = "lane",
-               built: Optional[BuiltCase] = None):
-    """Run *case* alone on one production engine; return (snapshot, engine).
-
-    The snapshot has the :func:`_snapshot_production` structure, making it
-    directly comparable (via :func:`_first_diff`) with per-job batch
-    snapshots from :func:`run_batch_group`.
-    """
-    if built is None:
-        built = build_case(case, config)
-    cls = LaneEngine if engine == "lane" else AllBankEngine
-    eng = cls(case.num_banks, config=config, precision=case.precision)
-    _drive_production(eng, built)
-    return _snapshot_production(eng, built), eng
-
-
-def _snapshot_batch_job(engine: BatchEngine, built: BuiltCase,
-                        job: int) -> dict:
-    """One job's architectural state, shaped like a per-job snapshot."""
-    num_banks = engine.num_banks
-    units = engine.job_units(job)
-    views = engine.job_banks(job)
-    banks = {}
-    for b in range(num_banks):
-        lane = job * num_banks + b
-        drf = [_arr(engine.dense[i, lane])
-               for i in range(engine.dense.shape[0])]
-        queues = [[(r, c, _pack(v))
-                   for r, c, v in engine.queues[qi].snapshot(lane)]
-                  for qi in range(len(engine.queues))]
-        regions = {}
-        for name in built.dense_data:
-            regions[name] = _arr(views[b].dense(name).data)
-        for name in built.triple_data:
-            region = views[b].triples(name)
-            regions[name] = (_arr(region.rows), _arr(region.cols),
-                             _arr(region.vals))
-        banks[b] = {
-            "exited": bool(units[b].exited),
-            "exhausted_mask": int(units[b].exhausted_mask),
-            "load_targets_mask": int(units[b].load_targets_mask),
-            "srf": _pack(units[b].registers.scalar),
-            "drf": drf,
-            "queues": queues,
-            "regions": regions,
-        }
-    return banks
-
-
-def run_batch_group(cases: Sequence[FuzzCase],
-                    config: ProcessingUnitConfig = ProcessingUnitConfig(),
-                    builts: Optional[Sequence[BuiltCase]] = None):
-    """Execute same-template *cases* as one jobs x banks batch launch.
-
-    Returns ``(snapshots, engine)`` where ``snapshots[j]`` is job *j*'s
-    architectural state in the per-job snapshot structure. Raises
-    :class:`CheckError` when the cases do not share one template.
-    """
-    if not cases:
-        raise CheckError("empty batch group")
-    if builts is None:
-        builts = [build_case(case, config) for case in cases]
-    key = template_key(cases[0], builts[0])
-    for case, built in zip(cases[1:], builts[1:]):
-        if template_key(case, built) != key:
-            raise CheckError(
-                f"mixed templates in one batch group: {case.reproducer()} "
-                f"does not match {cases[0].reproducer()}")
-    engine = BatchEngine(len(cases), cases[0].num_banks, config=config,
-                         precision=cases[0].precision)
-    for name in builts[0].dense_data:
-        engine.host_write_dense_jobs(
-            name, [built.dense_data[name] for built in builts])
-    for name in builts[0].triple_data:
-        engine.host_write_triples_jobs(
-            name, [built.triple_data[name] for built in builts])
-    engine.switch_mode(Mode.AB)
-    engine.load_program(builts[0].program)
-    engine.switch_mode(Mode.AB_PIM)
-    engine.run(builts[0].beats)
-    snapshots = [_snapshot_batch_job(engine, builts[j], j)
-                 for j in range(len(cases))]
-    return snapshots, engine
-
-
-def _batch_case_fails(case: FuzzCase) -> bool:
-    """Shrink predicate: does the batched run still diverge from lane?"""
-    try:
-        built = build_case(case)
-        snapshots, _ = run_batch_group([case], builts=[built])
-        lane_snap, _ = run_single(case, built=built)
-    except ReproError:
-        return True
-    return _first_diff(lane_snap, snapshots[0]) is not None
-
-
-def fuzz_batch(seeds: Sequence[int], shrink: bool = True,
-               group_size: Optional[int] = None,
-               batch: Optional[str] = None,
-               config: ProcessingUnitConfig = ProcessingUnitConfig(),
-               generator: Callable[[int], FuzzCase] = generate_case,
-               ) -> List[Tuple[int, str]]:
-    """Batched differential fuzzing; returns (seed, message) failures.
-
-    *seeds* are chunked into blocks of *group_size*. The first seed of a
-    block is the template leader: its case goes through the full
-    three-oracle :func:`run_case` (the scalar engine stays the sole
-    ground truth), and every other seed re-runs the leader's template
-    with its own input data (:func:`vary_case`). The whole block then
-    executes as ONE :class:`~repro.pim.BatchEngine` launch, and each
-    job's final architectural state must be bitwise-identical to a solo
-    :class:`~repro.pim.LaneEngine` run of the same case — any divergence
-    is reported under the responsible seed and shrunk to a one-line
-    reproducer exactly like :func:`fuzz_range` failures.
-
-    ``batch`` follows :func:`repro.config.resolve_batch`
-    (``PSYNCPIM_BATCH``); in ``"off"`` mode the default group size drops
-    to 1, which degenerates to the per-seed :func:`fuzz_range` protocol
-    over the same seed list — bitwise-identical verdicts, no batching.
-
-    *generator* selects the case universe: the classic
-    :func:`generate_case` (the default) or the SpMM-template
-    :func:`generate_spmm_case` — the two draw from disjoint RNG streams,
-    so the same seed range may safely cover both without correlation.
-    """
-    seeds = [int(seed) for seed in seeds]
-    mode = resolve_batch(batch)
-    if group_size is None:
-        group_size = FUZZ_BATCH_GROUP if mode == "jobs" else 1
-    group_size = max(1, int(group_size))
-    failures: List[Tuple[int, str]] = []
-    groups = 0
-    for at in range(0, len(seeds), group_size):
-        block = seeds[at:at + group_size]
-        leader = generator(block[0])
-        cases = [leader] + [vary_case(leader, seed) for seed in block[1:]]
-        groups += 1
-        try:
-            run_case(leader, config)
-        except CheckError as exc:
-            message = str(exc)
-            if shrink:
-                small = shrink_case(leader, _case_fails)
-                if small != leader:
-                    message += f"; shrunk: {small.reproducer()}"
-            failures.append((block[0], message))
-        if len(cases) == 1:
-            continue
-        builts = [build_case(case, config) for case in cases]
-        try:
-            snapshots, _ = run_batch_group(cases, config, builts)
-        except ReproError as exc:
-            failures.append((
-                block[0],
-                f"batch execution failed: {exc}; reproduce: "
-                f"run_batch_group over {leader.reproducer()}"))
-            continue
-        for seed, case, built, snap in zip(block, cases, builts,
-                                           snapshots):
-            lane_snap, _ = run_single(case, config, built=built)
-            diff = _first_diff(lane_snap, snap, "lane-vs-batch")
-            if diff is None:
-                continue
-            message = f"{diff}; reproduce: {case.reproducer()}"
-            if shrink:
-                small = shrink_case(case, _batch_case_fails)
-                if small != case:
-                    message += f"; shrunk: {small.reproducer()}"
-            failures.append((seed, message))
-    if obs.enabled():
-        obs.add_counter("check.fuzz_seeds", len(seeds))
-        obs.add_counter("check.fuzz_groups", groups)
-        obs.add_counter("check.fuzz_failures", len(failures))
     return failures

@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
-from ..dram.commands import Command, CommandType, TraceEntry, as_run
+from ..dram.commands import Command, CommandType, TraceEntry
 from ..dram.timing import TimingParams
 from ..errors import CheckError
 

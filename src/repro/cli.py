@@ -192,9 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=int, default=None,
                        help="worker processes (default: PSYNCPIM_WORKERS "
                             "or min(4, cores); 1 = serial)")
-    sweep.add_argument("--batch", default=None, choices=["jobs", "off"],
-                       help="cross-job batched execution (default: "
-                            "PSYNCPIM_BATCH or off)")
     sweep.add_argument("--no-cache", action="store_true",
                        help="recompute everything, never touch the cache")
     sweep.add_argument("--cache-dir", default=None,
@@ -297,12 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "three engines (0 = skip)")
     check.add_argument("--seed", type=int, default=0,
                        help="first fuzz seed (default 0)")
-    check.add_argument("--batch", default=None, choices=["jobs", "off"],
-                       help="batched fuzz execution (default: "
-                            "PSYNCPIM_BATCH or off)")
-    check.add_argument("--group-size", type=int, default=None,
-                       help="seeds per batch group (default 8 when "
-                            "batching, 1 otherwise)")
     check.add_argument("--golden-dir", default=None,
                        help="golden snapshot directory (default: the "
                             "checkout's tests/golden)")
@@ -538,8 +529,7 @@ def _cmd_sweep(args) -> int:
                       rhs=args.rhs, attrib=want_attrib or None)
     result = run_sweep(jobs, workers=args.workers,
                        cache_dir=args.cache_dir,
-                       use_cache=not args.no_cache,
-                       batch=args.batch)
+                       use_cache=not args.no_cache)
     kernel = args.kernel
     print(result.summary_table(
         title=f"sweep: {len(jobs)} {kernel} jobs over "
@@ -702,7 +692,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .check import (check_trace, compare_golden, fuzz_batch,
+    from .check import (check_trace, compare_golden, fuzz_range,
                         golden_traces, update_golden)
     failed = False
 
@@ -730,11 +720,8 @@ def _cmd_check(args) -> int:
                 print(f"protocol: ok {name} ({len(trace)} entries)")
 
     if args.fuzz > 0:
-        from .config import resolve_batch
-        mode = resolve_batch(args.batch)
         start = time.perf_counter()
-        failures = fuzz_batch(range(args.seed, args.seed + args.fuzz),
-                              group_size=args.group_size, batch=mode)
+        failures = fuzz_range(args.seed, args.fuzz)
         wall = time.perf_counter() - start
         rate = args.fuzz / wall if wall > 0 else float("inf")
         if failures:
@@ -744,7 +731,7 @@ def _cmd_check(args) -> int:
         else:
             print(f"fuzz: ok ({args.fuzz} programs, seeds "
                   f"{args.seed}..{args.seed + args.fuzz - 1}, "
-                  f"{wall:.2f} s, {rate:.1f} seeds/s, batch={mode})")
+                  f"{wall:.2f} s, {rate:.1f} seeds/s)")
 
     print("check: FAILED" if failed else "check: all oracles passed")
     return 1 if failed else 0

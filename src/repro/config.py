@@ -24,35 +24,6 @@ from typing import Dict, Optional
 
 from .errors import ConfigError
 
-#: Environment variable selecting cross-job batched execution.
-BATCH_ENV = "PSYNCPIM_BATCH"
-
-#: Batch modes for sweeps and fuzzing: ``jobs`` stacks same-template jobs
-#: into one jobs x banks engine launch; ``off`` runs jobs one at a time.
-BATCH_CHOICES = ("jobs", "off")
-
-#: Batch mode used when neither the caller nor the environment chooses one.
-#: Off by default: batching is an opt-in throughput tier, and the per-job
-#: path remains the semantics-defining baseline it is compared against.
-DEFAULT_BATCH = "off"
-
-
-def resolve_batch(explicit: Optional[str] = None) -> str:
-    """Resolve the cross-job batch mode: explicit arg > env var > default.
-
-    Applies to the jobs dimension (sweep runner, ISA fuzzer). Unknown
-    names raise :class:`ConfigError` so typos fail loudly instead of
-    silently running the other execution path.
-    """
-    name = explicit if explicit is not None \
-        else os.environ.get(BATCH_ENV, DEFAULT_BATCH)
-    name = name.strip().lower()
-    if name not in BATCH_CHOICES:
-        raise ConfigError(f"unknown batch mode {name!r}; expected one of "
-                          f"{list(BATCH_CHOICES)}")
-    return name
-
-
 #: Environment variable selecting the partitioning strategy.
 STRATEGY_ENV = "PSYNCPIM_STRATEGY"
 
@@ -99,7 +70,7 @@ def resolve_channels(explicit: Optional[int] = None) -> Optional[int]:
     ``C`` explicitly modelled channels, each with its own 16-bank
     distribution, command stream and scheduler clock.
 
-    Mirrors :func:`resolve_batch`: invalid values raise
+    Mirrors :func:`resolve_strategy`: invalid values raise
     :class:`ConfigError` so typos fail loudly rather than silently
     running the other execution model.
     """

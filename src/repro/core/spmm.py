@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -139,6 +139,17 @@ def run_spmm(matrix: COOMatrix, x: np.ndarray, config: SystemConfig,
     check_engine_banks(engine_banks)
     reject_nan(matrix=matrix.vals, x=x, y0=y0)
     num_rhs = x.shape[1]
+    shape = (matrix.shape[0], num_rhs)
+    if y0 is None:
+        y = np.zeros(shape)
+    else:
+        y = np.asarray(y0, dtype=np.float64).copy()
+        if y.ndim == 1:
+            y = np.repeat(y[:, None], num_rhs, axis=1)
+        if y.shape != shape:
+            raise ExecutionError(
+                f"SpMM y0 shape mismatch: expected {shape}, "
+                f"got {y.shape}")
     plan, assignment, execution = plan_spmm(
         matrix, config, num_rhs=num_rhs, precision=precision,
         compress=compress, policy=policy, matrix_format=matrix_format,
@@ -151,13 +162,12 @@ def run_spmm(matrix: COOMatrix, x: np.ndarray, config: SystemConfig,
     if fidelity == "fast":
         with obs.span("spmm.rounds", cat="kernel", fidelity=fidelity,
                       rounds=len(rounds), num_rhs=num_rhs):
-            y = _fast_block_rounds(matrix, x, rounds, accumulate,
-                                   multiply, y0)
+            y = _fast_block_rounds(x, rounds, accumulate, multiply, y)
     elif fidelity == "functional":
         with obs.span("spmm.rounds", cat="kernel", fidelity=fidelity,
                       rounds=len(rounds), num_rhs=num_rhs):
-            y = _functional_block_rounds(matrix, x, rounds, precision,
-                                         accumulate, multiply, y0,
+            y = _functional_block_rounds(x, rounds, precision,
+                                         accumulate, multiply, y,
                                          engine_banks)
     else:
         raise ExecutionError(f"unknown fidelity {fidelity!r}")
@@ -168,25 +178,14 @@ def run_spmm(matrix: COOMatrix, x: np.ndarray, config: SystemConfig,
 # ----------------------------------------------------------------------
 # fast tier: the SpMV per-tile update, column-blocked
 # ----------------------------------------------------------------------
-def _fast_block_rounds(matrix, x, rounds: Sequence[list], accumulate,
-                       multiply, y0) -> np.ndarray:
+def _fast_block_rounds(x, rounds: Sequence[list], accumulate, multiply,
+                       y: np.ndarray) -> np.ndarray:
     try:
         acc = _ACCUM_UFUNC[accumulate]
         mul = _MULT_FUNC[multiply]
     except KeyError:
         raise ExecutionError(
             f"unsupported semiring ({multiply}, {accumulate})") from None
-    shape = (matrix.shape[0], x.shape[1])
-    if y0 is None:
-        y = np.zeros(shape)
-    else:
-        y = np.asarray(y0, dtype=np.float64).copy()
-        if y.ndim == 1:
-            y = np.repeat(y[:, None], x.shape[1], axis=1)
-        if y.shape != shape:
-            raise ExecutionError(
-                f"SpMM y0 shape mismatch: expected {shape}, "
-                f"got {y.shape}")
     for round_tiles in rounds:
         for tile in round_tiles:
             if tile is None or tile.nnz == 0:
@@ -206,21 +205,10 @@ def _fast_block_rounds(matrix, x, rounds: Sequence[list], accumulate,
 # ----------------------------------------------------------------------
 # functional tier: banks x k lanes on the instruction-accurate engine
 # ----------------------------------------------------------------------
-def _functional_block_rounds(matrix, x, rounds: Sequence[list], precision,
-                             accumulate, multiply, y0,
+def _functional_block_rounds(x, rounds: Sequence[list], precision,
+                             accumulate, multiply, y: np.ndarray,
                              engine_banks: Optional[int]) -> np.ndarray:
     num_rhs = x.shape[1]
-    shape = (matrix.shape[0], num_rhs)
-    if y0 is None:
-        y = np.zeros(shape)
-    else:
-        y = np.asarray(y0, dtype=np.float64).copy()
-        if y.ndim == 1:
-            y = np.repeat(y[:, None], num_rhs, axis=1)
-        if y.shape != shape:
-            raise ExecutionError(
-                f"SpMM y0 shape mismatch: expected {shape}, "
-                f"got {y.shape}")
     try:
         y_init, merge = _MERGE[accumulate]
     except KeyError:

@@ -23,7 +23,7 @@ row-cut scheme (:func:`repro.core.partition.partition`) behind a
 
 All strategies are array-native in the fast-planner style and emit
 ordinary :class:`SubMatrix` / :class:`PartitionPlan` objects, so bank and
-channel distribution, the lane/batch engines, trace synthesis and the
+channel distribution, the lane engine, trace synthesis and the
 three-oracle checkers run unchanged on any of them.
 """
 

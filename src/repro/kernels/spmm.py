@@ -79,7 +79,7 @@ def run_tile_block(engine: AllBankEngine,
     bank's ``(segment, num_rhs)`` input block; *engine* must provide
     ``len(tiles) * num_rhs`` lanes. The launch is a plain
     :func:`~repro.kernels.spmv.run_tile_round` over the expanded lanes,
-    so scalar/lane/batch engine equivalence carries over unchanged.
+    so scalar/lane engine equivalence carries over unchanged.
     """
     lanes = expand_block_tiles(tiles, num_rhs)
     if len(lanes) != len(engine.banks):

@@ -15,7 +15,6 @@ from .beat import Beat
 from .unit import ProcessingUnit, UnitStats, uses_bank
 from .engine import AllBankEngine, EngineStats, Mode
 from .lane_engine import LaneEngine
-from .batch_engine import BatchEngine, make_batch_engine
 from .lanes import DenseLanes, LaneMemory, LaneQueue, TripleLanes
 from .verify import (BeatSlot, beat_signature, check_stream_length,
                      expected_beats)
@@ -25,7 +24,7 @@ __all__ = [
     "PADDING_INDEX", "BankMemory", "DenseRegion", "TripleRegion",
     "padded_triples", "DenseRegister", "RegisterFile", "SparseQueue",
     "Beat", "ProcessingUnit", "UnitStats", "uses_bank", "AllBankEngine",
-    "EngineStats", "Mode", "LaneEngine", "BatchEngine", "DenseLanes",
-    "LaneMemory", "LaneQueue", "TripleLanes", "make_batch_engine", "alu",
+    "EngineStats", "Mode", "LaneEngine", "DenseLanes", "LaneMemory",
+    "LaneQueue", "TripleLanes", "alu",
     "BeatSlot", "beat_signature", "check_stream_length", "expected_beats",
 ]

@@ -22,15 +22,15 @@ import time
 import traceback as traceback_module
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import (Any, Dict, Iterable, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Dict, Iterable, Mapping, Optional, Tuple,
+                    Union)
 
 import numpy as np
 
 from ..analysis.report import JobRecord, SweepResult
 from .. import obs
 from ..config import (SystemConfig, default_system, gddr6_aim_system,
-                      resolve_attrib, resolve_batch, resolve_channels,
+                      resolve_attrib, resolve_channels,
                       resolve_rhs, resolve_strategy)
 from ..core.spmm import as_spmm_execution
 from ..core.spmv import plan_spmv
@@ -210,7 +210,6 @@ def _priced(job: SweepJob, cache: ArtifactCache, execution, config,
 
 
 def _spmm_pipeline(job: SweepJob, cache: ArtifactCache,
-                   batch: str = "off",
                    ) -> Tuple[Optional[PerfReport], Dict[str, Any]]:
     """The SpMV/SpMM pipeline: one SpMV plan, widened to ``rhs`` columns.
 
@@ -271,7 +270,6 @@ def _spmm_pipeline(job: SweepJob, cache: ArtifactCache,
 
 
 def _sptrsv_pipeline(job: SweepJob, cache: ArtifactCache,
-                     batch: str = "off",
                      ) -> Tuple[Optional[PerfReport], Dict[str, Any]]:
     matrix = job.load_matrix()
     config = job.system()
@@ -319,7 +317,6 @@ def _sptrsv_pipeline(job: SweepJob, cache: ArtifactCache,
 
 
 def _suite_pipeline(job: SweepJob, cache: ArtifactCache,
-                    batch: str = "off",
                     ) -> Tuple[Optional[PerfReport], Dict[str, Any]]:
     key = cache.key("suite-matrix", job.matrix, job.scale)
     matrix = cache.get_or_compute("matrix", key, job.load_matrix)
@@ -346,30 +343,23 @@ FUZZ_DEFAULT_JOBS = 8
 
 
 def _fuzz_pipeline(job: SweepJob, cache: ArtifactCache,
-                   batch: str = "off",
                    ) -> Tuple[Optional[PerfReport], Dict[str, Any]]:
     """Differential ISA fuzzing as a sweep kernel.
 
-    Each job replays a contiguous seed block through the engine oracles
-    (:func:`repro.check.fuzz_batch`; in the default ``"off"`` batch mode
-    this is verdict-identical to :func:`repro.check.fuzz_range`). With
-    ``batch="jobs"`` the whole block executes as one
-    :class:`~repro.pim.BatchEngine` launch — the block leader still runs
-    the full three-oracle check and every seed's state is compared
-    bitwise against a solo lane run. A clean block caches as an empty
-    failure list under the same key in either mode, so repeated sweeps
-    only pay for new seed ranges; any divergence raises so the job
+    Each job replays a contiguous seed block through all three engine
+    oracles (:func:`repro.check.fuzz_range`). The verdict is keyed on
+    exactly what the fuzzer reads — the seed block — so jobs that differ
+    only in fields the fuzzer ignores (precision, scale, ...) share one
+    entry. A clean block caches as an empty failure list, so repeated
+    sweeps only pay for new seed ranges; any divergence raises so the job
     record carries the reproducer.
     """
-    from ..check import fuzz_batch
+    from ..check import fuzz_range
     from ..errors import CheckError
     start, count = job.seed, FUZZ_SEEDS_PER_JOB
-    key = cache.key("fuzz-range", start, count, job.precision)
+    key = cache.key("fuzz-seeds", start, count)
     failures = cache.get_or_compute(
-        "fuzz", key,
-        lambda: fuzz_batch(range(start, start + count), shrink=True,
-                           batch=batch,
-                           group_size=count if batch == "jobs" else 1))
+        "fuzz", key, lambda: fuzz_range(start, count, shrink=True))
     if failures:
         raise CheckError(
             f"{len(failures)} divergent seeds in {start}..{start + count - 1}: "
@@ -392,18 +382,14 @@ _PIPELINES = {
 # ----------------------------------------------------------------------
 def execute_job(job: SweepJob,
                 cache_dir: Optional[Union[str, os.PathLike]] = None,
-                use_cache: bool = True,
-                batch: Optional[str] = None) -> JobRecord:
+                use_cache: bool = True) -> JobRecord:
     """Run one job through its cached pipeline (worker entry point).
 
     Pipeline exceptions are *captured*, not propagated: the returned
     record carries the exception summary and full traceback so one bad
     job cannot take down a whole sweep (use
     :meth:`SweepResult.raise_failures` for fail-fast behaviour). An
-    unknown kernel is a caller error and still raises. *batch* follows
-    :func:`repro.config.resolve_batch`; kernels that tensorize over the
-    jobs dimension (currently ``fuzz``) honour it, the rest run
-    identically in either mode.
+    unknown kernel is a caller error and still raises.
     """
     try:
         pipeline = _PIPELINES[job.kernel]
@@ -411,7 +397,6 @@ def execute_job(job: SweepJob,
         raise ExecutionError(
             f"unknown sweep kernel {job.kernel!r}; "
             f"expected one of {sorted(_PIPELINES)}") from None
-    batch = resolve_batch(batch)
     cache = ArtifactCache(cache_dir, enabled=use_cache)
     label = job.resolved_label()
     mark = obs.recorder().mark() if obs.enabled() else None
@@ -422,7 +407,7 @@ def execute_job(job: SweepJob,
     with obs.span("sweep.job", cat="sweep", label=label,
                   kernel=job.kernel, matrix=job.matrix):
         try:
-            report, extras = pipeline(job, cache, batch)
+            report, extras = pipeline(job, cache)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
             tb_text = traceback_module.format_exc()
@@ -446,52 +431,9 @@ def execute_job(job: SweepJob,
                      attrib=attrib_report)
 
 
-def _batch_key(job: SweepJob) -> tuple:
-    """Group identity for batch mode: same kernel, same configuration.
-
-    Matrix, triangular factor and seed are the per-job payload and stay
-    free within a group; everything that selects a pipeline or a system
-    configuration must match for jobs to share a tensorized round.
-    """
-    return (job.kernel, job.scale, job.precision, job.num_cubes,
-            job.platform, job.mode, job.compress, job.policy,
-            job.matrix_format, job.with_energy, job.channels,
-            job.strategy, job.rhs, job.attrib)
-
-
-def _batch_groups(jobs: Sequence[SweepJob]) -> "list[list[int]]":
-    """Partition job indices into same-config groups, order-stable."""
-    groups: Dict[tuple, list] = {}
-    for index, job in enumerate(jobs):
-        groups.setdefault(_batch_key(job), []).append(index)
-    return list(groups.values())
-
-
-def execute_batch(jobs: Sequence[SweepJob],
-                  cache_dir: Optional[Union[str, os.PathLike]] = None,
-                  use_cache: bool = True,
-                  batch: str = "jobs") -> "list[JobRecord]":
-    """Run one same-config job group in a single worker call.
-
-    Each job still flows through :func:`execute_job`, so its
-    :class:`JobRecord`, obs counters and cache entries are identical to
-    per-job mode — batching changes *where* the work runs (one worker
-    round per group, with jobs-dimension tensorization inside the fuzz
-    pipeline), never what it produces.
-    """
-    jobs = list(jobs)
-    if not jobs:
-        return []
-    with obs.span("sweep.batch", cat="sweep", jobs=len(jobs),
-                  kernel=jobs[0].kernel):
-        return [execute_job(job, cache_dir, use_cache, batch)
-                for job in jobs]
-
-
 def run_sweep(jobs: Iterable[SweepJob], workers: Optional[int] = None,
               cache_dir: Optional[Union[str, os.PathLike]] = None,
-              use_cache: bool = True,
-              batch: Optional[str] = None) -> SweepResult:
+              use_cache: bool = True) -> SweepResult:
     """Execute *jobs* across worker processes and aggregate the outcomes.
 
     ``workers=None`` resolves via :func:`resolve_workers`
@@ -499,57 +441,26 @@ def run_sweep(jobs: Iterable[SweepJob], workers: Optional[int] = None,
     in-process, which is also the fallback for single-job sweeps. Job order
     is preserved in the result. ``use_cache=False`` is the ``--no-cache``
     escape hatch: everything recomputes, nothing touches disk.
-
-    ``batch`` resolves via :func:`repro.config.resolve_batch`
-    (``PSYNCPIM_BATCH``; default ``"off"``). In ``"jobs"`` mode the job
-    list is partitioned into same-kernel, same-config groups
-    (:func:`execute_batch`) — one worker round per group — and
-    jobs-dimension kernels (fuzz) execute each group's seed block as one
-    :class:`~repro.pim.BatchEngine` launch. Records, their order, obs
-    counters and cache entries match per-job mode exactly.
     """
     jobs = list(jobs)
-    mode = resolve_batch(batch)
     workers = resolve_workers(default=workers) if workers is None \
         else max(int(workers), 1)
-    groups = _batch_groups(jobs) if mode == "jobs" else []
-    units = len(groups) if mode == "jobs" else len(jobs)
-    workers = min(workers, max(units, 1))
+    workers = min(workers, max(len(jobs), 1))
     start = time.perf_counter()
     with obs.span("sweep.run", cat="sweep", jobs=len(jobs),
-                  workers=workers, batch=mode):
+                  workers=workers):
         if workers <= 1:
             # Serial jobs record straight into this process's obs
             # recorder; their JobRecord.metrics payloads are
             # informational only.
-            if mode == "jobs":
-                slots: Dict[int, JobRecord] = {}
-                for group in groups:
-                    members = [jobs[i] for i in group]
-                    for i, record in zip(group, execute_batch(
-                            members, cache_dir, use_cache, mode)):
-                        slots[i] = record
-                records = [slots[i] for i in range(len(jobs))]
-            else:
-                records = [execute_job(job, cache_dir, use_cache, mode)
-                           for job in jobs]
+            records = [execute_job(job, cache_dir, use_cache)
+                       for job in jobs]
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                if mode == "jobs":
-                    futures = [pool.submit(execute_batch,
-                                           [jobs[i] for i in group],
-                                           cache_dir, use_cache, mode)
-                               for group in groups]
-                    slots = {}
-                    for group, future in zip(groups, futures):
-                        for i, record in zip(group, future.result()):
-                            slots[i] = record
-                    records = [slots[i] for i in range(len(jobs))]
-                else:
-                    futures = [pool.submit(execute_job, job, cache_dir,
-                                           use_cache, mode)
-                               for job in jobs]
-                    records = [future.result() for future in futures]
+                futures = [pool.submit(execute_job, job, cache_dir,
+                                       use_cache)
+                           for job in jobs]
+                records = [future.result() for future in futures]
         if workers > 1 and obs.enabled():
             # Workers inherit the PSYNCPIM_OBS gate through fork/env;
             # fold their recorded deltas into the parent so one export
@@ -561,8 +472,7 @@ def run_sweep(jobs: Iterable[SweepJob], workers: Optional[int] = None,
     wall = time.perf_counter() - start
     root = ArtifactCache(cache_dir, enabled=use_cache).root
     return SweepResult(records=records, wall_seconds=wall, workers=workers,
-                       cache_enabled=use_cache, cache_dir=str(root),
-                       batch=mode)
+                       cache_enabled=use_cache, cache_dir=str(root))
 
 
 def suite_jobs(kernel: str = "spmv", matrices: Optional[Iterable[str]] = None,
@@ -609,7 +519,7 @@ def suite_jobs(kernel: str = "spmv", matrices: Optional[Iterable[str]] = None,
     return jobs
 
 
-__all__ = ["SweepJob", "execute_job", "execute_batch", "run_sweep",
+__all__ = ["SweepJob", "execute_job", "run_sweep",
            "suite_jobs", "resolve_bench_scale", "resolve_workers",
            "default_cache_dir", "DEFAULT_SCALE", "FUZZ_SEEDS_PER_JOB",
            "FUZZ_DEFAULT_JOBS", "SCALE_ENV", "LEGACY_SCALE_ENV",

@@ -325,13 +325,12 @@ class TestChannelsPlumbing:
 
     def test_sweep_job_label_and_key(self):
         from repro.sweep import SweepJob
-        from repro.sweep.runner import _batch_key
         plain = SweepJob(kernel="spmv", matrix="facebook", scale=0.1)
         sharded = SweepJob(kernel="spmv", matrix="facebook", scale=0.1,
                            channels=4)
         assert sharded.resolved_label().endswith("4ch")
         assert "ch" not in plain.resolved_label()
-        assert _batch_key(plain) != _batch_key(sharded)
+        assert plain.resolved_label() != sharded.resolved_label()
 
     def test_sweep_executes_sharded_job(self, tmp_path):
         from repro.sweep import SweepJob, execute_job

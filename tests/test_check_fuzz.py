@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro.check import fuzz
-from repro.check.fuzz import (FuzzCase, build_case, fuzz_range,
-                              generate_case, run_case, shrink_case)
+from repro.check.fuzz import (build_case, fuzz_range, generate_case,
+                              generate_spmm_case, run_case, shrink_case)
 from repro.check.reference import ReferenceEngine
 from repro.errors import CheckError
 from repro.isa import CInstruction, Opcode
@@ -152,6 +152,20 @@ class TestBugDetection:
         assert failures[0][0] == seed
         assert "reproduce" in failures[0][1]
 
+    def test_fuzz_range_draws_from_the_given_generator(self, monkeypatch):
+        seen = []
+        real = fuzz.run_case
+
+        def spy(case, *args, **kwargs):
+            seen.append((case.seed, case.generator))
+            return real(case, *args, **kwargs)
+
+        monkeypatch.setattr(fuzz, "run_case", spy)
+        assert fuzz_range(2000, 12, shrink=False,
+                          generator=generate_spmm_case) == []
+        assert seen == [(seed, "generate_spmm_case")
+                        for seed in range(2000, 2012)]
+
 
 class TestStaticExpansion:
     def test_beat_stream_is_bounded(self):
@@ -181,27 +195,3 @@ class TestStaticExpansion:
             snap_s, fuzz._snapshot_production(lane, built)) is None
         assert fuzz._first_diff(
             snap_s, fuzz._snapshot_reference(ref, built)) is None
-
-
-class TestDataSeedCompatibility:
-    """The ``data_seed`` field must not disturb pre-batch behaviour."""
-
-    def test_default_case_has_no_data_seed(self):
-        case = generate_case(42)
-        assert case.data_seed is None
-        assert "vary_case" not in case.reproducer()
-
-    def test_leader_data_equals_explicit_data_seed(self):
-        """data_seed=seed is the documented identity: same data stream."""
-        from repro.check.fuzz import vary_case
-        leader = build_case(generate_case(42))
-        pinned = build_case(vary_case(generate_case(42), 42))
-        for name in leader.dense_data:
-            for a, b in zip(leader.dense_data[name],
-                            pinned.dense_data[name]):
-                assert np.array_equal(a, b)
-
-    def test_fuzz_batch_tier1_prefix_is_green_both_modes(self):
-        from repro.check.fuzz import fuzz_batch
-        assert fuzz_batch(range(0, 32), batch="jobs") == []
-        assert fuzz_batch(range(0, 32), batch="off") == fuzz_range(0, 32)

@@ -142,16 +142,6 @@ class TestCheckCommand:
         assert code == 0
         assert "fuzz: ok (5 programs, seeds 100..104" in out
         assert "seeds/s" in out
-        assert "batch=off" in out
-
-    def test_fuzz_batched(self, capsys):
-        code, out, _ = run_cli(capsys, "check", "--skip-golden",
-                               "--skip-protocol", "--fuzz", "8",
-                               "--seed", "100", "--batch", "jobs",
-                               "--group-size", "4")
-        assert code == 0
-        assert "fuzz: ok (8 programs, seeds 100..107" in out
-        assert "batch=jobs" in out
 
     def test_update_golden_to_directory(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "check", "--update-golden",

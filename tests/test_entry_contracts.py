@@ -10,6 +10,7 @@ subclass before any work is done.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.config import default_system
 from repro.core import (run_spmm, run_spmv, run_sptrsv,
                         solve_unit_triangular_reference)
@@ -53,6 +54,33 @@ def test_spmv_accepts_matching_y0(fidelity):
     y0 = np.random.default_rng(2).random(m.shape[0])
     result = run_spmv(m, x, CFG, fidelity=fidelity, engine_banks=4, y0=y0)
     np.testing.assert_allclose(result.y, y0 + m.matvec(x), rtol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# run_spmm: y0 is checked before any planning work
+# ----------------------------------------------------------------------
+@pytest.fixture
+def recording():
+    """Obs on, starting and finishing with an empty recorder."""
+    was = obs.enabled()
+    obs.reset()
+    obs.enable()
+    try:
+        yield obs.recorder()
+    finally:
+        obs.reset()
+        if not was:
+            obs.disable()
+
+
+@pytest.mark.parametrize("strategy", ["paper", "auto"])
+def test_spmm_rejects_wrong_y0_before_planning(recording, strategy):
+    m = _matrix()
+    with pytest.raises(ExecutionError, match="y0"):
+        run_spmm(m, np.ones((m.shape[1], 2)), CFG, strategy=strategy,
+                 y0=np.ones((3, 2)))
+    spans = [event.name for event in recording.events]
+    assert not [name for name in spans if name.startswith("plan.")], spans
 
 
 # ----------------------------------------------------------------------

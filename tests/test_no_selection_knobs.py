@@ -4,7 +4,9 @@ The scalar engine and the scalar planning loops are bitwise oracles for
 tests (:mod:`repro.check.oracles`), not user-facing choices. These guards
 keep an ``engine=`` / ``planner=`` switch, its environment variable or
 its factory from coming back, and keep the oracle module out of every
-production import graph.
+production import graph. Likewise there is no jobs tier: sweeps run one
+job per worker submission and every fuzz seed goes through all three
+oracles, so no ``batch=`` / ``group_size=`` switch may return.
 """
 
 import ast
@@ -13,33 +15,47 @@ from pathlib import Path
 
 import pytest
 
+import repro.check.fuzz
 import repro.config
 import repro.core
 import repro.pim
+import repro.sweep
+from repro.check import fuzz_range
 from repro.core import (distribute, partition, plan_spmm, plan_spmv,
                         reorder_by_levels, run_spmm, run_spmv, run_sptrsv,
                         shard_channels)
 from repro.core.sptrsv import level_schedule
+from repro.sweep import execute_job, run_sweep
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 ENTRY_POINTS = (run_spmv, run_spmm, run_sptrsv, plan_spmv, plan_spmm,
                 partition, distribute, shard_channels, level_schedule,
-                reorder_by_levels)
+                reorder_by_levels, run_sweep, execute_job, fuzz_range)
 
 
 @pytest.mark.parametrize("fn", ENTRY_POINTS, ids=lambda fn: fn.__name__)
 def test_entry_point_has_no_selection_parameter(fn):
     params = inspect.signature(fn).parameters
-    assert "engine" not in params
-    assert "planner" not in params
+    for name in ("engine", "planner", "batch", "group_size"):
+        assert name not in params
+
+
+# The jobs-tier names are spelled in two pieces so that a ``git grep``
+# for them finds only live references, never this guard.
+BATCH = "batch"
 
 
 @pytest.mark.parametrize("module,name", [
     (repro.config, "resolve_engine"), (repro.config, "resolve_planner"),
     (repro.config, "ENGINE_ENV"), (repro.config, "PLANNER_ENV"),
     (repro.pim, "make_engine"), (repro.core, "make_planner"),
-    (repro.core, "Planner"),
+    (repro.core, "Planner"), (repro.config, "resolve_" + BATCH),
+    (repro.config, BATCH.upper() + "_ENV"),
+    (repro.pim, "make_" + BATCH + "_engine"),
+    (repro.pim, BATCH.title() + "Engine"),
+    (repro.check.fuzz, "fuzz_" + BATCH), (repro.check.fuzz, "vary_" + "case"),
+    (repro.sweep, "execute_" + BATCH),
 ])
 def test_selection_factories_are_gone(module, name):
     assert not hasattr(module, name)
@@ -50,6 +66,7 @@ def test_selection_env_vars_are_not_read():
         text = path.read_text()
         assert "PSYNCPIM_ENGINE" not in text, path
         assert "PSYNCPIM_PLANNER" not in text, path
+        assert "PSYNCPIM_" + BATCH.upper() not in text, path
 
 
 def _imported_modules(path: Path):

@@ -318,15 +318,13 @@ class TestRuntimeAndSweepPlumbing:
             assert cols.max() // plan.tile_cols \
                 == cols.min() // plan.tile_cols
 
-    def test_sweep_job_label_and_batch_key(self):
+    def test_sweep_job_label(self):
         from repro.sweep import SweepJob
-        from repro.sweep.runner import _batch_key
         base = SweepJob(kernel="spmv", matrix="cant", scale=0.02)
         tuned = SweepJob(kernel="spmv", matrix="cant", scale=0.02,
                          strategy="auto")
         assert "auto" in tuned.resolved_label()
         assert "paper" not in base.resolved_label()
-        assert _batch_key(base) != _batch_key(tuned)
 
     def test_sweep_executes_strategy_job(self, tmp_path):
         from repro.sweep import SweepJob, execute_job

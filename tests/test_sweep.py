@@ -11,8 +11,9 @@ from repro.config import default_system
 from repro.core import plan_spmv, run_spmv, time_spmv
 from repro.errors import ExecutionError
 from repro.formats import generate
-from repro.sweep import (CACHE_DIR_ENV, LEGACY_SCALE_ENV, SCALE_ENV,
-                         WORKERS_ENV, ArtifactCache, SweepJob,
+from repro.sweep import (CACHE_DIR_ENV, FUZZ_SEEDS_PER_JOB,
+                         LEGACY_SCALE_ENV, SCALE_ENV, WORKERS_ENV,
+                         ArtifactCache, SweepJob,
                          default_cache_dir, execute_job, matrix_digest,
                          resolve_bench_scale, resolve_workers, run_sweep,
                          stable_digest, suite_jobs)
@@ -425,88 +426,47 @@ class TestSweepCli:
         assert "sptrsv:poisson3Da/lower" in out
         assert "sptrsv:poisson3Da/upper" in out
 
-    def test_batch_flag_reaches_summary(self, capsys, tmp_path):
+    def test_summary_footer(self, capsys, tmp_path):
         code, out = self.run_cli(
             capsys, "sweep", "--matrices", MATRIX, "--scale", str(SCALE),
-            "--workers", "1", "--cache-dir", str(tmp_path),
-            "--batch", "jobs")
+            "--workers", "1", "--cache-dir", str(tmp_path))
         assert code == 0
-        assert "batch: jobs" in out
         assert "jobs/s" in out
+        assert "batch" not in out
 
 
 # ----------------------------------------------------------------------
-# batched execution: jobs x banks rounds must be invisible in the output
+# the fuzz kernel: every seed through the three oracles, keyed on seeds
 # ----------------------------------------------------------------------
-def _listing(root):
-    import os
-    files = []
-    for base, _, names in os.walk(root):
-        for name in names:
-            path = os.path.join(base, name)
-            files.append(os.path.relpath(path, root))
-    return sorted(files)
+class TestFuzzKernel:
+    def test_every_seed_runs_the_three_oracles(self, tmp_path,
+                                               monkeypatch):
+        from repro.check import fuzz
+        seen = []
+        real = fuzz.run_case
 
+        def counting(case, *args, **kwargs):
+            seen.append(case.seed)
+            return real(case, *args, **kwargs)
 
-def _assert_results_match(off, batched):
-    assert batched.labels == off.labels
-    for a, b in zip(off.records, batched.records):
-        assert b.error == a.error
-        assert b.report == a.report
-        assert b.extras == a.extras
-        assert (b.cache_hits, b.cache_misses) \
-            == (a.cache_hits, a.cache_misses)
+        monkeypatch.setattr(fuzz, "run_case", counting)
+        job = suite_jobs(kernel="fuzz")[1]
+        record, = run_sweep([job], workers=1, cache_dir=tmp_path).records
+        assert record.error == ""
+        assert seen == list(range(job.seed,
+                                  job.seed + FUZZ_SEEDS_PER_JOB))
 
-
-class TestBatchSweep:
-    def test_spmv_batch_matches_per_job(self, tmp_path):
-        jobs = [spmv_job(), spmv_job(matrix="wiki-Vote"),
-                spmv_job(num_cubes=3)]
-        off = run_sweep(jobs, workers=1, cache_dir=tmp_path / "off",
-                        batch="off")
-        batched = run_sweep(jobs, workers=1, cache_dir=tmp_path / "jobs",
-                            batch="jobs")
-        assert off.batch == "off" and batched.batch == "jobs"
-        _assert_results_match(off, batched)
-        # identical pipelines populate identical cache entries
-        assert _listing(tmp_path / "jobs") == _listing(tmp_path / "off")
-
-    def test_batch_mode_with_worker_pool(self, tmp_path):
-        jobs = [spmv_job(), spmv_job(matrix="wiki-Vote"),
-                spmv_job(matrix="ca-CondMat")]
-        off = run_sweep(jobs, workers=1, cache_dir=tmp_path / "off")
-        batched = run_sweep(jobs, workers=2, cache_dir=tmp_path / "jobs",
-                            batch="jobs")
-        _assert_results_match(off, batched)
-
-    def test_fuzz_kernel_batch_parity(self, tmp_path):
-        jobs = suite_jobs(kernel="fuzz", scale=SCALE)[:2]
-        off = run_sweep(jobs, workers=1, cache_dir=tmp_path / "off",
-                        batch="off")
-        batched = run_sweep(jobs, workers=1, cache_dir=tmp_path / "jobs",
-                            batch="jobs")
-        _assert_results_match(off, batched)
-        assert _listing(tmp_path / "jobs") == _listing(tmp_path / "off")
-        assert all(record.extras["divergences"] == 0 for record in batched)
-
-    def test_env_knob_selects_batch_mode(self, tmp_path, monkeypatch):
-        from repro.config import BATCH_ENV
-        monkeypatch.setenv(BATCH_ENV, "jobs")
-        result = run_sweep([spmv_job()], workers=1, cache_dir=tmp_path)
-        assert result.batch == "jobs"
-        monkeypatch.setenv(BATCH_ENV, "nonsense")
-        from repro.errors import ConfigError
-        with pytest.raises(ConfigError, match="unknown batch mode"):
-            run_sweep([spmv_job()], workers=1, cache_dir=tmp_path)
-
-    def test_execute_batch_groups_one_engine_round(self, tmp_path):
-        from repro.sweep import execute_batch
-        jobs = [spmv_job(), spmv_job(matrix="wiki-Vote")]
-        records = execute_batch(jobs, cache_dir=tmp_path)
-        assert [record.label for record in records] \
-            == [f"spmv:{MATRIX}", "spmv:wiki-Vote"]
-        solo = execute_job(spmv_job(), cache_dir=tmp_path / "solo")
-        assert records[0].report == solo.report
+    def test_precision_does_not_split_the_verdict(self, tmp_path):
+        fp64 = SweepJob(kernel="fuzz", matrix="isa-programs", seed=0)
+        fp32 = SweepJob(kernel="fuzz", matrix="isa-programs", seed=0,
+                        precision="fp32")
+        first = execute_job(fp64, cache_dir=tmp_path)
+        second = execute_job(fp32, cache_dir=tmp_path)
+        assert first.error == "" and second.error == ""
+        assert (first.cache_hits, first.cache_misses) == (0, 1)
+        assert (second.cache_hits, second.cache_misses) == (1, 0)
+        entries = [path for path in tmp_path.rglob("*") if path.is_file()]
+        assert len(entries) == 1
 
 
 # ----------------------------------------------------------------------

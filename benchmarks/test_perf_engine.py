@@ -82,7 +82,7 @@ def test_engine_microbenchmark():
     bench["times"]["sptrsv_lane_s"] = t_lane
     bench["speedups"]["sptrsv"] = t_scalar / t_lane
 
-    # --- trace pricing: run-length batching vs per-command issue ------
+    # --- trace pricing: row visits and sweeps vs per-command issue ----
     execution = run_spmv(matrix, x, CFG).execution
     trace = spmm_ab_trace(execution, CFG)
     expanded = list(expand_trace(trace))

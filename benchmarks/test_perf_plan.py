@@ -7,11 +7,19 @@ planners at ``PSYNCPIM_SCALE``, asserts the plans stay bitwise identical,
 and writes the measurements to ``benchmarks/results/BENCH_plan.json`` for
 the CI perf-smoke gate. The scalar runs swap the oracles in with
 :func:`repro.check.oracles.use_scalar_planner`.
+
+Each stage runs its scalar and fast sides back to back in ``PAIRS``
+pairs, the side that goes first alternating, and every ratio is the
+median of the per-pair ratios: a burst of host speed (a shared vCPU
+freeing up) then speeds both sides of a pair instead of one side's
+best-of.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 import time
 
 import numpy as np
@@ -26,15 +34,35 @@ from repro.formats.generators import (power_law_graph, uniform_random,
                                       unit_lower_from)
 
 CFG = default_system()
+#: Scalar/fast pairs timed per stage.
+PAIRS = 5
 
 
-def _best_of(fn, repeats=3):
-    best, result = float("inf"), None
-    for _ in range(repeats):
+def _timed(fn):
+    """Seconds of one call of *fn* and its result. As in ``timeit``, the
+    garbage collector is emptied first and held off while *fn* runs, so
+    a collection the other side's allocations set up lands on neither."""
+    gc.collect()
+    gc.disable()
+    try:
         start = time.perf_counter()
         result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        return time.perf_counter() - start, result
+    finally:
+        gc.enable()
+
+
+def _timed_pairs(scalar_fn, fast_fn, pairs=PAIRS):
+    """``pairs`` back-to-back ``(scalar_s, fast_s)`` timings, the first
+    side alternating, and each side's last result."""
+    times, results = [], [None, None]
+    for i in range(pairs):
+        pair = [0.0, 0.0]
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            pair[side], results[side] = _timed(
+                scalar_fn if side == 0 else fast_fn)
+        times.append(pair)
+    return times, results
 
 
 def _on_scalar_planner(fn):
@@ -85,14 +113,18 @@ def test_planner_microbenchmark():
                         "tri_n": tri_n, "tri_nnz": tri.nnz},
              "times": {}, "speedups": {}}
 
-    def measure(key, fast_fn, check, repeats=3):
-        t_scalar, r_scalar = _best_of(_on_scalar_planner(fast_fn), repeats)
-        t_fast, r_fast = _best_of(fast_fn, repeats)
+    stage_pairs = []
+
+    def measure(key, fast_fn, check):
+        pairs, (r_scalar, r_fast) = _timed_pairs(
+            _on_scalar_planner(fast_fn), fast_fn)
         check(r_fast, r_scalar)
-        bench["times"][f"{key}_scalar_s"] = t_scalar
-        bench["times"][f"{key}_fast_s"] = t_fast
-        bench["speedups"][key] = t_scalar / t_fast
-        return t_scalar, t_fast
+        stage_pairs.append(pairs)
+        bench["times"][f"{key}_scalar_s"] = statistics.median(
+            s for s, _ in pairs)
+        bench["times"][f"{key}_fast_s"] = statistics.median(
+            f for _, f in pairs)
+        bench["speedups"][key] = statistics.median(s / f for s, f in pairs)
 
     # --- partitioning (validation off: timing the cut itself) ---------
     for compress in (True, False):
@@ -119,13 +151,16 @@ def test_planner_microbenchmark():
 
     measure("level_schedule", lambda: level_schedule(tri), levels_equal)
 
-    scalar_total = sum(v for k, v in bench["times"].items()
-                       if k.endswith("_scalar_s"))
-    fast_total = sum(v for k, v in bench["times"].items()
-                     if k.endswith("_fast_s"))
-    bench["times"]["combined_scalar_s"] = scalar_total
-    bench["times"]["combined_fast_s"] = fast_total
-    bench["speedups"]["combined"] = scalar_total / fast_total
+    # Pair i of the combined path: every stage's pair i, summed.
+    totals = [(sum(stage[i][0] for stage in stage_pairs),
+               sum(stage[i][1] for stage in stage_pairs))
+              for i in range(PAIRS)]
+    bench["times"]["combined_scalar_s"] = statistics.median(
+        s for s, _ in totals)
+    bench["times"]["combined_fast_s"] = statistics.median(
+        f for _, f in totals)
+    bench["speedups"]["combined"] = statistics.median(
+        s / f for s, f in totals)
 
     RESULTS_DIR.mkdir(exist_ok=True)
     out = RESULTS_DIR / "BENCH_plan.json"

@@ -24,7 +24,7 @@ from ..config import default_system
 from ..core import dense_stream_trace, run_spmm, run_sptrsv
 from ..core.timing import alu_operations
 from ..core.trace import synthesize
-from ..dram import TraceEntry, as_run, expand_sweeps
+from ..dram import TraceEntry, expand
 from ..formats.generators import uniform_random, unit_lower_from
 
 #: Bump when the record layout itself changes (forces a re-baseline).
@@ -84,10 +84,9 @@ WORKLOADS: Dict[str, Callable[[], Workload]] = {
 # records
 # ----------------------------------------------------------------------
 def _trace_rows(trace: List[TraceEntry]) -> List[list]:
-    """One row per command or run of the trace, sweeps expanded."""
+    """One row per ``(command, count)`` of the canonical expansion."""
     rows = []
-    for entry in expand_sweeps(trace):
-        command, count = as_run(entry)
+    for command, count in expand(trace):
         rows.append([command.kind.name, command.channel, command.bank,
                      command.row, command.col, command.min_gap,
                      command.tag, count])

@@ -397,7 +397,8 @@ def check_trace(trace: Iterable[TraceEntry],
     Convenience wrapper used by the CLI and tests: runs the real
     :class:`~repro.dram.MemoryController` with ``validate_protocol`` on
     and returns the violations the independent checker collected
-    (including scheduler-inserted refreshes and run expansions).
+    (including scheduler-inserted refreshes and the per-command
+    expansions of row visits and sweeps).
     """
     from ..dram.controller import MemoryController
     controller = MemoryController(timing=timing,

@@ -75,7 +75,10 @@ def _fold(op, values: np.ndarray, seed: float) -> float:
     if name == "ADD":
         return seed + float(np.sum(values))
     if name == "MUL":
-        return seed * float(np.prod(values))
+        # Overflow folds to inf (inf times zero to nan), the IEEE
+        # results of both engines.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return seed * float(np.prod(values))
     if name == "MIN":
         return min(seed, float(np.min(values)))
     if name == "MAX":

@@ -21,12 +21,14 @@ open input row, while scatter read-modify-writes cluster by output window.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Union
+from typing import List, NamedTuple, Optional, Union
 
 from ..config import SystemConfig, element_size
-from ..dram import BankSweep, Command, CommandRun, CommandType, TraceEntry
+from ..dram import (BankSweep, Command, CommandType, RowVisit, Stretch,
+                    TraceEntry)
 from ..errors import ExecutionError, MappingError
 from .spmv import SpmvExecution, element_bytes
 from .sptrsv import SpTrsvExecution
@@ -69,60 +71,57 @@ def _beats(nbytes: float) -> int:
     return max(1, math.ceil(nbytes / BEAT_BYTES)) if nbytes > 0 else 0
 
 
-class _RowCursor:
-    """Tracks the open row of the lock-step bank group, emitting ACT/PRE."""
+class _RowVisits:
+    """Emits one stream's row visits onto *trace*.
 
-    def __init__(self, all_bank: bool, bank: int = 0,
-                 channel: int = 0) -> None:
-        self._open: Optional[int] = None
+    Columns on the row already open extend its visit; a column on
+    another row closes the visit (its ``PRE``) and opens the next one.
+    """
+
+    def __init__(self, trace: List[TraceEntry], all_bank: bool,
+                 bank: int = 0, channel: int = 0) -> None:
+        self._trace = trace
         self._all_bank = all_bank
         self._bank = bank
         self._channel = channel
+        self._row: Optional[int] = None
+        self._stretches: List[Stretch] = []
+        if all_bank:
+            self._kinds = (CommandType.RD_AB, CommandType.WR_AB)
+        else:
+            self._kinds = (CommandType.RD, CommandType.WR)
 
-    def open_row(self, row: int) -> Iterator[Command]:
-        if self._open == row:
-            return
-        if self._open is not None:
-            yield Command(CommandType.PRE_AB if self._all_bank
-                          else CommandType.PRE, bank=self._bank,
-                          channel=self._channel)
-        self._open = row
-        yield Command(CommandType.ACT_AB if self._all_bank
-                      else CommandType.ACT, bank=self._bank, row=row,
-                      channel=self._channel)
+    def open_row(self, row: int) -> None:
+        if self._row != row:
+            self.close()
+            self._row = row
 
-    def close(self) -> Iterator[Command]:
-        if self._open is not None:
-            yield Command(CommandType.PRE_AB if self._all_bank
-                          else CommandType.PRE, bank=self._bank,
-                          channel=self._channel)
-            self._open = None
+    def columns(self, row: int, write: bool, beats: int, col: int = 0,
+                tag: Optional[str] = None) -> None:
+        """*beats* column commands on *row*, carrying their first beat's
+        column (the scheduler never reads ``col``)."""
+        self.open_row(row)
+        if beats > 0:
+            self._stretches.append((self._kinds[write], beats, col % 64,
+                                    tag))
+
+    def close(self) -> None:
+        if self._row is not None:
+            self._trace.append(RowVisit(self._all_bank, self._channel,
+                                        self._bank, self._row,
+                                        tuple(self._stretches)))
+            self._row = None
+            self._stretches = []
 
 
-def _column(all_bank: bool, write: bool, row: int, col: int = 0,
-            bank: int = 0, tag: str = None, channel: int = 0) -> Command:
-    if all_bank:
-        kind = CommandType.WR_AB if write else CommandType.RD_AB
-    else:
-        kind = CommandType.WR if write else CommandType.RD
-    return Command(kind, bank=bank, row=row, col=col % 64, tag=tag,
+@functools.lru_cache(maxsize=4096)
+def _column(write: bool, row: int, col: int = 0, bank: int = 0,
+            tag: Optional[str] = None, channel: int = 0) -> Command:
+    """A single-bank column command; commands are immutable, so equal
+    ones are shared."""
+    return Command(CommandType.WR if write else CommandType.RD,
+                   bank=bank, row=row, col=col % 64, tag=tag,
                    channel=channel)
-
-
-def _column_run(all_bank: bool, write: bool, row: int, count: int,
-                col: int = 0, bank: int = 0,
-                tag: str = None, channel: int = 0) -> List[TraceEntry]:
-    """*count* consecutive column beats as one run (closed-form pricing).
-
-    The scheduler never reads ``col`` when computing issue cycles, so the
-    run carries its first beat's column as representative; cycles, counters
-    and tag attributions match the per-command expansion exactly.
-    """
-    if count <= 0:
-        return []
-    command = _column(all_bank, write, row, col, bank=bank, tag=tag,
-                      channel=channel)
-    return [command] if count == 1 else [CommandRun(command, count)]
 
 
 # ----------------------------------------------------------------------
@@ -188,18 +187,22 @@ class _SegmentBuilder:
 # ----------------------------------------------------------------------
 # building blocks
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=256)
+def _mode(channel: int) -> Command:
+    return Command(CommandType.MODE, channel=channel)
+
+
 def mode_switch(channel: int = 0) -> List[Command]:
-    return [Command(CommandType.MODE, channel=channel)]
+    return [_mode(channel)]
 
 
 def program_load(params: TraceParams, channel: int = 0) -> List[TraceEntry]:
     """AB-mode write of the kernel into the control registers."""
-    trace: List[TraceEntry] = [Command(CommandType.ACT_AB, row=PROGRAM_ROW,
-                                       channel=channel)]
-    words = _beats(params.program_instructions * 4)
-    trace += _column_run(True, True, PROGRAM_ROW, words, tag="program",
-                         channel=channel)
-    trace.append(Command(CommandType.PRE_AB, channel=channel))
+    trace: List[TraceEntry] = []
+    visits = _RowVisits(trace, True, channel=channel)
+    visits.columns(PROGRAM_ROW, True, _beats(params.program_instructions * 4),
+                   tag="program")
+    visits.close()
     return trace
 
 
@@ -214,7 +217,7 @@ def host_stage(bytes_per_bank: float, write: bool, row: int,
     beats = _beats(bytes_per_bank)
     if beats == 0:
         return []
-    return [BankSweep(_column(False, write, row, tag=tag, channel=channel),
+    return [BankSweep(_column(write, row, tag=tag, channel=channel),
                       beats, banks)]
 
 
@@ -237,7 +240,7 @@ def _kernel_batches(batches: int, batch_elems: int, eb: float,
     block width. ``rhs=1`` is bitwise the SpMV schedule.
     """
     trace: List[TraceEntry] = []
-    cursor = _RowCursor(all_bank, bank=bank, channel=channel)
+    visits = _RowVisits(trace, all_bank, bank=bank, channel=channel)
     mat_bytes_done = 0
     gather_beats = max(1, round(batch_elems / params.gather_locality)) * rhs
     y_beats_total = _beats(y_bytes)
@@ -245,46 +248,35 @@ def _kernel_batches(batches: int, batch_elems: int, eb: float,
     flush_per_batch = y_beats_total / max(batches, 1)
     flushed = 0
     for _ in range(batches):
-        # phase 1: stream the COO batch from the matrix rows, one run per
-        # 1024 B matrix row (the row switch bounds each homogeneous run)
+        # phase 1: stream the COO batch from the matrix rows, one visit
+        # per 1024 B matrix row
         beats_left = _beats(batch_elems * eb)
         while beats_left:
             mat_row = mat_bytes_done // 1024
             room = (1024 - mat_bytes_done % 1024) // BEAT_BYTES
             n = min(beats_left, room)
-            trace += cursor.open_row(mat_row)
-            trace += _column_run(all_bank, False, mat_row, n,
-                                 col=(mat_bytes_done % 1024) // BEAT_BYTES,
-                                 bank=bank, tag="matrix", channel=channel)
+            visits.columns(mat_row, False, n,
+                           col=(mat_bytes_done % 1024) // BEAT_BYTES,
+                           tag="matrix")
             mat_bytes_done += n * BEAT_BYTES
             beats_left -= n
         # phase 2: gather x[col] from the open input row
-        trace += cursor.open_row(INPUT_ROW)
-        trace += _column_run(all_bank, False, INPUT_ROW, gather_beats,
-                             bank=bank, tag="gather", channel=channel)
+        visits.columns(INPUT_ROW, False, gather_beats, tag="gather")
         # phase 3: flush output windows that advanced past this batch
         flush_debt += flush_per_batch
         if flush_debt >= 1.0:
-            trace += cursor.open_row(OUTPUT_ROW)
+            visits.open_row(OUTPUT_ROW)
             while flush_debt >= 1.0 and flushed < y_beats_total:
-                trace.append(_column(all_bank, False, OUTPUT_ROW, flushed,
-                                     bank=bank, tag="scatter",
-                                     channel=channel))
-                trace.append(_column(all_bank, True, OUTPUT_ROW, flushed,
-                                     bank=bank, tag="scatter",
-                                     channel=channel))
+                visits.columns(OUTPUT_ROW, False, 1, flushed, tag="scatter")
+                visits.columns(OUTPUT_ROW, True, 1, flushed, tag="scatter")
                 flush_debt -= 1.0
                 flushed += 1
     # final window flush
-    if flushed < y_beats_total:
-        trace += cursor.open_row(OUTPUT_ROW)
-        while flushed < y_beats_total:
-            trace.append(_column(all_bank, False, OUTPUT_ROW, flushed,
-                                 bank=bank, tag="scatter", channel=channel))
-            trace.append(_column(all_bank, True, OUTPUT_ROW, flushed,
-                                 bank=bank, tag="scatter", channel=channel))
-            flushed += 1
-    trace += cursor.close()
+    while flushed < y_beats_total:
+        visits.columns(OUTPUT_ROW, False, 1, flushed, tag="scatter")
+        visits.columns(OUTPUT_ROW, True, 1, flushed, tag="scatter")
+        flushed += 1
+    visits.close()
     return trace
 
 
@@ -528,11 +520,9 @@ def sptrsv_ab_segments(execution: SpTrsvExecution, config: SystemConfig,
                            channel=channel))
         # 2) AB mode: broadcast them + program the kernel
         bcast: List[TraceEntry] = list(mode_switch(channel))
-        bcast.append(Command(CommandType.ACT_AB, row=INPUT_ROW,
-                             channel=channel))
-        bcast += _column_run(True, True, INPUT_ROW, _beats(width * vb),
-                             tag="broadcast", channel=channel)
-        bcast.append(Command(CommandType.PRE_AB, channel=channel))
+        visits = _RowVisits(bcast, True, channel=channel)
+        visits.columns(INPUT_ROW, True, _beats(width * vb), tag="broadcast")
+        visits.close()
         bcast += program_load(params, channel=channel)
         out.add(f"L{level}.broadcast", channel, bcast)
         # 3) AB-PIM: the scalar-multiply level kernel (Algorithm 3)
@@ -646,36 +636,46 @@ def dense_stream_trace(elements_per_bank: int, reads_per_group: int,
                        params: TraceParams = TraceParams()) -> List[TraceEntry]:
     """Streaming kernels: per 32 B group, fixed reads/writes per region.
 
-    In AB mode one command stream drives all banks; in PB mode the stream
-    repeats per bank on the shared buses.
+    In AB mode one command stream drives all banks, one row visit per
+    1024 B row; in PB mode the stream repeats per bank on the shared
+    buses, as plain commands because the banks' short runs interleave.
     """
     vb = element_size(precision)
     groups = _beats(elements_per_bank * vb)
     trace: List[TraceEntry] = []
-    banks = [0] if all_bank else list(range(active_banks))
-    cursors = {bank: _RowCursor(all_bank, bank=bank) for bank in banks}
     # one arm/disarm sequence per kernel; in PB mode the controller
     # interleaves the banks' streams on the shared buses (it cannot
     # broadcast, but it can overlap different banks' latencies).
     trace += mode_switch()
     if all_bank:
         trace += program_load(params)
-    bytes_done = 0
-    for _ in range(groups):
-        row = bytes_done // 1024
-        col = (bytes_done % 1024) // BEAT_BYTES
-        for bank in banks:
-            trace += cursors[bank].open_row(row)
-        # batch all reads before all writes (FR-FCFS-style grouping keeps
-        # data-bus turnarounds to two per group instead of two per bank)
-        for bank in banks:
-            trace += _column_run(all_bank, False, row, reads_per_group,
-                                 col=col, bank=bank, tag="stream")
-        for bank in banks:
-            trace += _column_run(all_bank, True, row, writes_per_group,
-                                 col=col, bank=bank, tag="stream")
-        bytes_done += BEAT_BYTES
-    for bank in banks:
-        trace += cursors[bank].close()
+        visits = _RowVisits(trace, True)
+        for group in range(groups):
+            row, offset = divmod(group * BEAT_BYTES, 1024)
+            col = offset // BEAT_BYTES
+            visits.columns(row, False, reads_per_group, col, tag="stream")
+            visits.columns(row, True, writes_per_group, col, tag="stream")
+        visits.close()
+    else:
+        banks = range(active_banks)
+        open_row: Optional[int] = None
+        for group in range(groups):
+            row, offset = divmod(group * BEAT_BYTES, 1024)
+            col = offset // BEAT_BYTES
+            if row != open_row:
+                for bank in banks:
+                    if open_row is not None:
+                        trace.append(Command(CommandType.PRE, bank=bank))
+                    trace.append(Command(CommandType.ACT, bank=bank, row=row))
+                open_row = row
+            # batch all reads before all writes (FR-FCFS-style grouping
+            # keeps data-bus turnarounds to two per group, not per bank)
+            for write, beats in ((False, reads_per_group),
+                                 (True, writes_per_group)):
+                for bank in banks:
+                    trace += [_column(write, row, col, bank=bank,
+                                      tag="stream")] * beats
+        if open_row is not None:
+            trace += [Command(CommandType.PRE, bank=bank) for bank in banks]
     trace += mode_switch()
     return trace

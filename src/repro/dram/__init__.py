@@ -7,9 +7,8 @@ DRAMPower-style energy model.
 """
 
 from .timing import HBM2_1GHZ, TimingParams
-from .commands import (HOST_TAGS, BankSweep, Command, CommandRun,
-                       CommandType, TraceEntry, as_run, expand_sweeps,
-                       expand_trace)
+from .commands import (HOST_TAGS, BankSweep, Command, CommandType, RowVisit,
+                       Stretch, TraceEntry, expand, expand_trace)
 from .address import AddressMapper, DecodedAddress
 from .bank import BankState
 from .channel import (BANKS_PER_CHANNEL, BANKS_PER_GROUP,
@@ -18,8 +17,8 @@ from .controller import MemoryController, ScheduleResult, count_commands
 from .power import EnergyModel, EnergyParams, EnergyReport
 
 __all__ = [
-    "HBM2_1GHZ", "TimingParams", "BankSweep", "Command", "CommandRun",
-    "CommandType", "TraceEntry", "as_run", "expand_sweeps", "expand_trace",
+    "HBM2_1GHZ", "TimingParams", "BankSweep", "Command", "CommandType",
+    "RowVisit", "Stretch", "TraceEntry", "expand", "expand_trace",
     "HOST_TAGS", "AddressMapper", "DecodedAddress", "BankState",
     "BANKS_PER_CHANNEL", "BANKS_PER_GROUP", "GROUPS_PER_CHANNEL",
     "ChannelScheduler", "SweepIssue", "MemoryController", "ScheduleResult",

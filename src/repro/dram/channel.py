@@ -44,7 +44,7 @@ from typing import (Deque, Dict, Iterator, List, NamedTuple, Optional, Tuple,
 
 from ..errors import TimingError
 from .bank import BankState
-from .commands import BankSweep, Command, CommandType
+from .commands import BankSweep, Command, CommandType, RowVisit
 from .timing import TimingParams
 
 BANKS_PER_GROUP = 4
@@ -164,6 +164,8 @@ class ChannelScheduler:
         self._last_act_cycle = -10 ** 9
         self._last_act_group: Optional[int] = None
         self._next_refresh = timing.trefi
+        # Issue spacing of the columns after a stretch's first.
+        self._col_spacing = max(1, timing.burst_cycles, timing.tccd_l)
         self._now = 0
         self.counts: Dict[CommandType, int] = {k: 0 for k in CommandType}
         self.refreshes_performed = 0
@@ -246,61 +248,122 @@ class ChannelScheduler:
             self._checker.observe(cycle, command)
         return cycle
 
-    def issue_run(self, command: Command, count: int) -> "tuple[int, int]":
-        """Issue *count* identical commands; return (first, last) cycles.
+    def issue_visit(self, visit: RowVisit) -> List[int]:
+        """Issue a row visit; return its ``ACT`` cycle, each stretch's
+        last column cycle and its ``PRE`` cycle, in order.
 
-        Homogeneous column runs — the beat streams that dominate kernel
-        traces — are priced in closed form: after the first command issues
-        normally, every successor of the same kind against the same open
-        row is constrained only by the column bus (1), the burst
-        (``burst_cycles``), same-bank/broadcast CCD (``tccd_l``) and the
-        command's own ``min_gap``, all measured from its predecessor, so
-        the run issues at a fixed spacing. Refresh cannot interleave
-        (the target row stays open, and the scheduler only inserts
-        refresh while all banks are precharged), and every per-bank
-        window is a max-accumulation, so applying the final command's
-        effects alone reproduces the per-command end state exactly.
-
-        Non-column kinds fall back to per-command issue (run boundaries,
-        mode switches and row commands never form homogeneous column
-        runs).
+        The ``ACT`` issues as :meth:`issue` would (a due refresh goes in
+        first). From there on a bank is open, so no refresh can go in
+        until the ``PRE``, and every column targets the row the ``ACT``
+        opened: each stretch's first column waits for the column bus,
+        the bank windows, CCD and turnaround, and its successors follow
+        at the fixed spacing ``max(1, burst, tCCD_L)``. Every bank window
+        is a max-accumulation, so applying each stretch's last column
+        reproduces the per-command state exactly. An ``ACT_AB`` enters
+        lock step, so an all-bank visit reads and writes only the one
+        shared state; a single-bank visit uses its own bank's. The cost
+        is O(stretches) (DESIGN.md, "Row visits").
         """
-        first = last = self.issue(command)
-        if count <= 1:
-            return first, last
-        kind = command.kind
-        if not kind.is_column:
-            for _ in range(count - 1):
-                last = self.issue(command)
-            return first, last
-        t = self.timing
-        spacing = max(command.min_gap, 1, t.burst_cycles, t.tccd_l)
-        last = first + (count - 1) * spacing
-        write = kind.is_write
-        if kind.is_all_bank:
-            for b in self._broadcast:
-                (b.apply_write if write else b.apply_read)(last)
+        now = self._now
+        if self.enable_refresh and self._next_refresh <= now:
+            self._maybe_refresh(now)
+        cycle = self._row_bus_free if self._row_bus_free > now else now
+        all_bank, bank = visit.all_bank, visit.bank
+        if all_bank:
+            act = self._activate_all(cycle, visit.row)
+            state = self._broadcast[0]
+            group: Optional[int] = None
+            act_kind, pre_kind = CommandType.ACT_AB, CommandType.PRE_AB
         else:
-            bank = self._bank(command.bank)
-            (bank.apply_write if write else bank.apply_read)(last)
-        # Bus/CCD history: the first issue already recorded the kind,
-        # group and direction; only the cycle values move.
-        self._last_col_cycle = last
-        self._col_bus_free = last + 1
-        self.counts[kind] += count - 1
-        self._now = last
+            state = self._bank(bank)
+            act = self._activate(state, bank, cycle, visit.row)
+            group = self._group_of(bank)
+            act_kind, pre_kind = CommandType.ACT, CommandType.PRE
+        counts = self.counts
+        counts[act_kind] += 1
+        ends = [act]
+        now = act
+        stretches = visit.stretches
+        if stretches:
+            # The per-command rules of _issue_column and BankState's
+            # apply_read/apply_write, on locals: each stretch's first
+            # column, then its last at the fixed spacing.
+            t = self.timing
+            spacing = self._col_spacing
+            col_free = self._col_bus_free
+            last_col = self._last_col_cycle
+            last_write = self._last_col_was_write
+            same_group = self._last_col_all_bank or all_bank or (
+                self._last_col_group == group)
+            rd, wr, pre_ready = state.rd_ready, state.wr_ready, state.pre_ready
+            for kind, beats, _, _ in stretches:
+                write = kind.is_write
+                first = col_free if col_free > now else now
+                ready = wr if write else rd
+                if ready > first:
+                    first = ready
+                if last_col >= 0:
+                    ccd = last_col + (t.tccd_l if same_group else t.tccd_s)
+                    if ccd > first:
+                        first = ccd
+                    if write != last_write:
+                        turn = last_col + (t.read_to_write if write
+                                           else t.write_to_read)
+                        if turn > first:
+                            first = turn
+                now = first + (beats - 1) * spacing
+                if write:
+                    after_pre = now + t.write_recovery
+                    after_wr = now + t.burst_cycles
+                    after_rd = now + t.write_to_read
+                else:
+                    after_pre = now + t.trtp
+                    after_rd = now + t.burst_cycles
+                    after_wr = now + t.read_to_write
+                if after_pre > pre_ready:
+                    pre_ready = after_pre
+                if after_rd > rd:
+                    rd = after_rd
+                if after_wr > wr:
+                    wr = after_wr
+                counts[kind] += beats
+                ends.append(now)
+                last_col, last_write, same_group = now, write, True
+                col_free = now + 1
+            state.rd_ready, state.wr_ready, state.pre_ready = rd, wr, pre_ready
+            self._last_col_cycle = now
+            self._last_col_group = group
+            self._last_col_was_write = last_write
+            self._last_col_all_bank = all_bank
+            self._col_bus_free = col_free
+        pre = max(now, act + 1, state.pre_ready)
+        state.apply_pre(pre)
+        if all_bank:
+            self._open_banks = 0
+        else:
+            self._open_banks -= 1
+        self._row_bus_free = pre + 1
+        counts[pre_kind] += 1
+        ends.append(pre)
+        self._now = pre
         if self._checker is not None:
-            # The checker sees the run's per-command expansion, which
-            # independently validates the closed-form spacing itself.
-            for i in range(1, count):
-                self._checker.observe(first + i * spacing, command)
-        return first, last
+            # The checker sees the visit's per-command expansion at the
+            # closed-form cycles, which validates the spacing itself.
+            observe = self._checker.observe
+            rows = visit.rows()
+            observe(act, next(rows)[0])
+            for end, (column, beats) in zip(ends[1:-1], rows):
+                for k in range(beats - 1, -1, -1):
+                    observe(end - k * self._col_spacing, column)
+            observe(pre, next(rows)[0])
+        return ends
 
     def issue_sweep(self, sweep: BankSweep) -> SweepIssue:
         """Issue a host sweep; exactly its expansion, mostly in closed form.
 
-        An *anchor* bank issues command by command (``ACT``, the column
-        run, ``PRE``) and absorbs whatever state the sweep meets: busy
+        An *anchor* bank issues as a single-bank visit (command by
+        command under a ``min_gap``) and absorbs whatever state the sweep
+        meets: busy
         buses, RRD/FAW history, CCD and turnaround, the lock-step split,
         a refresh due before its ``ACT``. Each following bank then runs
         at fixed offsets from its own ``ACT`` cycle ``a``: the first
@@ -320,7 +383,7 @@ class ChannelScheduler:
         sweep that fails a sweep-wide one issues command by command.
         Every bank window is a max-accumulation, so applying each
         follower's ``ACT``, last column and ``PRE`` reproduces the
-        per-command state exactly, as in :meth:`issue_run`.
+        per-command state exactly, as in :meth:`issue_visit`.
 
         A closed-form sweep that finds the channel in lock step with
         every bank precharged touches no bank state at all
@@ -448,8 +511,9 @@ class ChannelScheduler:
 
     def _lockstep_anchor(self, sweep: BankSweep, bank: int,
                          spacing: int) -> SweepBank:
-        """One bank of a sweep from lock step, priced as :meth:`issue`
-        would its ``ACT``, column run and ``PRE`` (refresh already in).
+        """One bank of a sweep from lock step, priced as
+        :meth:`issue_visit` would its ``ACT``, columns and ``PRE``
+        (refresh already in).
 
         ``apply_act`` assigns the bank's column windows ``act + tRCD``
         and ``pre_ready = act + tRAS``; the columns then only add their
@@ -543,13 +607,21 @@ class ChannelScheduler:
         return True
 
     def _sweep_anchor(self, sweep: BankSweep, bank: int) -> SweepBank:
-        """Issue one bank of a sweep command by command."""
-        act_cmd, column, pre_cmd = sweep.bank_commands(bank)
-        act = self.issue(act_cmd)
-        refreshes = self.refreshes_performed
-        last_col = (self.issue(column) if sweep.beats == 1
-                    else self.issue_run(column, sweep.beats)[1])
-        return bank, act, last_col, self.issue(pre_cmd), refreshes
+        """Issue one bank of a sweep: as a single-bank visit, or command
+        by command when its columns carry a ``min_gap``."""
+        c = sweep.command
+        if c.min_gap:
+            act_cmd, column, pre_cmd = sweep.bank_commands(bank)
+            act = self.issue(act_cmd)
+            refreshes = self.refreshes_performed
+            for _ in range(sweep.beats):
+                last_col = self.issue(column)
+            return bank, act, last_col, self.issue(pre_cmd), refreshes
+        act, last_col, pre = self.issue_visit(RowVisit(
+            False, c.channel, bank, c.row,
+            ((c.kind, sweep.beats, c.col, c.tag),)))
+        # No refresh goes in after a visit's ACT.
+        return bank, act, last_col, pre, self.refreshes_performed
 
     def _close_followers(self, sweep: BankSweep, start: int, end: int,
                          first: int, period: int, spacing: int) -> None:
@@ -588,33 +660,13 @@ class ChannelScheduler:
     # row commands
     # ------------------------------------------------------------------
     def _issue_row(self, command: Command, earliest: int) -> int:
-        t = self.timing
         kind = command.kind
         cycle = max(earliest, self._row_bus_free)
         if kind is CommandType.ACT:
-            bank = self._bank(command.bank)
-            cycle = max(cycle, bank.earliest_act())
-            cycle = max(cycle, self._rrd_window(command.bank, cycle))
-            cycle = self._faw_window(cycle)
-            bank.apply_act(cycle, command.row)
-            self._open_banks += 1
-            self._act_times.append(cycle)
-            self._last_act_cycle = cycle
-            self._last_act_group = self._group_of(command.bank)
+            cycle = self._activate(self._bank(command.bank), command.bank,
+                                   cycle, command.row)
         elif kind is CommandType.ACT_AB:
-            cycle = max(cycle, *(b.earliest_act() for b in self._broadcast))
-            # The issue cycle is at or past every bank's act_ready, so
-            # apply_act leaves every bank in the same state: enter (or
-            # stay in) lock step with one fresh shared state.
-            shared = BankState(t)
-            shared.apply_act(cycle, command.row)
-            self._broadcast = [shared]
-            self._base = self._pending = None
-            self._open_banks = self.banks_per_channel
-            # Broadcast ACT resets single-bank RRD history; internal
-            # staggering is folded into the per-bank tRC spacing.
-            self._last_act_cycle = cycle
-            self._last_act_group = None
+            cycle = self._activate_all(cycle, command.row)
         elif kind is CommandType.PRE:
             bank = self._bank(command.bank)
             cycle = max(cycle, bank.earliest_pre())
@@ -629,6 +681,44 @@ class ChannelScheduler:
                 b.apply_pre(cycle)
             self._open_banks = 0
         self._row_bus_free = cycle + 1
+        return cycle
+
+    def _activate(self, state: BankState, bank: int, cycle: int,
+                  row: int) -> int:
+        """Open *row* in one bank no earlier than *cycle*; return the
+        ``ACT`` cycle."""
+        cycle = max(cycle, state.earliest_act())
+        cycle = self._faw_window(self._rrd_window(bank, cycle))
+        state.apply_act(cycle, row)
+        self._open_banks += 1
+        self._act_times.append(cycle)
+        self._last_act_cycle = cycle
+        self._last_act_group = self._group_of(bank)
+        return cycle
+
+    def _activate_all(self, cycle: int, row: int) -> int:
+        """Open *row* in every bank no earlier than *cycle*; return the
+        ``ACT_AB`` cycle."""
+        broadcast = self._broadcast
+        if broadcast is self._banks:
+            cycle = max(cycle, *(b.earliest_act() for b in broadcast))
+            shared = BankState(self.timing)
+            self._broadcast = [shared]
+        else:
+            # Lock step or pending: one state stands for every bank, and
+            # nothing but this scheduler holds it, so it is reused.
+            shared = broadcast[0]
+            cycle = max(cycle, shared.earliest_act())
+        # The issue cycle is at or past every bank's act_ready, so
+        # apply_act leaves every bank in the same state: enter (or stay
+        # in) lock step with one shared state.
+        shared.apply_act(cycle, row)
+        self._base = self._pending = None
+        self._open_banks = self.banks_per_channel
+        # Broadcast ACT resets single-bank RRD history; internal
+        # staggering is folded into the per-bank tRC spacing.
+        self._last_act_cycle = cycle
+        self._last_act_group = None
         return cycle
 
     def _rrd_window(self, bank: int, cycle: int) -> int:

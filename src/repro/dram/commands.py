@@ -77,56 +77,58 @@ class Command:
             raise ValueError("min_gap must be non-negative")
 
 
+#: One column stretch of a :class:`RowVisit`: ``beats`` issues of one
+#: column command of ``kind`` at column ``col``, carrying ``tag``.
+Stretch = Tuple[CommandType, int, int, Optional[str]]
+
+_VISIT_COLUMNS = {True: (CommandType.RD_AB, CommandType.WR_AB),
+                  False: (CommandType.RD, CommandType.WR)}
+
+
 @dataclass(frozen=True)
-class CommandRun:
-    """``count`` consecutive issues of one identical command.
+class RowVisit:
+    """One row visit: ``ACT``, column stretches on the open row, ``PRE``.
 
-    Trace generators emit runs for the homogeneous stretches that dominate
-    kernel traces (N beats of RD_AB/WR_AB against the same open row at
-    tCCD spacing); the scheduler prices a run in closed form instead of
-    walking it command by command, with cycle counts and per-type counters
-    identical to the expanded trace. A run is semantically exactly its
-    expansion — every consumer that cannot batch can iterate
-    :func:`expand_trace`.
+    An all-bank visit is ``ACT_AB(row)``, the stretches as ``RD_AB`` /
+    ``WR_AB`` beats and ``PRE_AB``, the AB-PIM pattern the host drives
+    every bank with (paper §II-B); a single-bank visit is the same on
+    ``bank`` with ``ACT``/``RD``/``WR``/``PRE``. Each stretch is ``beats``
+    identical column commands; the scheduler never reads ``col``, so a
+    stretch carries its first beat's column. ``ACT`` and ``PRE`` carry no
+    tag, and nothing in a visit carries a ``min_gap``.
 
-    The `Command`-like read-only properties let trace inspection code
-    (``{c.kind for c in trace}``) treat a run like its command.
+    A visit means exactly its expansion (:meth:`rows`, :func:`expand`);
+    the scheduler prices it in O(stretches)
+    (:meth:`repro.dram.channel.ChannelScheduler.issue_visit`).
     """
 
-    command: Command
-    count: int
+    all_bank: bool
+    channel: int
+    bank: int
+    row: int
+    stretches: Tuple[Stretch, ...]
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError("a command run needs at least one command")
+        kinds = _VISIT_COLUMNS[self.all_bank]
+        for kind, beats, _, _ in self.stretches:
+            if kind not in kinds:
+                scope = "all-bank" if self.all_bank else "single-bank"
+                raise ValueError(f"a {scope} visit cannot carry {kind.name}")
+            if beats < 1:
+                raise ValueError("a stretch needs at least one beat")
 
-    @property
-    def kind(self) -> CommandType:
-        return self.command.kind
-
-    @property
-    def channel(self) -> int:
-        return self.command.channel
-
-    @property
-    def bank(self) -> int:
-        return self.command.bank
-
-    @property
-    def row(self) -> int:
-        return self.command.row
-
-    @property
-    def col(self) -> int:
-        return self.command.col
-
-    @property
-    def min_gap(self) -> int:
-        return self.command.min_gap
-
-    @property
-    def tag(self) -> Optional[str]:
-        return self.command.tag
+    def rows(self) -> Iterator[Tuple[Command, int]]:
+        """The expansion as ``(command, count)`` rows: the ``ACT``, one
+        row per stretch, the ``PRE``."""
+        ch, bank, row = self.channel, self.bank, self.row
+        if self.all_bank:
+            act, pre = CommandType.ACT_AB, CommandType.PRE_AB
+        else:
+            act, pre = CommandType.ACT, CommandType.PRE
+        yield Command(act, ch, bank, row), 1
+        for kind, beats, col, tag in self.stretches:
+            yield Command(kind, ch, bank, row, col, 0, tag), beats
+        yield Command(pre, ch, bank), 1
 
 
 @dataclass(frozen=True)
@@ -134,15 +136,14 @@ class BankSweep:
     """One single-bank pass of the host over ``banks`` banks of a channel.
 
     For each ``bank < banks`` in order: ``ACT(bank, row)``, ``beats``
-    column commands to that bank (a :class:`CommandRun` when ``beats >
-    1``), then ``PRE(bank)``. ``command`` is the column template: its
-    kind (``RD``/``WR``), row, col, tag, channel and ``min_gap`` apply to
-    every column of the sweep; its bank is ignored. The ``ACT``/``PRE``
-    commands carry no tag and no ``min_gap``.
+    column commands to that bank, then ``PRE(bank)``. ``command`` is the
+    column template: its kind (``RD``/``WR``), row, col, tag, channel and
+    ``min_gap`` apply to every column of the sweep; its bank is ignored.
+    The ``ACT``/``PRE`` commands carry no tag and no ``min_gap``.
 
     This is the SB-mode staging pattern of the host (stage x, merge y,
-    read solved values). Like a run, a sweep means exactly its
-    expansion (:func:`expand_sweeps`); the scheduler prices it mostly in
+    read solved values). Like a visit, a sweep means exactly its
+    expansion (:func:`expand`); the scheduler prices it mostly in
     closed form (:meth:`repro.dram.channel.ChannelScheduler.issue_sweep`).
     """
 
@@ -175,42 +176,35 @@ class BankSweep:
                 Command(CommandType.PRE, c.channel, bank))
 
 
-#: A command trace entry: a single command, a homogeneous run or a sweep.
-TraceEntry = Union[Command, CommandRun, BankSweep]
+#: A command trace entry: a single command, a row visit or a sweep.
+TraceEntry = Union[Command, RowVisit, BankSweep]
 
 
-def as_run(entry: TraceEntry) -> Tuple[Command, int]:
-    """Normalise a command or run to ``(command, count)``.
+def expand(trace: Iterable[TraceEntry]) -> Iterator[Tuple[Command, int]]:
+    """The canonical ``(command, count)`` rows of a trace.
 
-    A sweep has no single ``(command, count)`` form; expand it first
-    (:func:`expand_sweeps`).
+    A command is one row; a visit is its ``ACT``, one row per stretch and
+    its ``PRE``; a sweep is, per bank, its ``ACT``, its columns as one
+    row and its ``PRE``. The goldens, the slice digests and
+    :func:`~repro.dram.controller.count_commands` read this form.
     """
-    if isinstance(entry, CommandRun):
-        return entry.command, entry.count
-    if isinstance(entry, BankSweep):
-        raise TypeError("a BankSweep has no (command, count) form; "
-                        "expand_sweeps() the trace first")
-    return entry, 1
-
-
-def expand_sweeps(trace: Iterable[TraceEntry]
-                  ) -> Iterator[Union[Command, CommandRun]]:
-    """Replace every sweep by its per-bank ``ACT``, columns, ``PRE``."""
     for entry in trace:
-        if not isinstance(entry, BankSweep):
-            yield entry
-            continue
-        for bank in range(entry.banks):
-            act, column, pre = entry.bank_commands(bank)
-            yield act
-            yield column if entry.beats == 1 else CommandRun(column,
-                                                            entry.beats)
-            yield pre
+        cls = entry.__class__
+        if cls is RowVisit:
+            yield from entry.rows()
+        elif cls is BankSweep:
+            beats = entry.beats
+            for bank in range(entry.banks):
+                act, column, pre = entry.bank_commands(bank)
+                yield act, 1
+                yield column, beats
+                yield pre, 1
+        else:
+            yield entry, 1
 
 
 def expand_trace(trace: Iterable[TraceEntry]) -> Iterator[Command]:
-    """Flatten sweeps and runs into per-command form (reference path)."""
-    for entry in expand_sweeps(trace):
-        command, count = as_run(entry)
+    """Flatten a trace into per-command form (the reference path)."""
+    for command, count in expand(trace):
         for _ in range(count):
             yield command

@@ -17,8 +17,7 @@ from typing import AbstractSet, Dict, Iterable, Optional
 from ..errors import TimingError
 from .. import obs
 from .channel import BANKS_PER_CHANNEL, ChannelScheduler
-from .commands import (BankSweep, CommandType, TraceEntry, as_run,
-                       expand_sweeps)
+from .commands import BankSweep, CommandType, RowVisit, TraceEntry, expand
 from .power import EnergyModel, EnergyParams, EnergyReport
 from .timing import TimingParams
 
@@ -125,11 +124,11 @@ class MemoryController:
         """Schedule *trace* and return cycle counts (and optionally energy).
 
         *trace* may mix plain :class:`Command` entries with
-        :class:`~repro.dram.commands.CommandRun` batches and
+        :class:`~repro.dram.commands.RowVisit` row visits and
         :class:`~repro.dram.commands.BankSweep` host passes; both price
         exactly like their expansion (same cycles, counters and tag
-        attributions), a run in O(1) instead of O(count) and a sweep
-        mostly in closed form.
+        attributions), a visit in O(stretches) and a sweep mostly in
+        closed form.
 
         ``host_tags``, ``alu_operations`` and ``precision`` feed the
         energy model only. Column commands tagged with one of
@@ -139,44 +138,63 @@ class MemoryController:
 
         ``collector`` (e.g. an
         :class:`repro.obs.attrib.AttributionCollector`) is a passive
-        observer whose ``observe(command, count, last, refreshes)`` hook
-        sees every command or run's issue outcome as it prices, and
-        whose ``observe_sweep(sweep, issue)`` hook sees every sweep's
+        observer whose ``observe(command, last, refreshes)`` hook sees
+        every command's issue outcome as it prices, whose
+        ``observe_visit(visit, ends, refreshes)`` hook sees every visit's
+        :meth:`~repro.dram.channel.ChannelScheduler.issue_visit` cycles,
+        and whose ``observe_sweep(sweep, issue)`` hook sees every sweep's
         :class:`~repro.dram.channel.SweepIssue` — the attribution
         engine rides the one scheduling pass instead of re-running it.
         Issue decisions are never affected.
         """
         channels: Dict[int, ChannelScheduler] = {}
-        counts: Dict[CommandType, int] = {k: 0 for k in CommandType}
         tag_cycles: Dict[str, int] = {}
         last_cycle: Dict[int, int] = {}
-        total = 0
+        explicit_refs = 0
         host_columns = 0
         for entry in trace:
-            sweep = entry if entry.__class__ is BankSweep else None
-            if sweep is not None:
-                command, count = sweep.command, 1
-                bank = sweep.banks - 1
+            cls = entry.__class__
+            if cls is BankSweep:
+                command = entry.command
+                channel, bank = command.channel, entry.banks - 1
             else:
-                command, count = as_run(entry)
-                bank = command.bank
-            if command.channel >= self.num_channels:
+                channel, bank = entry.channel, entry.bank
+            if channel >= self.num_channels:
                 raise TimingError(
-                    f"command channel {command.channel} exceeds "
+                    f"command channel {channel} exceeds "
                     f"{self.num_channels} channels")
             if bank >= self.banks_per_channel:
                 raise TimingError(f"bank {bank} outside the channel")
-            sched = channels.get(command.channel)
+            sched = channels.get(channel)
             if sched is None:
                 sched = ChannelScheduler(
                     self.timing, self.enable_refresh,
                     validate_protocol=self.validate_protocol,
-                    channel=command.channel,
+                    channel=channel,
                     banks_per_channel=self.banks_per_channel)
-                channels[command.channel] = sched
-            if sweep is not None:
-                issue = sched.issue_sweep(sweep)
-                columns = sweep.banks * sweep.beats
+                channels[channel] = sched
+            if cls is RowVisit:
+                ends = sched.issue_visit(entry)
+                # Each stretch's columns gap from the command before it:
+                # the ACT, then the previous stretch's last column.
+                prev = ends[0]
+                i = 1
+                for _, beats, _, tag in entry.stretches:
+                    end = ends[i]
+                    i += 1
+                    if tag is not None:
+                        tag_cycles[tag] = tag_cycles.get(tag, 0) + end - prev
+                        if tag in host_tags:
+                            host_columns += beats
+                    prev = end
+                last_cycle[channel] = ends[-1]
+                if collector is not None:
+                    collector.observe_visit(entry, ends,
+                                            sched.refreshes_performed)
+                continue
+            if cls is BankSweep:
+                issue = sched.issue_sweep(entry)
+                columns = entry.banks * entry.beats
                 tag = command.tag
                 if tag is not None:
                     # The expansion's columns each gap from their own
@@ -185,39 +203,37 @@ class MemoryController:
                                        + issue.column_cycles)
                     if tag in host_tags:
                         host_columns += columns
-                last_cycle[command.channel] = issue.last
-                counts[CommandType.ACT] += sweep.banks
-                counts[CommandType.PRE] += sweep.banks
-                counts[command.kind] += columns
-                total += sweep.commands
+                last_cycle[channel] = issue.last
                 if collector is not None:
-                    collector.observe_sweep(sweep, issue)
+                    collector.observe_sweep(entry, issue)
                 continue
-            if count == 1:
-                first = last = sched.issue(command)
-            else:
-                first, last = sched.issue_run(command, count)
-            tag = command.tag
+            last = sched.issue(entry)
+            tag = entry.tag
             if tag is not None:
-                # Per-command attributions sum the positive gaps: the gap
-                # to the run's first command plus the fixed spacings
-                # between its successors (all positive), i.e. last-first.
-                gap = first - last_cycle.get(command.channel, 0)
-                tag_cycles[tag] = (tag_cycles.get(tag, 0)
-                                   + max(gap, 0) + (last - first))
-                if tag in host_tags and command.kind.is_column:
-                    host_columns += count
-            last_cycle[command.channel] = last
-            counts[command.kind] += count
-            total += count
+                # A command's attribution is its positive gap to the
+                # previous command of its channel.
+                gap = last - last_cycle.get(channel, 0)
+                tag_cycles[tag] = tag_cycles.get(tag, 0) + max(gap, 0)
+                if tag in host_tags and entry.kind.is_column:
+                    host_columns += 1
+            last_cycle[channel] = last
+            explicit_refs += entry.kind is CommandType.REF
             if collector is not None:
-                collector.observe(command, count, last,
-                                  sched.refreshes_performed)
+                collector.observe(entry, last, sched.refreshes_performed)
 
         per_channel = {ch: sched.now for ch, sched in channels.items()}
         total_cycles = max(per_channel.values()) if per_channel else 0
         refreshes = sum(s.refreshes_performed for s in channels.values())
-        counts[CommandType.REF] += refreshes
+        # The schedulers count every command they issued, inserted
+        # refreshes included; the trace's own commands are the rest.
+        counts: Dict[CommandType, int] = {k: 0 for k in CommandType}
+        for sched in channels.values():
+            for kind, n in sched.counts.items():
+                counts[kind] += n
+        total = sum(counts.values()) - refreshes + explicit_refs
+        # The REF tally has always been the trace's explicit REFs plus
+        # every refresh performed, explicit ones included.
+        counts[CommandType.REF] += explicit_refs
         violations = [v for ch in sorted(channels)
                       for v in channels[ch].protocol_violations]
         per_channel_stats = {ch: channels[ch].stats()
@@ -290,7 +306,6 @@ class MemoryController:
 def count_commands(trace: Iterable[TraceEntry]) -> Dict[CommandType, int]:
     """Tally a trace without scheduling it (used for Figure 3)."""
     counts: Dict[CommandType, int] = {k: 0 for k in CommandType}
-    for entry in expand_sweeps(trace):
-        command, count = as_run(entry)
+    for command, count in expand(trace):
         counts[command.kind] += count
     return counts

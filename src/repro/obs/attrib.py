@@ -43,7 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..dram.commands import HOST_TAGS, BankSweep, Command, CommandType
+from ..dram.commands import (HOST_TAGS, BankSweep, Command, CommandType,
+                             RowVisit, Stretch)
 from ..errors import ExecutionError
 
 #: Exclusive, exhaustive cycle categories, in reporting order.
@@ -72,7 +73,11 @@ def category_of(command: Command) -> int:
         return C_REFRESH
     if kind.is_row:
         return C_ROW
-    tag = command.tag
+    return _column_category(command.tag)
+
+
+def _column_category(tag: Optional[str]) -> int:
+    """Category of a column command carrying *tag*."""
     if tag in HOST_TAGS:
         return C_HOST
     if tag == "program":
@@ -188,24 +193,78 @@ class AttributionCollector:
             [] if capture_entries else None)
         #: Raw issue outcomes in observation order; bucketed lazily so the
         #: scheduler's hot loop only pays one list append per entry.
-        self._log: List[Tuple[Command, int, int, int]] = []
+        self._log: List[tuple] = []
 
-    def observe(self, command: Command, count: int, last: int,
-                refreshes: int) -> None:
+    def observe(self, command: Command, last: int, refreshes: int) -> None:
         """Record one issue outcome (bucketing is deferred to finalize)."""
-        self._log.append((command, count, last, refreshes))
+        self._log.append((command, last, refreshes))
+
+    def observe_visit(self, visit: RowVisit, ends: List[int],
+                      refreshes: int) -> None:
+        """Record one visit's ``ACT``, stretch-end and ``PRE`` cycles."""
+        self._log.append((visit, ends, refreshes))
 
     def observe_sweep(self, sweep: BankSweep, issue) -> None:
         """Record one sweep's :class:`~repro.dram.channel.SweepIssue`."""
         self._log.append((sweep, issue))
 
-    def _bucket(self, command: Command, count: int, last: int,
-                refreshes: int) -> None:
-        """Bucket one command or run's issue-to-issue cycle delta."""
+    def _bucket(self, command: Command, last: int, refreshes: int) -> None:
+        """Bucket one command's issue-to-issue cycle delta."""
         self._charge(command.channel, command.kind, category_of(command),
-                     command.bank, count, last, refreshes)
+                     command.bank, last, refreshes)
         if self.entry_cycles is not None:
             self.entry_cycles.append(last)
+
+    def _bucket_visit(self, visit: RowVisit, ends: List[int],
+                      refreshes: int) -> None:
+        """Bucket a visit exactly as its ACT/stretches/PRE expansion."""
+        self._bucket_row(visit.channel, visit.bank, visit.all_bank,
+                         visit.stretches, ends, refreshes)
+        if self.entry_cycles is not None:
+            self.entry_cycles.append(ends[-1])
+
+    def _bucket_row(self, ch: int, bank: int, all_bank: bool,
+                    stretches: Sequence[Stretch], ends: Sequence[int],
+                    refreshes: int) -> None:
+        """Bucket one row visit from its ``ACT``, stretch-end and ``PRE``
+        cycles (:meth:`~repro.dram.channel.ChannelScheduler.issue_visit`).
+
+        The ``ACT`` goes through :meth:`_charge`, which absorbs the stall
+        debts and any refresh inserted before it; none can go in after
+        it. Once no debt is left, each stretch's delta lands whole on its
+        category and the ``PRE``'s on ``row``, on every lane for an
+        all-bank visit and on the visit's bank otherwise.
+        """
+        charge = self._charge
+        charge(ch, CommandType.ACT_AB if all_bank else CommandType.ACT,
+               C_ROW, bank, ends[0], refreshes)
+        n = len(stretches)
+        i = 0
+        while i < n and self._in_debt(ch):
+            kind, _, _, tag = stretches[i]
+            i += 1
+            charge(ch, kind, _column_category(tag), bank, ends[i], refreshes)
+        pre = ends[-1]
+        if self._in_debt(ch):
+            charge(ch, CommandType.PRE_AB if all_bank else CommandType.PRE,
+                   C_ROW, bank, pre, refreshes)
+            return
+        prev = ends[i]
+        if all_bank:
+            lane = self._ab[ch]
+        else:
+            lanes = self._sb.setdefault(ch, {})
+            lane = lanes.get(bank)
+            if lane is None:
+                lane = lanes[bank] = [0] * NCAT
+            self._sb_sum[ch] = self._sb_sum.get(ch, 0) + pre - prev
+        while i < n:
+            tag = stretches[i][3]
+            i += 1
+            lane[_column_category(tag)] += ends[i] - prev
+            prev = ends[i]
+        lane[C_ROW] += pre - prev
+        self._now[ch] = pre
 
     def _bucket_sweep(self, sweep: BankSweep, issue) -> None:
         """Bucket a sweep exactly as its ACT/columns/PRE expansion.
@@ -225,16 +284,14 @@ class AttributionCollector:
         col_span, pre_span = issue.col_span, issue.pre_span
         period = pre_span + 1
         for i, (bank, act, last_col, pre, refreshes) in enumerate(anchors):
-            self._bucket_bank(sweep, cat, bank, act, last_col, pre,
-                              refreshes)
+            self._bucket_bank(sweep, bank, act, last_col, pre, refreshes)
             end = anchors[i + 1][0] if i + 1 < len(anchors) else issue.banks
             bank += 1
-            while bank < end and (self._debt_seam.get(ch, 0)
-                                  or self._debt_refresh.get(ch, 0)):
+            while bank < end and self._in_debt(ch):
                 act = pre + 1
                 pre = act + pre_span
-                self._bucket_bank(sweep, cat, bank, act, act + col_span,
-                                  pre, refreshes)
+                self._bucket_bank(sweep, bank, act, act + col_span, pre,
+                                  refreshes)
                 bank += 1
             if bank == end:
                 continue
@@ -251,36 +308,21 @@ class AttributionCollector:
         if self.entry_cycles is not None:
             self.entry_cycles.append(issue.last)
 
-    def _bucket_bank(self, sweep: BankSweep, cat: int, bank: int, act: int,
+    def _bucket_bank(self, sweep: BankSweep, bank: int, act: int,
                      last_col: int, pre: int, refreshes: int) -> None:
-        """Bucket one bank of a sweep as its ACT, columns and PRE.
+        """Bucket one bank of a sweep as the single-bank visit it is."""
+        c = sweep.command
+        self._bucket_row(c.channel, bank, False,
+                         ((c.kind, sweep.beats, c.col, c.tag),),
+                         (act, last_col, pre), refreshes)
 
-        With no stall debt and no inserted refresh to split off, the
-        bank's three deltas land whole on its own lane: ``ACT`` and
-        ``PRE`` on ``row``, the columns on their category.
-        """
-        command = sweep.command
-        ch = command.channel
-        if (self._debt_seam.get(ch, 0) or self._debt_refresh.get(ch, 0)
-                or refreshes != self._refs.get(ch, 0)):
-            charge = self._charge
-            charge(ch, CommandType.ACT, C_ROW, bank, 1, act, refreshes)
-            charge(ch, command.kind, cat, bank, sweep.beats, last_col,
-                   refreshes)
-            charge(ch, CommandType.PRE, C_ROW, bank, 1, pre, refreshes)
-            return
-        now = self._now.get(ch, 0)
-        lanes = self._sb.setdefault(ch, {})
-        lane = lanes.get(bank)
-        if lane is None:
-            lane = lanes[bank] = [0] * NCAT
-        lane[C_ROW] += (act - now) + (pre - last_col)
-        lane[cat] += last_col - act
-        self._sb_sum[ch] = self._sb_sum.get(ch, 0) + (pre - now)
-        self._now[ch] = pre
+    def _in_debt(self, ch: int) -> bool:
+        """Whether channel *ch* still owes stall cycles."""
+        return bool(self._debt_seam.get(ch, 0)
+                    or self._debt_refresh.get(ch, 0))
 
     def _charge(self, ch: int, kind: CommandType, cat: int, bank: int,
-                count: int, last: int, refreshes: int) -> None:
+                last: int, refreshes: int) -> None:
         """Split one issue-to-issue delta into debts, refresh and *cat*."""
         delta = last - self._now.get(ch, 0)
         self._now[ch] = last
@@ -314,10 +356,10 @@ class AttributionCollector:
         # (3) the command's own category and scope.
         if kind is CommandType.MODE:
             self._debt_seam[ch] = (self._debt_seam.get(ch, 0)
-                                   + count * self.mode_switch_cycles)
+                                   + self.mode_switch_cycles)
         elif kind is CommandType.REF:
             self._debt_refresh[ch] = (self._debt_refresh.get(ch, 0)
-                                      + count * self.trfc)
+                                      + self.trfc)
         if kind.is_all_bank or kind is CommandType.MODE:
             ab[cat] += delta
         else:
@@ -363,7 +405,10 @@ class AttributionCollector:
         """
         log, self._log = self._log, []
         for entry in log:
-            if entry[0].__class__ is BankSweep:
+            cls = entry[0].__class__
+            if cls is RowVisit:
+                self._bucket_visit(*entry)
+            elif cls is BankSweep:
                 self._bucket_sweep(*entry)
             else:
                 self._bucket(*entry)

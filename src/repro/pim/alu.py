@@ -72,7 +72,11 @@ def reduce_array(op: BinaryOp, values: np.ndarray, seed: float) -> float:
         if op is BinaryOp.ADD:
             result = result + float(np.sum(values))
         elif op is BinaryOp.MUL:
-            result = result * float(np.prod(values))
+            # An overflowing product is inf (and inf times zero is nan):
+            # the IEEE result, on which every engine agrees, so numpy's
+            # warning is noise.
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = result * float(np.prod(values))
         elif op is BinaryOp.MIN:
             result = min(result, float(np.min(values)))
         elif op is BinaryOp.MAX:

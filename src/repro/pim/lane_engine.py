@@ -66,7 +66,10 @@ def _reduce_rows(op: BinaryOp, values: np.ndarray,
     if op is BinaryOp.ADD:
         return seed + values.sum(axis=1)
     if op is BinaryOp.MUL:
-        return seed * values.prod(axis=1)
+        # Overflow folds to inf (inf times zero to nan), as in the
+        # scalar engine.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return seed * values.prod(axis=1)
     if op is BinaryOp.MIN:
         # python min(seed, m): keep the seed unless m compares smaller
         # (matters for NaN; np.minimum would propagate it instead).

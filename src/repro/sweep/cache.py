@@ -43,8 +43,9 @@ from ..formats import COOMatrix
 CACHE_DIR_ENV = "PSYNCPIM_CACHE_DIR"
 
 #: Bump to invalidate every previously stored artifact (layout changes).
-#: v2: traces are emitted with CommandRun batching — regenerating stored
-#: per-command traces lets cached sweeps use the closed-form pricing path.
+#: v2: traces are emitted with run-length column batching — regenerating
+#: stored per-command traces lets cached sweeps use the closed-form pricing
+#: path.
 #: v3: SubMatrix/PartitionPlan pickle with cached per-tile statistics
 #: (touched_rows, tile_nnz/x_lengths arrays) from the vectorized planner.
 #: v4: files carry a magic + SHA-256 integrity header; pre-v4 headerless
@@ -61,7 +62,10 @@ CACHE_DIR_ENV = "PSYNCPIM_CACHE_DIR"
 #: v8: one pricing pass per job — ``trace`` holds the SegmentedTrace,
 #: ``schedule`` holds ``(PerfReport, RunReport or None)`` and the
 #: separate ``attrib`` kind is gone.
-CACHE_VERSION = 8
+#: v9: every ACT → columns → PRE row visit is one ``RowVisit`` entry and
+#: the run-length entry kind is gone, so stored ``trace`` artifacts are
+#: regenerated (as for v2 and v7).
+CACHE_VERSION = 9
 
 #: On-disk artifact header: magic, then the SHA-256 of the payload.
 _MAGIC = b"PSPC1\n"

@@ -8,6 +8,8 @@ that an injected semantic bug is actually detected and reported with a
 reproducer seed.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,13 @@ class TestThreeOracleAgreement:
         failures = fuzz_range(0, SEED_COUNT, shrink=False)
         assert failures == [], \
             f"{len(failures)} divergent seeds: {failures[:3]}"
+
+    def test_overflowing_fold_agrees_without_warnings(self):
+        """Seed 1172's MUL Reduce overflows to inf in every oracle; the
+        fold yields the IEEE result quietly, so numpy warns nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fuzz_range(1172, 1) == []
 
     @pytest.mark.parametrize("seed", [0, 7, 31, 101])
     def test_single_seed_runs_to_exit(self, seed):

@@ -14,7 +14,7 @@ from repro.check import ProtocolChecker, check_timed, check_trace, summarize
 from repro.config import default_system
 from repro.core import (dense_stream_trace, run_spmv, run_sptrsv,
                         spmm_ab_trace, spmm_pb_trace, sptrsv_ab_trace)
-from repro.dram import (Command, CommandRun, CommandType, MemoryController,
+from repro.dram import (Command, CommandType, MemoryController, RowVisit,
                         TimingParams, expand_trace)
 from repro.errors import CheckError
 from repro.formats import generate
@@ -83,12 +83,10 @@ class TestSchedulerConformance:
         # must still see (and accept) them.
         count = 2 * T.trefi // T.tccd_l
         trace = [Command(CommandType.MODE),
-                 Command(CommandType.ACT_AB, row=0),
-                 CommandRun(Command(CommandType.RD_AB, row=0), count),
-                 Command(CommandType.PRE_AB),
-                 Command(CommandType.ACT_AB, row=1),
-                 CommandRun(Command(CommandType.WR_AB, row=1), 16),
-                 Command(CommandType.PRE_AB)]
+                 RowVisit(True, 0, 0, 0, ((CommandType.RD_AB, count, 0,
+                                           None),)),
+                 RowVisit(True, 0, 0, 1, ((CommandType.WR_AB, 16, 0,
+                                           None),))]
         result = MemoryController(validate_protocol=True).run(trace)
         assert result.refreshes > 0
         assert result.violations == []
@@ -116,8 +114,7 @@ class TestSchedulerConformance:
     def test_min_gap_throttled_runs(self):
         trace = [Command(CommandType.MODE),
                  Command(CommandType.ACT_AB, row=0),
-                 CommandRun(Command(CommandType.RD_AB, row=0, min_gap=11),
-                            20),
+                 *[Command(CommandType.RD_AB, row=0, min_gap=11)] * 20,
                  Command(CommandType.PRE_AB)]
         _assert_clean(trace)
 
@@ -137,7 +134,7 @@ class TestSchedulerConformance:
             cmd = Command(kind, row=open_row,
                           min_gap=int(rng.integers(0, 5)))
             n = int(rng.integers(1, 20))
-            trace.append(cmd if n == 1 else CommandRun(cmd, n))
+            trace += [cmd] * n
         trace.append(Command(CommandType.PRE_AB))
         _assert_clean(trace)
 

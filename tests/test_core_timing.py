@@ -7,7 +7,7 @@ from repro.config import default_system
 from repro.core import (TraceParams, run_spmv, run_sptrsv, spmm_ab_trace,
                         spmm_pb_trace, sptrsv_ab_trace, time_dense_kernel,
                         time_spmv, time_sptrsv, ildu)
-from repro.dram import CommandType, expand_sweeps
+from repro.dram import CommandType, expand_trace
 from repro.errors import ExecutionError
 from repro.formats import generate
 from repro.formats.generators import uniform_random, unit_lower_from
@@ -39,14 +39,14 @@ class TestSpmvTraces:
 
     def test_ab_uses_broadcast_commands(self, spmv_execution):
         trace = spmm_ab_trace(spmv_execution, CFG)
-        kinds = {c.kind for c in expand_sweeps(trace)}
+        kinds = {c.kind for c in expand_trace(trace)}
         assert CommandType.RD_AB in kinds
         assert CommandType.ACT_AB in kinds
         assert CommandType.MODE in kinds
 
     def test_pb_uses_single_bank_kernel_commands(self, spmv_execution):
         trace = spmm_pb_trace(spmv_execution, CFG)
-        kinds = {c.kind for c in expand_sweeps(trace)}
+        kinds = {c.kind for c in expand_trace(trace)}
         assert CommandType.RD in kinds
         assert CommandType.RD_AB not in kinds
 
@@ -100,7 +100,7 @@ class TestSpTrsvTraces:
 
     def test_trace_contains_levels(self, sptrsv_execution):
         trace = sptrsv_ab_trace(sptrsv_execution, CFG)
-        modes = sum(1 for c in expand_sweeps(trace)
+        modes = sum(1 for c in expand_trace(trace)
                     if c.kind is CommandType.MODE)
         # three switches per level plus the update SpMVs' switches
         assert modes >= 3 * sptrsv_execution.num_levels

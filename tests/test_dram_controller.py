@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import HBM2Config
-from repro.dram import (AddressMapper, Command, CommandRun, CommandType,
+from repro.dram import (AddressMapper, Command, CommandType,
                         EnergyModel, EnergyParams, MemoryController,
                         TimingParams, count_commands)
 from repro.errors import AddressError, TimingError
@@ -133,10 +133,10 @@ class TestMemoryController:
 
     def test_host_tagged_columns_charge_external_energy(self):
         """Host-tagged column commands are tallied in the scheduling
-        walk, runs by their count; row commands and other tags are not."""
+        walk; row commands and other tags are not."""
         stage = Command(CommandType.WR, bank=2, row=0, tag="stage_x")
         trace = [Command(CommandType.ACT, bank=2, row=0, tag="stage_x"),
-                 stage, CommandRun(stage, 5),
+                 *[stage] * 6,
                  Command(CommandType.RD, bank=2, row=0, tag="other"),
                  Command(CommandType.PRE, bank=2)]
         controller = MemoryController(enable_refresh=False)

@@ -3,19 +3,19 @@
 ``tests/golden/scheduler_lockstep.json`` holds the outcome of scheduling
 seeded random legal traces with the per-bank scheduler that predates the
 shared lock-step bank state. The traces interleave single-bank
-ACT/RD/WR/PRE on assorted banks with broadcast ACT/RD/WR/PRE, command
-runs, mode switches, explicit refreshes and idle stretches that cross
-tREFI (so refresh is deferred while rows are open and inserted at the
-next all-closed boundary). The traces of ``SWEEP_SEEDS`` also carry host
+ACT/RD/WR/PRE on assorted banks with broadcast ACT/RD/WR/PRE, runs of
+identical commands, mode switches, explicit refreshes and idle stretches
+that cross tREFI (so refresh is deferred while rows are open and
+inserted at the next all-closed boundary). The traces of ``SWEEP_SEEDS`` also carry host
 ``BankSweep``s (1-40 beats over 1-16 banks, reads and writes, some after
 single-bank traffic or with a ``min_gap``, many straddling a refresh);
 their records were taken by pricing each sweep's expansion with the
 per-command scheduler that predates the closed-form sweep. Replaying them
-must reproduce every recorded figure exactly — per-command/run issue
-cycles (a sweep contributes its expansion's), per-channel clocks,
-refreshes, command counts, tag attributions and the per-bank state after
-the last command — with zero violations from the independent protocol
-checker.
+must reproduce every recorded figure exactly — each run's last issue
+cycle (a sweep contributes its banks' ACT, last column and PRE cycles),
+per-channel clocks, refreshes, command counts, tag attributions and the
+per-bank state after the last command — with zero violations from the
+independent protocol checker.
 
 The records are pinned, not regenerated: rewriting them with the code
 under test would prove nothing. ``python tests/test_dram_lockstep.py``
@@ -30,8 +30,8 @@ import numpy as np
 import pytest
 
 from repro.dram import (BANKS_PER_CHANNEL, BankSweep, ChannelScheduler,
-                        Command, CommandRun, CommandType, MemoryController,
-                        TimingParams, as_run, expand_sweeps)
+                        Command, CommandType, MemoryController, RowVisit,
+                        TimingParams, expand_trace)
 from repro.dram.bank import BankState
 from repro.errors import TimingError
 
@@ -46,7 +46,11 @@ SWEEP_TAGS = (None, "a", "stage_x", "merge_y", "read_b")
 
 
 def random_trace(seed: int):
-    """A legal random trace over one or two channels; deterministic."""
+    """A legal random trace over one or two channels; deterministic.
+
+    A run of ``count`` identical commands is ``count`` references to one
+    :class:`Command` (:func:`_runs` regroups them).
+    """
     rng = np.random.default_rng(seed)
     sweeps = seed in SWEEP_SEEDS
     channels = 1 + seed % 2
@@ -70,7 +74,7 @@ def random_trace(seed: int):
         command = Command(kind, channel=ch, bank=bank, row=row,
                           col=int(rng.integers(0, 32)), min_gap=gap(),
                           tag=tag())
-        trace.append(command if count == 1 else CommandRun(command, count))
+        trace.append([command] * count)
 
     def emit_sweep(ch, banks):
         kind = CommandType.RD if rng.random() < 0.5 else CommandType.WR
@@ -137,7 +141,10 @@ def random_trace(seed: int):
             rows[:] = [None] * BANKS_PER_CHANNEL
         else:
             emit(CommandType.MODE, ch)
-    return trace, channels
+    # Each run was one entry of the length budget; flatten the runs.
+    return ([e for item in trace
+             for e in (item if isinstance(item, list) else [item])],
+            channels)
 
 
 #: Seeds of SpTRSV-shaped traces (sweeps between broadcast phases).
@@ -149,9 +156,11 @@ def sptrsv_trace(seed: int):
 
     Per level and channel: 1-3 back-to-back host sweeps (the later ones
     meet the earlier ones' banks), sometimes an explicit refresh, a
-    mode switch, 1-3 broadcast ``ACT_AB``/column runs/``PRE_AB``
-    phases and a mode switch back. Idle gaps of 500-5000 cycles cross
-    tREFI, so refreshes fall due between and inside sweeps. A broadcast
+    mode switch, 1-3 broadcast ``ACT_AB``/column stretch/``PRE_AB``
+    phases and a mode switch back. A broadcast phase is a
+    :class:`RowVisit`, or plain commands when its ``ACT_AB`` waits out
+    an idle gap: gaps of 500-5000 cycles cross tREFI, so refreshes fall
+    due between and inside sweeps and before visits. A broadcast
     phase opens every channel, so even the first sweep meets lock step,
     and host sweeps close every channel, so its banks are still pending
     after the last command.
@@ -167,9 +176,13 @@ def sptrsv_trace(seed: int):
         kind = CommandType.RD_AB if rng.random() < 0.5 else CommandType.WR_AB
         column = Command(kind, channel=ch, row=row, tag="broadcast")
         count = 1 + int(rng.integers(30))
+        idle = gap()
+        if not idle:
+            return [RowVisit(True, ch, 0, row,
+                             ((kind, count, 0, "broadcast"),))]
         return [Command(CommandType.ACT_AB, channel=ch, row=row,
-                        min_gap=gap()),
-                column if count == 1 else CommandRun(column, count),
+                        min_gap=idle),
+                *[column] * count,
                 Command(CommandType.PRE_AB, channel=ch)]
 
     def sweeps(ch):
@@ -202,21 +215,62 @@ def sptrsv_trace(seed: int):
     return trace, channels
 
 
-class _IssueLog:
-    """Collector recording the last issue cycle of every command or run
-    (a sweep logs its expansion's: each bank's ACT, last column, PRE)."""
+def _runs(trace):
+    """*trace* as ``[entry, count]`` runs of one repeated entry."""
+    runs = []
+    for entry in trace:
+        if runs and runs[-1][0] is entry:
+            runs[-1][1] += 1
+        else:
+            runs.append([entry, 1])
+    return runs
 
-    def __init__(self):
-        self.last = []
+
+class _IssueLog:
+    """Collector recording the issue cycle of every command, visits and
+    sweeps included (their columns at the closed-form spacing)."""
+
+    def __init__(self, timing=TimingParams()):
+        self.spacing = max(1, timing.burst_cycles, timing.tccd_l)
+        self.cycles = []
         self.sweeps = []
 
-    def observe(self, command, count, last, refreshes):
-        self.last.append(last)
+    def observe(self, command, last, refreshes):
+        self.cycles.append(last)
+
+    def _row(self, act, stretches, pre, spacing):
+        self.cycles.append(act)
+        for beats, end in stretches:
+            self.cycles += [end - k * spacing
+                            for k in range(beats - 1, -1, -1)]
+        self.cycles.append(pre)
+
+    def observe_visit(self, visit, ends, refreshes):
+        self._row(ends[0], [(s[1], end) for s, end
+                            in zip(visit.stretches, ends[1:-1])],
+                  ends[-1], self.spacing)
 
     def observe_sweep(self, sweep, issue):
         self.sweeps.append(issue)
+        spacing = max(sweep.command.min_gap, self.spacing)
         for _, act, last_col, pre, _ in issue.per_bank():
-            self.last += [act, last_col, pre]
+            self._row(act, [(sweep.beats, last_col)], pre, spacing)
+
+
+def _pinned_issue_last(trace, cycles):
+    """The pinned records' issue log: each run's last issue cycle and,
+    per bank of a sweep, its ACT, last column and PRE cycles."""
+    out, at = [], 0
+    for entry, count in _runs(trace):
+        if isinstance(entry, BankSweep):
+            for _ in range(entry.banks):
+                out += [cycles[at], cycles[at + entry.beats],
+                        cycles[at + entry.beats + 1]]
+                at += entry.beats + 2
+        else:
+            at += count
+            out.append(cycles[at - 1])
+    return out
 
 
 def _bank_rows(banks):
@@ -227,17 +281,14 @@ def _bank_rows(banks):
 def _schedule_channel(sched, trace, ch):
     """Issue *trace*'s entries for channel *ch* on one scheduler."""
     for entry in trace:
+        if entry.channel != ch:
+            continue
         if isinstance(entry, BankSweep):
-            if entry.channel == ch:
-                sched.issue_sweep(entry)
-            continue
-        command, count = as_run(entry)
-        if command.channel != ch:
-            continue
-        if count == 1:
-            sched.issue(command)
+            sched.issue_sweep(entry)
+        elif isinstance(entry, RowVisit):
+            sched.issue_visit(entry)
         else:
-            sched.issue_run(command, count)
+            sched.issue(entry)
 
 
 def build_record(seed: int, validate: bool = False, log=None) -> dict:
@@ -255,11 +306,12 @@ def build_record(seed: int, validate: bool = False, log=None) -> dict:
                                  channel=ch)
         _schedule_channel(sched, trace, ch)
         banks[str(ch)] = _bank_rows(sched.banks)
+    issue_last = _pinned_issue_last(trace, log.cycles)
     record = {
         "seed": seed,
-        "entries": sum(1 for _ in expand_sweeps(trace)),
+        "entries": len(issue_last),
         "enable_refresh": enable_refresh,
-        "issue_last": log.last,
+        "issue_last": issue_last,
         "total_cycles": result.total_cycles,
         "command_total": result.command_total,
         "refreshes": result.refreshes,
@@ -295,7 +347,7 @@ class TestPinnedRecords:
         for seed in SEEDS:
             trace, _ = random_trace(seed)
             kinds |= {entry.kind for entry in trace}
-            runs += sum(isinstance(entry, CommandRun) for entry in trace)
+            runs += sum(count > 1 for _, count in _runs(trace))
         assert kinds == set(CommandType)
         assert runs >= 100
 
@@ -375,8 +427,10 @@ class TestSharedStateErrors:
             sched.issue(Command(CommandType.RD_AB, row=3))
 
     def test_broadcast_run_to_wrong_row(self, sched):
-        with pytest.raises(TimingError, match="targets row 4"):
-            sched.issue_run(Command(CommandType.RD_AB, row=4), 5)
+        """A broadcast visit to row 4 meets row 3 still open."""
+        with pytest.raises(TimingError, match="open row"):
+            sched.issue_visit(RowVisit(True, 0, 0, 4,
+                                       ((CommandType.RD_AB, 5, 0, None),)))
 
     def test_error_leaves_state_usable(self, sched):
         """A rejected broadcast changes nothing; the next legal one
@@ -451,14 +505,15 @@ def _price(trace, timing, channels, log):
 
 
 def assert_prices_as_expansion(trace, timing, channels):
-    """Pricing *trace* reproduces pricing its ``expand_sweeps``
-    expansion exactly, with no protocol violation on either."""
-    swept, flat = _IssueLog(), _IssueLog()
+    """Pricing *trace* reproduces pricing its per-command expansion
+    exactly, every issue cycle included, with no protocol violation on
+    either."""
+    swept, flat = _IssueLog(timing), _IssueLog(timing)
     got, got_banks = _price(trace, timing, channels, swept)
-    want, want_banks = _price(list(expand_sweeps(trace)), timing, channels,
+    want, want_banks = _price(list(expand_trace(trace)), timing, channels,
                               flat)
     assert got.violations == [] and want.violations == []
-    assert swept.last == flat.last
+    assert swept.cycles == flat.cycles
     assert got_banks == want_banks
     for field in ("total_cycles", "per_channel_cycles", "counts",
                   "command_total", "refreshes", "tag_cycles",
@@ -505,8 +560,8 @@ class TestSweepClosedForm:
         sweep = BankSweep(Command(CommandType.WR, row=2, tag="stage_x"),
                           beats=8, banks=16)
         outcome = sched.issue_sweep(sweep)
-        # Only the anchor bank issues command by command.
-        assert issued == [CommandType.ACT, CommandType.WR, CommandType.PRE]
+        # The anchor bank issues as a visit, the rest in closed form.
+        assert issued == []
         assert [a[0] for a in outcome.anchors] == [0]
         assert sched._checker.commands_seen == sweep.commands == 160
         assert sched.protocol_violations == []
@@ -526,11 +581,6 @@ class TestSweepClosedForm:
             sched.issue_sweep(BankSweep(Command(CommandType.RD, row=1),
                                         beats=4, banks=8))
 
-    def test_as_run_refuses_a_sweep(self):
-        sweep = BankSweep(Command(CommandType.RD), beats=2, banks=2)
-        with pytest.raises(TypeError, match="expand_sweeps"):
-            as_run(sweep)
-
 
 class TestSweepFromLockstep:
     """Sweeps that meet the channel in lock step, with every bank
@@ -545,15 +595,17 @@ class TestSweepFromLockstep:
                                    channels)
 
     def test_lockstep_path_prices_most_sweeps(self, monkeypatch):
-        """Most sweeps issue no command through ``issue()``, including
-        sweeps that meet pending states and sweeps a refresh lands in."""
+        """Most sweeps price no bank on the per-bank anchor path,
+        including sweeps that meet pending states and sweeps a refresh
+        lands in."""
         counts = {"sweeps": 0, "lockstep": 0, "pending": 0, "refresh": 0}
         issued = []
-        issue, issue_sweep = ChannelScheduler.issue, ChannelScheduler.issue_sweep
+        anchor = ChannelScheduler._sweep_anchor
+        issue_sweep = ChannelScheduler.issue_sweep
 
-        def counting_issue(self, command, earliest=0):
-            issued.append(command.kind)
-            return issue(self, command, earliest)
+        def counting_anchor(self, sweep, bank):
+            issued.append(bank)
+            return anchor(self, sweep, bank)
 
         def counting_sweep(self, sweep):
             pending = self._pending is not None
@@ -567,7 +619,8 @@ class TestSweepFromLockstep:
                                       > outcome.anchors[0][4])
             return outcome
 
-        monkeypatch.setattr(ChannelScheduler, "issue", counting_issue)
+        monkeypatch.setattr(ChannelScheduler, "_sweep_anchor",
+                            counting_anchor)
         monkeypatch.setattr(ChannelScheduler, "issue_sweep", counting_sweep)
         for seed in LEVEL_SEEDS:
             trace, channels = sptrsv_trace(seed)

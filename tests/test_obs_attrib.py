@@ -15,9 +15,8 @@ from repro.core.sptrsv import ildu, run_sptrsv
 from repro.core.timing import price_trace
 from repro.core.trace import spmm_ab_segments, spmm_ab_trace, synthesize
 from repro.core.trace import TraceSegment
-from repro.dram import (BankSweep, Command, CommandRun, CommandType,
-                        TimingParams)
-from repro.dram.commands import expand_sweeps, expand_trace
+from repro.dram import (BankSweep, Command, CommandType, RowVisit,
+                        TimingParams, expand_trace)
 from repro.errors import ConfigError, ExecutionError
 from repro.formats import generate, matrices_for
 from repro.obs.attrib import (ATTRIB_VERSION, CATEGORIES,
@@ -208,7 +207,7 @@ def test_categories_are_exclusive_per_command():
 
 
 # ----------------------------------------------------------------------
-# property tests: randomized traces, expanded vs run-length
+# property tests: randomized traces, expanded vs visits and sweeps
 # ----------------------------------------------------------------------
 def _random_trace(seed, num_channels=3, banks=16, sweeps=False):
     """A structured random command stream over several channels
@@ -223,21 +222,18 @@ def _random_trace(seed, num_channels=3, banks=16, sweeps=False):
             bank = int(rng.integers(0, banks))
             row = int(rng.integers(0, 64))
             tag = tags[int(rng.integers(0, len(tags)))]
-            trace.append(Command(CommandType.ACT, ch, bank, row))
-            trace.append(CommandRun(
-                Command(CommandType.RD if rng.integers(0, 2) else
-                        CommandType.WR, ch, bank, row,
-                        tag=tag), int(rng.integers(1, 20))))
-            trace.append(Command(CommandType.PRE, ch, bank, row))
+            kind = CommandType.RD if rng.integers(0, 2) else CommandType.WR
+            trace.append(RowVisit(False, ch, bank, row, (
+                (kind, int(rng.integers(1, 20)), 0, tag),)))
         elif burst == 1:      # all-bank broadcast burst
             row = int(rng.integers(0, 64))
+            stretches = tuple(
+                (CommandType.RD_AB if rng.integers(0, 3) else
+                 CommandType.WR_AB, int(rng.integers(1, 30)), 0,
+                 tags[int(rng.integers(0, len(tags)))])
+                for _ in range(int(rng.integers(0, 4))))
             trace.append(Command(CommandType.MODE, ch))
-            trace.append(Command(CommandType.ACT_AB, ch, row=row))
-            trace.append(CommandRun(
-                Command(CommandType.RD_AB, ch, row=row,
-                        min_gap=int(rng.integers(0, 3))),
-                int(rng.integers(1, 30))))
-            trace.append(Command(CommandType.PRE_AB, ch, row=row))
+            trace.append(RowVisit(True, ch, 0, row, stretches))
         elif burst == 2:      # explicit refresh
             trace.append(Command(CommandType.REF, ch))
         elif burst == 3:      # bare mode switch
@@ -279,7 +275,7 @@ def test_sweeps_and_expanded_attribute_identically(seed, config):
     expanded, starts = [], []
     for entry in trace:
         starts.append(len(expanded))
-        expanded.extend(expand_sweeps([entry]))
+        expanded.extend(expand_trace([entry]))
     starts.append(len(expanded))
     segments = [TraceSegment(f"e{i}", entry.channel, i, i + 1)
                 for i, entry in enumerate(trace)]
@@ -312,12 +308,13 @@ def _collect(trace, segments, config):
 
 
 def _assert_collects_as_expansion(trace, segments, config):
-    """The O(anchors) sweep bucketing equals a collector fed each
-    sweep's expansion: lanes, clocks, entry and segment cycles."""
+    """The O(anchors) sweep and O(stretches) visit bucketing equal a
+    collector fed each entry's per-command expansion: lanes, clocks,
+    entry and segment cycles."""
     expanded, starts = [], []
     for entry in trace:
         starts.append(len(expanded))
-        expanded.extend(expand_sweeps([entry]))
+        expanded.extend(expand_trace([entry]))
     starts.append(len(expanded))
     flat_segments = [TraceSegment(s.label, s.channel, starts[s.start],
                                   starts[s.end]) for s in segments]
@@ -325,7 +322,7 @@ def _assert_collects_as_expansion(trace, segments, config):
     want, want_entries = _collect(expanded, flat_segments, config)
     assert got.lane_cycles == want.lane_cycles
     assert got.channel_clock == want.channel_clock
-    # One entry cycle per sweep entry: its expansion's last PRE.
+    # One entry cycle per visit or sweep entry: its expansion's last PRE.
     assert got_entries == [want_entries[end - 1] for end in starts[1:]]
     assert got.segment_cycles == want.segment_cycles
 
@@ -341,13 +338,32 @@ def test_sweep_bucketing_matches_expansion(seed, config):
 
 @pytest.mark.parametrize("lockstep", [False, True])
 def test_sweep_followers_pay_leftover_debt(lockstep, config):
-    """A long mode-switch run leaves more seam debt than the anchor bank
-    absorbs, so closed-form followers split it off as the expansion."""
+    """An explicit refresh's tRFC debt outlives the mode switches after
+    it (each pays the previous switch's debt first) and more of it is
+    left than the anchor bank absorbs, so closed-form followers split
+    it off as the expansion."""
     head = ([Command(CommandType.MODE), Command(CommandType.ACT_AB, row=1),
              Command(CommandType.PRE_AB)] if lockstep else [])
-    trace = head + [CommandRun(Command(CommandType.MODE), 12),
+    trace = head + [Command(CommandType.REF),
+                    *[Command(CommandType.MODE)] * 12,
                     BankSweep(Command(CommandType.RD, row=2, tag="read_b"),
                               beats=1, banks=16)]
+    segments = [TraceSegment(f"e{i}", 0, i, i + 1)
+                for i in range(len(trace))]
+    _assert_collects_as_expansion(trace, segments, config)
+
+
+@pytest.mark.parametrize("all_bank", [False, True])
+def test_visit_stretches_pay_leftover_debt(all_bank, config):
+    """Stall debt left after a visit's ACT is split off stretch by
+    stretch, as the expansion's column commands would."""
+    rd, wr = ((CommandType.RD_AB, CommandType.WR_AB) if all_bank
+              else (CommandType.RD, CommandType.WR))
+    visit = RowVisit(all_bank, 0, 3, 2, ((rd, 2, 0, "matrix"),
+                                         (wr, 1, 0, "stage_x"),
+                                         (rd, 4, 0, None)))
+    trace = [Command(CommandType.REF), *[Command(CommandType.MODE)] * 12,
+             visit, visit]
     segments = [TraceSegment(f"e{i}", 0, i, i + 1)
                 for i in range(len(trace))]
     _assert_collects_as_expansion(trace, segments, config)

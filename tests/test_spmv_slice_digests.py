@@ -32,7 +32,7 @@ from repro.config import default_system
 from repro.core import (as_spmm_execution, ildu, plan_spmv, run_sptrsv,
                         time_spmm, time_spmv, time_sptrsv)
 from repro.core import trace as trace_module
-from repro.dram import as_run, expand_sweeps
+from repro.dram import expand
 from repro.formats import generate
 from repro.obs.attrib import (attribute_spmm, attribute_spmv,
                               attribute_sptrsv)
@@ -118,13 +118,13 @@ def case_digest(case) -> str:
         attribute = attribute_spmv if kind == "spmv" else attribute_spmm
         perf = pricer(execution, config, mode=mode, with_energy=True)
         attribution, _ = attribute(execution, config, mode=mode)
-    # The canonical form: every host sweep expanded into its ACT/column/
-    # PRE entries, segment ranges remapped to the expanded indices.
+    # The canonical form: every row visit and host sweep expanded into
+    # its (command, count) rows, segment ranges remapped to the expanded
+    # indices.
     rows, starts = [], []
     for entry in seg.trace:
         starts.append(len(rows))
-        for part in expand_sweeps([entry]):
-            command, count = as_run(part)
+        for command, count in expand([entry]):
             rows.append([command.kind.name, command.channel, command.bank,
                          command.row, command.col, command.min_gap,
                          command.tag, count])

@@ -213,7 +213,7 @@ PLANNER_STAGES = (
 
 #: Modules whose drivers construct their functional engine as
 #: ``LaneEngine(num_banks, precision=...)``.
-ENGINE_SITES = ("repro.core.spmv", "repro.core.spmm", "repro.core.sptrsv",
+ENGINE_SITES = ("repro.core.spmv", "repro.core.sptrsv",
                 "repro.kernels.blas1", "repro.kernels.gemv",
                 "repro.kernels.spvspv")
 

@@ -46,6 +46,7 @@ from .analysis import format_table, table_x_model, unit_area
 from .baselines import GPUModel, SpaceAModel
 from .config import STRATEGY_CHOICES, default_system
 from .core import PSyncPIM, as_spmm_execution, time_spmm, time_spmv
+from .core.spmm import check_num_rhs
 from .core.timing import alu_operations, price
 from .dram import TimingParams
 from .errors import ReproError
@@ -105,62 +106,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     spmv = sub.add_parser("spmv", help="run and price one SpMV")
     _matrix_args(spmv)
-    spmv.add_argument("--precision", default="fp64",
-                      choices=["fp64", "fp32", "int32", "int16", "int8"])
-    spmv.add_argument("--format", dest="matrix_format", default="coo",
-                      choices=["coo", "csr", "bitmap"])
-    spmv.add_argument("--cubes", type=int, default=1)
-    spmv.add_argument("--channels", type=int, default=None,
-                      help="shard across N explicitly modelled channels "
-                           "(default: PSYNCPIM_CHANNELS or the "
-                           "representative-channel model)")
-    spmv.add_argument("--strategy", default=None,
-                      choices=list(STRATEGY_CHOICES),
-                      help="partitioning strategy (default: "
-                           "PSYNCPIM_STRATEGY or paper; auto = tune per "
-                           "matrix)")
-    spmv.add_argument("--no-compress", action="store_true",
-                      help="disable the Fig. 6 matrix compression")
+    _layout_args(spmv)
     _obs_args(spmv)
     spmv.set_defaults(handler=_cmd_spmv)
 
     spmm = sub.add_parser("spmm",
                           help="run and price one SpMM (k dense rhs)")
     _matrix_args(spmm)
-    spmm.add_argument("--rhs", type=int, default=None,
-                      help="dense right-hand-side columns (default: "
-                           "PSYNCPIM_RHS or 1)")
-    spmm.add_argument("--precision", default="fp64",
-                      choices=["fp64", "fp32", "int32", "int16", "int8"])
-    spmm.add_argument("--format", dest="matrix_format", default="coo",
-                      choices=["coo", "csr", "bitmap"])
-    spmm.add_argument("--cubes", type=int, default=1)
-    spmm.add_argument("--channels", type=int, default=None,
-                      help="shard across N explicitly modelled channels "
-                           "(default: PSYNCPIM_CHANNELS or the "
-                           "representative-channel model)")
-    spmm.add_argument("--strategy", default=None,
-                      choices=list(STRATEGY_CHOICES),
-                      help="partitioning strategy (default: "
-                           "PSYNCPIM_STRATEGY or paper; auto = tune per "
-                           "matrix)")
-    spmm.add_argument("--no-compress", action="store_true",
-                      help="disable the Fig. 6 matrix compression")
+    spmm.add_argument("--rhs", type=int, default=1,
+                      help="dense right-hand-side columns (default: 1)")
+    _layout_args(spmm)
     _obs_args(spmm)
     spmm.set_defaults(handler=_cmd_spmm)
 
     sptrsv = sub.add_parser("sptrsv",
                             help="ILDU-factorise and time both solves")
     _matrix_args(sptrsv)
-    sptrsv.add_argument("--cubes", type=int, default=1)
-    sptrsv.add_argument("--channels", type=int, default=None,
-                        help="shard across N explicitly modelled channels "
-                             "(default: PSYNCPIM_CHANNELS or the "
-                             "representative-channel model)")
-    sptrsv.add_argument("--strategy", default=None,
-                        choices=list(STRATEGY_CHOICES),
-                        help="partitioning strategy for the update SpMVs "
-                             "(default: PSYNCPIM_STRATEGY or paper)")
+    _layout_args(sptrsv, matrix_layout=False)
     _obs_args(sptrsv)
     sptrsv.set_defaults(handler=_cmd_sptrsv)
 
@@ -174,9 +136,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", help="run a job batch in parallel with artifact caching")
     sweep.add_argument("--kernel", default="spmv",
                        choices=["spmv", "spmm", "sptrsv", "suite", "fuzz"])
-    sweep.add_argument("--rhs", type=int, default=None,
-                       help="SpMM right-hand-side columns (default: "
-                            "PSYNCPIM_RHS or 1; other kernels ignore it)")
+    sweep.add_argument("--rhs", type=int, default=1,
+                       help="SpMM right-hand-side columns (default: 1; "
+                            "other kernels ignore it)")
     sweep.add_argument("--matrices", default=None,
                        help="comma-separated Table IX names (default: the "
                             "kernel's Table IX assignment)")
@@ -336,6 +298,32 @@ def _matrix_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _layout_args(parser: argparse.ArgumentParser,
+                 matrix_layout: bool = True) -> None:
+    """How a kernel verb lays its matrix out: the device flags, plus
+    precision, on-bank format and compression unless *matrix_layout* is
+    off (sptrsv)."""
+    if matrix_layout:
+        parser.add_argument("--precision", default="fp64",
+                            choices=["fp64", "fp32", "int32", "int16",
+                                     "int8"])
+        parser.add_argument("--format", dest="matrix_format",
+                            default="coo", choices=["coo", "csr", "bitmap"])
+    parser.add_argument("--cubes", type=int, default=1)
+    parser.add_argument("--channels", type=int, default=None,
+                        help="shard across N explicitly modelled channels "
+                             "(default: PSYNCPIM_CHANNELS or the "
+                             "representative-channel model)")
+    parser.add_argument("--strategy", default=None,
+                        choices=list(STRATEGY_CHOICES),
+                        help="partitioning strategy (default: "
+                             "PSYNCPIM_STRATEGY or paper; auto = tune per "
+                             "matrix)")
+    if matrix_layout:
+        parser.add_argument("--no-compress", action="store_true",
+                            help="disable the Fig. 6 matrix compression")
+
+
 def _load_matrix(args):
     if args.mtx:
         return read_matrix_market(args.mtx)
@@ -433,10 +421,9 @@ def _cmd_spmv(args) -> int:
 
 
 def _cmd_spmm(args) -> int:
-    from .config import resolve_rhs
     want_attrib = _resolve_obs_flags(args)
+    num_rhs = check_num_rhs(args.rhs)
     matrix = _load_matrix(args)
-    num_rhs = resolve_rhs(args.rhs)
     pim = PSyncPIM(num_cubes=args.cubes, precision=args.precision,
                    channels=args.channels, strategy=args.strategy)
     x = np.random.default_rng(args.seed).random((matrix.shape[1],

@@ -90,35 +90,6 @@ def resolve_channels(explicit: Optional[int] = None) -> Optional[int]:
     return value
 
 
-#: Environment variable selecting the SpMM right-hand-side width.
-RHS_ENV = "PSYNCPIM_RHS"
-
-
-def resolve_rhs(explicit: Optional[int] = None) -> int:
-    """Resolve the SpMM right-hand-side count: explicit arg > env var > 1.
-
-    ``1`` is the degenerate single-vector case (bitwise identical to
-    SpMV); ``k >= 2`` streams *k* dense columns through one resident
-    plan. Mirrors :func:`resolve_channels`: invalid values raise
-    :class:`ConfigError` so typos fail loudly rather than silently
-    running a different workload width.
-    """
-    raw: "Optional[object]" = explicit
-    if raw is None:
-        text = os.environ.get(RHS_ENV, "").strip()
-        if not text:
-            return 1
-        raw = text
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"rhs count must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"rhs count must be >= 1, got {value}")
-    return value
-
-
 #: Environment variable enabling observability recording (see
 #: :mod:`repro.obs`); mirrored here so CLI flag resolution lives next to
 #: the other ``PSYNCPIM_*`` precedence helpers without importing obs.

@@ -6,10 +6,9 @@ from .partition import (PartitionPlan, SubMatrix, partition, reassemble,
 from .distribution import (Assignment, ChannelAssignment,
                            accumulation_traffic_bytes, distribute,
                            replication_traffic_bytes, shard_channels)
-from .spmv import (SpmvExecution, SpmvResult, element_bytes, plan_spmv,
-                   run_spmv)
-from .spmm import (SpmmExecution, SpmmResult, as_spmm_execution, plan_spmm,
-                   run_spmm)
+from .spmv import (SpmvExecution, SpmvResult, as_spmm_execution,
+                   element_bytes, plan_spmv, run_spmv)
+from .spmm import plan_spmm, run_spmm
 from .strategies import (AutoStrategy, PartitionStrategy, TuneResult,
                          estimate_cycles, make_strategy, register_strategy,
                          strategy_names, tune_strategy)
@@ -30,7 +29,7 @@ __all__ = [
     "accumulation_traffic_bytes",
     "distribute", "replication_traffic_bytes", "shard_channels",
     "SpmvExecution", "SpmvResult", "element_bytes", "plan_spmv",
-    "run_spmv", "SpmmExecution", "SpmmResult", "as_spmm_execution",
+    "run_spmv", "as_spmm_execution",
     "plan_spmm", "run_spmm", "AutoStrategy", "PartitionStrategy",
     "TuneResult", "estimate_cycles", "make_strategy", "register_strategy",
     "strategy_names", "tune_strategy", "ILDUFactors",

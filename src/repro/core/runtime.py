@@ -23,7 +23,7 @@ import numpy as np
 from ..config import SystemConfig, default_system
 from ..errors import ExecutionError
 from ..formats import COOMatrix
-from .spmm import SpmmResult, run_spmm
+from .spmm import run_spmm
 from .spmv import SpmvResult, run_spmv
 from .sptrsv import ILDUFactors, SpTrsvResult, ildu, run_sptrsv
 from .timing import PerfReport, time_dense_kernel, time_spmm, time_sptrsv
@@ -79,7 +79,7 @@ class PSyncPIM:
              y0: Optional[np.ndarray] = None,
              compress: bool = True, policy: str = "paper",
              precision: Optional[str] = None,
-             matrix_format: str = "coo") -> SpmmResult:
+             matrix_format: str = "coo") -> SpmvResult:
         """Sparse matrix times a dense block of k right-hand sides.
 
         *x* has shape ``(n, k)`` (a 1-D vector runs as ``k = 1``, which
@@ -121,7 +121,7 @@ class PSyncPIM:
     # ------------------------------------------------------------------
     # performance modelling
     # ------------------------------------------------------------------
-    def time_spmm(self, result: SpmmResult, mode: str = "ab",
+    def time_spmm(self, result: SpmvResult, mode: str = "ab",
                   with_energy: bool = False) -> PerfReport:
         """Price an executed SpMV/SpMM in all-bank or per-bank mode."""
         return time_spmm(result.execution, self.config, mode=mode,

@@ -1,21 +1,28 @@
-"""End-to-end SpMV execution: partition -> distribute -> rounds -> merge.
+"""End-to-end SpMV/SpMM execution: partition -> distribute -> rounds ->
+merge.
 
-Two fidelities share the same plan:
+SpMV is SpMM at ``k = 1``: one plan, one :class:`SpmvExecution` record
+(``num_rhs`` wide) and one body per fidelity serve both kernels.
+:func:`run_spmv` and :func:`~repro.core.spmm.run_spmm` only check their
+own shape contracts (a vector, or an ``(n, k)`` block) and then run
+:func:`_run`. Two fidelities share the same plan:
 
 * ``functional`` — every round runs on the instruction-accurate all-bank
-  engine (:mod:`repro.pim`); used by the test-suite and examples to prove
-  the kernel/ISA path computes exactly A @ x.
+  engine (:mod:`repro.pim`) as ``banks x k`` lanes
+  (:func:`repro.kernels.run_tile_block`); used by the test-suite and
+  examples to prove the kernel/ISA path computes exactly A @ x.
 * ``fast`` — every round is computed with vectorised numpy over the same
   tiles, exercising the identical plan (replication, local indices, host
   accumulation) at paper scale without interpreting instructions.
 
-Both produce an :class:`SpmvExecution` record: the quantities the timing
-and energy models consume (per-round lock-step batch counts, per-bank
-loads, external traffic, utilisation).
+The record holds the quantities the timing and energy models consume
+(per-round lock-step batch counts, per-bank loads, external traffic,
+utilisation).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
@@ -25,7 +32,7 @@ from ..config import (SystemConfig, element_size, resolve_channels,
                       resolve_strategy)
 from ..errors import ConfigError, ExecutionError
 from ..formats import COOMatrix, reject_nan
-from ..kernels import Tile, run_tile_round
+from ..kernels import Tile, run_tile_block
 from .. import obs
 from ..pim import LaneEngine
 from .distribution import (Assignment, ChannelAssignment,
@@ -36,7 +43,7 @@ from .partition import PartitionPlan, partition
 
 @dataclass
 class SpmvExecution:
-    """Everything the performance model needs to cost one SpMV."""
+    """Everything the performance model needs to cost one SpMV/SpMM."""
 
     precision: str
     num_banks: int
@@ -71,6 +78,10 @@ class SpmvExecution:
     banks_per_channel: int = 16
     #: One per-channel sub-execution per shard (empty when unsharded).
     channel_execs: List["SpmvExecution"] = field(default_factory=list)
+    #: Dense right-hand-side columns streamed through the resident plan
+    #: (SpMV is ``1``). Traffic fields stay *per column*: the trace
+    #: synthesisers and the ALU count scale staging and compute by it.
+    num_rhs: int = 1
 
     @property
     def num_rounds(self) -> int:
@@ -90,9 +101,23 @@ class SpmvExecution:
 AnyAssignment = Union[Assignment, ChannelAssignment]
 
 
+def as_spmm_execution(execution: SpmvExecution,
+                      num_rhs: int) -> SpmvExecution:
+    """*execution* (and its channel shards) widened to *num_rhs* columns;
+    the record itself when it already has that width."""
+    if execution.num_rhs == num_rhs:
+        return execution
+    return dataclasses.replace(
+        execution, num_rhs=num_rhs,
+        channel_execs=[as_spmm_execution(sub, num_rhs)
+                       for sub in execution.channel_execs])
+
+
 @dataclass
 class SpmvResult:
-    """SpMV output plus its execution record."""
+    """SpMV/SpMM output plus its execution record: ``y`` is the vector
+    of :func:`run_spmv`, or the ``(m, k)`` block of
+    :func:`~repro.core.spmm.run_spmm`."""
 
     y: np.ndarray
     execution: SpmvExecution
@@ -330,29 +355,51 @@ def run_spmv(matrix: COOMatrix, x: np.ndarray, config: SystemConfig,
             f"got {np.shape(y0)}")
     check_engine_banks(engine_banks)
     reject_nan(matrix=matrix.vals, x=x, y0=y0)
-    plan, assignment, execution = plan_spmv(
-        matrix, config, precision=precision, compress=compress,
-        policy=policy, matrix_format=matrix_format, plan=plan,
-        assignment=assignment, validate=validate,
-        channels=channels, strategy=strategy, tuner_cache=tuner_cache)
+    result = _run(
+        matrix, x[:, None], None if y0 is None else np.reshape(y0, (-1, 1)),
+        config, precision=precision, compress=compress, policy=policy,
+        fidelity=fidelity, accumulate=accumulate, multiply=multiply,
+        engine_banks=engine_banks, matrix_format=matrix_format, plan=plan,
+        assignment=assignment, validate=validate, channels=channels,
+        strategy=strategy, tuner_cache=tuner_cache)
+    result.y = result.y[:, 0]
+    return result
+
+
+def _run(matrix: COOMatrix, x: np.ndarray, y0: Optional[np.ndarray],
+         config: SystemConfig, precision: str, fidelity: str,
+         accumulate: str, multiply: str, engine_banks: Optional[int],
+         **layout) -> SpmvResult:
+    """The one SpMV/SpMM execution: plan, then run every round.
+
+    *x* is the checked ``(n, k)`` input block and *y0* ``None`` or the
+    checked ``(m, k)`` seed; the result's ``y`` is ``(m, k)``. *layout*
+    holds the :func:`plan_spmv` keywords.
+    """
+    num_rhs = x.shape[1]
+    plan, assignment, execution = plan_spmv(matrix, config,
+                                            precision=precision, **layout)
+    execution = as_spmm_execution(execution, num_rhs)
+    # Column j accumulates in y[:, j]; Fortran order keeps every column
+    # contiguous for the per-column updates.
+    shape = (matrix.shape[0], num_rhs)
+    y = (np.zeros(shape, order="F") if y0 is None
+         else np.array(y0, dtype=np.float64, order="F"))
 
     # Channel-sharded layouts execute as one big lane array of
     # (channel, bank) units; channels never interact mid-kernel, so the
     # flattened lane rounds are semantically a wider single round.
     rounds = (assignment.rounds if isinstance(assignment, Assignment)
               else _lane_rounds(assignment))
-    if fidelity == "fast":
-        with obs.span("spmv.rounds", cat="kernel", fidelity=fidelity,
-                      rounds=len(rounds)):
-            y = _fast_rounds(matrix, x, rounds, accumulate, multiply,
-                             y0)
-    elif fidelity == "functional":
-        with obs.span("spmv.rounds", cat="kernel", fidelity=fidelity,
-                      rounds=len(rounds)):
-            y = _functional_rounds(matrix, x, rounds, precision,
-                                   accumulate, multiply, y0, engine_banks)
-    else:
+    if fidelity not in ("fast", "functional"):
         raise ExecutionError(f"unknown fidelity {fidelity!r}")
+    with obs.span("spmv.rounds", cat="kernel", fidelity=fidelity,
+                  rounds=len(rounds), num_rhs=num_rhs):
+        if fidelity == "fast":
+            y = _fast_rounds(x, rounds, accumulate, multiply, y)
+        else:
+            y = _functional_rounds(x, rounds, precision, accumulate,
+                                   multiply, y, engine_banks)
     return SpmvResult(y=y, execution=execution, plan=plan,
                       assignment=assignment)
 
@@ -413,25 +460,34 @@ _MULT_FUNC = {"mul": np.multiply, "add": np.add,
               "second": lambda a, b: b}
 
 
-def _fast_rounds(matrix, x, rounds: Sequence[list], accumulate, multiply,
-                 y0) -> np.ndarray:
+def _fast_rounds(x: np.ndarray, rounds: Sequence[list], accumulate,
+                 multiply, y: np.ndarray) -> np.ndarray:
+    """Accumulate every tile's products into the ``(m, k)`` block *y*.
+
+    Each column runs a 1-D ``ufunc.at`` on its own contiguous column of
+    *y*: the tile order, and so every column's float operations, are
+    exactly the single-vector ones, and a 1-D ``at`` is several times
+    faster than one 2-D ``at`` over the block (even at ``k = 1``).
+    """
     try:
         acc = _ACCUM_UFUNC[accumulate]
         mul = _MULT_FUNC[multiply]
     except KeyError:
         raise ExecutionError(
             f"unsupported semiring ({multiply}, {accumulate})") from None
-    y = (np.zeros(matrix.shape[0]) if y0 is None
-         else np.asarray(y0, dtype=np.float64).copy())
+    columns = [(x[:, j], y[:, j]) for j in range(x.shape[1])]
     for round_tiles in rounds:
         for tile in round_tiles:
             if tile is None or tile.nnz == 0:
                 continue
-            # bank-local compute: products against the staged x segment
-            seg = tile.x_segment(x)
-            partial = mul(tile.vals, seg[tile.cols]).astype(float)
-            # host-side remote accumulation of the output partial
-            acc.at(y, tile.rows + tile.row_range[0], partial)
+            rows = tile.rows + tile.row_range[0]
+            for x_col, y_col in columns:
+                # bank-local compute: products against the staged x
+                # segment
+                seg = tile.x_segment(x_col)
+                partial = mul(tile.vals, seg[tile.cols]).astype(float)
+                # host-side remote accumulation of the output partial
+                acc.at(y_col, rows, partial)
     if accumulate == "lor":
         y = y.astype(bool).astype(float)
     return y
@@ -450,34 +506,39 @@ _MERGE = {"add": (0.0, np.add), "sub": (0.0, np.add),
           "lor": (0.0, np.maximum)}
 
 
-def _functional_rounds(matrix, x, rounds: Sequence[list], precision,
-                       accumulate, multiply, y0,
+def _functional_rounds(x: np.ndarray, rounds: Sequence[list], precision,
+                       accumulate, multiply, y: np.ndarray,
                        engine_banks: Optional[int]) -> np.ndarray:
-    y = (np.zeros(matrix.shape[0]) if y0 is None
-         else np.asarray(y0, dtype=np.float64).copy())
+    """Run every round on the engine as ``banks x k`` lanes and merge
+    each tile's touched output rows into the ``(m, k)`` block *y*."""
+    num_rhs = x.shape[1]
     try:
         y_init, merge = _MERGE[accumulate]
     except KeyError:
         raise ExecutionError(
             f"unsupported accumulate {accumulate!r}") from None
     for round_tiles in rounds:
-        active = [(b, tile) for b, tile in enumerate(round_tiles)
+        active = [tile for tile in round_tiles
                   if tile is not None and tile.nnz]
         if not active:
             continue
-        width = engine_banks or len(active)
         # Run the round in engine-sized waves; semantics are identical
-        # because banks never interact within a round.
-        waves = [active[i:i + width] for i in range(0, len(active), width)]
-        for wave in waves:
-            engine = LaneEngine(len(wave), precision=precision)
+        # because banks never interact within a round. The wave width
+        # counts tiles: the engine runs width x k lanes.
+        width = engine_banks or len(active)
+        for at in range(0, len(active), width):
+            wave = active[at:at + width]
+            engine = LaneEngine(len(wave) * num_rhs, precision=precision)
             tiles = [Tile(t.rows, t.cols, t.vals, t.x_segment(x),
-                          t.y_length) for _, t in wave]
-            result = run_tile_round(engine, tiles, accumulate=accumulate,
+                          t.y_length) for t in wave]
+            result = run_tile_block(engine, tiles, num_rhs=num_rhs,
+                                    accumulate=accumulate,
                                     multiply=multiply, y_init=y_init)
-            for (bank, tile), partial in zip(wave, result.y_per_bank):
+            for tile, partial in zip(wave, result.y_per_bank):
                 touched = np.unique(tile.rows)
-                merge.at(y, touched + tile.row_range[0], partial[touched])
+                rows = touched + tile.row_range[0]
+                for j in range(num_rhs):
+                    merge.at(y[:, j], rows, partial[touched, j])
     if accumulate == "lor":
         y = y.astype(bool).astype(float)
     return y

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
@@ -326,6 +326,9 @@ class SpTrsvExecution:
     banks_per_channel: int = 16
     #: One per-channel sub-execution per shard (empty when unsharded).
     channel_execs: List["SpTrsvExecution"] = field(default_factory=list)
+    #: A solve has one right-hand side (the ALU count reads it like an
+    #: SpMV/SpMM record's).
+    num_rhs: ClassVar[int] = 1
 
     @property
     def num_levels(self) -> int:

@@ -475,7 +475,7 @@ def _features(execution: SpmvExecution) -> np.ndarray:
     program load and matrix residency are amortised — and is zero for
     plain SpMV records, keeping their estimates bitwise at width 1.
     """
-    extra_rhs = getattr(execution, "num_rhs", 1) - 1
+    extra_rhs = execution.num_rhs - 1
     return np.array([
         float(execution.lockstep_elements),
         float(sum(execution.round_x_lengths)),
@@ -513,7 +513,7 @@ def _calibration(config: SystemConfig, precision: str,
     weights = _CALIBRATION.get(key)
     if weights is not None:
         return weights
-    from .spmm import as_spmm_execution
+    from .spmv import as_spmm_execution
     from .timing import price_trace
     from .trace import spmm_ab_trace
     feats, cycles = [], []

@@ -114,7 +114,7 @@ def price_trace(trace: List[TraceEntry], config: SystemConfig,
 def alu_operations(execution) -> int:
     """ALU work of one execution record: one multiply + one accumulate
     per element, on every bank it touches, per right-hand side."""
-    return 2 * execution.total_elements * getattr(execution, "num_rhs", 1)
+    return 2 * execution.total_elements * execution.num_rhs
 
 
 def price(execution, config: SystemConfig, mode: str = "ab",
@@ -164,9 +164,8 @@ def time_spmm(execution: SpmvExecution, config: SystemConfig,
     """Price one SpMV/SpMM in all-bank (``"ab"``) or per-bank (``"pb"``)
     mode.
 
-    The right-hand-side width comes from the execution record (an
-    :class:`~repro.core.spmm.SpmmExecution`'s ``num_rhs``); a plain
-    :class:`~repro.core.spmv.SpmvExecution` is priced as ``k = 1``.
+    The right-hand-side width is the record's ``num_rhs`` (``1`` for an
+    SpMV).
     """
     return price(execution, config, mode=mode, params=params,
                  with_energy=with_energy)[0]

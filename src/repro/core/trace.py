@@ -327,7 +327,7 @@ def spmm_ab_segments(execution: SpmvExecution, config: SystemConfig,
     the labels when the SpMV is embedded in a larger schedule (SpTRSV
     updates).
     """
-    num_rhs = getattr(execution, "num_rhs", 1)
+    num_rhs = execution.num_rhs
     banks = banks if banks is not None else execution.banks_per_channel
     vb = element_size(execution.precision)
     eb = execution.stream_bytes_per_element
@@ -383,7 +383,7 @@ def spmm_pb_segments(execution: SpmvExecution, config: SystemConfig,
     lock-step padding — PB's one advantage). Stage/merge traffic and
     labels match AB mode so the two modes diff phase-by-phase.
     """
-    num_rhs = getattr(execution, "num_rhs", 1)
+    num_rhs = execution.num_rhs
     banks = banks if banks is not None else execution.banks_per_channel
     vb = element_size(execution.precision)
     eb = execution.stream_bytes_per_element

@@ -225,15 +225,14 @@ class MemoryController:
         total_cycles = max(per_channel.values()) if per_channel else 0
         refreshes = sum(s.refreshes_performed for s in channels.values())
         # The schedulers count every command they issued, inserted
-        # refreshes included; the trace's own commands are the rest.
+        # refreshes included, so the REF tally is every refresh performed
+        # (the trace's explicit REFs among them) and the trace's own
+        # commands are the rest.
         counts: Dict[CommandType, int] = {k: 0 for k in CommandType}
         for sched in channels.values():
             for kind, n in sched.counts.items():
                 counts[kind] += n
         total = sum(counts.values()) - refreshes + explicit_refs
-        # The REF tally has always been the trace's explicit REFs plus
-        # every refresh performed, explicit ones included.
-        counts[CommandType.REF] += explicit_refs
         violations = [v for ch in sorted(channels)
                       for v in channels[ch].protocol_violations]
         per_channel_stats = {ch: channels[ch].stats()

@@ -65,7 +65,10 @@ CACHE_DIR_ENV = "PSYNCPIM_CACHE_DIR"
 #: v9: every ACT → columns → PRE row visit is one ``RowVisit`` entry and
 #: the run-length entry kind is gone, so stored ``trace`` artifacts are
 #: regenerated (as for v2 and v7).
-CACHE_VERSION = 9
+#: v10: one SpMV/SpMM execution record — ``SpmvExecution`` gained
+#: ``num_rhs`` and the SpMM subclass is gone, which changes every
+#: execution-keyed digest (qualified name and field walk).
+CACHE_VERSION = 10
 
 #: On-disk artifact header: magic, then the SHA-256 of the payload.
 _MAGIC = b"PSPC1\n"

@@ -30,10 +30,9 @@ import numpy as np
 from ..analysis.report import JobRecord, SweepResult
 from .. import obs
 from ..config import (SystemConfig, default_system, gddr6_aim_system,
-                      resolve_attrib, resolve_channels,
-                      resolve_rhs, resolve_strategy)
-from ..core.spmm import as_spmm_execution
-from ..core.spmv import plan_spmv
+                      resolve_attrib, resolve_channels, resolve_strategy)
+from ..core.spmm import check_num_rhs
+from ..core.spmv import as_spmm_execution, plan_spmv
 from ..core.sptrsv import ildu, level_schedule, run_sptrsv
 from ..core.timing import PerfReport, alu_operations, price_segmented
 from ..core.trace import TraceParams, synthesize
@@ -124,15 +123,17 @@ class SweepJob:
     #: Partitioning strategy (None resolves through
     #: :func:`repro.config.resolve_strategy`; "auto" tunes per matrix).
     strategy: Optional[str] = None
-    #: SpMM right-hand-side width (None resolves through
-    #: :func:`repro.config.resolve_rhs` / ``PSYNCPIM_RHS``; other
-    #: kernels ignore it).
-    rhs: Optional[int] = None
+    #: SpMM right-hand-side width (an integer >= 1; other kernels
+    #: ignore it).
+    rhs: int = 1
     #: Cycle attribution: build a :class:`repro.obs.report.RunReport`
     #: alongside the PerfReport (None resolves through
     #: :func:`repro.config.resolve_attrib` / ``PSYNCPIM_ATTRIB``).
     attrib: Optional[bool] = None
     label: str = ""
+
+    def __post_init__(self) -> None:
+        check_num_rhs(self.rhs)
 
     def resolved_label(self) -> str:
         """The job's display/lookup label (stable and distinguishing)."""
@@ -154,7 +155,7 @@ class SweepJob:
         if self.strategy not in (None, "paper"):
             parts.append(self.strategy)
         if self.kernel == "spmm":
-            parts.append(f"k{resolve_rhs(self.rhs)}")
+            parts.append(f"k{self.rhs}")
         return "/".join(parts)
 
     def system(self) -> SystemConfig:
@@ -213,8 +214,8 @@ def _spmm_pipeline(job: SweepJob, cache: ArtifactCache,
                    ) -> Tuple[Optional[PerfReport], Dict[str, Any]]:
     """The SpMV/SpMM pipeline: one SpMV plan, widened to ``rhs`` columns.
 
-    ``kernel="spmv"`` jobs run at width 1 whatever ``rhs`` or
-    ``PSYNCPIM_RHS`` say (SpMV is SpMM at ``k = 1``). The plan/assignment
+    ``kernel="spmv"`` jobs run at width 1 whatever ``rhs`` says (SpMV
+    is SpMM at ``k = 1``). The plan/assignment
     stage shares the ``spmv-plan`` cache entries (the layout does not
     depend on the width); the trace/schedule stages key on the
     right-hand-side width, so an SpMV job and an ``rhs=1`` SpMM job
@@ -226,7 +227,7 @@ def _spmm_pipeline(job: SweepJob, cache: ArtifactCache,
     mkey = matrix_digest(matrix)
     channels = resolve_channels(job.channels)
     strategy = resolve_strategy(job.strategy)
-    num_rhs = 1 if job.kernel == "spmv" else resolve_rhs(job.rhs)
+    num_rhs = 1 if job.kernel == "spmv" else job.rhs
 
     plan_key = cache.key("spmv-plan", mkey, config, job.precision,
                          job.compress, job.policy, channels, strategy)

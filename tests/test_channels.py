@@ -24,7 +24,6 @@ from repro.core import (distribute, ildu, partition, plan_spmv, run_spmv,
                         spmm_channels_trace, sptrsv_channels_trace,
                         time_spmv, time_sptrsv, ChannelAssignment,
                         TraceParams)
-from repro.core.spmv import _fast_rounds
 from repro.dram import MemoryController, TimingParams, expand_trace
 from repro.errors import ConfigError, MappingError
 from repro.formats import COOMatrix, generate
@@ -140,8 +139,8 @@ class TestSingleChannelBitwise:
     def test_result_bitwise_identical(self):
         plan = partition(self.matrix, CONFIG)
         legacy = distribute(plan, BPC)
-        y_legacy = _fast_rounds(self.matrix, self.x, legacy.rounds,
-                                "add", "mul", None)
+        y_legacy = run_spmv(self.matrix, self.x, CONFIG, plan=plan,
+                            assignment=legacy).y
         sharded = run_spmv(self.matrix, self.x, CONFIG, channels=1)
         assert np.array_equal(y_legacy, sharded.y)
 
@@ -231,8 +230,8 @@ class TestMultiChannelEquivalence:
         assert isinstance(result.assignment, ChannelAssignment)
         y_solo = np.zeros(matrix.shape[0])
         for shard in result.assignment.shards:
-            y_solo += _fast_rounds(matrix, x, shard.rounds, "add", "mul",
-                                   None)
+            y_solo += run_spmv(matrix, x, CONFIG, plan=result.plan,
+                               assignment=shard).y
         assert np.array_equal(result.y, y_solo)
 
     @pytest.mark.parametrize("seed", range(3))

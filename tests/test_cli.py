@@ -83,8 +83,7 @@ class TestSpmmCommand:
         from repro.config import default_system
         from repro.core import as_spmm_execution, plan_spmm, time_spmm
         from repro.formats import generate
-        for name in ("PSYNCPIM_RHS", "PSYNCPIM_CHANNELS",
-                     "PSYNCPIM_STRATEGY"):
+        for name in ("PSYNCPIM_CHANNELS", "PSYNCPIM_STRATEGY"):
             monkeypatch.delenv(name, raising=False)
         code, out, _ = run_cli(capsys, "spmm", "--matrix", "facebook",
                                "--scale", "0.1", "--rhs", "4")
@@ -98,6 +97,20 @@ class TestSpmmCommand:
         assert k4 > k1
         assert printed == f"{4 * k1 / k4:.2f}"
         assert float(printed) > 1.0
+
+    def test_default_width_is_one(self, capsys):
+        code, out, _ = run_cli(capsys, "spmm", "--matrix", "facebook",
+                               "--scale", "0.05")
+        assert code == 0
+        assert "k=1" in out
+
+    @pytest.mark.parametrize("verb", ["spmm", "sweep"])
+    def test_bad_width_is_rejected(self, capsys, verb):
+        code, _, err = run_cli(capsys, verb, "--matrix" if verb == "spmm"
+                               else "--matrices", "facebook",
+                               "--scale", "0.05", "--rhs", "0")
+        assert code == 1
+        assert "rhs count must be >= 1" in err
 
 
 class TestSptrsvCommand:

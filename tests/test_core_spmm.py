@@ -1,7 +1,8 @@
 """Tests for repro.core.spmm — the multi-rhs SpMM runtime.
 
-The load-bearing pins: column ``j`` of an SpMM equals the SpMV of
-``X[:, j]`` under the same plan, ``k = 1`` is *bitwise* SpMV (results
+The load-bearing pins: column ``j`` of an SpMM is bitwise the SpMV of
+``X[:, j]`` under the same plan, for every semiring, with a ``y0``, on
+both tiers and both execution models; ``k = 1`` is *bitwise* SpMV (results
 and rounds; traces and cycles are pinned by
 ``tests/test_spmv_slice_digests.py``), and the modelled cycles-per-rhs
 strictly fall as the block widens (the amortisation the workload tier
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 
 from repro.check import oracles
 from repro.config import default_system
-from repro.core import plan_spmm, run_spmm, run_spmv, time_spmm
-from repro.core.spmm import SpmmExecution, as_spmm_execution
+from repro.core import (SpmvExecution, as_spmm_execution, plan_spmm,
+                        run_spmm, run_spmv, time_spmm)
+from repro.core.spmv import _ACCUM_UFUNC, _MULT_FUNC
 from repro.errors import ConfigError, ExecutionError
 from repro.formats import generate
 from repro.formats.generators import (power_law_graph, stencil_2d,
@@ -26,9 +28,36 @@ CFG = default_system()
 RNG = np.random.default_rng(0)
 
 
+#: Every (accumulate, multiply) pair the fast and functional tiers run.
+SEMIRINGS = [(acc, mul) for acc in _ACCUM_UFUNC for mul in _MULT_FUNC]
+
+#: The bitwise pins run every semiring on both execution models at one
+#: and at three columns.
+PIN_CASES = [(acc, mul, channels, k) for acc, mul in SEMIRINGS
+             for channels in (None, 4) for k in (1, 3)]
+
+
 def dense_oracle(m, x):
     return np.column_stack([m.matvec(x[:, j])
                             for j in range(x.shape[1])])
+
+
+def assert_columns_bitwise_spmv(m, **kwargs):
+    """For every :data:`PIN_CASES` entry, column j of an SpMM with a
+    ``y0`` block is bitwise the SpMV of ``X[:, j]`` seeded with
+    ``Y0[:, j]``; *kwargs* (the tier) apply to every run."""
+    for accumulate, multiply, channels, k in PIN_CASES:
+        case = dict(accumulate=accumulate, multiply=multiply,
+                    channels=channels, **kwargs)
+        rng = np.random.default_rng(k)
+        x = rng.random((m.shape[1], k))
+        y0 = rng.random((m.shape[0], k))
+        block = run_spmm(m, x, CFG, y0=y0, **case)
+        assert block.y.shape == (m.shape[0], k)
+        for j in range(k):
+            solo = run_spmv(m, x[:, j], CFG, y0=y0[:, j], **case)
+            np.testing.assert_array_equal(block.y[:, j], solo.y,
+                                          err_msg=f"{case} k={k} j={j}")
 
 
 class TestFastTier:
@@ -50,6 +79,7 @@ class TestFastTier:
         for j in range(5):
             solo = run_spmv(m, x[:, j], CFG)
             np.testing.assert_array_equal(block.y[:, j], solo.y)
+        assert_columns_bitwise_spmv(m)
 
     @pytest.mark.parametrize("strategy", ["paper", "nnz-rows", "2d-grid",
                                           "nnz-2d"])
@@ -132,13 +162,8 @@ class TestFunctionalTier:
     def test_columns_bitwise_functional_spmv(self):
         """Functional column j is bitwise the functional SpMV."""
         m = uniform_random(90, 90, 0.05, seed=8)
-        x = RNG.random((90, 3))
-        block = run_spmm(m, x, CFG, fidelity="functional",
-                         engine_banks=4)
-        for j in range(3):
-            solo = run_spmv(m, x[:, j], CFG, fidelity="functional",
-                            engine_banks=4)
-            np.testing.assert_array_equal(block.y[:, j], solo.y)
+        assert_columns_bitwise_spmv(m, fidelity="functional",
+                                    engine_banks=4)
 
     def test_lane_equals_scalar_engine(self, monkeypatch):
         m = uniform_random(80, 80, 0.06, seed=9)
@@ -185,6 +210,14 @@ class TestOneRhsBitwiseSpmv:
 
     def test_results_bitwise(self):
         np.testing.assert_array_equal(self.spmm.y[:, 0], self.spmv.y)
+        # every semiring, with a 1-D y0 (broadcast over the one column)
+        y0 = np.random.default_rng(12).random(self.m.shape[0])
+        for accumulate, multiply in SEMIRINGS:
+            kwargs = dict(y0=y0, accumulate=accumulate, multiply=multiply)
+            spmm = run_spmm(self.m, self.x, CFG, **kwargs)
+            spmv = run_spmv(self.m, self.x, CFG, **kwargs)
+            np.testing.assert_array_equal(spmm.y[:, 0], spmv.y,
+                                          err_msg=str(kwargs))
 
     def test_execution_record_matches(self):
         a, b = self.spmm.execution, self.spmv.execution
@@ -229,14 +262,13 @@ class TestAmortisation:
 
 
 class TestPlanAndRecord:
-    def test_plan_spmm_resolves_env(self, monkeypatch):
+    def test_plan_spmm_takes_an_explicit_width(self):
         m = uniform_random(60, 60, 0.08, seed=17)
-        monkeypatch.setenv("PSYNCPIM_RHS", "6")
-        _, _, ex = plan_spmm(m, CFG)
-        assert ex.num_rhs == 6
-        monkeypatch.setenv("PSYNCPIM_RHS", "zero")
-        with pytest.raises(ConfigError):
-            plan_spmm(m, CFG)
+        assert plan_spmm(m, CFG)[2].num_rhs == 1
+        assert plan_spmm(m, CFG, num_rhs=6)[2].num_rhs == 6
+        for bad in (0, -2, "zero", 2.5, None):
+            with pytest.raises(ConfigError):
+                plan_spmm(m, CFG, num_rhs=bad)
 
     def test_plan_reuse_with_spmv(self):
         """SpMV plans inject into SpMM verbatim (shared layout)."""
@@ -254,6 +286,7 @@ class TestPlanAndRecord:
         ex = run_spmm(m, RNG.random((60, 3)), CFG).execution
         assert as_spmm_execution(ex, 3) is ex
         widened = as_spmm_execution(ex, 7)
-        assert isinstance(widened, SpmmExecution)
+        assert isinstance(widened, SpmvExecution)
         assert widened.num_rhs == 7
         assert widened.round_batches == ex.round_batches
+        assert ex.num_rhs == 3

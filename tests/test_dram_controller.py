@@ -147,6 +147,34 @@ class TestMemoryController:
         untagged = controller.run(trace, with_energy=True)
         assert untagged.energy.external_pj == 0
 
+    @pytest.mark.parametrize("refresh", [True, False])
+    def test_explicit_refresh_is_counted_once(self, refresh):
+        """A trace's own REF is one refresh: one REF in the tally, one
+        REF's refresh energy, one command."""
+        result = MemoryController(num_channels=1, enable_refresh=refresh)\
+            .run([Command(CommandType.REF)], with_energy=True)
+        assert result.refreshes == 1
+        assert result.counts[CommandType.REF] == result.refreshes
+        assert result.command_total == 1
+        assert result.energy.refresh_pj == EnergyParams().refresh_pj
+
+    def test_refresh_tally_counts_inserted_and_explicit_once(self):
+        # Idle stretches past tREFI make the scheduler insert refreshes
+        # around the trace's own REFs.
+        timing = TimingParams()
+        trace = [Command(CommandType.REF),
+                 Command(CommandType.ACT_AB, row=0,
+                         min_gap=3 * timing.trefi),
+                 Command(CommandType.PRE_AB),
+                 Command(CommandType.REF)]
+        result = MemoryController(num_channels=1).run(trace,
+                                                      with_energy=True)
+        assert result.refreshes > 2
+        assert result.counts[CommandType.REF] == result.refreshes
+        assert result.command_total == len(trace)
+        assert result.energy.refresh_pj == \
+            result.refreshes * EnergyParams().refresh_pj
+
     def test_count_commands_without_scheduling(self):
         trace = _row_trace(CommandType.ACT, CommandType.RD,
                            CommandType.PRE, banks=range(2))

@@ -6,7 +6,10 @@ keep an ``engine=`` / ``planner=`` switch, its environment variable or
 its factory from coming back, and keep the oracle module out of every
 production import graph. Likewise there is no jobs tier: sweeps run one
 job per worker submission and every fuzz seed goes through all three
-oracles, so no ``batch=`` / ``group_size=`` switch may return.
+oracles, so no ``batch=`` / ``group_size=`` switch may return. Nor is
+there an SpMM width knob or a second SpMM execution record: the width
+comes from the operand or an explicit argument, and SpMV is SpMM at
+``k = 1`` in one record.
 """
 
 import ast
@@ -18,6 +21,7 @@ import pytest
 import repro.check.fuzz
 import repro.config
 import repro.core
+import repro.core.spmm
 import repro.pim
 import repro.sweep
 from repro.check import fuzz_range
@@ -41,9 +45,12 @@ def test_entry_point_has_no_selection_parameter(fn):
         assert name not in params
 
 
-# The jobs-tier names are spelled in two pieces so that a ``git grep``
-# for them finds only live references, never this guard.
+# The jobs-tier, width-knob and second-record names are spelled in
+# pieces so that a ``git grep`` for them finds only live references,
+# never this guard.
 BATCH = "batch"
+RHS = "rhs"
+SPMM = "Spmm"
 
 
 @pytest.mark.parametrize("module,name", [
@@ -56,6 +63,9 @@ BATCH = "batch"
     (repro.pim, BATCH.title() + "Engine"),
     (repro.check.fuzz, "fuzz_" + BATCH), (repro.check.fuzz, "vary_" + "case"),
     (repro.sweep, "execute_" + BATCH),
+    (repro.config, "resolve_" + RHS), (repro.config, RHS.upper() + "_ENV"),
+    (repro.core, SPMM + "Execution"), (repro.core, SPMM + "Result"),
+    (repro.core.spmm, SPMM + "Execution"), (repro.core.spmm, SPMM + "Result"),
 ])
 def test_selection_factories_are_gone(module, name):
     assert not hasattr(module, name)
@@ -67,6 +77,7 @@ def test_selection_env_vars_are_not_read():
         assert "PSYNCPIM_ENGINE" not in text, path
         assert "PSYNCPIM_PLANNER" not in text, path
         assert "PSYNCPIM_" + BATCH.upper() not in text, path
+        assert "PSYNCPIM_" + RHS.upper() not in text, path
 
 
 def _imported_modules(path: Path):

@@ -9,7 +9,7 @@ from repro import PSyncPIM
 from repro.analysis import SweepResult
 from repro.config import default_system
 from repro.core import plan_spmv, run_spmv, time_spmv
-from repro.errors import ExecutionError
+from repro.errors import ConfigError, ExecutionError
 from repro.formats import generate
 from repro.sweep import (CACHE_DIR_ENV, FUZZ_SEEDS_PER_JOB,
                          LEGACY_SCALE_ENV, SCALE_ENV, WORKERS_ENV,
@@ -59,20 +59,21 @@ class TestStableDigest:
 
 
 class TestCacheVersion:
-    """Row visits: ``trace`` artifacts hold ``RowVisit`` entries and the
-    run-length entry kind is gone, so the layout is v9."""
+    """One execution record: sweep keys hash the record's qualified
+    name and fields, and ``SpmvExecution`` gained ``num_rhs``, so the
+    layout is v10."""
 
-    def test_version_is_nine(self):
+    def test_version_is_ten(self):
         from repro.sweep.cache import CACHE_VERSION
-        assert CACHE_VERSION == 9
+        assert CACHE_VERSION == 10
 
     def test_version_participates_in_every_digest(self, monkeypatch):
-        # Pre-v9 artifacts (keyed under CACHE_VERSION=8, whose traces
-        # hold run-length entries) must never be served: the version is
+        # Pre-v10 artifacts (keyed under CACHE_VERSION=9, whose records
+        # pickle without num_rhs) must never be served: the version is
         # folded into stable_digest, so bumping it rotates every key.
         from repro.sweep import cache as cache_mod
         current = cache_mod.stable_digest("spmv-plan", MATRIX)
-        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 8)
+        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 9)
         previous = cache_mod.stable_digest("spmv-plan", MATRIX)
         assert current != previous
 
@@ -80,10 +81,10 @@ class TestCacheVersion:
                                                   monkeypatch):
         from repro.sweep import cache as cache_mod
         cache = ArtifactCache(tmp_path)
-        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 8)
+        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 9)
         old_key = cache.key("kernel", MATRIX)
         cache.store("plan", old_key, {"stale": True})
-        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 9)
+        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 10)
         new_key = cache.key("kernel", MATRIX)
         assert new_key != old_key
         computed = cache.get_or_compute("plan", new_key,
@@ -472,13 +473,11 @@ class TestFuzzKernel:
 # one SpMV/SpMM pipeline: spmv jobs are the k = 1 case
 # ----------------------------------------------------------------------
 class TestSpmvThroughSpmmPipeline:
-    def test_spmv_job_ignores_rhs_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("PSYNCPIM_RHS", raising=False)
+    def test_spmv_job_ignores_rhs(self, tmp_path):
         plain = execute_job(spmv_job(attrib=True),
                             cache_dir=tmp_path / "plain")
-        monkeypatch.setenv("PSYNCPIM_RHS", "4")
-        widened = execute_job(spmv_job(attrib=True),
-                              cache_dir=tmp_path / "env")
+        widened = execute_job(spmv_job(attrib=True, rhs=4),
+                              cache_dir=tmp_path / "rhs")
         for record in (plain, widened):
             assert not record.failed, record.error
             assert record.kernel == "spmv"
@@ -499,6 +498,11 @@ class TestSpmvThroughSpmmPipeline:
         assert spmm.report == spmv.report
         assert spmm.extras["rhs"] == 1
         assert spmm.extras["cycles_per_rhs"] == spmv.report.cycles
+
+    @pytest.mark.parametrize("rhs", [0, -1, "zero", 2.5, None])
+    def test_bad_width_is_rejected(self, rhs):
+        with pytest.raises(ConfigError):
+            SweepJob(kernel="spmm", matrix=MATRIX, scale=SCALE, rhs=rhs)
 
 
 class TestAttribCacheIdentity:

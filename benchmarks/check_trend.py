@@ -4,7 +4,7 @@
 The perf microbenchmarks (``test_perf_engine.py``, ``test_perf_plan.py``,
 ``test_perf_channels.py``,
 ``test_perf_partition.py``, ``test_perf_attrib.py``,
-``test_perf_spmm.py``) each write a
+``test_perf_spmm.py``, ``test_perf_sweep.py``) each write a
 ``benchmarks/results/BENCH_*.json``
 with a ``speedups`` section. Those speedups are *ratios* between two
 implementations measured on the same machine in the same run, so they
@@ -25,7 +25,8 @@ Re-baselining (after a deliberate perf change)::
 
     PSYNCPIM_SCALE=0.02 python -m pytest benchmarks/test_perf_engine.py \
         benchmarks/test_perf_plan.py benchmarks/test_perf_channels.py \
-        benchmarks/test_perf_partition.py
+        benchmarks/test_perf_partition.py benchmarks/test_perf_attrib.py \
+        benchmarks/test_perf_spmm.py benchmarks/test_perf_sweep.py
     python benchmarks/check_trend.py --update
     git add benchmarks/results/baselines/
 
@@ -61,6 +62,9 @@ PINNED = {
     # plain-pricing over pricing-with-collector: ~1.0 when attribution
     # observation stays free; a drop means the collector got expensive.
     "BENCH_attrib.json": ("pricing_vs_attrib",),
+    # cold sweep over warm sweep: drops when a warm job starts loading or
+    # recomputing more than its small per-stage records.
+    "BENCH_sweep.json": ("warm_vs_cold",),
 }
 
 

@@ -9,7 +9,7 @@ further without touching code.
 
 The figure drivers execute their job grids through :mod:`repro.sweep`, so
 suite-wide runs spread over ``PSYNCPIM_WORKERS`` worker processes and
-reuse cached partition plans / traces / schedules across parameter sweeps
+reuse cached execution records / traces / schedules across parameter sweeps
 (cache root: ``PSYNCPIM_CACHE_DIR`` or ``~/.cache/psyncpim``).
 
 All benchmarks carry the ``slow`` marker: the tier-1 CI job deselects them

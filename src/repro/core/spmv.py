@@ -146,8 +146,9 @@ def plan_spmv(matrix: COOMatrix, config: SystemConfig,
     Returns the partition plan, the bank assignment and the
     :class:`SpmvExecution` record the timing/energy models consume. This is
     the expensive, data-dependent half of :func:`run_spmv`; the sweep
-    runner calls it directly (optionally injecting a cached *plan* /
-    *assignment*) when only performance numbers are needed.
+    runner calls it directly when only performance numbers are needed
+    (and caches the execution record, not the layout). A pre-built
+    *plan* / *assignment* skips partitioning / distribution.
 
     ``validate=False`` skips the plan round-trip check in trusted hot
     paths such as the sweep runner.
@@ -342,9 +343,9 @@ def run_spmv(matrix: COOMatrix, x: np.ndarray, config: SystemConfig,
     paper's HPC default; ``"csr"`` models the §IV-C variant (four index
     registers + adder); ``"bitmap"`` the §VIII neural-network format.
 
-    ``plan`` / ``assignment`` inject a previously computed layout (e.g.
-    from the sweep artifact cache) and must have been produced by
-    :func:`plan_spmv` for the same matrix, config and parameters.
+    ``plan`` / ``assignment`` inject a previously computed layout and
+    must have been produced by :func:`plan_spmv` for the same matrix,
+    config and parameters.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (matrix.shape[1],):

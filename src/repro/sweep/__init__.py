@@ -3,8 +3,8 @@
 The paper's experiments (Figs. 8-14, Table IX, the ablations) all repeat
 one expensive pipeline per matrix per configuration. This package runs
 those (matrix, kernel, config) jobs across worker processes and reuses the
-pipeline's intermediate artifacts — partition/compression plans, command
-traces, schedule results — from an on-disk content-addressed cache.
+pipeline's intermediate artifacts — execution records, command traces,
+schedule results — from an on-disk content-addressed cache.
 
 Entry points: :func:`run_sweep` / :func:`suite_jobs` (library),
 :meth:`repro.core.PSyncPIM.sweep` (runtime object), ``psyncpim sweep``

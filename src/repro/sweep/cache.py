@@ -68,7 +68,10 @@ CACHE_DIR_ENV = "PSYNCPIM_CACHE_DIR"
 #: v10: one SpMV/SpMM execution record — ``SpmvExecution`` gained
 #: ``num_rhs`` and the SpMM subclass is gone, which changes every
 #: execution-keyed digest (qualified name and field walk).
-CACHE_VERSION = 10
+#: v11: the sweep's ``plan`` kind holds ``(SpmvExecution, tile count)``
+#: instead of the ``(PartitionPlan, Assignment)`` layout, and its key
+#: gained the matrix format (which the stored record depends on).
+CACHE_VERSION = 11
 
 #: On-disk artifact header: magic, then the SHA-256 of the payload.
 _MAGIC = b"PSPC1\n"

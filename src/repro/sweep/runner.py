@@ -154,6 +154,12 @@ class SweepJob:
             parts.append(f"{self.channels}ch")
         if self.strategy not in (None, "paper"):
             parts.append(self.strategy)
+        if self.matrix_format != "coo":
+            parts.append(self.matrix_format)
+        if not self.compress:
+            parts.append("nocompress")
+        if self.policy != "paper":
+            parts.append(self.policy)
         if self.kernel == "spmm":
             parts.append(f"k{self.rhs}")
         return "/".join(parts)
@@ -215,11 +221,13 @@ def _spmm_pipeline(job: SweepJob, cache: ArtifactCache,
     """The SpMV/SpMM pipeline: one SpMV plan, widened to ``rhs`` columns.
 
     ``kernel="spmv"`` jobs run at width 1 whatever ``rhs`` says (SpMV
-    is SpMM at ``k = 1``). The plan/assignment
-    stage shares the ``spmv-plan`` cache entries (the layout does not
-    depend on the width); the trace/schedule stages key on the
-    right-hand-side width, so an SpMV job and an ``rhs=1`` SpMM job
-    share them too.
+    is SpMM at ``k = 1``). The ``plan`` stage stores what the later
+    stages read: the width-1 :class:`SpmvExecution` (channel shards
+    included) and the tile count, never the tile layout itself, so a
+    warm job loads a few KB and does not plan. It does not depend on
+    the width, so SpMV and SpMM jobs share it; the trace/schedule
+    stages key on the right-hand-side width, so an SpMV job and an
+    ``rhs=1`` SpMM job share them too.
     """
     matrix = job.load_matrix()
     config = job.system()
@@ -230,19 +238,18 @@ def _spmm_pipeline(job: SweepJob, cache: ArtifactCache,
     num_rhs = 1 if job.kernel == "spmv" else job.rhs
 
     plan_key = cache.key("spmv-plan", mkey, config, job.precision,
-                         job.compress, job.policy, channels, strategy)
-    plan, assignment = cache.get_or_compute(
-        "plan", plan_key,
-        lambda: plan_spmv(matrix, config, precision=job.precision,
-                          compress=job.compress, policy=job.policy,
-                          matrix_format=job.matrix_format,
-                          validate=False, channels=channels,
-                          strategy=strategy, tuner_cache=cache)[:2])
-    _, _, execution = plan_spmv(matrix, config, precision=job.precision,
-                                compress=job.compress, policy=job.policy,
-                                matrix_format=job.matrix_format,
-                                plan=plan, assignment=assignment,
-                                validate=False, channels=channels)
+                         job.compress, job.policy, job.matrix_format,
+                         channels, strategy)
+
+    def compute_plan():
+        plan, _, execution = plan_spmv(
+            matrix, config, precision=job.precision, compress=job.compress,
+            policy=job.policy, matrix_format=job.matrix_format,
+            validate=False, channels=channels, strategy=strategy,
+            tuner_cache=cache)
+        return execution, len(plan.tiles)
+
+    execution, tiles = cache.get_or_compute("plan", plan_key, compute_plan)
     execution = as_spmm_execution(execution, num_rhs)
 
     trace_key = cache.key("spmm-trace", execution, config, params,
@@ -254,7 +261,7 @@ def _spmm_pipeline(job: SweepJob, cache: ArtifactCache,
         "rows": matrix.shape[0],
         "cols": matrix.shape[1],
         "nnz": matrix.nnz,
-        "tiles": len(plan.tiles),
+        "tiles": tiles,
         "rounds": execution.num_rounds,
         "banks_used": execution.banks_used,
         "imbalance": execution.imbalance,

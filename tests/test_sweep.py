@@ -1,6 +1,7 @@
 """Tests for repro.sweep — parallel sweeps with artifact caching."""
 
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from repro import PSyncPIM
 from repro.analysis import SweepResult
 from repro.config import default_system
-from repro.core import plan_spmv, run_spmv, time_spmv
+from repro.core import SpmvExecution, plan_spmv, run_spmv, time_spmv
 from repro.errors import ConfigError, ExecutionError
 from repro.formats import generate
 from repro.sweep import (CACHE_DIR_ENV, FUZZ_SEEDS_PER_JOB,
@@ -59,21 +60,21 @@ class TestStableDigest:
 
 
 class TestCacheVersion:
-    """One execution record: sweep keys hash the record's qualified
-    name and fields, and ``SpmvExecution`` gained ``num_rhs``, so the
-    layout is v10."""
+    """The sweep's ``plan`` kind holds the execution record and the tile
+    count instead of the tile layout, and its key gained the matrix
+    format, so the layout is v11."""
 
-    def test_version_is_ten(self):
+    def test_version_is_eleven(self):
         from repro.sweep.cache import CACHE_VERSION
-        assert CACHE_VERSION == 10
+        assert CACHE_VERSION == 11
 
     def test_version_participates_in_every_digest(self, monkeypatch):
-        # Pre-v10 artifacts (keyed under CACHE_VERSION=9, whose records
-        # pickle without num_rhs) must never be served: the version is
-        # folded into stable_digest, so bumping it rotates every key.
+        # Pre-v11 artifacts (keyed under CACHE_VERSION=10, whose plan
+        # entries hold the tile layout) must never be served: the version
+        # is folded into stable_digest, so bumping it rotates every key.
         from repro.sweep import cache as cache_mod
         current = cache_mod.stable_digest("spmv-plan", MATRIX)
-        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 9)
+        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 10)
         previous = cache_mod.stable_digest("spmv-plan", MATRIX)
         assert current != previous
 
@@ -81,10 +82,10 @@ class TestCacheVersion:
                                                   monkeypatch):
         from repro.sweep import cache as cache_mod
         cache = ArtifactCache(tmp_path)
-        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 9)
+        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 10)
         old_key = cache.key("kernel", MATRIX)
         cache.store("plan", old_key, {"stale": True})
-        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 10)
+        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 11)
         new_key = cache.key("kernel", MATRIX)
         assert new_key != old_key
         computed = cache.get_or_compute("plan", new_key,
@@ -531,3 +532,133 @@ class TestAttribCacheIdentity:
                      attrib=True, label=label), cache_dir=tmp_path).attrib
             for label in ("a", "b")]
         assert [r.label for r in reports] == ["a", "b"]
+
+
+# ----------------------------------------------------------------------
+# the plan stage stores the execution record, not the tile layout
+# ----------------------------------------------------------------------
+PLAN_MATRIX = "cant"
+PLAN_SCALE = 0.01
+
+
+def plan_jobs(kernel, strategy):
+    """One attributed job per matrix format x channel model."""
+    rhs = 3 if kernel == "spmm" else 1
+    return [SweepJob(kernel=kernel, matrix=PLAN_MATRIX, scale=PLAN_SCALE,
+                     rhs=rhs, matrix_format=fmt, channels=channels,
+                     strategy=strategy, attrib=True, with_energy=True)
+            for fmt in ("coo", "csr", "bitmap") for channels in (None, 4)]
+
+
+@pytest.fixture
+def plan_calls(monkeypatch):
+    """Live count of ``plan_spmv`` calls, wherever a module binds it."""
+    from repro.core import spmv as spmv_mod
+    calls = []
+    original = spmv_mod.plan_spmv
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("matrix_format"))
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "repro" or name.startswith("repro.")) \
+                and getattr(module, "plan_spmv", None) is original:
+            monkeypatch.setattr(module, "plan_spmv", counted)
+    return calls
+
+
+class TestPlanStageStoresTheExecution:
+    @pytest.mark.parametrize("kernel", ["spmv", "spmm"])
+    @pytest.mark.parametrize("strategy", ["paper", "auto"])
+    def test_warm_records_equal_cold_records(self, kernel, strategy,
+                                             tmp_path):
+        jobs = plan_jobs(kernel, strategy)
+        cold = run_sweep(jobs, workers=1, cache_dir=tmp_path)
+        warm = run_sweep(jobs, workers=1, cache_dir=tmp_path)
+        uncached = run_sweep(jobs, workers=1, use_cache=False)
+        assert warm.all_cached and warm.cache_misses == 0
+        assert len(set(cold.labels)) == len(jobs)
+        for job, before, after, fresh in zip(jobs, cold, warm, uncached):
+            assert not before.failed, before.error
+            for record in (after, fresh):
+                assert record.report == before.report
+                assert record.extras == before.extras
+                assert record.attrib.to_dict() == before.attrib.to_dict()
+            assert {"tiles", "rounds", "banks_used",
+                    "imbalance"} <= set(after.extras)
+            if strategy == "paper":
+                plan, _, execution = plan_spmv(
+                    job.load_matrix(), default_system(),
+                    matrix_format=job.matrix_format,
+                    channels=job.channels, strategy="paper")
+                assert after.extras["tiles"] == len(plan.tiles)
+                assert after.extras["rounds"] == execution.num_rounds
+                assert after.extras["imbalance"] == execution.imbalance
+
+    def test_format_is_part_of_the_plan_key(self, tmp_path):
+        coo = execute_job(spmv_job(), cache_dir=tmp_path)
+        csr = execute_job(spmv_job(matrix_format="csr"), cache_dir=tmp_path)
+        assert coo.cache_misses > 0 and csr.cache_misses > 0
+        assert len(list((tmp_path / "plan").glob("*.pkl"))) == 2
+        alone = execute_job(spmv_job(matrix_format="csr"),
+                            cache_dir=tmp_path / "alone")
+        assert csr.report == alone.report
+        assert csr.report != coo.report
+
+    def test_stored_plan_holds_no_tile_layout(self, tmp_path):
+        execute_job(spmv_job(channels=4), cache_dir=tmp_path)
+        cache = ArtifactCache(tmp_path)
+        (path,) = (tmp_path / "plan").glob("*.pkl")
+        execution, tiles = cache.load("plan", path.stem)
+        assert isinstance(execution, SpmvExecution)
+        assert len(execution.channel_execs) == 4
+        assert isinstance(tiles, int) and tiles > 0
+        data = path.read_bytes()
+        for name in (b"PartitionPlan", b"SubMatrix", b"Assignment"):
+            assert name not in data
+
+    @pytest.mark.parametrize("kernel", ["spmv", "spmm"])
+    @pytest.mark.parametrize("channels", [None, 4])
+    def test_plan_runs_once_cold_and_never_warm(self, kernel, channels,
+                                                plan_calls, tmp_path):
+        job = SweepJob(kernel=kernel, matrix=PLAN_MATRIX, scale=PLAN_SCALE,
+                       rhs=2, matrix_format="csr", channels=channels,
+                       strategy="paper", attrib=True)
+        cold = execute_job(job, cache_dir=tmp_path)
+        assert not cold.failed, cold.error
+        assert plan_calls == ["csr"]
+        plan_calls.clear()
+        warm = execute_job(job, cache_dir=tmp_path)
+        assert warm.cache_misses == 0
+        assert plan_calls == []
+        assert warm.report == cold.report
+
+    def test_auto_warm_job_never_plans(self, plan_calls, tmp_path):
+        job = SweepJob(kernel="spmv", matrix=PLAN_MATRIX, scale=PLAN_SCALE,
+                       strategy="auto")
+        execute_job(job, cache_dir=tmp_path)
+        assert plan_calls
+        plan_calls.clear()
+        assert execute_job(job, cache_dir=tmp_path).cache_misses == 0
+        assert plan_calls == []
+
+
+class TestLabels:
+    """Jobs that differ in a knob the pipeline reads get distinct labels."""
+
+    def test_format_compress_and_policy_split_the_label(self, tmp_path):
+        jobs = [spmv_job(matrix="cant", scale=PLAN_SCALE),
+                spmv_job(matrix="cant", scale=PLAN_SCALE,
+                         matrix_format="csr"),
+                spmv_job(matrix="cant", scale=PLAN_SCALE, compress=False),
+                spmv_job(matrix="cant", scale=PLAN_SCALE,
+                         policy="balanced")]
+        labels = [job.resolved_label() for job in jobs]
+        assert labels == ["spmv:cant", "spmv:cant/csr",
+                          "spmv:cant/nocompress", "spmv:cant/balanced"]
+        result = run_sweep(jobs, workers=1, cache_dir=tmp_path)
+        for job, label in zip(jobs, labels):
+            record = result.record(label)
+            assert record.job == job
+            assert record.label == label

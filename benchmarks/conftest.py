@@ -3,9 +3,10 @@
 Every benchmark regenerates one table or figure of the paper and writes the
 rendered text to ``benchmarks/results/<name>.txt`` (alongside asserting the
 qualitative claims — who wins, in which direction). Matrix sizes are scaled
-by ``PSYNCPIM_SCALE`` (or the legacy ``REPRO_BENCH_SCALE``; default 0.05:
-minutes, laptop-friendly); paper-scale runs set it to 1.0, CI shrinks it
-further without touching code.
+by ``PSYNCPIM_SCALE`` (default 0.05: minutes, laptop-friendly);
+paper-scale runs set it to 1.0, CI shrinks it further without touching
+code. Strategy, channel width and attribution are arguments of each job,
+never environment variables.
 
 The figure drivers execute their job grids through :mod:`repro.sweep`, so
 suite-wide runs spread over ``PSYNCPIM_WORKERS`` worker processes and
@@ -29,7 +30,7 @@ from repro.formats import generate
 from repro.sweep import resolve_bench_scale, resolve_workers
 
 #: Fraction of the published matrix dimension used by the benches
-#: (PSYNCPIM_SCALE > REPRO_BENCH_SCALE > 0.05).
+#: (PSYNCPIM_SCALE > 0.05).
 BENCH_SCALE = resolve_bench_scale()
 
 #: Worker processes for sweep-driven benches (PSYNCPIM_WORKERS or auto).

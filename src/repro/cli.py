@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__, obs
 from .analysis import format_table, table_x_model, unit_area
 from .baselines import GPUModel, SpaceAModel
-from .config import STRATEGY_CHOICES, default_system
+from .config import DEFAULT_STRATEGY, STRATEGY_CHOICES, default_system
 from .core import PSyncPIM, as_spmm_execution, time_spmm, time_spmv
 from .core.spmm import check_num_rhs
 from .core.timing import alu_operations, price
@@ -61,6 +61,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_help()
         return 2
     try:
+        # Every verb checks the PSYNCPIM_OBS spelling.
+        if obs.env_enabled() or getattr(args, "obs", False):
+            obs.enable()
         code = args.handler(args)
         _maybe_export_obs(args)
         return code
@@ -161,15 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "PSYNCPIM_CACHE_DIR or ~/.cache/psyncpim)")
     sweep.add_argument("--energy", action="store_true",
                        help="price energy alongside cycles")
-    sweep.add_argument("--channels", type=int, default=None,
-                       help="shard across N explicitly modelled channels "
-                            "(default: PSYNCPIM_CHANNELS or the "
-                            "representative-channel model)")
-    sweep.add_argument("--strategy", default=None,
-                       choices=list(STRATEGY_CHOICES),
-                       help="partitioning strategy (default: "
-                            "PSYNCPIM_STRATEGY or paper; auto = tune per "
-                            "matrix)")
+    _sharding_args(sweep)
     _obs_args(sweep)
     sweep.add_argument("--attrib-out", default=None, metavar="PATH",
                        help="write the per-job attribution bundle "
@@ -187,10 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--precision", default="fp64",
                       choices=["fp64", "fp32", "int32", "int16", "int8"])
     tune.add_argument("--mode", default="ab", choices=["ab", "pb"])
-    tune.add_argument("--channels", type=int, default=None,
-                      help="tune for the N-channel sharded layout "
-                           "(default: PSYNCPIM_CHANNELS or the "
-                           "representative-channel model)")
+    _sharding_args(tune, strategy=False)
     tune.set_defaults(handler=_cmd_tune)
 
     attrib = sub.add_parser(
@@ -211,12 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=["fp64", "fp32", "int32", "int16", "int8"])
     attrib.add_argument("--mode", default="ab", choices=["ab", "pb"],
                         help="SpMV PIM mode (ignored for sptrsv)")
-    attrib.add_argument("--channels", type=int, default=None,
-                        help="shard across N explicitly modelled channels "
-                             "(default: PSYNCPIM_CHANNELS or the "
-                             "representative-channel model)")
-    attrib.add_argument("--strategy", default=None,
-                        choices=list(STRATEGY_CHOICES))
+    _sharding_args(attrib)
     attrib.add_argument("--out", default=None, metavar="PATH",
                         help="write the RunReport bundle (.json for a "
                              "stable text artifact, else pickle)")
@@ -271,21 +258,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _obs_args(parser: argparse.ArgumentParser) -> None:
-    """``--obs`` / ``--attrib`` switches (explicit flag > env var)."""
-    parser.add_argument("--obs", action="store_true", default=None,
+    """``--obs`` / ``--attrib`` switches."""
+    parser.add_argument("--obs", action="store_true",
                         help="record observability spans/counters for "
                              "this run (same as PSYNCPIM_OBS=1)")
-    parser.add_argument("--attrib", action="store_true", default=None,
-                        help="print the cycle-attribution breakdown "
-                             "(same as PSYNCPIM_ATTRIB=1)")
+    parser.add_argument("--attrib", action="store_true",
+                        help="print the cycle-attribution breakdown")
 
 
-def _resolve_obs_flags(args) -> bool:
-    """Apply ``--obs`` and resolve ``--attrib`` for a run command."""
-    from .config import resolve_attrib, resolve_obs
-    if resolve_obs(getattr(args, "obs", None)):
-        obs.enable()
-    return resolve_attrib(getattr(args, "attrib", None))
+def _sharding_args(parser: argparse.ArgumentParser,
+                   strategy: bool = True) -> None:
+    """``--channels`` and, unless *strategy* is off, ``--strategy``."""
+    parser.add_argument("--channels", type=int, default=None,
+                        help="shard across N explicitly modelled channels "
+                             "(default: the representative-channel model)")
+    if strategy:
+        parser.add_argument("--strategy", default=DEFAULT_STRATEGY,
+                            choices=list(STRATEGY_CHOICES),
+                            help="partitioning strategy (default: "
+                                 f"{DEFAULT_STRATEGY}; auto = tune per "
+                                 "matrix)")
 
 
 def _matrix_args(parser: argparse.ArgumentParser) -> None:
@@ -310,15 +302,7 @@ def _layout_args(parser: argparse.ArgumentParser,
         parser.add_argument("--format", dest="matrix_format",
                             default="coo", choices=["coo", "csr", "bitmap"])
     parser.add_argument("--cubes", type=int, default=1)
-    parser.add_argument("--channels", type=int, default=None,
-                        help="shard across N explicitly modelled channels "
-                             "(default: PSYNCPIM_CHANNELS or the "
-                             "representative-channel model)")
-    parser.add_argument("--strategy", default=None,
-                        choices=list(STRATEGY_CHOICES),
-                        help="partitioning strategy (default: "
-                             "PSYNCPIM_STRATEGY or paper; auto = tune per "
-                             "matrix)")
+    _sharding_args(parser)
     if matrix_layout:
         parser.add_argument("--no-compress", action="store_true",
                             help="disable the Fig. 6 matrix compression")
@@ -375,7 +359,6 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_spmv(args) -> int:
-    want_attrib = _resolve_obs_flags(args)
     matrix = _load_matrix(args)
     pim = PSyncPIM(num_cubes=args.cubes, precision=args.precision,
                    channels=args.channels, strategy=args.strategy)
@@ -386,7 +369,7 @@ def _cmd_spmv(args) -> int:
     assert np.allclose(result.y, matrix.matvec(x))
     ex = result.execution
     ab, attribution = price(ex, pim.config, params=pim.trace_params,
-                            with_energy=True, attrib=want_attrib)
+                            with_energy=True, attrib=args.attrib)
     pb = time_spmv(ex, pim.config, mode="pb")
     gpu = GPUModel().spmv_seconds(*matrix.shape, matrix.nnz,
                                   args.precision)
@@ -409,11 +392,11 @@ def _cmd_spmv(args) -> int:
                            f"{watts:.2f} W"],
     ], title=f"SpMV on pSyncPIM ({args.precision}, "
              f"{args.matrix_format})"))
-    if want_attrib:
+    if args.attrib:
         report = obs.build_run_report(
             attribution, ab, label=f"spmv/{args.matrix}", kind="spmv",
             matrix=args.matrix, mode="ab", channels=ex.num_channels,
-            strategy=args.strategy or "", precision=args.precision,
+            strategy=args.strategy, precision=args.precision,
             config=pim.config, alu_operations=alu_operations(ex))
         print()
         print(obs.render_report(report))
@@ -421,7 +404,6 @@ def _cmd_spmv(args) -> int:
 
 
 def _cmd_spmm(args) -> int:
-    want_attrib = _resolve_obs_flags(args)
     num_rhs = check_num_rhs(args.rhs)
     matrix = _load_matrix(args)
     pim = PSyncPIM(num_cubes=args.cubes, precision=args.precision,
@@ -435,7 +417,7 @@ def _cmd_spmm(args) -> int:
         assert np.allclose(result.y[:, j], matrix.matvec(x[:, j]))
     ex = result.execution
     ab, attribution = price(ex, pim.config, params=pim.trace_params,
-                            with_energy=True, attrib=want_attrib)
+                            with_energy=True, attrib=args.attrib)
     pb = time_spmm(ex, pim.config, mode="pb")
     # the SpMV baseline is the same plan priced at width 1
     spmv_cycles = time_spmm(as_spmm_execution(ex, 1), pim.config,
@@ -456,11 +438,11 @@ def _cmd_spmm(args) -> int:
                            f"{spmv_cycles * num_rhs / ab.cycles:.2f}x)"],
         ["energy", f"{ab.energy.total_joules * 1e6:.1f} uJ"],
     ], title=f"SpMM on pSyncPIM ({args.precision}, k={num_rhs})"))
-    if want_attrib:
+    if args.attrib:
         report = obs.build_run_report(
             attribution, ab, label=f"spmm/{args.matrix}", kind="spmm",
             matrix=args.matrix, mode="ab", channels=ex.num_channels,
-            strategy=args.strategy or "", precision=args.precision,
+            strategy=args.strategy, precision=args.precision,
             config=pim.config, alu_operations=alu_operations(ex))
         print()
         print(obs.render_report(report))
@@ -468,7 +450,6 @@ def _cmd_spmm(args) -> int:
 
 
 def _cmd_sptrsv(args) -> int:
-    want_attrib = _resolve_obs_flags(args)
     matrix = _load_matrix(args)
     pim = PSyncPIM(num_cubes=args.cubes, channels=args.channels,
                    strategy=args.strategy)
@@ -482,16 +463,16 @@ def _cmd_sptrsv(args) -> int:
         ex = solve.execution
         report, attribution = price(ex, pim.config,
                                     params=pim.trace_params,
-                                    attrib=want_attrib)
+                                    attrib=args.attrib)
         residual = float(np.abs(tri.matvec(solve.x) - b).max())
         rows.append([label, tri.nnz, ex.num_levels,
                      report.seconds * 1e6, f"{residual:.2e}"])
-        if want_attrib:
+        if args.attrib:
             attrib_reports.append(obs.build_run_report(
                 attribution, report,
                 label=f"sptrsv/{args.matrix}/{label}", kind="sptrsv",
                 matrix=args.matrix, channels=ex.num_channels,
-                strategy=args.strategy or "", config=pim.config,
+                strategy=args.strategy, config=pim.config,
                 alu_operations=alu_operations(ex)))
     print(format_table(["factor", "nnz", "levels", "time (us)",
                         "residual"], rows,
@@ -504,7 +485,7 @@ def _cmd_sptrsv(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from .sweep import run_sweep, suite_jobs
-    want_attrib = _resolve_obs_flags(args) or bool(args.attrib_out)
+    want_attrib = args.attrib or bool(args.attrib_out)
     matrices = (None if args.matrices is None
                 else [name.strip() for name in args.matrices.split(",")
                       if name.strip()])
@@ -513,7 +494,7 @@ def _cmd_sweep(args) -> int:
                       num_cubes=args.cubes, platform=args.platform,
                       mode=args.mode, with_energy=args.energy,
                       channels=args.channels, strategy=args.strategy,
-                      rhs=args.rhs, attrib=want_attrib or None)
+                      rhs=args.rhs, attrib=want_attrib)
     result = run_sweep(jobs, workers=args.workers,
                        cache_dir=args.cache_dir,
                        use_cache=not args.no_cache)
@@ -591,14 +572,12 @@ def _cmd_tune(args) -> int:
 
 def _build_attrib_reports(args) -> dict:
     """Run the requested workloads and build their RunReport bundle."""
-    from .config import default_system, resolve_channels, resolve_strategy
     from .core import plan_spmv
     from .core.sptrsv import ildu, run_sptrsv
     from .formats import matrices_for
     from .sweep import resolve_bench_scale
     config = default_system()
-    channels = resolve_channels(args.channels)
-    strategy = resolve_strategy(args.strategy)
+    channels, strategy = args.channels, args.strategy
     scale = resolve_bench_scale() if args.scale is None else args.scale
     if args.mtx:
         sources = [(args.mtx, read_matrix_market(args.mtx))]

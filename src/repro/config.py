@@ -18,125 +18,59 @@ computed properties so a config can never be internally inconsistent once
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .errors import ConfigError
-
-#: Environment variable selecting the partitioning strategy.
-STRATEGY_ENV = "PSYNCPIM_STRATEGY"
 
 #: Registered partitioning strategies (see :mod:`repro.core.strategies`):
 #: the paper's fixed row-cut scheme, three SparseP-style alternatives, and
 #: the cost-model auto-tuner that picks per matrix.
 STRATEGY_CHOICES = ("paper", "nnz-rows", "2d-grid", "nnz-2d", "auto")
 
-#: Strategy used when neither the caller nor the environment chooses one.
-#: The paper scheme stays the default so the unconfigured path remains
-#: bitwise identical to the pre-strategy-library behaviour.
+#: Strategy used when the caller does not choose one. The paper scheme
+#: stays the default so the unconfigured path remains bitwise identical
+#: to the pre-strategy-library behaviour.
 DEFAULT_STRATEGY = "paper"
 
 
-def resolve_strategy(explicit: Optional[str] = None) -> str:
-    """Resolve the partitioning strategy: explicit arg > env var > default.
+def check_strategy(name) -> str:
+    """Reject an unknown partitioning strategy; return it normalised.
 
     Applies to the partitioning front-end (see
-    :mod:`repro.core.strategies`). Unknown names raise
-    :class:`ConfigError` so typos fail loudly instead of silently
-    planning with a different layout.
+    :mod:`repro.core.strategies`). Case and surrounding whitespace are
+    ignored; unknown names raise :class:`ConfigError` so typos fail
+    loudly instead of silently planning with a different layout.
     """
-    name = explicit if explicit is not None \
-        else os.environ.get(STRATEGY_ENV, DEFAULT_STRATEGY)
-    name = name.strip().lower()
+    if isinstance(name, str):
+        name = name.strip().lower()
     if name not in STRATEGY_CHOICES:
         raise ConfigError(f"unknown strategy {name!r}; expected one of "
                           f"{list(STRATEGY_CHOICES)}")
     return name
 
 
-#: Environment variable selecting the channel-sharded execution width.
-CHANNELS_ENV = "PSYNCPIM_CHANNELS"
-
-
-def resolve_channels(explicit: Optional[int] = None) -> Optional[int]:
-    """Resolve the channel-sharding width: explicit arg > env var > None.
+def check_channels(channels) -> Optional[int]:
+    """Reject a channel-sharding width that is not ``None`` or an
+    integer ``>= 1``; return it as an ``int``.
 
     ``None`` selects the representative-channel model: work is laid out
     over every processing unit and the synthesised trace covers one
-    pseudo-channel under the symmetric-broadcast assumption (the
-    pre-scale-out behaviour, bitwise unchanged). An integer ``C >= 1``
-    selects the channel-sharded model instead: tiles are sharded over
-    ``C`` explicitly modelled channels, each with its own 16-bank
-    distribution, command stream and scheduler clock.
-
-    Mirrors :func:`resolve_strategy`: invalid values raise
-    :class:`ConfigError` so typos fail loudly rather than silently
-    running the other execution model.
+    pseudo-channel under the symmetric-broadcast assumption. An integer
+    ``C >= 1`` selects the channel-sharded model instead: tiles are
+    sharded over ``C`` explicitly modelled channels, each with its own
+    16-bank distribution, command stream and scheduler clock.
     """
-    raw: "Optional[object]" = explicit
-    if raw is None:
-        text = os.environ.get(CHANNELS_ENV, "").strip()
-        if not text:
-            return None
-        raw = text
+    if channels is None:
+        return None
     try:
-        value = int(raw)
+        value = int(channels)
     except (TypeError, ValueError):
         raise ConfigError(
-            f"channel count must be an integer, got {raw!r}") from None
+            f"channel count must be an integer, got {channels!r}") from None
     if value < 1:
         raise ConfigError(f"channel count must be >= 1, got {value}")
     return value
-
-
-#: Environment variable enabling observability recording (see
-#: :mod:`repro.obs`); mirrored here so CLI flag resolution lives next to
-#: the other ``PSYNCPIM_*`` precedence helpers without importing obs.
-OBS_ENV = "PSYNCPIM_OBS"
-
-#: Environment variable enabling cycle attribution
-#: (:mod:`repro.obs.attrib`) on runs that support it.
-ATTRIB_ENV = "PSYNCPIM_ATTRIB"
-
-#: Spellings accepted by the boolean ``PSYNCPIM_*`` switches. Duplicated
-#: from :func:`repro.obs.recorder.env_enabled` (config must stay
-#: import-free of obs, which imports back into the core for pricing).
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-_FALSY = frozenset({"", "0", "false", "no", "off"})
-
-
-def _resolve_switch(explicit: Optional[bool], env: str) -> bool:
-    """Shared precedence for boolean switches: explicit arg > env var."""
-    if explicit is not None:
-        return bool(explicit)
-    text = os.environ.get(env, "").strip().lower()
-    if text in _TRUTHY:
-        return True
-    if text in _FALSY:
-        return False
-    raise ConfigError(
-        f"{env} must be one of {sorted(_TRUTHY | _FALSY)!r}, "
-        f"got {text!r}")
-
-
-def resolve_obs(explicit: Optional[bool] = None) -> bool:
-    """Resolve the observability switch: explicit arg > ``PSYNCPIM_OBS``.
-
-    Mirrors :func:`resolve_channels`; garbage env values raise
-    :class:`ConfigError` instead of silently running unobserved.
-    """
-    return _resolve_switch(explicit, OBS_ENV)
-
-
-def resolve_attrib(explicit: Optional[bool] = None) -> bool:
-    """Resolve the cycle-attribution switch: explicit arg >
-    ``PSYNCPIM_ATTRIB``.
-
-    Attribution is post-hoc over the priced trace and adds a few percent
-    to scheduling time, so it stays opt-in like :func:`resolve_obs`.
-    """
-    return _resolve_switch(explicit, ATTRIB_ENV)
 
 
 #: Precision name -> element size in bytes, for every precision the VALU

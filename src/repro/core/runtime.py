@@ -39,7 +39,7 @@ class PSyncPIM:
                  trace_params: Optional[TraceParams] = None,
                  config: Optional[SystemConfig] = None,
                  channels: Optional[int] = None,
-                 strategy: Optional[str] = None) -> None:
+                 strategy: str = "paper") -> None:
         if fidelity not in ("fast", "functional"):
             raise ExecutionError(f"unknown fidelity {fidelity!r}")
         self.config = config or default_system(num_cubes)
@@ -48,10 +48,10 @@ class PSyncPIM:
         self.engine_banks = engine_banks
         self.trace_params = trace_params or TraceParams()
         #: Channel-sharded execution width (None = legacy representative
-        #: channel; explicit arg > PSYNCPIM_CHANNELS > default).
+        #: channel).
         self.channels = channels
-        #: Partitioning strategy (None resolves to PSYNCPIM_STRATEGY >
-        #: "paper"; "auto" tunes per matrix — repro.core.strategies).
+        #: Partitioning strategy ("auto" tunes per matrix —
+        #: repro.core.strategies).
         self.strategy = strategy
 
     # ------------------------------------------------------------------

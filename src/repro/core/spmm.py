@@ -50,7 +50,7 @@ def plan_spmm(matrix: COOMatrix, config: SystemConfig,
               assignment: Optional[AnyAssignment] = None,
               validate: bool = True,
               channels: Optional[int] = None,
-              strategy: Optional[str] = None, tuner_cache=None,
+              strategy: str = "paper", tuner_cache=None,
               ) -> "tuple[PartitionPlan, AnyAssignment, SpmvExecution]":
     """Lay out one SpMM without executing it numerically.
 
@@ -79,7 +79,7 @@ def run_spmm(matrix: COOMatrix, x: np.ndarray, config: SystemConfig,
              assignment: Optional[AnyAssignment] = None,
              validate: bool = True,
              channels: Optional[int] = None,
-             strategy: Optional[str] = None,
+             strategy: str = "paper",
              tuner_cache=None) -> SpmvResult:
     """Execute ``Y = accumulate(Y0, A (.) X)`` on the pSyncPIM model.
 

@@ -28,8 +28,8 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..config import (SystemConfig, element_size, resolve_channels,
-                      resolve_strategy)
+from ..config import (SystemConfig, check_channels, check_strategy,
+                      element_size)
 from ..errors import ConfigError, ExecutionError
 from ..formats import COOMatrix, reject_nan
 from ..kernels import Tile, run_tile_block
@@ -139,7 +139,7 @@ def plan_spmv(matrix: COOMatrix, config: SystemConfig,
               assignment: Optional[AnyAssignment] = None,
               validate: bool = True,
               channels: Optional[int] = None,
-              strategy: Optional[str] = None, tuner_cache=None,
+              strategy: str = "paper", tuner_cache=None,
               ) -> "tuple[PartitionPlan, AnyAssignment, SpmvExecution]":
     """Lay out one SpMV without executing it numerically.
 
@@ -153,23 +153,21 @@ def plan_spmv(matrix: COOMatrix, config: SystemConfig,
     ``validate=False`` skips the plan round-trip check in trusted hot
     paths such as the sweep runner.
 
-    ``channels`` selects the execution model (explicit arg >
-    ``PSYNCPIM_CHANNELS`` > default). ``None`` is the legacy
+    ``channels`` selects the execution model. ``None`` is the legacy
     representative-channel layout over ``config.total_units`` banks.
     An integer ``C`` shards tiles over ``C`` explicitly modelled
     pseudo-channels (:func:`repro.core.distribution.shard_channels`),
     each with its own per-bank distribution and trace stream.
 
-    ``strategy`` selects the partitioning scheme (explicit arg >
-    ``PSYNCPIM_STRATEGY`` > ``"paper"``; see
+    ``strategy`` selects the partitioning scheme (see
     :mod:`repro.core.strategies`). ``"auto"`` tunes per matrix with the
     analytic cost model, memoizing verdicts through *tuner_cache* (an
     :class:`repro.sweep.ArtifactCache`) when one is supplied. Ignored
     when a pre-built *plan* is injected.
     """
-    channels = resolve_channels(channels)
+    channels = check_channels(channels)
     if plan is None:
-        strategy = resolve_strategy(strategy)
+        strategy = check_strategy(strategy)
         if strategy == "auto":
             from .strategies import tune_strategy
             with obs.span("plan.tune", cat="planner", nnz=matrix.nnz):
@@ -328,7 +326,7 @@ def run_spmv(matrix: COOMatrix, x: np.ndarray, config: SystemConfig,
              assignment: Optional[AnyAssignment] = None,
              validate: bool = True,
              channels: Optional[int] = None,
-             strategy: Optional[str] = None,
+             strategy: str = "paper",
              tuner_cache=None) -> SpmvResult:
     """Execute ``y = accumulate(y0, A (.) x)`` on the pSyncPIM model.
 

@@ -25,7 +25,7 @@ from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import SystemConfig, resolve_channels
+from ..config import SystemConfig, check_channels
 from ..errors import ConfigError, ExecutionError, MappingError, SolverError
 from ..formats import COOMatrix, CSRMatrix, reject_nan
 from ..kernels import Tile, run_tile_round
@@ -351,7 +351,7 @@ def run_sptrsv(tri: COOMatrix, b: np.ndarray, config: SystemConfig,
                leaf_size: Optional[int] = None,
                engine_banks: Optional[int] = None,
                channels: Optional[int] = None,
-               strategy: Optional[str] = None) -> SpTrsvResult:
+               strategy: str = "paper") -> SpTrsvResult:
     """Solve ``T x = b`` for unit triangular T on the pSyncPIM model.
 
     T's diagonal is implied: an absent diagonal entry reads as 1.0, and a
@@ -365,8 +365,7 @@ def run_sptrsv(tri: COOMatrix, b: np.ndarray, config: SystemConfig,
     ``engine_banks`` caps the functional engine's width (``None`` runs each
     level as one wave); it must be at least 1.
 
-    ``channels`` selects the execution model (explicit arg >
-    ``PSYNCPIM_CHANNELS`` > default): ``None`` is the legacy
+    ``channels`` selects the execution model: ``None`` is the legacy
     representative-channel layout over ``config.total_units`` banks; an
     integer ``C`` shards every leaf level's row ranges and every update
     SpMV over ``C`` explicitly modelled channels. Fast-tier numerics are
@@ -374,15 +373,14 @@ def run_sptrsv(tri: COOMatrix, b: np.ndarray, config: SystemConfig,
     depend on the bank split).
 
     ``strategy`` selects the partitioning scheme for the update SpMVs
-    (explicit arg > ``PSYNCPIM_STRATEGY`` > ``"paper"``; see
-    :mod:`repro.core.strategies`). The default (``"paper"``) path is
+    (see :mod:`repro.core.strategies`). The default (``"paper"``) path is
     bitwise unchanged; alternative strategies regroup the per-row
     accumulation and may differ in the last floating-point bits.
     """
     b = np.asarray(b, dtype=np.float64)
     n = tri.shape[0]
     check_engine_banks(engine_banks)
-    channels = resolve_channels(channels)
+    channels = check_channels(channels)
     if channels is not None:
         available = config.memory.num_pseudo_channels
         if channels > available:
@@ -469,7 +467,7 @@ def _apply_update(strict: COOMatrix, rhs: np.ndarray, step: SolveStep,
                   config, precision, fidelity, engine_banks,
                   execution: SpTrsvExecution,
                   channels: Optional[int] = None,
-                  strategy: Optional[str] = None) -> None:
+                  strategy: str = "paper") -> None:
     """b1 -= M @ x0 (Eq. 3's SpMV between the two recursive solves)."""
     from .spmv import run_spmv  # local import: spmv <-> sptrsv layering
     r0, r1 = step.row_range

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import (SystemConfig, resolve_channels, resolve_strategy)
+from ..config import SystemConfig, check_channels, check_strategy
 from ..errors import ConfigError, MappingError
 from ..formats import COOMatrix
 from .partition import (PartitionPlan, SubMatrix, _check_plan, partition,
@@ -135,14 +135,13 @@ def strategy_names() -> Tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def make_strategy(strategy: Optional[str] = None):
+def make_strategy(strategy: str = "paper"):
     """Resolve a strategy name into its implementation.
 
-    Explicit arg > ``PSYNCPIM_STRATEGY`` > ``"paper"``. ``"auto"``
-    returns the :class:`AutoStrategy` facade; unknown names raise
-    :class:`ConfigError` via :func:`repro.config.resolve_strategy`.
+    ``"auto"`` returns the :class:`AutoStrategy` facade; unknown names
+    raise :class:`ConfigError` via :func:`repro.config.check_strategy`.
     """
-    name = resolve_strategy(strategy)
+    name = check_strategy(strategy)
     if name == "auto":
         return AutoStrategy()
     try:
@@ -587,7 +586,7 @@ def tune_strategy(matrix: COOMatrix, config: SystemConfig,
     full tuning context, so results are deterministic and cache-stable.
     """
     from ..sweep.cache import matrix_digest, stable_digest
-    channels = resolve_channels(channels)
+    channels = check_channels(channels)
     params = params if params is not None else TraceParams()
     digest = stable_digest("strategy-tune", TUNER_VERSION,
                            matrix_digest(matrix), config, precision,

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
+from ..errors import ConfigError
 from .export import (MAX_BANK_SERIES, chrome_trace, default_obs_dir,
                      export_all, load_metrics, metrics_dict, metrics_rows,
                      span_summary)
@@ -42,9 +43,21 @@ from .recorder import (OBS_DIR_ENV, OBS_ENV, Mark, Recorder, SpanEvent,
 #: The process-wide recorder every instrumented layer feeds.
 _RECORDER = Recorder()
 
+
+def _env_gate():
+    """``(gate, error)`` from ``PSYNCPIM_OBS``. A spelling
+    :func:`env_enabled` rejects leaves the gate off and is raised by
+    :func:`enabled`, so importing never fails but no run goes silently
+    unobserved."""
+    try:
+        return env_enabled(), None
+    except ConfigError as exc:
+        return False, str(exc)
+
+
 #: The one gate the hot paths test. Module-global so a disabled site costs
 #: one attribute lookup and one branch.
-_ENABLED = env_enabled()
+_ENABLED, _ENV_ERROR = _env_gate()
 
 
 class _NullSpan:
@@ -67,19 +80,21 @@ _NULL_SPAN = _NullSpan()
 # ----------------------------------------------------------------------
 def enabled() -> bool:
     """Whether observability is currently recording."""
+    if _ENV_ERROR is not None:
+        raise ConfigError(_ENV_ERROR)
     return _ENABLED
 
 
 def enable() -> None:
     """Turn recording on (equivalent to ``PSYNCPIM_OBS=1``)."""
-    global _ENABLED
-    _ENABLED = True
+    global _ENABLED, _ENV_ERROR
+    _ENABLED, _ENV_ERROR = True, None
 
 
 def disable() -> None:
     """Turn recording off; already-recorded data is kept until reset()."""
-    global _ENABLED
-    _ENABLED = False
+    global _ENABLED, _ENV_ERROR
+    _ENABLED, _ENV_ERROR = False, None
 
 
 def reset() -> None:

@@ -36,6 +36,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import ConfigError
+
 #: Environment variable enabling observability (``1``/``true``/``yes``/``on``).
 OBS_ENV = "PSYNCPIM_OBS"
 
@@ -44,12 +46,23 @@ OBS_ENV = "PSYNCPIM_OBS"
 OBS_DIR_ENV = "PSYNCPIM_OBS_DIR"
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
+_FALSY = frozenset({"", "0", "false", "no", "off"})
 
 
 def env_enabled(environ: Optional[Dict[str, str]] = None) -> bool:
-    """Whether ``PSYNCPIM_OBS`` asks for observability to be on."""
+    """Whether ``PSYNCPIM_OBS`` asks for observability to be on.
+
+    Any other spelling raises :class:`ConfigError`, so a typo never
+    runs silently unobserved.
+    """
     env = os.environ if environ is None else environ
-    return env.get(OBS_ENV, "").strip().lower() in _TRUTHY
+    text = env.get(OBS_ENV, "").strip().lower()
+    if text in _TRUTHY:
+        return True
+    if text in _FALSY:
+        return False
+    raise ConfigError(f"{OBS_ENV} must be one of "
+                      f"{sorted(_TRUTHY | _FALSY)!r}, got {text!r}")
 
 
 @dataclass

@@ -15,15 +15,14 @@ from ..analysis.report import JobRecord, SweepResult
 from .cache import (CACHE_DIR_ENV, CACHE_VERSION, ArtifactCache,
                     default_cache_dir, matrix_digest, stable_digest)
 from .runner import (DEFAULT_SCALE, FUZZ_DEFAULT_JOBS, FUZZ_SEEDS_PER_JOB,
-                     LEGACY_SCALE_ENV, SCALE_ENV, WORKERS_ENV, SweepJob,
-                     execute_job, resolve_bench_scale,
-                     resolve_workers, run_sweep, suite_jobs)
+                     SCALE_ENV, WORKERS_ENV, SweepJob, execute_job,
+                     resolve_bench_scale, resolve_workers, run_sweep,
+                     suite_jobs)
 
 __all__ = [
     "ArtifactCache", "CACHE_DIR_ENV", "CACHE_VERSION", "DEFAULT_SCALE",
-    "FUZZ_DEFAULT_JOBS", "FUZZ_SEEDS_PER_JOB", "JobRecord",
-    "LEGACY_SCALE_ENV", "SCALE_ENV", "SweepJob", "SweepResult",
-    "WORKERS_ENV", "default_cache_dir", "execute_job",
-    "matrix_digest", "resolve_bench_scale", "resolve_workers",
-    "run_sweep", "stable_digest", "suite_jobs",
+    "FUZZ_DEFAULT_JOBS", "FUZZ_SEEDS_PER_JOB", "JobRecord", "SCALE_ENV",
+    "SweepJob", "SweepResult", "WORKERS_ENV", "default_cache_dir",
+    "execute_job", "matrix_digest", "resolve_bench_scale",
+    "resolve_workers", "run_sweep", "stable_digest", "suite_jobs",
 ]

@@ -29,21 +29,20 @@ import numpy as np
 
 from ..analysis.report import JobRecord, SweepResult
 from .. import obs
-from ..config import (SystemConfig, default_system, gddr6_aim_system,
-                      resolve_attrib, resolve_channels, resolve_strategy)
+from ..config import (SystemConfig, check_channels, check_strategy,
+                      default_system, gddr6_aim_system)
 from ..core.spmm import check_num_rhs
 from ..core.spmv import as_spmm_execution, plan_spmv
 from ..core.sptrsv import ildu, level_schedule, run_sptrsv
 from ..core.timing import PerfReport, alu_operations, price_segmented
 from ..core.trace import TraceParams, synthesize
-from ..errors import ExecutionError
+from ..errors import ConfigError, ExecutionError
 from ..formats import (COOMatrix, generate, matrix_spec,
                        read_matrix_market, suite_names)
 from .cache import ArtifactCache, default_cache_dir, matrix_digest
 
 #: Environment variables the benchmark/CI harnesses steer sweeps with.
 SCALE_ENV = "PSYNCPIM_SCALE"
-LEGACY_SCALE_ENV = "REPRO_BENCH_SCALE"
 WORKERS_ENV = "PSYNCPIM_WORKERS"
 
 #: Default matrix dimension scale (minutes on a laptop; 1.0 = paper size).
@@ -52,25 +51,23 @@ DEFAULT_SCALE = 0.05
 
 def resolve_bench_scale(environ: Optional[Mapping[str, str]] = None,
                         default: float = DEFAULT_SCALE) -> float:
-    """Benchmark matrix scale: ``PSYNCPIM_SCALE``, then the legacy
-    ``REPRO_BENCH_SCALE``, then *default*.
+    """Benchmark matrix scale: ``PSYNCPIM_SCALE``, then *default*.
 
     CI shrinks whole suites (e.g. Table IX) through this single knob
     without touching code.
     """
     env = os.environ if environ is None else environ
-    for name in (SCALE_ENV, LEGACY_SCALE_ENV):
-        raw = env.get(name)
-        if raw is None or raw == "":
-            continue
-        try:
-            scale = float(raw)
-        except ValueError:
-            raise ExecutionError(f"{name} must be a number, got {raw!r}")
-        if scale <= 0:
-            raise ExecutionError(f"{name} must be positive, got {raw!r}")
-        return scale
-    return default
+    raw = env.get(SCALE_ENV)
+    if raw is None or raw == "":
+        return default
+    try:
+        scale = float(raw)
+    except ValueError:
+        raise ConfigError(
+            f"{SCALE_ENV} must be a number, got {raw!r}") from None
+    if scale <= 0:
+        raise ConfigError(f"{SCALE_ENV} must be positive, got {raw!r}")
+    return scale
 
 
 def resolve_workers(environ: Optional[Mapping[str, str]] = None,
@@ -82,8 +79,8 @@ def resolve_workers(environ: Optional[Mapping[str, str]] = None,
         try:
             workers = int(raw)
         except ValueError:
-            raise ExecutionError(
-                f"{WORKERS_ENV} must be an integer, got {raw!r}")
+            raise ConfigError(
+                f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
         return max(workers, 1)
     if default is not None:
         return max(int(default), 1)
@@ -118,22 +115,25 @@ class SweepJob:
     seed: int = 0
     with_energy: bool = False
     #: Channel-sharded execution width (None = representative channel;
-    #: resolved through :func:`repro.config.resolve_channels`).
+    #: checked by :func:`repro.config.check_channels`).
     channels: Optional[int] = None
-    #: Partitioning strategy (None resolves through
-    #: :func:`repro.config.resolve_strategy`; "auto" tunes per matrix).
-    strategy: Optional[str] = None
+    #: Partitioning strategy (checked and normalised by
+    #: :func:`repro.config.check_strategy`; "auto" tunes per matrix).
+    strategy: str = "paper"
     #: SpMM right-hand-side width (an integer >= 1; other kernels
     #: ignore it).
     rhs: int = 1
     #: Cycle attribution: build a :class:`repro.obs.report.RunReport`
-    #: alongside the PerfReport (None resolves through
-    #: :func:`repro.config.resolve_attrib` / ``PSYNCPIM_ATTRIB``).
-    attrib: Optional[bool] = None
+    #: alongside the PerfReport.
+    attrib: bool = False
     label: str = ""
 
     def __post_init__(self) -> None:
         check_num_rhs(self.rhs)
+        # Store the checked values, so the label and the worker read
+        # the same channels and strategy.
+        object.__setattr__(self, "channels", check_channels(self.channels))
+        object.__setattr__(self, "strategy", check_strategy(self.strategy))
 
     def resolved_label(self) -> str:
         """The job's display/lookup label (stable and distinguishing)."""
@@ -152,7 +152,7 @@ class SweepJob:
             parts.append(self.platform)
         if self.channels is not None:
             parts.append(f"{self.channels}ch")
-        if self.strategy not in (None, "paper"):
+        if self.strategy != "paper":
             parts.append(self.strategy)
         if self.matrix_format != "coo":
             parts.append(self.matrix_format)
@@ -181,8 +181,7 @@ class SweepJob:
 # kernel pipelines (run inside the worker, through the artifact cache)
 # ----------------------------------------------------------------------
 def _priced(job: SweepJob, cache: ArtifactCache, execution, config,
-            params: TraceParams, trace_key: str, channels: Optional[int],
-            strategy: str, mode: str = "ab"):
+            params: TraceParams, trace_key: str, mode: str = "ab"):
     """The job's ``(PerfReport, RunReport or None)``: one cached pricing
     pass over the ``trace`` stage, which jobs with and without
     attribution share. With attribution the ``schedule`` key covers the
@@ -191,10 +190,9 @@ def _priced(job: SweepJob, cache: ArtifactCache, execution, config,
     """
     from ..obs.attrib import ATTRIB_VERSION
     from ..obs.report import build_run_report
-    attrib = resolve_attrib(job.attrib)
     label = job.resolved_label()
-    identity = ((ATTRIB_VERSION, label, job.kernel, job.matrix, strategy)
-                if attrib else ())
+    identity = ((ATTRIB_VERSION, label, job.kernel, job.matrix,
+                 job.strategy) if job.attrib else ())
     schedule_key = cache.key("schedule", trace_key, job.with_energy,
                              *identity)
 
@@ -204,13 +202,13 @@ def _priced(job: SweepJob, cache: ArtifactCache, execution, config,
             lambda: synthesize(execution, config, mode=mode, params=params))
         report, attribution = price_segmented(
             seg, execution, config, mode=mode,
-            with_energy=job.with_energy, attrib=attrib)
+            with_energy=job.with_energy, attrib=job.attrib)
         if attribution is None:
             return report, None
         return report, build_run_report(
             attribution, report, label=label, kind=job.kernel,
-            matrix=job.matrix, mode=mode, channels=channels,
-            strategy=strategy, precision=job.precision, config=config,
+            matrix=job.matrix, mode=mode, channels=job.channels,
+            strategy=job.strategy, precision=job.precision, config=config,
             alu_operations=alu_operations(execution))
 
     return cache.get_or_compute("schedule", schedule_key, compute)
@@ -233,8 +231,7 @@ def _spmm_pipeline(job: SweepJob, cache: ArtifactCache,
     config = job.system()
     params = TraceParams()
     mkey = matrix_digest(matrix)
-    channels = resolve_channels(job.channels)
-    strategy = resolve_strategy(job.strategy)
+    channels, strategy = job.channels, job.strategy
     num_rhs = 1 if job.kernel == "spmv" else job.rhs
 
     plan_key = cache.key("spmv-plan", mkey, config, job.precision,
@@ -255,8 +252,7 @@ def _spmm_pipeline(job: SweepJob, cache: ArtifactCache,
     trace_key = cache.key("spmm-trace", execution, config, params,
                           job.mode, num_rhs)
     report, run_report = _priced(job, cache, execution, config, params,
-                                 trace_key, channels, strategy,
-                                 mode=job.mode)
+                                 trace_key, mode=job.mode)
     extras = {
         "rows": matrix.shape[0],
         "cols": matrix.shape[1],
@@ -289,8 +285,7 @@ def _sptrsv_pipeline(job: SweepJob, cache: ArtifactCache,
     tri = factors.lower if job.lower else factors.upper
     n = tri.shape[0]
     b = np.random.default_rng(job.seed).random(n)
-    channels = resolve_channels(job.channels)
-    strategy = resolve_strategy(job.strategy)
+    channels, strategy = job.channels, job.strategy
 
     solve_key = cache.key("sptrsv-solve", mkey, job.lower, config,
                           job.precision, job.seed, channels, strategy)
@@ -308,7 +303,7 @@ def _sptrsv_pipeline(job: SweepJob, cache: ArtifactCache,
 
     trace_key = cache.key("sptrsv-trace", solve_key, params)
     report, run_report = _priced(job, cache, execution, config, params,
-                                 trace_key, channels, strategy)
+                                 trace_key)
     extras = {
         "dimension": n,
         "nnz": tri.nnz,
@@ -449,8 +444,18 @@ def run_sweep(jobs: Iterable[SweepJob], workers: Optional[int] = None,
     in-process, which is also the fallback for single-job sweeps. Job order
     is preserved in the result. ``use_cache=False`` is the ``--no-cache``
     escape hatch: everything recomputes, nothing touches disk.
+
+    Records are looked up by label, so two unequal jobs that resolve to
+    one label raise :class:`ConfigError`; give one an explicit ``label``.
     """
     jobs = list(jobs)
+    by_label: Dict[str, SweepJob] = {}
+    for job in jobs:
+        label = job.resolved_label()
+        first = by_label.setdefault(label, job)
+        if first != job:
+            raise ConfigError(f"sweep jobs {first!r} and {job!r} share the "
+                              f"label {label!r}; give one an explicit label")
     workers = resolve_workers(default=workers) if workers is None \
         else max(int(workers), 1)
     workers = min(workers, max(len(jobs), 1))
@@ -530,5 +535,4 @@ def suite_jobs(kernel: str = "spmv", matrices: Optional[Iterable[str]] = None,
 __all__ = ["SweepJob", "execute_job", "run_sweep",
            "suite_jobs", "resolve_bench_scale", "resolve_workers",
            "default_cache_dir", "DEFAULT_SCALE", "FUZZ_SEEDS_PER_JOB",
-           "FUZZ_DEFAULT_JOBS", "SCALE_ENV", "LEGACY_SCALE_ENV",
-           "WORKERS_ENV"]
+           "FUZZ_DEFAULT_JOBS", "SCALE_ENV", "WORKERS_ENV"]

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.check import check_trace
-from repro.config import (CHANNELS_ENV, default_system, resolve_channels)
+from repro.config import check_channels, default_system
 from repro.core import (distribute, ildu, partition, plan_spmv, run_spmv,
                         run_sptrsv, shard_channels, spmm_ab_trace,
                         spmm_channels_trace, sptrsv_channels_trace,
@@ -27,6 +27,7 @@ from repro.core import (distribute, ildu, partition, plan_spmv, run_spmv,
 from repro.dram import MemoryController, TimingParams, expand_trace
 from repro.errors import ConfigError, MappingError
 from repro.formats import COOMatrix, generate
+from tests.test_no_selection_knobs import CHANNELS_VAR
 
 
 CONFIG = default_system()
@@ -46,33 +47,34 @@ def random_coo(rng, n=120, density=0.04, integral=False):
 
 # ----------------------------------------------------------------------
 class TestResolveChannels:
-    def test_default_is_none(self, monkeypatch):
-        monkeypatch.delenv(CHANNELS_ENV, raising=False)
-        assert resolve_channels() is None
+    """The width is an argument: :func:`check_channels` validates it and
+    no environment variable supplies or overrides it."""
+
+    def test_default_is_none(self):
+        assert check_channels(None) is None
 
     def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(CHANNELS_ENV, "8")
-        assert resolve_channels(4) == 4
+        monkeypatch.setenv(CHANNELS_VAR, "8")
+        assert check_channels(4) == 4
+        assert check_channels("4") == 4
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(CHANNELS_ENV, "16")
-        assert resolve_channels() == 16
+    def test_env_is_not_a_fallback(self, monkeypatch):
+        monkeypatch.setenv(CHANNELS_VAR, "16")
+        assert check_channels(None) is None
 
     def test_blank_env_is_default(self, monkeypatch):
-        monkeypatch.setenv(CHANNELS_ENV, "  ")
-        assert resolve_channels() is None
+        monkeypatch.setenv(CHANNELS_VAR, "  ")
+        assert check_channels(None) is None
 
     @pytest.mark.parametrize("bad", ["zero", "1.5", ""])
-    def test_garbage_env_raises(self, monkeypatch, bad):
-        monkeypatch.setenv(CHANNELS_ENV, bad)
-        if bad.strip():
-            with pytest.raises(ConfigError):
-                resolve_channels()
+    def test_garbage_value_raises(self, bad):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            check_channels(bad)
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_non_positive_raises(self, bad):
         with pytest.raises(ConfigError):
-            resolve_channels(bad)
+            check_channels(bad)
 
     def test_too_many_channels_for_platform(self):
         matrix = generate("facebook", scale=0.1)
@@ -296,13 +298,13 @@ class TestChannelTiming:
 
 # ----------------------------------------------------------------------
 class TestChannelsPlumbing:
-    def test_env_var_engages_sharding(self, monkeypatch):
-        monkeypatch.setenv(CHANNELS_ENV, "4")
+    def test_env_var_changes_nothing(self, monkeypatch):
+        monkeypatch.setenv(CHANNELS_VAR, "4")
         matrix = generate("facebook", scale=0.1)
         x = np.random.default_rng(0).random(matrix.shape[1])
         result = run_spmv(matrix, x, CONFIG)
-        assert result.execution.num_channels == 4
-        assert len(result.execution.channel_execs) == 4
+        assert result.execution.num_channels is None
+        assert result.execution.channel_execs == []
 
     def test_runtime_threads_channels(self):
         from repro.core import PSyncPIM

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import main
+from repro import obs
+from repro.cli import _build_parser, main
 from repro.formats import write_matrix_market
 from repro.formats.generators import make_spd, uniform_random
 
@@ -76,15 +77,13 @@ class TestSpmvCommand:
 
 
 class TestSpmmCommand:
-    def test_amortisation_against_width_one(self, capsys, monkeypatch):
+    def test_amortisation_against_width_one(self, capsys):
         """The amortisation row prices the same plan at k = 1 and k = 4."""
         import re
 
         from repro.config import default_system
         from repro.core import as_spmm_execution, plan_spmm, time_spmm
         from repro.formats import generate
-        for name in ("PSYNCPIM_CHANNELS", "PSYNCPIM_STRATEGY"):
-            monkeypatch.delenv(name, raising=False)
         code, out, _ = run_cli(capsys, "spmm", "--matrix", "facebook",
                                "--scale", "0.1", "--rhs", "4")
         assert code == 0
@@ -187,3 +186,52 @@ class TestCheckCommand:
                                "--golden-dir", str(tmp_path))
         assert code == 1
         assert "golden: FAIL spmv_ab" in out
+
+
+class TestSwitchesAreArguments:
+    """Strategy, channels and attribution come from flags; the one
+    switch read from the environment, ``PSYNCPIM_OBS``, is checked by
+    every verb."""
+
+    @pytest.mark.parametrize("argv", [
+        ["info"], ["suite"], ["spmv"], ["spmm"], ["sptrsv"], ["app", "bfs"],
+        ["sweep"], ["tune"], ["attrib"], ["diff", "a.json", "b.json"],
+        ["profile"], ["check"]], ids=lambda argv: argv[0])
+    def test_bad_obs_spelling_fails_every_verb(self, capsys, monkeypatch,
+                                               argv):
+        monkeypatch.setenv("PSYNCPIM_OBS", "maybe")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: PSYNCPIM_OBS must be one of")
+
+    @pytest.mark.parametrize("verb", ["spmv", "spmm", "sptrsv", "sweep",
+                                      "attrib", "tune"])
+    def test_sharding_flags(self, verb):
+        parser = _build_parser()
+        defaults = parser.parse_args([verb])
+        assert defaults.channels is None
+        assert getattr(defaults, "strategy", "paper") == "paper"
+        args = parser.parse_args([verb, "--channels", "2"])
+        assert args.channels == 2
+        if verb == "tune":
+            assert not hasattr(args, "strategy")
+        else:
+            assert parser.parse_args(
+                [verb, "--strategy", "nnz-rows"]).strategy == "nnz-rows"
+
+    @pytest.mark.parametrize("argv,strategy", [
+        (["spmv", "--matrix", "facebook"], "paper"),
+        (["spmv", "--matrix", "facebook", "--strategy", "nnz-rows"],
+         "nnz-rows"),
+        (["spmm", "--matrix", "facebook", "--rhs", "2"], "paper"),
+        (["sptrsv", "--matrix", "rma10"], "paper")])
+    def test_attrib_report_carries_the_strategy(self, capsys, monkeypatch,
+                                                argv, strategy):
+        built = []
+        build = obs.build_run_report
+        monkeypatch.setattr(obs, "build_run_report",
+                            lambda *a, **kw: built.append(kw["strategy"])
+                            or build(*a, **kw))
+        code, _, _ = run_cli(capsys, *argv, "--scale", "0.02", "--attrib")
+        assert code == 0
+        assert built and set(built) == {strategy}

@@ -9,13 +9,17 @@ job per worker submission and every fuzz seed goes through all three
 oracles, so no ``batch=`` / ``group_size=`` switch may return. Nor is
 there an SpMM width knob or a second SpMM execution record: the width
 comes from the operand or an explicit argument, and SpMV is SpMM at
-``k = 1`` in one record.
+``k = 1`` in one record. Nor do the partitioning strategy, the channel
+width or attribution come from the environment: they are arguments, so
+setting the variables that once chose them (or the legacy scale alias)
+changes no result.
 """
 
 import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.check.fuzz
@@ -24,12 +28,17 @@ import repro.core
 import repro.core.spmm
 import repro.pim
 import repro.sweep
+import repro.sweep.runner
 from repro.check import fuzz_range
-from repro.core import (distribute, partition, plan_spmm, plan_spmv,
+from repro.cli import main
+from repro.config import default_system
+from repro.core import (distribute, ildu, partition, plan_spmm, plan_spmv,
                         reorder_by_levels, run_spmm, run_spmv, run_sptrsv,
-                        shard_channels)
+                        shard_channels, tune_strategy)
 from repro.core.sptrsv import level_schedule
-from repro.sweep import execute_job, run_sweep
+from repro.formats import generate
+from repro.sweep import (SweepJob, execute_job, run_sweep, stable_digest,
+                         suite_jobs)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -45,12 +54,21 @@ def test_entry_point_has_no_selection_parameter(fn):
         assert name not in params
 
 
-# The jobs-tier, width-knob and second-record names are spelled in
-# pieces so that a ``git grep`` for them finds only live references,
-# never this guard.
+# The jobs-tier, width-knob, second-record and environment-knob names
+# are spelled in pieces so that a ``git grep`` for them finds only live
+# references, never this guard.
 BATCH = "batch"
 RHS = "rhs"
 SPMM = "Spmm"
+KNOBS = ("STRATEGY", "CHANNELS", "ATTRIB")
+STRATEGY_VAR, CHANNELS_VAR, ATTRIB_VAR = ("PSYNCPIM_" + knob for knob in KNOBS)
+LEGACY_SCALE_VAR = "REPRO_" + "BENCH_SCALE"
+
+#: The variables that once chose the strategy, the channel width and
+#: attribution, and the legacy scale alias, each set to a value that
+#: would change a result if anything still read it.
+REMOVED_KNOBS = {STRATEGY_VAR: "auto", CHANNELS_VAR: "4", ATTRIB_VAR: "1",
+                 LEGACY_SCALE_VAR: "0.5"}
 
 
 @pytest.mark.parametrize("module,name", [
@@ -66,6 +84,11 @@ SPMM = "Spmm"
     (repro.config, "resolve_" + RHS), (repro.config, RHS.upper() + "_ENV"),
     (repro.core, SPMM + "Execution"), (repro.core, SPMM + "Result"),
     (repro.core.spmm, SPMM + "Execution"), (repro.core.spmm, SPMM + "Result"),
+    *((repro.config, "resolve_" + knob.lower()) for knob in KNOBS + ("OBS",)),
+    *((repro.config, knob + "_ENV") for knob in KNOBS + ("OBS",)),
+    (repro.config, "_resolve_switch"), (repro.config, "_TRUTHY"),
+    (repro.config, "_FALSY"), (repro.config, "os"),
+    *((module, "LEGACY_SCALE" + "_ENV") for module in (repro.sweep, repro.sweep.runner)),
 ])
 def test_selection_factories_are_gone(module, name):
     assert not hasattr(module, name)
@@ -78,6 +101,49 @@ def test_selection_env_vars_are_not_read():
         assert "PSYNCPIM_PLANNER" not in text, path
         assert "PSYNCPIM_" + BATCH.upper() not in text, path
         assert "PSYNCPIM_" + RHS.upper() not in text, path
+        for name in REMOVED_KNOBS:
+            assert name not in text, path
+
+
+def test_config_and_core_read_no_environment():
+    for path in [SRC / "config.py", *(SRC / "core").rglob("*.py")]:
+        assert "os.environ" not in path.read_text(), path
+
+
+def _everything_a_knob_could_move(capsys):
+    """Results of every entry point the removed variables once steered."""
+    config = default_system()
+    matrix = generate("cant", scale=0.01)
+    _, _, execution = plan_spmv(matrix, config)
+    tri = ildu(generate("rma10", scale=0.01)).lower
+    b = np.random.default_rng(0).random(tri.shape[0])
+    solve = run_sptrsv(tri, b, config)
+    tuned = tune_strategy(matrix, config)
+    record = execute_job(SweepJob(kernel="sptrsv", matrix="rma10",
+                                  scale=0.01, with_energy=True),
+                         use_cache=False)
+    assert main(["spmv", "--matrix", "cant", "--scale", "0.01"]) == 0
+    return {
+        "plan": stable_digest(execution),
+        "solve": stable_digest(solve.x, solve.execution),
+        "tune": (tuned.chosen, tuned.scores, tuned.cycles),
+        "suite_scale": {job.scale for job in suite_jobs("spmv")},
+        "record": (record.label, record.extras, record.report,
+                   record.attrib, record.error),
+        "stdout": capsys.readouterr().out,
+    }
+
+
+def test_removed_variables_change_nothing(monkeypatch, capsys):
+    for name in REMOVED_KNOBS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("PSYNCPIM_SCALE", raising=False)
+    unset = _everything_a_knob_could_move(capsys)
+    for name, value in REMOVED_KNOBS.items():
+        monkeypatch.setenv(name, value)
+    moved = _everything_a_knob_could_move(capsys)
+    for key, value in unset.items():
+        assert moved[key] == value, key
 
 
 def _imported_modules(path: Path):

@@ -13,6 +13,9 @@ Covers the three tentpole guarantees:
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from repro.config import default_system
 from repro.core import run_spmv, run_sptrsv, time_spmv
 from repro.core.spmv import plan_spmv
 from repro.core.sptrsv import ildu
+from repro.errors import ConfigError
 from repro.formats import generate
 from repro.sweep import SweepJob, execute_job, run_sweep
 
@@ -136,6 +140,36 @@ def test_env_enabled():
     assert obs.env_enabled({"PSYNCPIM_OBS": "true"})
     assert not obs.env_enabled({"PSYNCPIM_OBS": "0"})
     assert not obs.env_enabled({})
+    assert obs.env_enabled({"PSYNCPIM_OBS": " Yes "})
+    assert not obs.env_enabled({"PSYNCPIM_OBS": "off"})
+    with pytest.raises(ConfigError, match="PSYNCPIM_OBS must be one of"):
+        obs.env_enabled({"PSYNCPIM_OBS": "maybe"})
+
+
+def test_bad_obs_spelling_fails_at_every_entry():
+    """A fresh process imports fine, then the CLI and the library both
+    reject the spelling instead of running unobserved."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PSYNCPIM_OBS": "maybe",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    cli = subprocess.run([sys.executable, "-m", "repro", "info"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert cli.returncode == 1
+    assert cli.stderr.startswith("error: PSYNCPIM_OBS must be one of")
+    library = subprocess.run(
+        [sys.executable, "-c",
+         "from repro import default_system\n"
+         "from repro.core import plan_spmv\n"
+         "from repro.errors import ConfigError\n"
+         "from repro.formats import generate\n"
+         "try:\n"
+         "    plan_spmv(generate('cant', scale=0.005), default_system())\n"
+         "except ConfigError as exc:\n"
+         "    print(exc)\n"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert library.returncode == 0, library.stderr
+    assert library.stdout.startswith("PSYNCPIM_OBS must be one of")
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from repro.analysis.report import JobRecord, SweepResult
 from repro.check import oracles
-from repro.config import (default_system, resolve_attrib, resolve_obs)
+from repro.config import default_system
 from repro.core import plan_spmv, run_spmv
 from repro.core.sptrsv import ildu, run_sptrsv
 from repro.core.timing import price_trace
@@ -27,8 +27,10 @@ from repro.obs.attrib import (ATTRIB_VERSION, CATEGORIES,
 from repro.obs.report import (RunReport, build_run_report, diff_reports,
                               load_reports, render_diff, render_html,
                               render_report, save_reports)
+from repro.sweep import SweepJob, execute_job
 from tests.test_dram_lockstep import (LEVEL_SEEDS, SWEEP_SEEDS, random_trace,
                                       sptrsv_trace)
+from tests.test_no_selection_knobs import ATTRIB_VAR
 
 SCALE = 0.02
 SPMV_SUITE = list(matrices_for("spmv"))
@@ -684,28 +686,25 @@ def test_sweep_result_attrib_reports(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# satellite: flag/env precedence
+# switches: attribution is an argument, the obs variable is checked
 # ----------------------------------------------------------------------
-def test_resolve_attrib_precedence(monkeypatch):
-    monkeypatch.delenv("PSYNCPIM_ATTRIB", raising=False)
-    assert resolve_attrib() is False
-    assert resolve_attrib(True) is True
-    monkeypatch.setenv("PSYNCPIM_ATTRIB", "1")
-    assert resolve_attrib() is True
-    assert resolve_attrib(False) is False    # explicit beats env
-    monkeypatch.setenv("PSYNCPIM_ATTRIB", "off")
-    assert resolve_attrib() is False
-    monkeypatch.setenv("PSYNCPIM_ATTRIB", "maybe")
-    with pytest.raises(ConfigError):
-        resolve_attrib()
+def test_attrib_is_an_argument(monkeypatch):
+    monkeypatch.setenv(ATTRIB_VAR, "1")
+    assert SweepJob().attrib is False
+    job = SweepJob(kernel="spmv", matrix="wiki-Vote", scale=SCALE)
+    assert execute_job(job, use_cache=False).attrib is None
+    on = execute_job(SweepJob(kernel="spmv", matrix="wiki-Vote",
+                              scale=SCALE, attrib=True), use_cache=False)
+    assert isinstance(on.attrib, RunReport)
+    on.attrib.check()
 
 
-def test_resolve_obs_precedence(monkeypatch):
-    monkeypatch.delenv("PSYNCPIM_OBS", raising=False)
-    assert resolve_obs() is False
-    monkeypatch.setenv("PSYNCPIM_OBS", "yes")
-    assert resolve_obs() is True
-    assert resolve_obs(False) is False
+def test_obs_env_spelling_is_checked(monkeypatch, capsys):
+    from repro.cli import main
+    monkeypatch.setenv("PSYNCPIM_OBS", "maybe")
+    assert main(["info"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: PSYNCPIM_OBS must be one of")
 
 
 # ----------------------------------------------------------------------

@@ -30,9 +30,7 @@ SCALE = 0.005
 @pytest.fixture(autouse=True)
 def _unconfigured(monkeypatch):
     """Pin the knobs that change what a run plans or prices."""
-    for name in ("PSYNCPIM_CHANNELS", "PSYNCPIM_STRATEGY",
-                 "PSYNCPIM_ATTRIB", "PSYNCPIM_OBS"):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("PSYNCPIM_OBS", raising=False)
 
 
 @pytest.fixture

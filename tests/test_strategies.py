@@ -10,13 +10,14 @@ auto-tuner must be deterministic and cache-stable.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.check import oracles
-from repro.config import (STRATEGY_CHOICES, STRATEGY_ENV, default_system,
-                          resolve_strategy)
+from repro.config import STRATEGY_CHOICES, check_strategy, default_system
 from repro.core import (PSyncPIM, make_strategy, partition, plan_spmv,
                         run_spmv, run_sptrsv, strategy_names,
                         tile_capacity, tune_strategy)
@@ -24,7 +25,8 @@ from repro.core.partition import _check_plan
 from repro.core.strategies import AutoStrategy, estimate_cycles
 from repro.errors import ConfigError
 from repro.formats import COOMatrix, generate
-from repro.sweep import ArtifactCache
+from repro.sweep import ArtifactCache, SweepJob
+from tests.test_no_selection_knobs import STRATEGY_VAR
 
 CONFIG = default_system()
 CONCRETE = tuple(strategy_names())
@@ -77,24 +79,34 @@ def scipy_spmv(matrix, x):
 
 
 class TestResolveStrategy:
-    def test_default_is_paper(self, monkeypatch):
-        monkeypatch.delenv(STRATEGY_ENV, raising=False)
-        assert resolve_strategy(None) == "paper"
+    """The strategy is an argument: :func:`check_strategy` validates it
+    and no environment variable supplies or overrides it."""
+
+    def test_default_is_paper(self):
+        for fn in (plan_spmv, run_spmv, run_sptrsv, make_strategy,
+                   PSyncPIM, SweepJob):
+            assert inspect.signature(fn).parameters["strategy"].default \
+                == "paper", fn
 
     def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(STRATEGY_ENV, "nnz-rows")
-        assert resolve_strategy("2d-grid") == "2d-grid"
+        monkeypatch.setenv(STRATEGY_VAR, "nnz-rows")
+        assert check_strategy("2d-grid") == "2d-grid"
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(STRATEGY_ENV, "nnz-2d")
-        assert resolve_strategy(None) == "nnz-2d"
+    def test_env_is_not_a_fallback(self, monkeypatch):
+        monkeypatch.setenv(STRATEGY_VAR, "nnz-2d")
+        assert make_strategy() is make_strategy("paper")
+        assert SweepJob().strategy == "paper"
 
     def test_case_and_whitespace_normalised(self):
-        assert resolve_strategy("  Auto ") == "auto"
+        assert check_strategy("  Auto ") == "auto"
+        assert SweepJob(strategy="  Auto ").strategy == "auto"
 
     def test_unknown_raises(self):
-        with pytest.raises(ConfigError):
-            resolve_strategy("zigzag")
+        for bad in ("zigzag", None):
+            with pytest.raises(ConfigError):
+                check_strategy(bad)
+            with pytest.raises(ConfigError):
+                SweepJob(strategy=bad)
 
     def test_registry_matches_choices(self):
         assert set(CONCRETE) | {"auto"} == set(STRATEGY_CHOICES)
@@ -226,8 +238,7 @@ class TestPaperBitwisePin:
             make_strategy("paper").partition(matrix, CONFIG,
                                              compress=compress))
 
-    def test_unset_strategy_is_paper(self, monkeypatch):
-        monkeypatch.delenv(STRATEGY_ENV, raising=False)
+    def test_unset_strategy_is_paper(self):
         matrix = generate("pdb1HYS", scale=0.02)
         default_plan, _, default_exec = plan_spmv(matrix, CONFIG)
         paper_plan, _, paper_exec = plan_spmv(matrix, CONFIG,
@@ -237,8 +248,7 @@ class TestPaperBitwisePin:
         assert np.array_equal(default_exec.per_bank_elements,
                               paper_exec.per_bank_elements)
 
-    def test_default_result_bitwise(self, monkeypatch):
-        monkeypatch.delenv(STRATEGY_ENV, raising=False)
+    def test_default_result_bitwise(self):
         rng = np.random.default_rng(2)
         matrix = random_coo(rng, 300, 300, density=0.02)
         x = rng.standard_normal(300)
@@ -307,16 +317,21 @@ class TestRuntimeAndSweepPlumbing:
         result = pim.spmv(matrix, x)
         assert np.allclose(result.y, scipy_spmv(matrix, x))
 
-    def test_env_var_engages_strategy(self, monkeypatch):
-        monkeypatch.setenv(STRATEGY_ENV, "2d-grid")
+    def test_explicit_strategy_engages(self):
         matrix = PATHOLOGICAL["wide"]
-        plan, _, _ = plan_spmv(matrix, CONFIG)
+        plan, _, _ = plan_spmv(matrix, CONFIG, strategy="2d-grid")
         # global column cuts: every tile's kept columns live in one
         # tile_cols-wide window of the global axis
         for tile in plan.tiles:
             cols = np.asarray(tile.global_cols)
             assert cols.max() // plan.tile_cols \
                 == cols.min() // plan.tile_cols
+
+    def test_env_var_changes_nothing(self, monkeypatch):
+        monkeypatch.setenv(STRATEGY_VAR, "2d-grid")
+        matrix = PATHOLOGICAL["wide"]
+        TestPaperBitwisePin._assert_plans_identical(
+            plan_spmv(matrix, CONFIG)[0], partition(matrix, CONFIG))
 
     def test_sweep_job_label(self):
         from repro.sweep import SweepJob

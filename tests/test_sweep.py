@@ -12,12 +12,12 @@ from repro.config import default_system
 from repro.core import SpmvExecution, plan_spmv, run_spmv, time_spmv
 from repro.errors import ConfigError, ExecutionError
 from repro.formats import generate
-from repro.sweep import (CACHE_DIR_ENV, FUZZ_SEEDS_PER_JOB,
-                         LEGACY_SCALE_ENV, SCALE_ENV, WORKERS_ENV,
-                         ArtifactCache, SweepJob,
+from repro.sweep import (CACHE_DIR_ENV, FUZZ_SEEDS_PER_JOB, SCALE_ENV,
+                         WORKERS_ENV, ArtifactCache, SweepJob,
                          default_cache_dir, execute_job, matrix_digest,
                          resolve_bench_scale, resolve_workers, run_sweep,
                          stable_digest, suite_jobs)
+from tests.test_no_selection_knobs import LEGACY_SCALE_VAR
 
 MATRIX = "facebook"
 SCALE = 0.05
@@ -218,21 +218,21 @@ class TestEnvironmentKnobs:
         assert resolve_bench_scale(environ={}) == pytest.approx(0.05)
 
     def test_psyncpim_scale_overrides(self):
-        env = {SCALE_ENV: "0.02", LEGACY_SCALE_ENV: "0.5"}
+        env = {SCALE_ENV: "0.02", LEGACY_SCALE_VAR: "0.5"}
         assert resolve_bench_scale(environ=env) == pytest.approx(0.02)
 
-    def test_legacy_scale_still_honoured(self):
-        env = {LEGACY_SCALE_ENV: "0.25"}
-        assert resolve_bench_scale(environ=env) == pytest.approx(0.25)
+    def test_legacy_scale_alias_is_ignored(self):
+        env = {LEGACY_SCALE_VAR: "0.25"}
+        assert resolve_bench_scale(environ=env) == pytest.approx(0.05)
 
     def test_scale_override_via_process_env(self, monkeypatch):
         monkeypatch.setenv(SCALE_ENV, "0.125")
         assert resolve_bench_scale() == pytest.approx(0.125)
 
     def test_bad_scale_raises(self):
-        with pytest.raises(ExecutionError):
+        with pytest.raises(ConfigError):
             resolve_bench_scale(environ={SCALE_ENV: "tiny"})
-        with pytest.raises(ExecutionError):
+        with pytest.raises(ConfigError):
             resolve_bench_scale(environ={SCALE_ENV: "-1"})
 
     def test_workers_env_and_floor(self):
@@ -240,7 +240,7 @@ class TestEnvironmentKnobs:
         assert resolve_workers(environ={WORKERS_ENV: "0"}) == 1
         assert resolve_workers(environ={}, default=3) == 3
         assert resolve_workers(environ={}) >= 1
-        with pytest.raises(ExecutionError):
+        with pytest.raises(ConfigError):
             resolve_workers(environ={WORKERS_ENV: "many"})
 
 
@@ -662,3 +662,24 @@ class TestLabels:
             record = result.record(label)
             assert record.job == job
             assert record.label == label
+
+    @pytest.mark.parametrize("first,second", [
+        (spmv_job(matrix="cant", scale=0.01),
+         spmv_job(matrix="cant", scale=0.02)),
+        (SweepJob(kernel="sptrsv", matrix="rma10", seed=0),
+         SweepJob(kernel="sptrsv", matrix="rma10", seed=1)),
+    ], ids=["scale", "seed"])
+    def test_unequal_jobs_under_one_label_raise(self, first, second):
+        assert first.resolved_label() == second.resolved_label()
+        with pytest.raises(ConfigError) as info:
+            run_sweep([first, second], workers=1, use_cache=False)
+        assert repr(first) in str(info.value)
+        assert repr(second) in str(info.value)
+        assert first.resolved_label() in str(info.value)
+
+    def test_equal_jobs_and_explicit_labels_do_not_collide(self, tmp_path):
+        job = spmv_job(matrix="cant", scale=PLAN_SCALE)
+        other = spmv_job(matrix="cant", scale=PLAN_SCALE / 2,
+                         label="spmv:cant@half")
+        result = run_sweep([job, job, other], workers=1, cache_dir=tmp_path)
+        assert result.labels == ["spmv:cant", "spmv:cant", "spmv:cant@half"]

@@ -55,7 +55,7 @@ PINNED = {
     "BENCH_engine.json": ("spmv", "sptrsv", "pricing"),
     "BENCH_plan.json": ("partition_compressed", "partition_raw",
                         "distribute_paper", "distribute_balanced",
-                        "level_schedule", "combined"),
+                        "level_schedule", "combined", "sptrsv_leaves"),
     "BENCH_channels.json": ("channels_16v1", "channels_4v1"),
     "BENCH_spmm.json": ("amortisation_16v1", "amortisation_4v1"),
     "BENCH_partition.json": ("auto_vs_paper",),

@@ -6,7 +6,11 @@ matrix partitioning (compressed and uncompressed), tile distribution
 planners at ``PSYNCPIM_SCALE``, asserts the plans stay bitwise identical,
 and writes the measurements to ``benchmarks/results/BENCH_plan.json`` for
 the CI perf-smoke gate. The scalar runs swap the oracles in with
-:func:`repro.check.oracles.use_scalar_planner`.
+:func:`repro.check.oracles.use_scalar_planner`. A fourth stage,
+``sptrsv_leaves``, times a whole ``run_sptrsv`` of a banded factor (about
+4,000 leaf levels at the 20k-row floor) under both planners and asserts
+the same ``x`` and level records; ``combined`` sums the first three kinds
+only.
 
 Each stage runs its scalar and fast sides back to back in ``PAIRS``
 pairs, the side that goes first alternating, and every ratio is the
@@ -28,10 +32,10 @@ import pytest
 from conftest import BENCH_SCALE, RESULTS_DIR
 from repro.check import oracles
 from repro.config import default_system
-from repro.core import distribute, partition
+from repro.core import distribute, partition, run_sptrsv
 from repro.core.sptrsv import level_schedule
-from repro.formats.generators import (power_law_graph, uniform_random,
-                                      unit_lower_from)
+from repro.formats.generators import (banded_fem, power_law_graph,
+                                      uniform_random, unit_lower_from)
 
 CFG = default_system()
 #: Scalar/fast pairs timed per stage.
@@ -115,11 +119,12 @@ def test_planner_microbenchmark():
 
     stage_pairs = []
 
-    def measure(key, fast_fn, check):
+    def measure(key, fast_fn, check, combined=True):
         pairs, (r_scalar, r_fast) = _timed_pairs(
             _on_scalar_planner(fast_fn), fast_fn)
         check(r_fast, r_scalar)
-        stage_pairs.append(pairs)
+        if combined:
+            stage_pairs.append(pairs)
         bench["times"][f"{key}_scalar_s"] = statistics.median(
             s for s, _ in pairs)
         bench["times"][f"{key}_fast_s"] = statistics.median(
@@ -151,7 +156,23 @@ def test_planner_microbenchmark():
 
     measure("level_schedule", lambda: level_schedule(tri), levels_equal)
 
-    # Pair i of the combined path: every stage's pair i, summed.
+    # --- SpTRSV leaf scheduling, inside a whole solve --------------------
+    # A banded factor keeps its dependencies near the diagonal, so the
+    # leaves hold many short levels, like the Fig. 9 ILDU factors.
+    leaf_tri = unit_lower_from(banded_fem(n, 12, seed=8), seed=9)
+    leaf_b = np.random.default_rng(10).random(n)
+    bench["matrix"]["leaf_tri_nnz"] = leaf_tri.nnz
+
+    def solves_equal(fast, scalar):
+        assert np.array_equal(fast.x, scalar.x)
+        for name in ("level_batches", "level_elements", "level_widths"):
+            assert (getattr(fast.execution, name)
+                    == getattr(scalar.execution, name)), name
+
+    measure("sptrsv_leaves", lambda: run_sptrsv(leaf_tri, leaf_b, CFG),
+            solves_equal, combined=False)
+
+    # Pair i of the combined path: every combined stage's pair i, summed.
     totals = [(sum(stage[i][0] for stage in stage_pairs),
                sum(stage[i][1] for stage in stage_pairs))
               for i in range(PAIRS)]

@@ -13,8 +13,10 @@ against. No production entry point selects them:
   greedy LPT with ``np.argmin``);
 * :func:`_level_depths_scalar` — the per-row CSR loop behind SpTRSV
   dependency levels (oracle of the frontier sweep);
-* :func:`_leaf_columns_scalar` / :func:`_solve_leaf_scalar` — per-column
-  leaf scheduling over a column-access CSR.
+* :func:`_leaf_columns_scalar` / :func:`_leaf_schedule_scalar` —
+  per-leaf, per-column level scheduling over a column-access CSR, with
+  lock-step batches taken from the bank split's chunk maxima (oracle of
+  the one-pass leaf schedule and its closed-form batches).
 
 The engine oracle is :class:`~repro.pim.AllBankEngine` itself.
 
@@ -35,7 +37,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.partition import SubMatrix
-from ..core.sptrsv import SolveStep, SpTrsvExecution, _run_leaf_level
+from ..core.sptrsv import LeafSchedule, _split_rows
 from ..formats import COOMatrix, CSRMatrix
 from ..pim import AllBankEngine
 
@@ -157,42 +159,80 @@ def _leaf_columns_scalar(strict: COOMatrix) -> CSRMatrix:
     return CSRMatrix.from_coo(strict.transpose())  # col access
 
 
-def _solve_leaf_scalar(csr_cols: CSRMatrix, rhs: np.ndarray,
-                       step: SolveStep, config, precision, fidelity,
-                       engine_banks, execution: SpTrsvExecution) -> None:
-    """Algorithm 3 with level batching inside one diagonal block (oracle:
-    per-column loops over a column-access CSR)."""
-    lo, hi = step.row_range
-    width = hi - lo
-    # Level schedule restricted to the block: depth over in-block deps.
-    depth = np.zeros(width, dtype=np.int64)
-    block_cols: List[Tuple[np.ndarray, np.ndarray]] = []
-    for local_col in range(width):
-        idx, val = csr_cols.row(lo + local_col)
-        mask = (idx >= lo) & (idx < hi)
-        block_cols.append((idx[mask] - lo, val[mask]))
-    for local_col in range(width):
-        rows_below, _ = block_cols[local_col]
-        if rows_below.size:
-            np.maximum.at(depth, rows_below, depth[local_col] + 1)
+def _leaf_schedule_scalar(csr_cols: CSRMatrix, leaf_bounds: np.ndarray,
+                          num_banks: int, banks_per_channel: int,
+                          num_channels: int) -> LeafSchedule:
+    """Algorithm 3's level batching, leaf by leaf (oracle: per-column
+    loops over a column-access CSR, batches from the Fig. 7 bank split's
+    chunk maxima)."""
+    rows_out, cols_out, vals_out, level_cols = [], [], [], []
+    elem_ptr, col_ptr, leaf_ptr = [0], [0], [0]
+    batches: List[int] = []
+    channel_batches: List[List[int]] = [[] for _ in range(num_channels)]
+    channel_elements: List[List[int]] = [[] for _ in range(num_channels)]
+    bpc = banks_per_channel
+    for lo, hi in zip(leaf_bounds[:-1].tolist(), leaf_bounds[1:].tolist()):
+        width = hi - lo
+        # Level schedule restricted to the block: depth over in-block deps.
+        depth = np.zeros(width, dtype=np.int64)
+        block_cols: List[Tuple[np.ndarray, np.ndarray]] = []
+        for local_col in range(width):
+            idx, val = csr_cols.row(lo + local_col)
+            mask = (idx >= lo) & (idx < hi)
+            block_cols.append((idx[mask] - lo, val[mask]))
+        for local_col in range(width):
+            rows_below, _ = block_cols[local_col]
+            if rows_below.size:
+                np.maximum.at(depth, rows_below, depth[local_col] + 1)
 
-    num_levels = int(depth.max()) + 1 if width else 0
-    for level in range(num_levels):
-        cols = np.nonzero(depth == level)[0]
-        rows_list, cols_list, vals_list = [], [], []
-        for local_index, col in enumerate(cols):
-            rows_below, vals_below = block_cols[col]
-            rows_list.append(rows_below)
-            cols_list.append(np.full(rows_below.size, local_index,
-                                     dtype=np.int64))
-            vals_list.append(vals_below)
-        rows = np.concatenate(rows_list) if rows_list else np.zeros(
-            0, dtype=np.int64)
-        lcols = np.concatenate(cols_list) if cols_list else np.zeros(
-            0, dtype=np.int64)
-        vals = np.concatenate(vals_list) if vals_list else np.zeros(0)
-        _run_leaf_level(cols, rows, lcols, vals, rhs, lo, width, config,
-                        precision, fidelity, engine_banks, execution)
+        num_levels = int(depth.max()) + 1 if width else 0
+        for level in range(num_levels):
+            cols = np.nonzero(depth == level)[0]
+            rows_list, cols_list, vals_list = [], [], []
+            for col in cols:
+                rows_below, vals_below = block_cols[col]
+                rows_list.append(lo + rows_below)
+                cols_list.append(np.full(rows_below.size, lo + col,
+                                         dtype=np.int64))
+                vals_list.append(vals_below)
+            rows = np.concatenate(rows_list)
+            elem_cols = np.concatenate(cols_list)
+            vals = np.concatenate(vals_list)
+            rows_out.append(rows)
+            cols_out.append(elem_cols)
+            vals_out.append(vals)
+            level_cols.append(lo + cols)
+            elem_ptr.append(elem_ptr[-1] + rows.size)
+            col_ptr.append(col_ptr[-1] + cols.size)
+            per_bank = _split_rows(rows, elem_cols, vals, num_banks)
+            batches.append(max((chunk[0].size for chunk in per_bank),
+                               default=0))
+            for ch in range(num_channels):
+                chunks = per_bank[ch * bpc:(ch + 1) * bpc]
+                channel_batches[ch].append(
+                    max((chunk[0].size for chunk in chunks), default=0))
+                channel_elements[ch].append(
+                    sum(chunk[0].size for chunk in chunks))
+        leaf_ptr.append(leaf_ptr[-1] + num_levels)
+
+    def flat(parts, dtype):
+        return (np.concatenate(parts) if parts
+                else np.zeros(0, dtype=dtype))
+
+    def table(per_channel):
+        return np.array(per_channel, dtype=np.int64).reshape(
+            num_channels, len(batches))
+
+    return LeafSchedule(
+        rows=flat(rows_out, np.int64), cols=flat(cols_out, np.int64),
+        vals=flat(vals_out, np.float64),
+        elem_ptr=np.array(elem_ptr, dtype=np.int64),
+        level_cols=flat(level_cols, np.int64),
+        col_ptr=np.array(col_ptr, dtype=np.int64),
+        leaf_ptr=np.array(leaf_ptr, dtype=np.int64),
+        batches=np.array(batches, dtype=np.int64),
+        channel_batches=table(channel_batches),
+        channel_elements=table(channel_elements))
 
 
 # ----------------------------------------------------------------------
@@ -208,7 +248,7 @@ PLANNER_STAGES = (
     ("repro.core.distribution", "_balanced_fast", _balanced),
     ("repro.core.sptrsv", "_level_depths", _level_depths_scalar),
     ("repro.core.sptrsv", "_leaf_columns", _leaf_columns_scalar),
-    ("repro.core.sptrsv", "_solve_leaf_fast", _solve_leaf_scalar),
+    ("repro.core.sptrsv", "_leaf_schedule", _leaf_schedule_scalar),
 )
 
 #: Modules whose drivers construct their functional engine as

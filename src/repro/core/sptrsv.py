@@ -11,15 +11,17 @@ The pipeline mirrors the paper exactly:
    splits into L0 / M / L1 until diagonal blocks fit the memory-row bound;
    the flattened plan alternates leaf solves with SpMV updates.
 3. **Leaf execution** (§VI-C, Algorithm 3) — within a leaf, columns are
-   batched into independent levels. Per level the host reads the solved
-   values (SB), broadcasts them (AB), and the banks run the scalar-multiply
-   kernel ``b[r] -= x[c] * v`` — the same tile kernel as SpMV with a
-   ``sub`` accumulate.
+   batched into independent levels; one array pass schedules the levels
+   of every leaf of a solve (:class:`LeafSchedule`). Per level the host
+   reads the solved values (SB), broadcasts them (AB), and the banks run
+   the scalar-multiply kernel ``b[r] -= x[c] * v`` — the same tile kernel
+   as SpMV with a ``sub`` accumulate.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import ClassVar, List, Optional, Tuple
 
@@ -339,6 +341,24 @@ class SpTrsvExecution:
         return int(sum(self.level_elements) + sum(self.update_elements))
 
 
+def check_leaf_size(leaf_size) -> Optional[int]:
+    """Reject a leaf block size that is not ``None`` or an integer >= 1.
+
+    ``None`` selects the tile capacity (one memory row of elements). There
+    is no upper bound: a leaf wider than a tile is a valid ablation point.
+    """
+    if leaf_size is None:
+        return None
+    try:
+        value = operator.index(leaf_size)
+    except TypeError:
+        raise ConfigError(
+            f"leaf_size must be an integer, got {leaf_size!r}") from None
+    if value < 1:
+        raise ConfigError(f"leaf_size must be >= 1 (or None), got {value}")
+    return value
+
+
 @dataclass
 class SpTrsvResult:
     x: np.ndarray
@@ -363,7 +383,9 @@ def run_sptrsv(tri: COOMatrix, b: np.ndarray, config: SystemConfig,
     one kernel for L and U (Table III lists both under SpTRSV).
 
     ``engine_banks`` caps the functional engine's width (``None`` runs each
-    level as one wave); it must be at least 1.
+    level as one wave); it must be at least 1. ``leaf_size`` bounds the
+    diagonal leaf blocks: ``None`` is the tile capacity, otherwise an
+    integer >= 1.
 
     ``channels`` selects the execution model: ``None`` is the legacy
     representative-channel layout over ``config.total_units`` banks; an
@@ -380,6 +402,7 @@ def run_sptrsv(tri: COOMatrix, b: np.ndarray, config: SystemConfig,
     b = np.asarray(b, dtype=np.float64)
     n = tri.shape[0]
     check_engine_banks(engine_banks)
+    leaf_size = check_leaf_size(leaf_size)
     channels = check_channels(channels)
     if channels is not None:
         available = config.memory.num_pseudo_channels
@@ -421,7 +444,8 @@ def run_sptrsv(tri: COOMatrix, b: np.ndarray, config: SystemConfig,
             perm, work = reorder_by_levels(tri, lower=True)
         rhs = b[perm].copy()
 
-    leaf = leaf_size or tile_capacity(config, precision)
+    leaf = (leaf_size if leaf_size is not None
+            else tile_capacity(config, precision))
     plan = recursive_plan(n, leaf)
     bpc = config.memory.banks_per_channel
     if channels is None:
@@ -439,18 +463,25 @@ def run_sptrsv(tri: COOMatrix, b: np.ndarray, config: SystemConfig,
                                 n=n, leaf_size=leaf)
                 for _ in range(channels)])
     strict = work.strictly_lower()
-    leaf_source = _leaf_columns(strict)
+    leaf_bounds = np.array([step.row_range[0] for step in plan
+                            if step.kind == "leaf"] + [n], dtype=np.int64)
+    schedule = _leaf_schedule(_leaf_columns(strict), leaf_bounds,
+                              execution.num_banks, bpc,
+                              len(execution.channel_execs))
+    _record_levels(schedule, execution)
 
     with obs.span("sptrsv.solve", cat="kernel", n=n, steps=len(plan),
                   fidelity=fidelity):
+        leaf_index = 0
         for step in plan:
             if step.kind == "update":
                 _apply_update(strict, rhs, step, config, precision,
                               fidelity, engine_banks, execution, channels,
                               strategy)
             else:
-                _solve_leaf_fast(leaf_source, rhs, step, config, precision,
-                                 fidelity, engine_banks, execution)
+                _solve_leaf(schedule, leaf_index, rhs, step, precision,
+                            fidelity, engine_banks, execution.num_banks)
+                leaf_index += 1
     if obs.enabled():
         obs.set_gauge("sptrsv.levels", execution.num_levels)
         obs.add_counter("sptrsv.solves", 1)
@@ -496,92 +527,139 @@ def _apply_update(strict: COOMatrix, rhs: np.ndarray, step: SolveStep,
 
 
 def _leaf_columns(strict: COOMatrix) -> COOMatrix:
-    """The leaf solver's view of the strict part: column-major order gives
-    every leaf block's elements as one contiguous (column, row)-sorted
-    slice range."""
+    """The leaf scheduler's view of the strict part: column-major order
+    lists every column's elements as one contiguous, row-sorted run."""
     return strict.sorted_cols()
 
 
-def _solve_leaf_fast(col_sorted: COOMatrix, rhs: np.ndarray,
-                     step: SolveStep, config, precision, fidelity,
-                     engine_banks, execution: SpTrsvExecution) -> None:
-    """Algorithm 3 with level batching inside one diagonal block.
+@dataclass(frozen=True)
+class LeafSchedule:
+    """Every leaf level of one solve (Algorithm 3) as flat arrays.
 
-    The block's elements are one column-range slice (rows filtered to the
-    block), already in the oracle's (column, row) emission order; depth
-    comes from the same frontier sweep as :func:`level_schedule` and each
-    level's elements are gathered with ``concat_ranges`` instead of
-    per-column concatenation. All per-level arrays — and therefore the
-    float accumulation order of the rhs updates — match the per-column
-    loops of the scalar oracle in :mod:`repro.check.oracles` exactly.
+    Levels are numbered in solve order: leaf by leaf, and shallow to deep
+    inside a leaf. Leaf ``k`` runs levels ``leaf_ptr[k]:leaf_ptr[k + 1]``.
+    Level ``l`` first reads the solved columns
+    ``level_cols[col_ptr[l]:col_ptr[l + 1]]`` (ascending), then applies
+    ``b[rows] -= vals * x[cols]`` over elements
+    ``elem_ptr[l]:elem_ptr[l + 1]``, in (column, row) order. All indices
+    are global. ``batches`` is each level's lock-step batch over the
+    record's banks; ``channel_batches``/``channel_elements`` (one row per
+    channel shard, none when unsharded) split it per channel.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    elem_ptr: np.ndarray
+    level_cols: np.ndarray
+    col_ptr: np.ndarray
+    leaf_ptr: np.ndarray
+    batches: np.ndarray
+    channel_batches: np.ndarray
+    channel_elements: np.ndarray
+
+
+def _leaf_schedule(col_sorted: COOMatrix, leaf_bounds: np.ndarray,
+                   num_banks: int, banks_per_channel: int,
+                   num_channels: int) -> LeafSchedule:
+    """Schedule the levels of every diagonal leaf block in array passes.
+
+    *leaf_bounds* holds each leaf's first row plus ``n``; every leaf is
+    non-empty, as :func:`recursive_plan` makes them. A row's depth inside
+    its leaf only counts dependencies inside that leaf, so one frontier
+    sweep over the intra-leaf edges gives every leaf's depths at once.
+    One stable sort by level then keeps each level's elements in the
+    (column, row) order of *col_sorted*, so the float accumulation order
+    matches the per-column loops of the scalar oracle in
+    :mod:`repro.check.oracles`.
+
+    Fig. 7 cuts a level's ``e`` row-sorted elements into row-contiguous
+    shares of ``ceil(e / num_banks)`` per bank, so the lock-step batch is
+    that share and channel ``ch`` holds elements
+    ``[ch·bpc·share, (ch+1)·bpc·share)`` — no per-level split is needed.
+    """
+    n = col_sorted.shape[0]
+    leaf_of = np.repeat(np.arange(leaf_bounds.size - 1, dtype=np.int64),
+                        np.diff(leaf_bounds))
+    intra = leaf_of[col_sorted.rows] == leaf_of[col_sorted.cols]
+    rows = col_sorted.rows[intra]
+    cols = col_sorted.cols[intra]
+    vals = col_sorted.vals[intra]
+    depth = _level_depths_fast(n, rows, cols)
+    leaf_levels = (np.maximum.reduceat(depth, leaf_bounds[:-1]) + 1 if n
+                   else np.zeros(0, dtype=np.int64))
+    leaf_ptr = np.append(0, np.cumsum(leaf_levels))
+    level_of = leaf_ptr[:-1][leaf_of] + depth
+    num_levels = int(leaf_ptr[-1])
+    col_ptr = np.append(0, np.cumsum(np.bincount(level_of,
+                                                 minlength=num_levels)))
+    elem_level = level_of[cols]
+    order = np.argsort(elem_level, kind="stable")
+    elements = np.bincount(elem_level, minlength=num_levels)
+    batches = -(-elements // num_banks)
+    share = np.maximum(batches, 1)
+    left = elements - (np.arange(num_channels, dtype=np.int64)[:, None]
+                       * banks_per_channel * share)
+    return LeafSchedule(
+        rows=rows[order], cols=cols[order], vals=vals[order],
+        elem_ptr=np.append(0, np.cumsum(elements)),
+        level_cols=np.argsort(level_of, kind="stable"), col_ptr=col_ptr,
+        leaf_ptr=leaf_ptr, batches=batches,
+        channel_batches=np.clip(left, 0, share),
+        channel_elements=np.clip(left, 0, banks_per_channel * share))
+
+
+def _record_levels(schedule: LeafSchedule,
+                   execution: SpTrsvExecution) -> None:
+    """Append the schedule's levels to the record and to every shard.
+
+    Every channel walks the level schedule in lock step (the solved values
+    must reach all channels before the next level — the broadcast seam the
+    trace prices), so each shard records every level, even one where its
+    share of elements is empty.
+    """
+    widths = np.diff(schedule.col_ptr).tolist()
+    execution.level_batches.extend(schedule.batches.tolist())
+    execution.level_elements.extend(np.diff(schedule.elem_ptr).tolist())
+    execution.level_widths.extend(widths)
+    for ch, sub in enumerate(execution.channel_execs):
+        sub.level_batches.extend(schedule.channel_batches[ch].tolist())
+        sub.level_elements.extend(schedule.channel_elements[ch].tolist())
+        sub.level_widths.extend(widths)
+
+
+def _solve_leaf(schedule: LeafSchedule, leaf: int, rhs: np.ndarray,
+                step: SolveStep, precision, fidelity, engine_banks,
+                num_banks: int) -> None:
+    """Run leaf *leaf*'s levels of *schedule* on *rhs*, in order.
+
+    A level's columns are solved once every earlier level has run
+    (x = b under the unit diagonal), so each level reads them from *rhs*.
     """
     lo, hi = step.row_range
-    width = hi - lo
-    if width == 0:
-        return
-    c0 = np.searchsorted(col_sorted.cols, lo, side="left")
-    c1 = np.searchsorted(col_sorted.cols, hi, side="left")
-    erows = col_sorted.rows[c0:c1]
-    # strict lower: every element's row exceeds its column >= lo already
-    keep = erows < hi
-    erows = erows[keep] - lo
-    ecols = col_sorted.cols[c0:c1][keep] - lo
-    evals = col_sorted.vals[c0:c1][keep]
-
-    depth = _level_depths_fast(width, erows, ecols)
-    col_ptr = np.searchsorted(ecols, np.arange(width + 1))
-    num_levels = int(depth.max()) + 1 if width else 0
-    level_order = np.argsort(depth, kind="stable")
-    level_bounds = np.append(0, np.cumsum(np.bincount(depth)))
-    for level in range(num_levels):
-        cols = level_order[level_bounds[level]:level_bounds[level + 1]]
-        starts, ends = col_ptr[cols], col_ptr[cols + 1]
-        gather = concat_ranges(starts, ends)
-        rows = erows[gather]
-        vals = evals[gather]
-        lcols = np.repeat(np.arange(cols.size, dtype=np.int64),
-                          ends - starts)
-        _run_leaf_level(cols, rows, lcols, vals, rhs, lo, width, config,
-                        precision, fidelity, engine_banks, execution)
-
-
-def _run_leaf_level(cols, rows, lcols, vals, rhs, lo, width, config,
-                    precision, fidelity, engine_banks,
-                    execution: SpTrsvExecution) -> None:
-    """Execute one leaf level (shared with the scalar leaf oracle)."""
-    # The columns of this level are solved: x = b (unit diagonal).
-    scales = rhs[lo + cols]
-    per_bank: List[tuple] = []
-    if rows.size:
-        # Row-contiguous shares over the laid-out units: all of
-        # config.total_units in the legacy model, C * banks_per_channel
-        # (channel-major: unit c*bpc+b is channel c, bank b) when sharded.
-        per_bank = _split_rows(rows, lcols, vals, execution.num_banks)
-        batch = max(chunk[0].size for chunk in per_bank)
-        execution.level_batches.append(int(batch))
+    first, last = schedule.leaf_ptr[leaf:leaf + 2].tolist()
+    bounds = schedule.elem_ptr[first:last + 1].tolist()
+    for level in range(first, last):
+        a, b = bounds[level - first], bounds[level - first + 1]
+        if a == b:
+            continue
+        rows = schedule.rows[a:b]
+        cols = schedule.cols[a:b]
+        vals = schedule.vals[a:b]
         if fidelity == "fast":
             # scatter-subtract: a row can receive updates from several
             # columns of the same level, so duplicates must accumulate
-            np.subtract.at(rhs, lo + rows, vals * scales[lcols])
-        else:
-            _leaf_level_functional(per_bank, scales, rhs, lo, width,
-                                   precision, engine_banks)
-    else:
-        execution.level_batches.append(0)
-    execution.level_elements.append(int(rows.size))
-    execution.level_widths.append(int(cols.size))
-    # Per-channel accounting: every channel walks the level schedule in
-    # lock step (the solved values must reach all channels before the next
-    # level — the broadcast seam the trace prices), so each sub-execution
-    # records the level even when its share of elements is empty.
-    bpc = execution.banks_per_channel
-    for ch, sub in enumerate(execution.channel_execs):
-        chunks = per_bank[ch * bpc:(ch + 1) * bpc]
-        sub.level_batches.append(
-            max((chunk[0].size for chunk in chunks), default=0))
-        sub.level_elements.append(
-            int(sum(chunk[0].size for chunk in chunks)))
-        sub.level_widths.append(int(cols.size))
+            np.subtract.at(rhs, rows, vals * rhs[cols])
+            continue
+        solved = schedule.level_cols[
+            schedule.col_ptr[level]:schedule.col_ptr[level + 1]]
+        # Row-contiguous shares over the laid-out units: all of
+        # config.total_units in the legacy model, C * banks_per_channel
+        # (channel-major: unit c*bpc+b is channel c, bank b) when sharded.
+        per_bank = _split_rows(rows - lo, np.searchsorted(solved, cols),
+                               vals, num_banks)
+        _leaf_level_functional(per_bank, rhs[solved], rhs, lo, hi - lo,
+                               precision, engine_banks)
 
 
 def _split_rows(rows, cols, vals, num_banks):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Union
+from typing import Dict, List, NamedTuple, Optional, Union
 
 from ..config import SystemConfig, element_size
 from ..dram import (BankSweep, Command, CommandType, RowVisit, Stretch,
@@ -509,34 +509,48 @@ def sptrsv_ab_segments(execution: SpTrsvExecution, config: SystemConfig,
     if host_channels is None:
         host_channels = config.memory.num_pseudo_channels
     num_channels = host_channels * config.num_cubes
+    phase = rf_batch * params.queue_phases
+    # a level updates at most one output row per element it holds
+    max_rows = min(execution.leaf_size, execution.n)
+    # A level's entries depend only on its width and its batch, which
+    # repeat across levels: build each shape once per call and add the
+    # shared, immutable entries wherever it recurs.
+    merges: Dict[int, List[TraceEntry]] = {}
+    broadcasts: Dict[int, List[TraceEntry]] = {}
+    kernels: Dict[int, List[TraceEntry]] = {}
     out = _SegmentBuilder()
     for level in range(execution.num_levels):
         width = execution.level_widths[level]
         batch_elems = execution.level_batches[level]
         # 1) SB mode: read the solved values of this level's columns
-        out.add(f"L{level}.merge", channel,
-                host_stage(max(1.0, width * vb / num_channels),
-                           write=False, row=OUTPUT_ROW, tag="read_b",
-                           channel=channel))
+        read_bytes = max(1.0, width * vb / num_channels)
+        merge = merges.get(_beats(read_bytes))
+        if merge is None:
+            merge = merges[_beats(read_bytes)] = host_stage(
+                read_bytes, write=False, row=OUTPUT_ROW, tag="read_b",
+                channel=channel)
+        out.add(f"L{level}.merge", channel, merge)
         # 2) AB mode: broadcast them + program the kernel
-        bcast: List[TraceEntry] = list(mode_switch(channel))
-        visits = _RowVisits(bcast, True, channel=channel)
-        visits.columns(INPUT_ROW, True, _beats(width * vb), tag="broadcast")
-        visits.close()
-        bcast += program_load(params, channel=channel)
+        beats = _beats(width * vb)
+        bcast = broadcasts.get(beats)
+        if bcast is None:
+            bcast = broadcasts[beats] = list(mode_switch(channel))
+            visits = _RowVisits(bcast, True, channel=channel)
+            visits.columns(INPUT_ROW, True, beats, tag="broadcast")
+            visits.close()
+            bcast += program_load(params, channel=channel)
         out.add(f"L{level}.broadcast", channel, bcast)
         # 3) AB-PIM: the scalar-multiply level kernel (Algorithm 3)
-        kernel: List[TraceEntry] = list(mode_switch(channel))
-        if batch_elems > 0:
-            phase = rf_batch * params.queue_phases
-            batches = max(1, math.ceil(batch_elems / phase))
-            # a level updates at most one output row per element it holds
-            y_bytes = min(min(execution.leaf_size, execution.n),
-                          batch_elems) * vb
-            kernel += _kernel_batches(batches, phase, eb, params,
-                                      all_bank=True, y_bytes=y_bytes,
-                                      channel=channel)
-        kernel += mode_switch(channel)  # back to SB for the next level
+        kernel = kernels.get(batch_elems)
+        if kernel is None:
+            kernel = kernels[batch_elems] = list(mode_switch(channel))
+            if batch_elems > 0:
+                batches = max(1, math.ceil(batch_elems / phase))
+                kernel += _kernel_batches(
+                    batches, phase, eb, params, all_bank=True,
+                    y_bytes=min(max_rows, batch_elems) * vb,
+                    channel=channel)
+            kernel += mode_switch(channel)  # back to SB for the next level
         out.add(f"L{level}.kernel", channel, kernel)
     # the recursive off-diagonal updates are ordinary SpMVs
     for u, update in enumerate(execution.update_execs):

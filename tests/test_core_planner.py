@@ -212,6 +212,24 @@ def test_spmv_end_to_end_identical(compress, fidelity):
     assert np.allclose(fast.y, matrix.matvec(x))
 
 
+#: Every per-level and per-update list of an SpTRSV execution record.
+SPTRSV_RECORD_LISTS = ("level_batches", "level_elements", "level_widths",
+                       "update_elements", "update_batches")
+
+
+def assert_sptrsv_records_equal(fast, scalar):
+    """The record and every channel shard carry the same lists, of plain
+    ints (the sweep pickles them)."""
+    assert len(fast.channel_execs) == len(scalar.channel_execs)
+    for f, s in zip([fast, *fast.channel_execs],
+                    [scalar, *scalar.channel_execs]):
+        for name in SPTRSV_RECORD_LISTS:
+            assert getattr(f, name) == getattr(s, name), name
+            assert all(type(v) is int for v in getattr(f, name)), name
+        assert ([u.round_batches for u in f.update_execs]
+                == [u.round_batches for u in s.update_execs])
+
+
 @pytest.mark.parametrize("reorder", [True, False])
 def test_sptrsv_end_to_end_identical(reorder):
     tri = unit_lower_from(
@@ -220,11 +238,50 @@ def test_sptrsv_end_to_end_identical(reorder):
     fast = run_sptrsv(tri, b, CFG, reorder=reorder)
     scalar = on_oracle(run_sptrsv, tri, b, CFG, reorder=reorder)
     assert np.array_equal(fast.x, scalar.x)
-    assert fast.execution.level_batches == scalar.execution.level_batches
-    assert fast.execution.level_elements == scalar.execution.level_elements
-    assert fast.execution.level_widths == scalar.execution.level_widths
-    assert fast.execution.update_elements == scalar.execution.update_elements
-    assert fast.execution.update_batches == scalar.execution.update_batches
+    assert_sptrsv_records_equal(fast.execution, scalar.execution)
+
+
+def sptrsv_pin_cases():
+    """``(name, unit lower matrix, leaf_size)`` covering the leaf shapes."""
+    yield "random", unit_lower_from(
+        uniform_random(350, 350, density=0.02, seed=61), seed=62), None
+    n, leaf = 128, 16
+    eye = np.arange(n)
+    rng = np.random.default_rng(65)
+    # empty leaves: only the first leaf holds strictly-lower elements
+    r, c = np.tril_indices(leaf, -1)
+    keep = rng.random(r.size) < 0.3
+    yield "empty_leaves", COOMatrix(
+        (n, n), np.concatenate([eye, r[keep]]),
+        np.concatenate([eye, c[keep]]),
+        np.concatenate([np.ones(n), 0.1 * rng.random(keep.sum())])), leaf
+    # no intra-leaf edges: every element crosses from one leaf to a later
+    # one, so the leaves only run their single element-free level
+    r = rng.integers(n // 2, n, 300)
+    c = rng.integers(0, n // 2, 300)
+    pairs = np.unique(np.stack([r, c]), axis=1)
+    yield "cross_leaf_only", COOMatrix(
+        (n, n), np.concatenate([eye, pairs[0]]),
+        np.concatenate([eye, pairs[1]]),
+        np.concatenate([np.ones(n), 0.01 * rng.random(pairs.shape[1])])), \
+        leaf
+
+
+@pytest.mark.parametrize("reorder", [True, False])
+@pytest.mark.parametrize("lower", [True, False])
+@pytest.mark.parametrize("channels", [None, 4])
+@pytest.mark.parametrize("fidelity", ["fast", "functional"])
+@pytest.mark.parametrize("name,tri,leaf_size", list(sptrsv_pin_cases()))
+def test_sptrsv_records_identical(name, tri, leaf_size, fidelity, channels,
+                                  lower, reorder):
+    work = tri if lower else tri.transpose()
+    b = np.random.default_rng(66).random(tri.shape[0])
+    kwargs = dict(lower=lower, fidelity=fidelity, channels=channels,
+                  reorder=reorder, leaf_size=leaf_size, engine_banks=8)
+    fast = run_sptrsv(work, b, CFG, **kwargs)
+    scalar = on_oracle(run_sptrsv, work, b, CFG, **kwargs)
+    assert np.array_equal(fast.x, scalar.x)
+    assert_sptrsv_records_equal(fast.execution, scalar.execution)
 
 
 def test_sptrsv_deep_chain_identical():
@@ -298,6 +355,20 @@ def test_direct_oracle_calls_match_stages():
                           seed=14)
     assert np.array_equal(sptrsv_mod._level_depths(120, tri),
                           oracles._level_depths_scalar(120, tri))
+    strict = tri.strictly_lower()
+    leaf_bounds = np.array([0, 7, 40, 41, 100, 120])
+    for num_banks, bpc, channels in ((64, 16, 0), (12, 3, 4), (5, 5, 1)):
+        fast = sptrsv_mod._leaf_schedule(
+            sptrsv_mod._leaf_columns(strict), leaf_bounds, num_banks, bpc,
+            channels)
+        scalar = oracles._leaf_schedule_scalar(
+            oracles._leaf_columns_scalar(strict), leaf_bounds, num_banks,
+            bpc, channels)
+        for name in fast.__dataclass_fields__:
+            assert np.array_equal(getattr(fast, name),
+                                  getattr(scalar, name)), name
+        assert fast.channel_batches.shape == (channels,
+                                              fast.batches.size)
 
 
 class TestSelection:

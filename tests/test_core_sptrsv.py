@@ -255,3 +255,48 @@ class TestRunSpTRSV:
         x = run_sptrsv(f.lower, b, CFG).x
         np.testing.assert_allclose(
             x, solve_unit_triangular_reference(f.lower, b), rtol=1e-8)
+
+
+class TestLevelShapeMemo:
+    """The SpTRSV synthesiser builds each level kernel shape once per
+    call; the ``sptrsv_ab`` golden pins the bytes it emits."""
+
+    @staticmethod
+    def _count_kernels(monkeypatch):
+        from repro.core import trace
+        calls = []
+        real = trace._kernel_batches
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trace, "_kernel_batches", counting)
+        return trace, calls
+
+    @staticmethod
+    def _expected(execution):
+        """One kernel per distinct non-zero level batch, plus one per
+        update SpMV round."""
+        levels = {b for b in execution.level_batches if b}
+        rounds = sum(len(u.round_batches) for u in execution.update_execs)
+        assert len(levels) < sum(1 for b in execution.level_batches if b)
+        return len(levels) + rounds
+
+    def test_once_per_distinct_batch(self, monkeypatch):
+        execution = run_sptrsv(lower_case(400, 0.03, seed=5),
+                               RNG.random(400), CFG).execution
+        trace, calls = self._count_kernels(monkeypatch)
+        trace.sptrsv_ab_segments(execution, CFG)
+        assert len(calls) == self._expected(execution)
+        calls.clear()  # per call, not per process: a second call rebuilds
+        trace.sptrsv_ab_segments(execution, CFG)
+        assert len(calls) == self._expected(execution)
+
+    def test_once_per_distinct_batch_per_channel(self, monkeypatch):
+        execution = run_sptrsv(lower_case(400, 0.03, seed=5),
+                               RNG.random(400), CFG, channels=2).execution
+        trace, calls = self._count_kernels(monkeypatch)
+        trace.sptrsv_channels_segments(execution, CFG)
+        assert len(calls) == sum(self._expected(sub)
+                                 for sub in execution.channel_execs)

@@ -14,7 +14,7 @@ from repro import obs
 from repro.config import default_system
 from repro.core import (run_spmm, run_spmv, run_sptrsv,
                         solve_unit_triangular_reference)
-from repro.errors import ExecutionError, ReproError
+from repro.errors import ConfigError, ExecutionError, ReproError
 from repro.formats import COOMatrix
 from repro.formats.generators import uniform_random, unit_lower_from
 
@@ -178,3 +178,31 @@ def test_sptrsv_absent_diagonal_is_unit(lower, fidelity):
     expected = solve_unit_triangular_reference(_triangular(lower, "unit"),
                                                b, lower=lower)
     np.testing.assert_allclose(absent.x, expected, rtol=1e-10)
+
+
+# ----------------------------------------------------------------------
+# run_sptrsv: leaf_size is None (tile capacity) or an integer >= 1
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("lower", [True, False])
+@pytest.mark.parametrize("leaf_size", [0, -1, 2.5, 2.0, "8"])
+def test_sptrsv_rejects_bad_leaf_size_before_planning(recording, leaf_size,
+                                                      lower):
+    tri = _triangular(lower, "unit")
+    with pytest.raises(ConfigError, match="leaf_size"):
+        run_sptrsv(tri, np.ones(40), CFG, lower=lower, leaf_size=leaf_size)
+    spans = [event.name for event in recording.events]
+    assert not [name for name in spans if name.startswith("sptrsv.")], spans
+
+
+def test_sptrsv_leaf_size_integer_and_default():
+    tri = _triangular(True, "unit")
+    b = np.random.default_rng(9).random(40)
+    default = run_sptrsv(tri, b, CFG)
+    capacity = run_sptrsv(tri, b, CFG, leaf_size=np.int64(
+        default.execution.leaf_size))
+    assert default.execution.leaf_size == capacity.execution.leaf_size
+    assert np.array_equal(default.x, capacity.x)
+    one = run_sptrsv(tri, b, CFG, leaf_size=1)
+    assert one.execution.leaf_size == 1
+    # a one-row leaf has nothing to batch: one element-free level each
+    assert one.execution.level_elements == [0] * 40

@@ -17,7 +17,7 @@ from typing import Dict
 import numpy as np
 
 from ..errors import ExecutionError
-from ..formats import COOMatrix
+from ..formats import COOMatrix, group_starts, stable_order
 from .backends import Backend
 
 
@@ -167,6 +167,7 @@ def _symmetrise(graph: COOMatrix) -> COOMatrix:
     cols = np.concatenate([graph.cols, graph.rows])
     n = graph.shape[1]
     keys = rows * n + cols
-    _, first = np.unique(keys, return_index=True)
+    order = stable_order(keys)
+    first = order[group_starts(keys[order])]
     return COOMatrix(graph.shape, rows[first], cols[first],
                      np.ones(first.size), check=False)

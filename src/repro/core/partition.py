@@ -29,7 +29,7 @@ import numpy as np
 
 from ..config import SystemConfig, element_size
 from ..errors import MappingError
-from ..formats import COOMatrix
+from ..formats import COOMatrix, group_starts, stable_order
 
 
 @dataclass
@@ -213,22 +213,14 @@ def _partition_fast(srt: COOMatrix, shape, tile_rows, tile_cols,
         local_col = cols - seg * tile_cols
 
     # Stable sort by (block, segment): groups become contiguous while the
-    # incoming (row, col) order inside each group survives. Stability is
-    # bought by appending each element's position to the key — unique keys
-    # let the faster non-stable sort produce the stable permutation.
+    # incoming (row, col) order inside each group survives.
     seg_capacity = math.ceil(max(ncols, 1) / tile_cols) + 1
     composite = block * seg_capacity + seg
-    if int(composite.max()) < (2 ** 63 - 1 - nnz) // nnz:
-        order = np.argsort(composite * nnz
-                           + np.arange(nnz, dtype=np.int64))
-    else:  # giant key space: fall back to the stable sort
-        order = np.argsort(composite, kind="stable")
+    order = stable_order(composite)
     sorted_composite = composite[order]
-    group_starts = np.flatnonzero(
-        np.concatenate(([True], sorted_composite[1:]
-                        != sorted_composite[:-1])))
-    group_keys = sorted_composite[group_starts]
-    group_bounds = np.append(group_starts, nnz)
+    starts = group_starts(sorted_composite)
+    group_keys = sorted_composite[starts]
+    group_bounds = np.append(starts, nnz)
 
     local_rows = (rows - block * tile_rows)[order]
     local_cols = local_col[order]

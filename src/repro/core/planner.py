@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..formats import stable_order
+
 
 def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Concatenate ``[starts[k], ends[k])`` index ranges into one array.
@@ -40,7 +42,7 @@ def stable_desc_order(weights: np.ndarray) -> np.ndarray:
     are stable), so the fast distribution paths preserve the scalar
     oracle's tie-break order.
     """
-    return np.argsort(-np.asarray(weights, dtype=np.int64), kind="stable")
+    return stable_order(-np.asarray(weights, dtype=np.int64))
 
 
 __all__ = ["concat_ranges", "stable_desc_order"]

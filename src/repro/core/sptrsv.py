@@ -29,7 +29,7 @@ import numpy as np
 
 from ..config import SystemConfig, check_channels
 from ..errors import ConfigError, ExecutionError, MappingError, SolverError
-from ..formats import COOMatrix, CSRMatrix, reject_nan
+from ..formats import COOMatrix, CSRMatrix, reject_nan, stable_order
 from ..kernels import Tile, run_tile_round
 from ..pim import LaneEngine
 from .. import obs
@@ -594,7 +594,7 @@ def _leaf_schedule(col_sorted: COOMatrix, leaf_bounds: np.ndarray,
     col_ptr = np.append(0, np.cumsum(np.bincount(level_of,
                                                  minlength=num_levels)))
     elem_level = level_of[cols]
-    order = np.argsort(elem_level, kind="stable")
+    order = stable_order(elem_level)
     elements = np.bincount(elem_level, minlength=num_levels)
     batches = -(-elements // num_banks)
     share = np.maximum(batches, 1)
@@ -603,7 +603,7 @@ def _leaf_schedule(col_sorted: COOMatrix, leaf_bounds: np.ndarray,
     return LeafSchedule(
         rows=rows[order], cols=cols[order], vals=vals[order],
         elem_ptr=np.append(0, np.cumsum(elements)),
-        level_cols=np.argsort(level_of, kind="stable"), col_ptr=col_ptr,
+        level_cols=stable_order(level_of), col_ptr=col_ptr,
         leaf_ptr=leaf_ptr, batches=batches,
         channel_batches=np.clip(left, 0, share),
         channel_elements=np.clip(left, 0, banks_per_channel * share))
@@ -664,7 +664,7 @@ def _solve_leaf(schedule: LeafSchedule, leaf: int, rhs: np.ndarray,
 
 def _split_rows(rows, cols, vals, num_banks):
     """Fig. 7: cut the level's elements into row-contiguous bank shares."""
-    order = np.argsort(rows, kind="stable")
+    order = stable_order(rows)
     rows, cols, vals = rows[order], cols[order], vals[order]
     share = max(1, math.ceil(rows.size / num_banks))
     chunks = []

@@ -37,7 +37,7 @@ import numpy as np
 
 from ..config import SystemConfig, check_channels, check_strategy
 from ..errors import ConfigError, MappingError
-from ..formats import COOMatrix
+from ..formats import COOMatrix, group_starts, stable_order
 from .partition import (PartitionPlan, SubMatrix, _check_plan, partition,
                         tile_capacity)
 from .spmv import SpmvExecution
@@ -154,17 +154,6 @@ def make_strategy(strategy: str = "paper"):
 # ----------------------------------------------------------------------
 # shared array-native machinery
 # ----------------------------------------------------------------------
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """Stable ascending argsort of integer *keys* (fast-planner trick:
-    append each element's position so the non-stable sort is stable)."""
-    nnz = keys.size
-    if nnz == 0:
-        return np.zeros(0, dtype=np.int64)
-    if int(keys.max()) < (2 ** 63 - 1 - nnz) // nnz:
-        return np.argsort(keys * nnz + np.arange(nnz, dtype=np.int64))
-    return np.argsort(keys, kind="stable")
-
-
 def _nnz_row_bounds(srt: COOMatrix, nrows: int,
                     tile_rows: int) -> np.ndarray:
     """Variable-height row-block boundaries balanced by nnz.
@@ -274,11 +263,9 @@ def _cut_blocks_compressed(srt: COOMatrix, shape, row_bounds: np.ndarray,
     key_local = np.arange(keys.size, dtype=np.int64) \
         - group_first[group_of_key]
 
-    order = _stable_order(group_of_key[key_of])
-    sorted_group = group_of_key[key_of][order]
-    el_first = np.flatnonzero(np.concatenate(
-        ([True], sorted_group[1:] != sorted_group[:-1])))
-    el_bounds = np.append(el_first, nnz)
+    elem_group = group_of_key[key_of]
+    order = stable_order(elem_group)
+    el_bounds = np.append(group_starts(elem_group[order]), nnz)
 
     local_rows = (rows - row_bounds[block])[order]
     local_cols = key_local[key_of][order]
@@ -312,9 +299,9 @@ def _cut_blocks_raw(srt: COOMatrix, shape, row_bounds: np.ndarray,
     seg = cols // tile_cols
     nsegs = -(-ncols // tile_cols)
     composite = block * nsegs + seg
-    order = _stable_order(composite)
+    order = stable_order(composite)
     sc = composite[order]
-    first = np.flatnonzero(np.concatenate(([True], sc[1:] != sc[:-1])))
+    first = group_starts(sc)
     el_bounds = np.append(first, nnz)
     gk = sc[first]
     g_block = gk // nsegs
@@ -383,9 +370,9 @@ def _cut_2d_grid(srt: COOMatrix, shape, tile_rows: int, tile_cols: int,
     tile_key_first = np.searchsorted(key_tile, key_tile, side="left")
     key_local = np.arange(keys.size, dtype=np.int64) - tile_key_first
 
-    order = _stable_order(tile_id)
+    order = stable_order(tile_id)
     st = tile_id[order]
-    el_first = np.flatnonzero(np.concatenate(([True], st[1:] != st[:-1])))
+    el_first = group_starts(st)
     el_bounds = np.append(el_first, nnz)
     g_tile = st[el_first]
     key_lo = np.searchsorted(key_tile, g_tile, side="left")

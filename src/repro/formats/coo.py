@@ -22,6 +22,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from ..errors import FormatError
+from .order import stable_order
 
 
 class COOMatrix:
@@ -175,7 +176,8 @@ class COOMatrix:
     def _order(major: np.ndarray, minor: np.ndarray,
                shape: Tuple[int, int]) -> np.ndarray:
         """The stable (major, minor) permutation, ``np.lexsort((minor,
-        major))``, as one stable argsort of ``major * n_minor + minor``.
+        major))``, as one :func:`stable_order` of ``major * n_minor +
+        minor``.
 
         In-range coordinates make the fused key order-preserving and
         equal only for equal coordinates, so the permutation is the
@@ -189,7 +191,7 @@ class COOMatrix:
         key = major.astype(np.int64)
         key *= n_minor
         key += minor
-        return np.argsort(key, kind="stable")
+        return stable_order(key)
 
     @staticmethod
     def _is_sorted(major: np.ndarray, minor: np.ndarray) -> bool:

@@ -31,6 +31,7 @@ import numpy as np
 
 from ..errors import FormatError
 from .coo import COOMatrix
+from .order import group_starts, stable_order
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -41,7 +42,8 @@ def _dedupe(shape: Tuple[int, int], rows: np.ndarray, cols: np.ndarray,
             vals: Optional[np.ndarray] = None) -> COOMatrix:
     """Drop duplicate coordinates (keeping the first occurrence)."""
     keys = rows.astype(np.int64) * shape[1] + cols
-    _, first = np.unique(keys, return_index=True)
+    order = stable_order(keys)
+    first = order[group_starts(keys[order])]
     first.sort()
     if vals is None:
         vals = np.ones(first.size)
@@ -122,32 +124,35 @@ def banded_fem(n: int, avg_row_nnz: float, bandwidth: Optional[int] = None,
     rng = _rng(seed)
     if bandwidth is None:
         bandwidth = max(2, int(3 * avg_row_nnz))
-    half = max(1, int((avg_row_nnz - 1) / 2))
-    rows_list = []
-    cols_list = []
-    # Per-row couplings: offsets within the band, lower triangle only,
-    # then symmetrised. Poisson-vary the count for realistic imbalance.
-    counts = rng.poisson(half, size=n)
-    total = int(counts.sum())
-    row_idx = np.repeat(np.arange(n), counts)
-    offsets = rng.integers(1, bandwidth + 1, size=total)
-    col_idx = row_idx - offsets
-    ok = col_idx >= 0
-    rows_list.append(row_idx[ok])
-    cols_list.append(col_idx[ok])
-    low_rows = np.concatenate(rows_list)
-    low_cols = np.concatenate(cols_list)
-    lower = _dedupe((n, n), low_rows, low_cols)
+    lower = _band_lower(n, max(1, int((avg_row_nnz - 1) / 2)), bandwidth,
+                        rng)
     off_vals = rng.standard_normal(lower.nnz)
+    # Diagonal dominance: row sums of |off-diagonals| plus a positive shift.
+    # One bincount over both halves, rows first: it sums each row in the
+    # same order as scattering the two halves one after the other.
+    abs_sum = np.bincount(np.concatenate([lower.rows, lower.cols]),
+                          weights=np.tile(np.abs(off_vals), 2), minlength=n)
+    diag = abs_sum + 1.0 + rng.random(n)
     rows = np.concatenate([lower.rows, lower.cols, np.arange(n)])
     cols = np.concatenate([lower.cols, lower.rows, np.arange(n)])
-    # Diagonal dominance: row sums of |off-diagonals| plus a positive shift.
-    abs_sum = np.zeros(n)
-    np.add.at(abs_sum, lower.rows, np.abs(off_vals))
-    np.add.at(abs_sum, lower.cols, np.abs(off_vals))
-    diag = abs_sum + 1.0 + rng.random(n)
     vals = np.concatenate([off_vals, off_vals, diag])
     return COOMatrix((n, n), rows, cols, vals, check=False)
+
+
+def _band_lower(n: int, half: int, bandwidth: int,
+                rng: np.random.Generator) -> COOMatrix:
+    """Strictly-lower couplings of :func:`banded_fem`, deduplicated.
+
+    Each row draws a Poisson(*half*) count (realistic imbalance) of
+    offsets in ``[1, bandwidth]`` below the diagonal. A function of its
+    own, so the per-draw arrays are freed before the symmetrised matrix
+    is built.
+    """
+    counts = rng.poisson(half, size=n)
+    row_idx = np.repeat(np.arange(n), counts)
+    col_idx = row_idx - rng.integers(1, bandwidth + 1, size=row_idx.size)
+    ok = col_idx >= 0
+    return _dedupe((n, n), row_idx[ok], col_idx[ok])
 
 
 # ----------------------------------------------------------------------
@@ -262,15 +267,15 @@ def make_spd(matrix: COOMatrix, shift: float = 1.0) -> COOMatrix:
     cols = np.concatenate([matrix.cols, at.cols])
     vals = np.concatenate([matrix.vals, at.vals]) * 0.5
     keys = rows * n + cols
-    order = np.argsort(keys, kind="stable")
-    keys, rows, cols, vals = keys[order], rows[order], cols[order], vals[order]
-    uniq, start = np.unique(keys, return_index=True)
+    order = stable_order(keys)
+    keys, vals = keys[order], vals[order]
+    start = group_starts(keys)
     summed = np.add.reduceat(vals, start)
+    uniq = keys[start]
     rows, cols = uniq // n, uniq % n
     off = rows != cols
     rows, cols, summed = rows[off], cols[off], summed[off]
-    dom = np.zeros(n)
-    np.add.at(dom, rows, np.abs(summed))
+    dom = np.bincount(rows, weights=np.abs(summed), minlength=n)
     idx = np.arange(n)
     return COOMatrix((n, n), np.concatenate([rows, idx]),
                      np.concatenate([cols, idx]),
@@ -293,8 +298,7 @@ def unit_lower_from(matrix: COOMatrix, scale: float = 0.9,
     low = matrix.strictly_lower()
     rng = _rng(seed)
     raw = rng.random(low.nnz) + 0.1
-    row_sum = np.zeros(n)
-    np.add.at(row_sum, low.rows, raw)
+    row_sum = np.bincount(low.rows, weights=raw, minlength=n)
     denom = np.maximum(row_sum[low.rows], 1e-12)
     vals = raw / denom * scale * np.sign(rng.standard_normal(low.nnz))
     idx = np.arange(n)

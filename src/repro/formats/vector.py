@@ -14,6 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import FormatError
+from .order import stable_order
 
 
 def reject_nan(**operands) -> None:
@@ -78,7 +79,7 @@ class SparseVector:
 
     def sorted(self) -> "SparseVector":
         """Copy with ascending indices (the order the SpVQs stream in)."""
-        order = np.argsort(self.indices, kind="stable")
+        order = stable_order(self.indices)
         return SparseVector(self.length, self.indices[order],
                             self.values[order], check=False)
 

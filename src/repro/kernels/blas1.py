@@ -20,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..errors import ExecutionError
-from ..formats import SparseVector
+from ..formats import SparseVector, stable_order
 from ..pim import AllBankEngine, Beat, LaneEngine, padded_triples
 from . import programs
 from .base import (LaunchStats, groups_for, join_even, launch, passes,
@@ -339,10 +339,9 @@ def gather(dense: np.ndarray, num_banks: int = 16,
         valid = region.rows >= 0
         indices.extend((region.rows[valid] + b * chunk).tolist())
         values.extend(region.vals[valid].tolist())
-    order = np.argsort(indices, kind="stable") if indices else []
-    result = SparseVector(dense.size,
-                          np.asarray(indices, dtype=np.int64)[order],
-                          np.asarray(values)[order])
+    idx = np.asarray(indices, dtype=np.int64)
+    order = stable_order(idx)
+    result = SparseVector(dense.size, idx[order], np.asarray(values)[order])
     return KernelRun(result, stats, engine)
 
 

@@ -22,7 +22,7 @@ from typing import List
 import numpy as np
 
 from ..errors import ExecutionError
-from ..formats import SparseVector
+from ..formats import SparseVector, stable_order
 from ..isa import assemble
 from ..pim import AllBankEngine, Beat, LaneEngine, padded_triples
 from .base import LaunchStats, launch, passes
@@ -123,6 +123,6 @@ def _collect(engine: AllBankEngine, length: int, chunk: int) -> SparseVector:
         in_range = global_idx < length
         indices.extend(global_idx[in_range].tolist())
         values.extend(region.vals[valid][in_range].tolist())
-    order = np.argsort(indices, kind="stable") if indices else []
-    return SparseVector(length, np.asarray(indices, dtype=np.int64)[order],
-                        np.asarray(values)[order])
+    idx = np.asarray(indices, dtype=np.int64)
+    order = stable_order(idx)
+    return SparseVector(length, idx[order], np.asarray(values)[order])

@@ -71,7 +71,10 @@ CACHE_DIR_ENV = "PSYNCPIM_CACHE_DIR"
 #: v11: the sweep's ``plan`` kind holds ``(SpmvExecution, tile count)``
 #: instead of the ``(PartitionPlan, Assignment)`` layout, and its key
 #: gained the matrix format (which the stored record depends on).
-CACHE_VERSION = 11
+#: v12: the SpTRSV ``solve`` kind holds ``(SpTrsvExecution, levels, n,
+#: nnz, residual)`` instead of the solution vector, so a warm job never
+#: loads the ILDU ``factors``.
+CACHE_VERSION = 12
 
 #: On-disk artifact header: magic, then the SHA-256 of the payload.
 _MAGIC = b"PSPC1\n"
@@ -112,7 +115,8 @@ def _feed(h, obj: Any) -> None:
         h.update(b"\x00Y" + obj)
     elif isinstance(obj, np.ndarray):
         h.update(b"\x00A" + obj.dtype.str.encode() + str(obj.shape).encode())
-        h.update(np.ascontiguousarray(obj).tobytes())
+        # The buffer itself, not a ``tobytes()`` copy: the same bytes.
+        h.update(np.ascontiguousarray(obj).data)
     elif isinstance(obj, enum.Enum):
         h.update(b"\x00E" + type(obj).__name__.encode() + obj.name.encode())
     elif isinstance(obj, COOMatrix):

@@ -279,34 +279,34 @@ def _sptrsv_pipeline(job: SweepJob, cache: ArtifactCache,
     config = job.system()
     params = TraceParams()
     mkey = matrix_digest(matrix)
-
-    factors = cache.get_or_compute("factors", cache.key("ildu", mkey),
-                                   lambda: ildu(matrix))
-    tri = factors.lower if job.lower else factors.upper
-    n = tri.shape[0]
-    b = np.random.default_rng(job.seed).random(n)
     channels, strategy = job.channels, job.strategy
 
     solve_key = cache.key("sptrsv-solve", mkey, job.lower, config,
                           job.precision, job.seed, channels, strategy)
 
     def compute_solve():
+        # A warm job reads n, nnz and the residual from the solve entry,
+        # so only a cold solve loads (or factors) the ILDU triangles.
+        factors = cache.get_or_compute("factors", cache.key("ildu", mkey),
+                                       lambda: ildu(matrix))
+        tri = factors.lower if job.lower else factors.upper
+        b = np.random.default_rng(job.seed).random(tri.shape[0])
         result = run_sptrsv(tri, b, config, lower=job.lower,
                             precision=job.precision, channels=channels,
                             strategy=strategy)
         levels = len(level_schedule(tri, lower=job.lower))
-        return result.execution, result.x, levels
+        residual = float(np.abs(tri.matvec(result.x) - b).max())
+        return result.execution, levels, tri.shape[0], tri.nnz, residual
 
-    execution, x, levels = cache.get_or_compute("solve", solve_key,
-                                                compute_solve)
-    residual = float(np.abs(tri.matvec(x) - b).max())
+    execution, levels, n, nnz, residual = cache.get_or_compute(
+        "solve", solve_key, compute_solve)
 
     trace_key = cache.key("sptrsv-trace", solve_key, params)
     report, run_report = _priced(job, cache, execution, config, params,
                                  trace_key)
     extras = {
         "dimension": n,
-        "nnz": tri.nnz,
+        "nnz": nnz,
         "levels": levels,
         "residual": residual,
         "factor": "lower" if job.lower else "upper",

@@ -371,6 +371,33 @@ def test_direct_oracle_calls_match_stages():
                                               fast.batches.size)
 
 
+def test_sptrsv_oracles_sort_without_stable_order(monkeypatch):
+    """The SpTRSV oracles build their CSR with numpy's stable argsort, not
+    :func:`repro.formats.stable_order`: they stay independent of the
+    helper the fast stages use, so the planner microbenchmark's reference
+    side does not speed up with it."""
+    sptrsv_mod = importlib.import_module("repro.core.sptrsv")
+    tri = unit_lower_from(uniform_random(400, 400, density=0.02, seed=15),
+                          seed=16)
+    strict = tri.strictly_lower()
+    assert strict.nnz >= 1024  # long enough to take the packed sort
+    depths = sptrsv_mod._level_depths(400, tri)
+    columns = sptrsv_mod._leaf_columns(strict)
+
+    def forbidden(keys):
+        raise AssertionError("an oracle sorted through stable_order")
+
+    for name in ("repro.formats.coo", "repro.formats.order"):
+        monkeypatch.setattr(importlib.import_module(name), "stable_order",
+                            forbidden)
+    assert np.array_equal(oracles._level_depths_scalar(400, tri), depths)
+    scalar = oracles._leaf_columns_scalar(strict)
+    assert np.array_equal(scalar.indices, columns.rows)
+    assert np.array_equal(scalar.data, columns.vals)
+    assert np.array_equal(np.diff(scalar.indptr),
+                          np.bincount(columns.cols, minlength=400))
+
+
 class TestSelection:
     """There is one planner: no argument or environment variable picks
     the scalar loops in production."""

@@ -1,7 +1,9 @@
 """Tests for repro.sweep — parallel sweeps with artifact caching."""
 
+import hashlib
 import pickle
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,14 +11,15 @@ import pytest
 from repro import PSyncPIM
 from repro.analysis import SweepResult
 from repro.config import default_system
-from repro.core import SpmvExecution, plan_spmv, run_spmv, time_spmv
+from repro.core import SpmvExecution, ildu, plan_spmv, run_spmv, time_spmv
 from repro.errors import ConfigError, ExecutionError
-from repro.formats import generate
+from repro.formats import COOMatrix, generate
 from repro.sweep import (CACHE_DIR_ENV, FUZZ_SEEDS_PER_JOB, SCALE_ENV,
                          WORKERS_ENV, ArtifactCache, SweepJob,
                          default_cache_dir, execute_job, matrix_digest,
                          resolve_bench_scale, resolve_workers, run_sweep,
                          stable_digest, suite_jobs)
+from repro.sweep.cache import _feed
 from tests.test_no_selection_knobs import LEGACY_SCALE_VAR
 
 MATRIX = "facebook"
@@ -59,22 +62,61 @@ class TestStableDigest:
             stable_digest(object())
 
 
-class TestCacheVersion:
-    """The sweep's ``plan`` kind holds the execution record and the tile
-    count instead of the tile layout, and its key gained the matrix
-    format, so the layout is v11."""
+@dataclass(frozen=True)
+class FeedKey:
+    name: str
+    size: int
+    weights: tuple
 
-    def test_version_is_eleven(self):
+
+def feed_parts():
+    grid = np.arange(24, dtype=np.int64).reshape(4, 6)
+    return [7, -3, np.int32(12), 2.5, np.float32(0.1), "sweep", True, None,
+            grid[:, ::2], np.asfortranarray(grid.astype(np.float64)),
+            COOMatrix((3, 4), [0, 2, 1], [3, 0, 1], [1.5, -2.0, 4.0]),
+            FeedKey("cant", 64, (0.5, 1))]
+
+
+class TestFeedEncoding:
+    """The byte stream cache keys are hashed from, without the version
+    prefix: a change here rotates every key, so it must come with a
+    ``CACHE_VERSION`` bump and a new pin."""
+
+    PINNED = ("f773ee980c51697eff75d76ee5a32dcf"
+              "20f41244edd9f6e706e6bd6ddc0d8cf5")
+
+    def test_encoding_is_pinned(self):
+        h = hashlib.sha256()
+        for part in feed_parts():
+            _feed(h, part)
+        assert h.hexdigest() == self.PINNED
+
+    @pytest.mark.parametrize("view", [
+        lambda a: a[:, ::2], lambda a: a[::-1], lambda a: a.T,
+        lambda a: np.asfortranarray(a)])
+    def test_strided_array_hashes_like_its_contiguous_copy(self, view):
+        arr = view(np.arange(24, dtype=np.float64).reshape(4, 6))
+        assert stable_digest(arr) == \
+            stable_digest(np.ascontiguousarray(arr).copy())
+
+
+class TestCacheVersion:
+    """The SpTRSV ``solve`` kind holds the record, level count, dimension,
+    nnz and residual instead of the solution vector, so the layout is
+    v12."""
+
+    def test_version_is_twelve(self):
         from repro.sweep.cache import CACHE_VERSION
-        assert CACHE_VERSION == 11
+        assert CACHE_VERSION == 12
 
     def test_version_participates_in_every_digest(self, monkeypatch):
-        # Pre-v11 artifacts (keyed under CACHE_VERSION=10, whose plan
-        # entries hold the tile layout) must never be served: the version
-        # is folded into stable_digest, so bumping it rotates every key.
+        # Pre-v12 artifacts (keyed under CACHE_VERSION=11, whose solve
+        # entries hold the solution vector) must never be served: the
+        # version is folded into stable_digest, so bumping it rotates
+        # every key.
         from repro.sweep import cache as cache_mod
         current = cache_mod.stable_digest("spmv-plan", MATRIX)
-        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 10)
+        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 11)
         previous = cache_mod.stable_digest("spmv-plan", MATRIX)
         assert current != previous
 
@@ -82,16 +124,16 @@ class TestCacheVersion:
                                                   monkeypatch):
         from repro.sweep import cache as cache_mod
         cache = ArtifactCache(tmp_path)
-        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 10)
-        old_key = cache.key("kernel", MATRIX)
-        cache.store("plan", old_key, {"stale": True})
         monkeypatch.setattr(cache_mod, "CACHE_VERSION", 11)
+        old_key = cache.key("kernel", MATRIX)
+        cache.store("solve", old_key, {"stale": True})
+        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 12)
         new_key = cache.key("kernel", MATRIX)
         assert new_key != old_key
-        computed = cache.get_or_compute("plan", new_key,
+        computed = cache.get_or_compute("solve", new_key,
                                         lambda: {"stale": False})
         assert computed == {"stale": False}
-        assert cache.misses["plan"] == 1
+        assert cache.misses["solve"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -642,6 +684,46 @@ class TestPlanStageStoresTheExecution:
         plan_calls.clear()
         assert execute_job(job, cache_dir=tmp_path).cache_misses == 0
         assert plan_calls == []
+
+
+class TestSolveStageSkipsTheFactors:
+    """A warm SpTRSV job reads dimension, nnz and residual from its solve
+    entry; only a cold solve touches the ILDU factors."""
+
+    @pytest.fixture
+    def loaded_kinds(self, monkeypatch):
+        kinds = []
+        original = ArtifactCache.load
+
+        def counted(self, kind, key):
+            kinds.append(kind)
+            return original(self, kind, key)
+
+        monkeypatch.setattr(ArtifactCache, "load", counted)
+        return kinds
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_warm_record_equals_cold_without_factors(self, lower,
+                                                     loaded_kinds,
+                                                     tmp_path):
+        job = SweepJob(kernel="sptrsv", matrix="rma10", scale=0.01,
+                       lower=lower, seed=3, with_energy=True, attrib=True)
+        cold = execute_job(job, cache_dir=tmp_path)
+        assert not cold.failed, cold.error
+        assert "factors" in loaded_kinds
+        loaded_kinds.clear()
+        warm = execute_job(job, cache_dir=tmp_path)
+        assert warm.cache_misses == 0
+        assert "solve" in loaded_kinds and "factors" not in loaded_kinds
+        assert warm.report == cold.report
+        assert warm.extras == cold.extras
+        assert warm.attrib.to_dict() == cold.attrib.to_dict()
+        uncached = execute_job(job, use_cache=False)
+        assert uncached.extras == cold.extras
+        tri = ildu(job.load_matrix())
+        tri = tri.lower if lower else tri.upper
+        assert cold.extras["dimension"] == tri.shape[0]
+        assert cold.extras["nnz"] == tri.nnz
 
 
 class TestLabels:

@@ -223,33 +223,6 @@ class SweepResult:
                 merged[self._metric_key(record, name)] = float(value)
         return merged
 
-    def merged_bank_counters(self) -> Dict[str, List[float]]:
-        """Elementwise-summed per-bank counter arrays across all records.
-
-        Arrays of different lengths (e.g. C=4 vs C=16 shard widths in one
-        sweep) are summed over their common prefix with the longer tail
-        preserved. Failed jobs' partial arrays are kept under the
-        ``failed[<label>].`` namespace instead of being dropped.
-        """
-        merged: Dict[str, List[float]] = {}
-        for record in self.records:
-            if not record.metrics:
-                continue
-            payload = record.metrics.get("bank_counters", {})
-            for name, values in payload.items():
-                key = self._metric_key(record, name)
-                values = [float(v) for v in values]
-                have = merged.get(key)
-                if have is None:
-                    merged[key] = values
-                    continue
-                if len(values) > len(have):
-                    have, values = values, have
-                for i, v in enumerate(values):
-                    have[i] += v
-                merged[key] = have
-        return merged
-
     # -- attribution ---------------------------------------------------
     def attrib_reports(self) -> Dict[str, Any]:
         """RunReports of jobs that ran with attribution on, by label."""

@@ -232,8 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("path", nargs="?", default=None,
                          help="obs output dir or metrics.json (default: "
                               "PSYNCPIM_OBS_DIR or ./psyncpim-obs)")
-    profile.add_argument("--banks", type=int, default=16,
-                         help="per-bank table rows to show (default 16)")
     profile.set_defaults(handler=_cmd_profile)
 
     check = sub.add_parser(
@@ -653,7 +651,7 @@ def _cmd_profile(args) -> int:
         print(f"error: no metrics at {path}; run a command with "
               f"PSYNCPIM_OBS=1 first", file=sys.stderr)
         return 1
-    print(obs.render_profile(metrics, max_banks=args.banks))
+    print(obs.render_profile(metrics))
     return 0
 
 

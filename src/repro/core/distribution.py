@@ -177,6 +177,17 @@ def split_oversized(tiles: Sequence[SubMatrix],
     return out
 
 
+#: Round-formation policies: descending-size packing with oversized-tile
+#: splits (the paper's), plain round-robin, and greedy least-loaded.
+POLICIES = ("paper", "naive", "balanced")
+
+
+def check_policy(policy: str) -> None:
+    """Reject a distribution policy outside :data:`POLICIES`."""
+    if policy not in POLICIES:
+        raise MappingError(f"unknown distribution policy {policy!r}")
+
+
 def distribute(plan: PartitionPlan, num_banks: int,
                policy: str = "paper",
                balance_slack: float = 0.6) -> Assignment:
@@ -201,6 +212,7 @@ def _distribute_tiles(tiles: Sequence[SubMatrix], num_banks: int,
     :func:`shard_channels` (one channel's tile shard)."""
     if num_banks <= 0:
         raise MappingError("need at least one bank")
+    check_policy(policy)
     if total_nnz is None:
         total_nnz = int(_tile_nnz(tiles).sum()) if tiles else 0
     if policy == "paper":
@@ -214,10 +226,8 @@ def _distribute_tiles(tiles: Sequence[SubMatrix], num_banks: int,
         rounds = _round_robin_fast(_by_desc_nnz(tiles), num_banks)
     elif policy == "naive":
         rounds = _round_robin_fast(tiles, num_banks)
-    elif policy == "balanced":
-        rounds = _balanced_fast(tiles, num_banks)
     else:
-        raise MappingError(f"unknown distribution policy {policy!r}")
+        rounds = _balanced_fast(tiles, num_banks)
     return Assignment(num_banks=num_banks, rounds=rounds, policy=policy)
 
 

@@ -21,10 +21,9 @@ from typing import Optional
 import numpy as np
 
 from ..config import SystemConfig, default_system
-from ..errors import ExecutionError
 from ..formats import COOMatrix
 from .spmm import run_spmm
-from .spmv import SpmvResult, run_spmv
+from .spmv import SpmvResult, check_fidelity, run_spmv
 from .sptrsv import ILDUFactors, SpTrsvResult, ildu, run_sptrsv
 from .timing import PerfReport, time_dense_kernel, time_spmm, time_sptrsv
 from .trace import TraceParams
@@ -40,8 +39,7 @@ class PSyncPIM:
                  config: Optional[SystemConfig] = None,
                  channels: Optional[int] = None,
                  strategy: str = "paper") -> None:
-        if fidelity not in ("fast", "functional"):
-            raise ExecutionError(f"unknown fidelity {fidelity!r}")
+        check_fidelity(fidelity)
         self.config = config or default_system(num_cubes)
         self.precision = precision
         self.fidelity = fidelity

@@ -36,8 +36,9 @@ from ..kernels import Tile, run_tile_block
 from .. import obs
 from ..pim import LaneEngine
 from .distribution import (Assignment, ChannelAssignment,
-                           accumulation_traffic_bytes, distribute,
-                           replication_traffic_bytes, shard_channels)
+                           accumulation_traffic_bytes, check_policy,
+                           distribute, replication_traffic_bytes,
+                           shard_channels)
 from .partition import PartitionPlan, partition
 
 
@@ -132,6 +133,19 @@ def element_bytes(precision: str) -> int:
     return 4 + element_size(precision)
 
 
+#: Execution tiers (see the module docstring).
+FIDELITIES = ("fast", "functional")
+
+#: On-bank matrix representations the timing model prices.
+MATRIX_FORMATS = ("coo", "csr", "bitmap")
+
+
+def check_fidelity(fidelity: str) -> None:
+    """Reject an execution tier outside :data:`FIDELITIES`."""
+    if fidelity not in FIDELITIES:
+        raise ExecutionError(f"unknown fidelity {fidelity!r}")
+
+
 def plan_spmv(matrix: COOMatrix, config: SystemConfig,
               precision: str = "fp64", compress: bool = True,
               policy: str = "paper", matrix_format: str = "coo",
@@ -166,6 +180,9 @@ def plan_spmv(matrix: COOMatrix, config: SystemConfig,
     when a pre-built *plan* is injected.
     """
     channels = check_channels(channels)
+    check_policy(policy)
+    if matrix_format not in MATRIX_FORMATS:
+        raise ExecutionError(f"unknown matrix format {matrix_format!r}")
     if plan is None:
         strategy = check_strategy(strategy)
         if strategy == "auto":
@@ -375,6 +392,8 @@ def _run(matrix: COOMatrix, x: np.ndarray, y0: Optional[np.ndarray],
     checked ``(m, k)`` seed; the result's ``y`` is ``(m, k)``. *layout*
     holds the :func:`plan_spmv` keywords.
     """
+    check_fidelity(fidelity)
+    _check_semiring(fidelity, accumulate, multiply)
     num_rhs = x.shape[1]
     plan, assignment, execution = plan_spmv(matrix, config,
                                             precision=precision, **layout)
@@ -390,8 +409,6 @@ def _run(matrix: COOMatrix, x: np.ndarray, y0: Optional[np.ndarray],
     # flattened lane rounds are semantically a wider single round.
     rounds = (assignment.rounds if isinstance(assignment, Assignment)
               else _lane_rounds(assignment))
-    if fidelity not in ("fast", "functional"):
-        raise ExecutionError(f"unknown fidelity {fidelity!r}")
     with obs.span("spmv.rounds", cat="kernel", fidelity=fidelity,
                   rounds=len(rounds), num_rhs=num_rhs):
         if fidelity == "fast":
@@ -441,12 +458,10 @@ def _stream_bytes_per_element(matrix_format: str, plan: PartitionPlan,
         # tile row (the four-register variant of §IV-C)
         pointer_bytes = 2.0 * sum(tile.y_length for tile in plan.tiles)
         return 2.0 + value_bytes + pointer_bytes / nnz
-    if matrix_format == "bitmap":
-        # one presence bit per tile position + the packed values
-        area_bits = float(sum(tile.y_length * tile.x_length
-                              for tile in plan.tiles))
-        return value_bytes + area_bits / 8.0 / nnz
-    raise ExecutionError(f"unknown matrix format {matrix_format!r}")
+    # bitmap: one presence bit per tile position + the packed values
+    area_bits = float(sum(tile.y_length * tile.x_length
+                          for tile in plan.tiles))
+    return value_bytes + area_bits / 8.0 / nnz
 
 
 # ----------------------------------------------------------------------
@@ -459,6 +474,18 @@ _MULT_FUNC = {"mul": np.multiply, "add": np.add,
               "second": lambda a, b: b}
 
 
+def _check_semiring(fidelity: str, accumulate: str, multiply: str) -> None:
+    """Reject a semiring the chosen tier cannot run. The functional
+    tier's *multiply* is any ALU operation; its kernel assembler names
+    the valid ones."""
+    if fidelity == "fast" and (accumulate not in _ACCUM_UFUNC
+                               or multiply not in _MULT_FUNC):
+        raise ExecutionError(
+            f"unsupported semiring ({multiply}, {accumulate})")
+    if accumulate not in _MERGE:
+        raise ExecutionError(f"unsupported accumulate {accumulate!r}")
+
+
 def _fast_rounds(x: np.ndarray, rounds: Sequence[list], accumulate,
                  multiply, y: np.ndarray) -> np.ndarray:
     """Accumulate every tile's products into the ``(m, k)`` block *y*.
@@ -468,12 +495,8 @@ def _fast_rounds(x: np.ndarray, rounds: Sequence[list], accumulate,
     exactly the single-vector ones, and a 1-D ``at`` is several times
     faster than one 2-D ``at`` over the block (even at ``k = 1``).
     """
-    try:
-        acc = _ACCUM_UFUNC[accumulate]
-        mul = _MULT_FUNC[multiply]
-    except KeyError:
-        raise ExecutionError(
-            f"unsupported semiring ({multiply}, {accumulate})") from None
+    acc = _ACCUM_UFUNC[accumulate]
+    mul = _MULT_FUNC[multiply]
     columns = [(x[:, j], y[:, j]) for j in range(x.shape[1])]
     for round_tiles in rounds:
         for tile in round_tiles:
@@ -511,11 +534,7 @@ def _functional_rounds(x: np.ndarray, rounds: Sequence[list], precision,
     """Run every round on the engine as ``banks x k`` lanes and merge
     each tile's touched output rows into the ``(m, k)`` block *y*."""
     num_rhs = x.shape[1]
-    try:
-        y_init, merge = _MERGE[accumulate]
-    except KeyError:
-        raise ExecutionError(
-            f"unsupported accumulate {accumulate!r}") from None
+    y_init, merge = _MERGE[accumulate]
     for round_tiles in rounds:
         active = [tile for tile in round_tiles
                   if tile is not None and tile.nnz]

@@ -35,7 +35,7 @@ from ..pim import LaneEngine
 from .. import obs
 from .partition import tile_capacity
 from .planner import concat_ranges
-from .spmv import check_engine_banks
+from .spmv import check_engine_banks, check_fidelity
 
 # ----------------------------------------------------------------------
 # host preprocessing: ILDU factorisation
@@ -402,6 +402,7 @@ def run_sptrsv(tri: COOMatrix, b: np.ndarray, config: SystemConfig,
     b = np.asarray(b, dtype=np.float64)
     n = tri.shape[0]
     check_engine_banks(engine_banks)
+    check_fidelity(fidelity)
     leaf_size = check_leaf_size(leaf_size)
     channels = check_channels(channels)
     if channels is not None:

@@ -270,36 +270,6 @@ class MemoryController:
         obs.add_counter("dram.row_misses", result.row_misses)
         for tag, cycles in result.tag_cycles.items():
             obs.add_counter(f"dram.tag_cycles.{tag}", cycles)
-        if result.per_channel_stats:
-            width = max(result.per_channel_stats) + 1
-
-            def series(metric) -> list:
-                values = [0] * width
-                for ch, stats in result.per_channel_stats.items():
-                    values[ch] = metric(stats)
-                return values
-
-            # Busy = cycles carrying a column command (data-bus work);
-            # idle = this channel's slack against the schedule's critical
-            # path — the lock-step cost of channel imbalance.
-            obs.add_bank_counter("channel.busy",
-                                 series(lambda s: s["column_commands"]))
-            obs.add_bank_counter(
-                "channel.idle",
-                series(lambda s: max(
-                    result.total_cycles - s["column_commands"], 0)))
-            obs.add_bank_counter("channel.cycles",
-                                 series(lambda s: s["cycles"]))
-            obs.add_bank_counter("channel.commands",
-                                 series(lambda s: s["commands"]))
-            obs.add_bank_counter("channel.columns",
-                                 series(lambda s: s["column_commands"]))
-            obs.add_bank_counter("channel.row_hits",
-                                 series(lambda s: s["row_hits"]))
-            obs.add_bank_counter("channel.row_misses",
-                                 series(lambda s: s["row_misses"]))
-            obs.add_bank_counter("channel.refreshes",
-                                 series(lambda s: s["refreshes"]))
 
 
 def count_commands(trace: Iterable[TraceEntry]) -> Dict[CommandType, int]:

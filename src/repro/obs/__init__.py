@@ -2,7 +2,7 @@
 
 The observability subsystem the evaluation sections lean on: host-side
 phase spans (planning, engine rounds, sweep jobs), a counter/gauge
-registry fed by the simulators (per-bank busy/idle beats, lane
+registry fed by the simulators (engine beats, lane
 predication/exit/exhaustion occupancy, DRAM command mix and row hit/miss,
 energy breakdowns, sweep cache hits), and exporters producing a Chrome
 ``chrome://tracing``/Perfetto trace, a flat JSON/CSV metrics dump and the
@@ -30,12 +30,11 @@ whole fan-out with true process/thread ids.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from ..errors import ConfigError
-from .export import (MAX_BANK_SERIES, chrome_trace, default_obs_dir,
-                     export_all, load_metrics, metrics_dict, metrics_rows,
-                     span_summary)
+from .export import (chrome_trace, default_obs_dir, export_all,
+                     load_metrics, metrics_dict, metrics_rows, span_summary)
 from .profile import render_profile
 from .recorder import (OBS_DIR_ENV, OBS_ENV, Mark, Recorder, SpanEvent,
                        env_enabled)
@@ -145,13 +144,6 @@ def set_gauge(name: str, value: float) -> None:
         _RECORDER.set_gauge(name, value)
 
 
-def add_bank_counter(name: str, values: Sequence[float],
-                     sample: bool = False) -> None:
-    """Accumulate a per-bank array (no-op while disabled)."""
-    if _ENABLED:
-        _RECORDER.add_bank_counter(name, values, sample=sample)
-
-
 # ----------------------------------------------------------------------
 # export conveniences
 # ----------------------------------------------------------------------
@@ -184,9 +176,9 @@ from .report import (REPORT_VERSION, BundleDiff,  # noqa: E402
 __all__ = [
     "ATTRIB_VERSION", "Attribution", "AttributionCollector",
     "BundleDiff", "CATEGORIES", "CriticalPath", "DiffEntry",
-    "MAX_BANK_SERIES", "OBS_DIR_ENV", "OBS_ENV", "Mark", "Recorder",
+    "OBS_DIR_ENV", "OBS_ENV", "Mark", "Recorder",
     "REPORT_VERSION", "RunReport", "SpanEvent",
-    "add_bank_counter", "add_counter", "attribute_spmm",
+    "add_counter", "attribute_spmm",
     "attribute_spmv", "attribute_sptrsv", "attribute_trace",
     "build_run_report",
     "category_of", "chrome_trace", "critical_path", "default_dir",

@@ -2,13 +2,11 @@
 
 The Chrome trace uses the Trace Event Format that both ``chrome://tracing``
 and Perfetto load directly: spans become complete (``"ph": "X"``) events
-with microsecond timestamps, counters become counter (``"ph": "C"``)
-events forming one track per metric, and per-bank arrays become a single
-multi-series counter track (one series per bank) so bank imbalance is
-visible as diverging lines.
+with microsecond timestamps, and counters become counter (``"ph": "C"``)
+events forming one track per metric.
 
 The metrics dump is deliberately flat — one JSON object with ``counters``,
-``gauges``, ``bank_counters`` and per-span aggregates — so downstream
+``gauges`` and per-span aggregates — so downstream
 tooling (the ``psyncpim profile`` renderer, CI assertions, notebooks) never
 has to re-walk the event stream.
 """
@@ -21,10 +19,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from .recorder import Recorder, SpanEvent
-
-#: Cap on the number of series in one multi-bank Chrome counter track;
-#: Perfetto renders a handful of lines well, 256 poorly.
-MAX_BANK_SERIES = 32
 
 
 # ----------------------------------------------------------------------
@@ -89,20 +83,6 @@ def chrome_trace(recorder: Recorder) -> Dict[str, Any]:
             "pid": 0,
             "args": {"value": value},
         })
-    # Per-bank totals as one multi-series counter event at the trace end,
-    # so the bank-utilisation spread is inspectable inside the viewer.
-    end_ts = max((e.start_ns + e.dur_ns for e in recorder.events),
-                 default=0) / 1000.0
-    for name, arr in recorder.bank_counters.items():
-        # Per-channel arrays (channel.*) get their own series prefix so
-        # channel tracks are distinguishable from per-bank tracks.
-        prefix = "ch" if name.startswith("channel.") else "bank"
-        series = {f"{prefix}{idx}": float(val)
-                  for idx, val in enumerate(arr[:MAX_BANK_SERIES])}
-        if arr.size > MAX_BANK_SERIES:
-            series["rest"] = float(arr[MAX_BANK_SERIES:].sum())
-        trace_events.append({"name": name, "ph": "C", "ts": end_ts,
-                             "pid": 0, "args": series})
     return {"traceEvents": trace_events, "displayTimeUnit": "ms",
             "otherData": {"producer": "psyncpim repro.obs"}}
 
@@ -121,12 +101,10 @@ def _jsonable(args: Dict[str, Any]) -> Dict[str, Any]:
 # flat metrics
 # ----------------------------------------------------------------------
 def metrics_dict(recorder: Recorder) -> Dict[str, Any]:
-    """Flat metrics: counters, gauges, bank arrays, span aggregates."""
+    """Flat metrics: counters, gauges, span aggregates."""
     return {
         "counters": dict(recorder.counters),
         "gauges": dict(recorder.gauges),
-        "bank_counters": {name: arr.tolist()
-                          for name, arr in recorder.bank_counters.items()},
         "spans": span_summary(recorder.events),
     }
 
@@ -138,10 +116,6 @@ def metrics_rows(metrics: Dict[str, Any]) -> List[List[Any]]:
         rows.append(["counter", name, metrics["counters"][name]])
     for name in sorted(metrics.get("gauges", {})):
         rows.append(["gauge", name, metrics["gauges"][name]])
-    for name in sorted(metrics.get("bank_counters", {})):
-        values = metrics["bank_counters"][name]
-        for bank, value in enumerate(values):
-            rows.append(["bank_counter", f"{name}[{bank}]", value])
     for name in sorted(metrics.get("spans", {})):
         entry = metrics["spans"][name]
         rows.append(["span_calls", name, entry["calls"]])
@@ -197,6 +171,5 @@ def default_obs_dir(environ: Optional[Dict[str, Any]] = None) -> Path:
     return Path(raw).expanduser() if raw else Path("psyncpim-obs")
 
 
-__all__ = ["MAX_BANK_SERIES", "chrome_trace", "default_obs_dir",
-           "export_all", "load_metrics", "metrics_dict", "metrics_rows",
-           "span_summary"]
+__all__ = ["chrome_trace", "default_obs_dir", "export_all", "load_metrics",
+           "metrics_dict", "metrics_rows", "span_summary"]

@@ -5,17 +5,15 @@ the tables the paper's evaluation sections reason with:
 
 * **per-phase** — where the host-side wall-clock went (planner phases,
   engine rounds, sweep jobs), with call counts, totals and self time;
-* **per-bank** — busy vs idle beats per processing-unit lane, the
-  bank-utilisation view behind Fig. 12's breakdown argument;
-* **per-channel** — scheduled cycles and command mix per pseudo-channel
-  when the run used channel-sharded execution, exposing the channel
-  imbalance behind the max-over-channels critical path;
 * **DRAM** — command mix, row-buffer hit/miss and the per-tag cycle
   attribution of the scheduled traces;
 * **energy** — the pJ breakdown by source when energy pricing ran.
 
 Rendering reuses :func:`repro.analysis.format_table` so profile output
 lines up visually with every other report the toolkit prints.
+
+Device time per channel and per lane is reported by ``psyncpim attrib``
+and ``--attrib`` (:mod:`repro.obs.attrib`), not here.
 """
 
 from __future__ import annotations
@@ -24,31 +22,13 @@ from typing import Any, Dict, List
 
 from ..analysis.report import format_table
 
-#: Show at most this many individual banks in the per-bank table; the
-#: remainder is folded into aggregate rows (256 banks do not fit a screen).
-MAX_BANK_ROWS = 16
 
-
-def render_profile(metrics: Dict[str, Any],
-                   max_banks: int = MAX_BANK_ROWS) -> str:
+def render_profile(metrics: Dict[str, Any]) -> str:
     """Render a full profile report from one metrics dump."""
-    sections = [_render_spans(metrics.get("spans", {}))]
-    banks = _render_banks(metrics.get("bank_counters", {}), max_banks)
-    if banks:
-        sections.append(banks)
-    channels = _render_channels(metrics.get("bank_counters", {}))
-    if channels:
-        sections.append(channels)
-    dram = _render_dram(metrics.get("counters", {}))
-    if dram:
-        sections.append(dram)
-    energy = _render_energy(metrics.get("counters", {}))
-    if energy:
-        sections.append(energy)
-    other = _render_counters(metrics.get("counters", {}),
-                             metrics.get("gauges", {}))
-    if other:
-        sections.append(other)
+    counters = metrics.get("counters", {})
+    sections = [_render_spans(metrics.get("spans", {})),
+                _render_dram(counters), _render_energy(counters),
+                _render_counters(counters, metrics.get("gauges", {}))]
     return "\n\n".join(section for section in sections if section)
 
 
@@ -69,70 +49,6 @@ def _render_spans(spans: Dict[str, Dict[str, float]]) -> str:
         ["phase", "cat", "calls", "total (ms)", "self (ms)",
          "mean (ms)", "self %"], rows,
         title="per-phase timings")
-
-
-def _render_banks(bank_counters: Dict[str, List[float]],
-                  max_banks: int) -> str:
-    busy = bank_counters.get("engine.bank_busy_beats")
-    idle = bank_counters.get("engine.bank_idle_beats")
-    if not busy:
-        return ""
-    idle = idle or [0.0] * len(busy)
-    if len(idle) < len(busy):
-        idle = list(idle) + [0.0] * (len(busy) - len(idle))
-    pairs = list(zip(busy, idle))
-    order = sorted(range(len(pairs)), key=lambda i: -pairs[i][0])
-    rows: List[List[Any]] = []
-    for bank in order[:max_banks]:
-        b, i = pairs[bank]
-        util = 100.0 * b / (b + i) if b + i else 0.0
-        rows.append([f"bank {bank}", int(b), int(i), f"{util:.1f}"])
-    if len(pairs) > max_banks:
-        rest = order[max_banks:]
-        b = sum(pairs[i][0] for i in rest)
-        i = sum(pairs[i][1] for i in rest)
-        util = 100.0 * b / (b + i) if b + i else 0.0
-        rows.append([f"({len(rest)} more banks)", int(b), int(i),
-                     f"{util:.1f}"])
-    total_busy = sum(b for b, _ in pairs)
-    total_all = sum(b + i for b, i in pairs)
-    util = 100.0 * total_busy / total_all if total_all else 0.0
-    nonzero = sum(1 for b, _ in pairs if b)
-    title = (f"per-bank beats ({nonzero}/{len(pairs)} banks busy, "
-             f"utilisation {util:.1f}%)")
-    return format_table(["bank", "busy beats", "idle beats", "util %"],
-                        rows, title=title)
-
-
-def _render_channels(bank_counters: Dict[str, List[float]]) -> str:
-    busy = bank_counters.get("channel.busy")
-    if not busy:
-        return ""
-
-    def series(name: str) -> List[float]:
-        values = bank_counters.get(name) or []
-        return list(values) + [0.0] * (len(busy) - len(values))
-
-    idle = series("channel.idle")
-    commands = series("channel.commands")
-    columns = series("channel.columns")
-    refreshes = series("channel.refreshes")
-    rows: List[List[Any]] = []
-    for ch, b in enumerate(busy):
-        i = idle[ch]
-        util = 100.0 * b / (b + i) if b + i else 0.0
-        rows.append([f"ch {ch}", int(b), int(i), f"{util:.1f}",
-                     int(commands[ch]), int(columns[ch]),
-                     int(refreshes[ch])])
-    total_busy = sum(busy)
-    total_all = total_busy + sum(idle)
-    util = 100.0 * total_busy / total_all if total_all else 0.0
-    active = sum(1 for b in busy if b)
-    title = (f"per-channel schedule ({active}/{len(busy)} channels "
-             f"active, busy share {util:.1f}%)")
-    return format_table(["channel", "busy cyc", "idle cyc", "busy %",
-                         "commands", "columns", "refreshes"], rows,
-                        title=title)
 
 
 def _render_dram(counters: Dict[str, float]) -> str:
@@ -200,4 +116,4 @@ def _render_counters(counters: Dict[str, float],
     return format_table(["metric", "value"], rows, title="other metrics")
 
 
-__all__ = ["MAX_BANK_ROWS", "render_profile"]
+__all__ = ["render_profile"]

@@ -1,4 +1,4 @@
-"""The observability recorder: spans, counters, gauges, per-bank arrays.
+"""The observability recorder: spans, counters and gauges.
 
 One process-wide :class:`Recorder` accumulates everything the instrumented
 layers emit:
@@ -8,18 +8,15 @@ layers emit:
   exporter can reconstruct the flame graph;
 * **counters** — monotonically accumulated totals (DRAM command mix,
   engine beats, cache hits);
-* **gauges** — last-value observations (bank imbalance, utilisation);
-* **bank counters** — elementwise-accumulated per-bank arrays (busy/idle
-  beats per processing unit), the substrate of the per-bank utilisation
-  tables.
+* **gauges** — last-value observations (bank imbalance, utilisation).
 
 The recorder itself never looks at the enable gate — gating lives in
 :mod:`repro.obs` (the package front door) so that a disabled run pays only
 one module-global boolean test per instrumentation site and allocates
-nothing. Everything stored here is plain data (floats, numpy arrays,
-dataclasses), so a recorder's contents can be snapshotted into a picklable
-payload, shipped across a process boundary (sweep workers) and merged into
-a parent recorder without loss.
+nothing. Everything stored here is plain data (floats and dataclasses),
+so a recorder's contents can be snapshotted into a picklable payload,
+shipped across a process boundary (sweep workers) and merged into a
+parent recorder without loss.
 
 Timestamps come from :func:`time.perf_counter_ns`, which on Linux is
 ``CLOCK_MONOTONIC`` — a machine-wide clock, so spans recorded in forked
@@ -32,9 +29,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigError
 
@@ -129,27 +124,24 @@ class _Span:
 class Mark:
     """A position in a recorder's streams, for delta extraction."""
 
-    __slots__ = ("events_len", "samples_len", "counters", "gauges",
-                 "bank_counters")
+    __slots__ = ("events_len", "samples_len", "counters", "gauges")
 
     def __init__(self, events_len: int, samples_len: int,
-                 counters: Dict[str, float], gauges: Dict[str, float],
-                 bank_counters: Dict[str, np.ndarray]) -> None:
+                 counters: Dict[str, float],
+                 gauges: Dict[str, float]) -> None:
         self.events_len = events_len
         self.samples_len = samples_len
         self.counters = counters
         self.gauges = gauges
-        self.bank_counters = bank_counters
 
 
 class Recorder:
-    """Accumulates spans, counters, gauges and per-bank counter arrays."""
+    """Accumulates spans, counters and gauges."""
 
     def __init__(self) -> None:
         self.events: List[SpanEvent] = []
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
-        self.bank_counters: Dict[str, np.ndarray] = {}
         #: Chrome counter-track samples: (ts_ns, name, value).
         self.samples: List[Tuple[int, str, float]] = []
         #: Number of recording calls served (overhead accounting).
@@ -197,32 +189,6 @@ class Recorder:
             self.gauges[name] = float(value)
             self.update_count += 1
 
-    def add_bank_counter(self, name: str, values: Sequence[float],
-                         sample: bool = False) -> None:
-        """Accumulate a per-bank array elementwise onto *name*.
-
-        Arrays of different lengths (engines sized to their wave) are
-        accumulated over the common prefix of a max-length buffer, so
-        lane/bank ``i`` always aggregates into slot ``i``.
-        """
-        arr = np.asarray(values, dtype=np.float64)
-        with self._lock:
-            have = self.bank_counters.get(name)
-            if have is None:
-                self.bank_counters[name] = arr.copy()
-            elif have.size >= arr.size:
-                have[:arr.size] += arr
-            else:
-                grown = np.zeros(arr.size)
-                grown[:have.size] = have
-                grown += arr
-                self.bank_counters[name] = grown
-            self.update_count += 1
-            if sample:
-                total = self.bank_counters[name]
-                self.samples.append((time.perf_counter_ns(),
-                                     name, float(total.sum())))
-
     # -- cross-process payloads -----------------------------------------
     def mark(self) -> Mark:
         """Snapshot the current stream positions and totals."""
@@ -230,9 +196,7 @@ class Recorder:
             return Mark(events_len=len(self.events),
                         samples_len=len(self.samples),
                         counters=dict(self.counters),
-                        gauges=dict(self.gauges),
-                        bank_counters={k: v.copy() for k, v
-                                       in self.bank_counters.items()})
+                        gauges=dict(self.gauges))
 
     def delta_since(self, mark: Mark) -> Dict[str, Any]:
         """Everything recorded after *mark*, as a picklable payload."""
@@ -242,20 +206,9 @@ class Recorder:
                         if v != mark.counters.get(k, 0.0)}
             gauges = {k: v for k, v in self.gauges.items()
                       if mark.gauges.get(k) != v}
-            banks: Dict[str, List[float]] = {}
-            for name, arr in self.bank_counters.items():
-                base = mark.bank_counters.get(name)
-                if base is None:
-                    banks[name] = arr.tolist()
-                else:
-                    delta = arr.copy()
-                    delta[:base.size] -= base
-                    if np.any(delta):
-                        banks[name] = delta.tolist()
             return {
                 "counters": counters,
                 "gauges": gauges,
-                "bank_counters": banks,
                 "events": [e.to_dict()
                            for e in self.events[mark.events_len:]],
                 "samples": list(self.samples[mark.samples_len:]),
@@ -263,7 +216,7 @@ class Recorder:
 
     def snapshot(self) -> Dict[str, Any]:
         """The whole recorder as a picklable/JSON-able payload."""
-        return self.delta_since(Mark(0, 0, {}, {}, {}))
+        return self.delta_since(Mark(0, 0, {}, {}))
 
     def merge(self, payload: Dict[str, Any]) -> None:
         """Fold a payload (from :meth:`delta_since`) into this recorder."""
@@ -273,8 +226,6 @@ class Recorder:
             self.add_counter(name, value)
         for name, value in payload.get("gauges", {}).items():
             self.set_gauge(name, value)
-        for name, values in payload.get("bank_counters", {}).items():
-            self.add_bank_counter(name, values)
         with self._lock:
             for data in payload.get("events", []):
                 self.events.append(SpanEvent.from_dict(data))
@@ -287,7 +238,6 @@ class Recorder:
             self.events.clear()
             self.counters.clear()
             self.gauges.clear()
-            self.bank_counters.clear()
             self.samples.clear()
             self.update_count = 0
 

@@ -183,24 +183,15 @@ class AllBankEngine:
         """Pre-run counter snapshot, or None while obs is disabled."""
         if not obs.enabled():
             return None
-        return ([u.stats.beats for u in self.units],
-                [u.stats.nop_beats for u in self.units],
-                self.stats.beats, self.stats.predicated_beats)
+        return self.stats.beats, self.stats.predicated_beats
 
     def _obs_emit(self, mark) -> None:
-        """Feed this launch's per-bank and divergence counters to obs.
+        """Feed this launch's beat and divergence counters to obs.
 
         The counter names and values match :class:`LaneEngine` exactly —
         the differential obs tests pin that equivalence.
         """
-        busy0, nop0, beats0, pred0 = mark
-        obs.add_bank_counter(
-            "engine.bank_busy_beats",
-            [u.stats.beats - b0 for u, b0 in zip(self.units, busy0)],
-            sample=True)
-        obs.add_bank_counter(
-            "engine.bank_idle_beats",
-            [u.stats.nop_beats - n0 for u, n0 in zip(self.units, nop0)])
+        beats0, pred0 = mark
         obs.add_counter("engine.beats", self.stats.beats - beats0)
         obs.add_counter("engine.predicated_beats",
                         self.stats.predicated_beats - pred0)

@@ -389,15 +389,11 @@ class LaneEngine:
         """Pre-run counter snapshot, or None while obs is disabled."""
         if not obs.enabled():
             return None
-        return (self._beat_count.copy(), self._nop.copy(),
-                self.stats.beats, self.stats.predicated_beats)
+        return self.stats.beats, self.stats.predicated_beats
 
     def _obs_emit(self, mark) -> None:
-        """Feed this launch's per-bank and divergence counters to obs."""
-        busy0, nop0, beats0, pred0 = mark
-        obs.add_bank_counter("engine.bank_busy_beats",
-                             self._beat_count - busy0, sample=True)
-        obs.add_bank_counter("engine.bank_idle_beats", self._nop - nop0)
+        """Feed this launch's beat and divergence counters to obs."""
+        beats0, pred0 = mark
         obs.add_counter("engine.beats", self.stats.beats - beats0)
         obs.add_counter("engine.predicated_beats",
                         self.stats.predicated_beats - pred0)

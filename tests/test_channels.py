@@ -357,50 +357,32 @@ class TestChannelsPlumbing:
 
 # ----------------------------------------------------------------------
 class TestChannelObs:
-    @pytest.fixture
-    def recorder(self):
+    def test_profile_of_channel_run(self):
+        """A channel-sharded run's profile keeps the DRAM command mix
+        of the whole schedule; device time per channel is attribution's
+        to report, so no per-channel table or trace track remains."""
         from repro import obs
-        obs.reset()
-        obs.enable()
-        try:
-            yield obs.recorder()
-        finally:
-            obs.reset()
-            obs.disable()
-
-    def test_per_channel_counters_recorded(self, recorder):
-        matrix = generate("poisson3Da", scale=0.05)
-        _, _, execution = plan_spmv(matrix, CONFIG, channels=4,
-                                    validate=False)
-        time_spmv(execution, CONFIG)
-        busy = recorder.bank_counters.get("channel.busy")
-        assert busy is not None and busy.size >= 4
-        assert busy[:4].min() > 0
-        for name in ("channel.idle", "channel.cycles",
-                     "channel.commands", "channel.columns"):
-            assert name in recorder.bank_counters
-
-    def test_chrome_trace_channel_series(self, recorder):
-        from repro.obs.export import chrome_trace
-        matrix = generate("facebook", scale=0.1)
-        _, _, execution = plan_spmv(matrix, CONFIG, channels=2,
-                                    validate=False)
-        time_spmv(execution, CONFIG)
-        events = chrome_trace(recorder)["traceEvents"]
-        busy = [e for e in events if e["name"] == "channel.busy"]
-        assert busy and "ch0" in busy[0]["args"]
-        assert not any(k.startswith("bank") for k in busy[0]["args"])
-
-    def test_profile_renders_channel_table(self, recorder):
-        from repro.obs.export import metrics_dict
+        from repro.obs.export import chrome_trace, metrics_dict
         from repro.obs.profile import render_profile
         matrix = generate("facebook", scale=0.1)
         _, _, execution = plan_spmv(matrix, CONFIG, channels=2,
                                     validate=False)
-        time_spmv(execution, CONFIG)
-        text = render_profile(metrics_dict(recorder))
-        assert "per-channel schedule" in text
-        assert "ch 0" in text and "ch 1" in text
+        obs.reset()
+        obs.enable()
+        try:
+            report = time_spmv(execution, CONFIG)
+            recorder = obs.recorder()
+            metrics = metrics_dict(recorder)
+            tracks = {e["name"] for e in chrome_trace(recorder)["traceEvents"]
+                      if e["ph"] == "C"}
+        finally:
+            obs.reset()
+            obs.disable()
+        assert metrics["counters"]["dram.commands"] == report.commands
+        assert tracks == {"dram.cycles"}
+        text = render_profile(metrics)
+        assert "DRAM command mix" in text
+        assert "per-channel" not in text
 
 
 class TestRepresentativeChannelLoads:

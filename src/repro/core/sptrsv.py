@@ -27,15 +27,16 @@ from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import SystemConfig, check_channels
+from ..config import SystemConfig, check_channels, check_strategy
 from ..errors import ConfigError, ExecutionError, MappingError, SolverError
 from ..formats import COOMatrix, CSRMatrix, reject_nan, stable_order
 from ..kernels import Tile, run_tile_round
 from ..pim import LaneEngine
 from .. import obs
-from .partition import tile_capacity
+from .partition import (PartitionPlan, partition_blocks, tile_capacity,
+                        tile_dims)
 from .planner import concat_ranges
-from .spmv import check_engine_banks, check_fidelity
+from .spmv import _cut_plan, check_engine_banks, check_fidelity
 
 # ----------------------------------------------------------------------
 # host preprocessing: ILDU factorisation
@@ -405,6 +406,7 @@ def run_sptrsv(tri: COOMatrix, b: np.ndarray, config: SystemConfig,
     check_fidelity(fidelity)
     leaf_size = check_leaf_size(leaf_size)
     channels = check_channels(channels)
+    strategy = check_strategy(strategy)
     if channels is not None:
         available = config.memory.num_pseudo_channels
         if channels > available:
@@ -470,15 +472,17 @@ def run_sptrsv(tri: COOMatrix, b: np.ndarray, config: SystemConfig,
                               execution.num_banks, bpc,
                               len(execution.channel_execs))
     _record_levels(schedule, execution)
+    updates = [step for step in plan if step.kind == "update"]
+    prepared = iter(_update_plans(strict, updates, leaf, config,
+                                  precision, channels, strategy))
 
     with obs.span("sptrsv.solve", cat="kernel", n=n, steps=len(plan),
                   fidelity=fidelity):
         leaf_index = 0
         for step in plan:
             if step.kind == "update":
-                _apply_update(strict, rhs, step, config, precision,
-                              fidelity, engine_banks, execution, channels,
-                              strategy)
+                _apply_update(next(prepared), rhs, step, config, precision,
+                              fidelity, engine_banks, execution, channels)
             else:
                 _solve_leaf(schedule, leaf_index, rhs, step, precision,
                             fidelity, engine_banks, execution.num_banks)
@@ -495,22 +499,118 @@ def run_sptrsv(tri: COOMatrix, b: np.ndarray, config: SystemConfig,
     return SpTrsvResult(x=x, execution=execution)
 
 
-def _apply_update(strict: COOMatrix, rhs: np.ndarray, step: SolveStep,
-                  config, precision, fidelity, engine_banks,
-                  execution: SpTrsvExecution,
-                  channels: Optional[int] = None,
-                  strategy: str = "paper") -> None:
-    """b1 -= M @ x0 (Eq. 3's SpMV between the two recursive solves)."""
+#: One update SpMV, planned: its block and the block's partition plan.
+UpdatePlan = Tuple[COOMatrix, PartitionPlan]
+
+
+def _update_plans(strict: COOMatrix, updates: List[SolveStep],
+                  leaf: int, config: SystemConfig, precision: str,
+                  channels: Optional[int],
+                  strategy: str) -> List[Optional[UpdatePlan]]:
+    """Plan every update SpMV of a solve, in plan order (``None`` for an
+    empty block).
+
+    Each strictly-lower element outside the diagonal leaves lies in
+    exactly one update block, so one sort by a key that leads with the
+    update index groups every block's elements, row-major, as a
+    contiguous slice: the block's COO is a view of that slice. Under the
+    paper strategy one :func:`partition_blocks` call then cuts every
+    block's tiles; other strategies cut (and ``"auto"`` tunes) each block
+    on its own. The bank layout of a block is built when its update runs
+    (:func:`_apply_update`), so only the tiles of every block, not every
+    block's split pieces and rounds, live through the solve.
+    """
+    if not updates:
+        return []
+    row_lo, col_lo = np.array([(step.row_range[0], step.col_range[0])
+                               for step in updates], dtype=np.int64).T
+    shapes = np.array([(step.row_range[1] - step.row_range[0],
+                        step.col_range[1] - step.col_range[0])
+                       for step in updates], dtype=np.int64)
+    widths = shapes[:, 1]
+    update = _update_index(strict.rows, strict.cols, strict.shape[0],
+                           leaf, updates)
+    inside = np.flatnonzero(update >= 0)
+    update = update[inside]
+    rows = strict.rows[inside] - row_lo[update]
+    cols = strict.cols[inside] - col_lo[update]
+    # (update, row, col) as one offset into the blocks laid end to end.
+    area_base = np.append(0, np.cumsum(shapes[:, 0] * widths))
+    order = stable_order(area_base[update] + rows * widths[update] + cols)
+    rows, cols = rows[order], cols[order]
+    vals = strict.vals[inside][order]
+    elem_ptr = np.append(0, np.cumsum(np.bincount(update,
+                                                  minlength=len(updates))))
+    bounds = elem_ptr.tolist()
+    blocks = [COOMatrix(shape, rows[a:b], cols[a:b], vals[a:b], check=False)
+              for shape, a, b in zip(shapes.tolist(), bounds[:-1],
+                                     bounds[1:])]
+    if strategy == "paper":
+        tile_rows, tile_cols = tile_dims(config, precision)
+        with obs.span("plan.partition", cat="planner", nnz=rows.size,
+                      compress=True, blocks=len(updates)):
+            plans = partition_blocks(rows, cols, vals, elem_ptr, shapes,
+                                     tile_rows, tile_cols, compress=True)
+    else:
+        plans = [_cut_plan(block, config, precision, compress=True,
+                           policy="paper", channels=channels,
+                           strategy=strategy, tuner_cache=None,
+                           validate=True)
+                 if block.nnz else None for block in blocks]
+    return [(block, plan) if block.nnz else None
+            for block, plan in zip(blocks, plans)]
+
+
+def _update_index(rows: np.ndarray, cols: np.ndarray, n: int, leaf: int,
+                  updates: List[SolveStep]) -> np.ndarray:
+    """Plan-order index of the update block holding each strictly-lower
+    element, ``-1`` for an element inside a diagonal leaf.
+
+    :func:`recursive_plan` splits ``[lo, hi)`` at ``mid`` and emits the
+    update ``rows [mid, hi) x cols [lo, mid)`` between the two halves, so
+    the updates come in ascending ``mid``. Element ``(r, c)`` belongs to
+    the node whose ``mid`` separates them, ``c < mid <= r``; one array
+    pass per recursion depth descends every element to it, or to the
+    leaf that holds both.
+    """
+    mids = np.array([step.row_range[0] for step in updates],
+                    dtype=np.int64)
+    update = np.full(rows.size, -1, dtype=np.int64)
+    index = np.arange(rows.size)
+    lo = np.zeros(rows.size, dtype=np.int64)
+    hi = np.full(rows.size, n, dtype=np.int64)
+    while index.size:
+        split = hi - lo > leaf
+        index, rows, cols, lo, hi = (
+            a[split] for a in (index, rows, cols, lo, hi))
+        mid = lo + (hi - lo) // 2
+        here = (cols < mid) & (mid <= rows)
+        update[index[here]] = np.searchsorted(mids, mid[here])
+        left = rows < mid
+        lo = np.where(left, lo, mid)
+        hi = np.where(left, mid, hi)
+        down = ~here
+        index, rows, cols, lo, hi = (
+            a[down] for a in (index, rows, cols, lo, hi))
+    return update
+
+
+def _apply_update(prepared: Optional[UpdatePlan], rhs: np.ndarray,
+                  step: SolveStep, config, precision, fidelity,
+                  engine_banks, execution: SpTrsvExecution,
+                  channels: Optional[int] = None) -> None:
+    """b1 -= M @ x0 (Eq. 3's SpMV between the two recursive solves), on
+    the update's prepared plan (:func:`_update_plans`)."""
     from .spmv import run_spmv  # local import: spmv <-> sptrsv layering
+    if prepared is None:
+        return
+    block, plan = prepared
     r0, r1 = step.row_range
     c0, c1 = step.col_range
-    block = strict.submatrix(step.row_range, step.col_range)
-    if block.nnz == 0:
-        return
     result = run_spmv(block, rhs[c0:c1], config, precision=precision,
                       fidelity=fidelity, accumulate="sub",
                       y0=rhs[r0:r1], engine_banks=engine_banks,
-                      channels=channels, strategy=strategy)
+                      channels=channels, plan=plan)
     rhs[r0:r1] = result.y
     execution.update_elements.append(block.nnz)
     execution.update_batches.append(result.execution.num_rounds)

@@ -36,10 +36,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..config import SystemConfig, check_channels, check_strategy
-from ..errors import ConfigError, MappingError
+from ..errors import ConfigError
 from ..formats import COOMatrix, group_starts, stable_order
 from .partition import (PartitionPlan, SubMatrix, _check_plan, partition,
-                        tile_capacity)
+                        tile_dims)
 from .spmv import SpmvExecution
 from .trace import TraceParams
 
@@ -76,16 +76,8 @@ class PartitionStrategy:
             return partition(matrix, config, precision=precision,
                              compress=compress, tile_rows=tile_rows,
                              tile_cols=tile_cols, validate=validate)
-        capacity = tile_capacity(config, precision)
-        tile_rows = capacity if tile_rows is None else tile_rows
-        tile_cols = capacity if tile_cols is None else tile_cols
-        if tile_rows <= 0 or tile_cols <= 0:
-            raise MappingError("tile dimensions must be positive")
-        if tile_rows > capacity or tile_cols > capacity:
-            raise MappingError(
-                f"tiles of {tile_rows}x{tile_cols} exceed the "
-                f"one-memory-row constraint ({capacity} elements at "
-                f"{precision})")
+        tile_rows, tile_cols = tile_dims(config, precision, tile_rows,
+                                         tile_cols)
         tiles = self.cutter(matrix.sorted_rows(), matrix.shape, tile_rows,
                             tile_cols, compress)
         plan = PartitionPlan(shape=matrix.shape, tiles=tiles,
@@ -236,7 +228,7 @@ def _cut_blocks_compressed(srt: COOMatrix, shape, row_bounds: np.ndarray,
                            equal_nnz: bool) -> List[SubMatrix]:
     """Cut arbitrary row blocks, compact kept columns, cut the kept axis.
 
-    Generalises ``_partition_fast``'s compressed path to variable-height
+    Generalises ``_partition_blocks``'s compressed path to variable-height
     row blocks (*row_bounds*) and pluggable column segmentation (rank- or
     nnz-based). One global ``np.unique`` over (block, column) keys yields
     every block's kept-column set and each element's compacted rank.

@@ -135,6 +135,12 @@ def _modifier(kind_name: str, token: str):
             f"bad {kind_name}={token!r}; expected one of {valid}") from None
 
 
+def binary_op(token: str) -> BinaryOp:
+    """The ALU operation a ``binary=`` modifier names; raises the
+    assembler's :class:`AssemblerError` for any other name."""
+    return _modifier("binary", token)
+
+
 def _build(mnemonic: str, operands: List[str], modifiers: Dict[str, str],
            labels: Dict[str, int]) -> Instruction:
     opcode = _opcode(mnemonic)

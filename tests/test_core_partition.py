@@ -9,6 +9,7 @@ from repro.config import default_system
 from repro.core import (distribute, partition, reassemble,
                         replication_traffic_bytes, tile_capacity)
 from repro.core.distribution import split_oversized
+from repro.core.strategies import make_strategy, strategy_names
 from repro.errors import MappingError
 from repro.formats import COOMatrix
 from repro.formats.generators import power_law_graph, uniform_random
@@ -147,6 +148,24 @@ class TestDistribution:
         # split pieces keep valid local indices
         for tile in tiles:
             tile.validate()
+
+    def test_split_pieces_count_their_touched_rows(self):
+        # ~30 elements per row against a cap of 50: pieces start mid-row.
+        m = uniform_random(100, 100, 0.3, seed=9)
+        tiles = split_oversized(partition(m, CFG).tiles, nnz_cap=50)
+        mid_row = [a.rows[-1] == b.rows[0]
+                   for a, b in zip(tiles, tiles[1:])
+                   if a.row_range == b.row_range
+                   and a.global_cols is b.global_cols]
+        assert any(mid_row)
+        for tile in tiles:
+            assert tile.touched_rows == np.unique(tile.rows).size
+
+    @pytest.mark.parametrize("name", strategy_names())
+    def test_touched_rows_are_distinct_rows(self, name):
+        m = power_law_graph(300, avg_degree=6, seed=4)
+        for tile in make_strategy(name).partition(m, CFG).tiles:
+            assert tile.touched_rows == np.unique(tile.rows).size
 
     def test_split_noop_below_cap(self):
         m = uniform_random(50, 50, 0.05, seed=10)

@@ -338,10 +338,12 @@ def test_direct_oracle_calls_match_stages():
     matrix = power_law_graph(300, avg_degree=6, seed=12)
     srt = matrix.sorted_rows()
     for compress in (True, False):
-        fast = partition_mod._partition_fast(srt, matrix.shape, 40, 40,
-                                             compress)
+        fast, fast_ptr = partition_mod._partition_blocks(
+            srt.rows, srt.cols, srt.vals, np.array([0, srt.nnz]),
+            np.array([matrix.shape]), 40, 40, compress)
         scalar = oracles._partition_scalar(srt, matrix.shape, 40, 40,
                                            compress)
+        assert list(fast_ptr) == [0, len(scalar)]
         assert len(fast) == len(scalar)
         for tf, ts in zip(fast, scalar):
             assert_tiles_equal(tf, ts)

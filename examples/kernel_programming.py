@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.dram import Command, CommandType, MemoryController
 from repro.isa import Program, assemble
-from repro.pim import AllBankEngine, Beat, Mode, padded_triples
+from repro.pim import Beat, LaneEngine, Mode, padded_triples
 
 
 def main() -> None:
@@ -48,7 +48,7 @@ inner:
     # ------------------------------------------------------------------
     # 2. Three banks with *uneven* sparse vectors — the pSyncPIM problem.
     # ------------------------------------------------------------------
-    engine = AllBankEngine(num_banks=3)
+    engine = LaneEngine(num_banks=3)
     counts = [8, 5, 0]  # wildly different workloads per bank
     per_bank = []
     for bank, count in enumerate(counts):
@@ -60,8 +60,7 @@ inner:
 
     engine.switch_mode(Mode.AB)
     engine.load_program(program)
-    for unit in engine.units:
-        unit.registers.scalar = 2.0  # broadcast alpha
+    engine.broadcast_scalar(2.0)  # alpha, into every bank's SRF
     engine.switch_mode(Mode.AB_PIM)
 
     def beats():
@@ -76,11 +75,11 @@ inner:
     # ------------------------------------------------------------------
     # 3. Conditional exit: every bank retired, each at its own time.
     # ------------------------------------------------------------------
-    print(f"\nlock-step stream: {consumed} broadcast transactions")
-    for bank, unit in enumerate(engine.units):
-        print(f"  bank {bank}: {counts[bank]} elements, "
-              f"nop transactions={unit.stats.nop_beats}, "
-              f"exited={unit.exited}")
+    print(f"\nlock-step stream: {consumed} broadcast transactions, "
+          f"{engine.stats.predicated_beats} with some bank retired")
+    for bank, count in enumerate(counts):
+        print(f"  bank {bank}: {count} elements, "
+              f"exited={bool(engine.exited[bank])}")
     for bank, chunk in enumerate(engine.host_read_dense("y")):
         expect = np.zeros(16)
         expect[np.arange(counts[bank]) * 2] = 2.0 * (bank + 1)

@@ -1,11 +1,11 @@
-"""Seeded ISA program fuzzer: three engines, one architectural state.
+"""Seeded ISA program fuzzer: two interpreters, one architectural state.
 
 Generates random well-formed PIM kernels (both instruction formats,
 predication, CEXIT loops, ``-1``-padded COO streams, queue back-pressure)
-plus random inputs, runs them through the scalar engine, the vectorized
-lane engine and the independent :mod:`repro.check.reference` interpreter,
-and asserts bitwise-identical register files, queues, bank memory and
-per-bank exit state. Every case is a pure function of its seed, so a
+plus random inputs, runs them through the vectorized lane engine and the
+independent :mod:`repro.check.reference` interpreter, and asserts
+bitwise-identical register files, queues, bank memory, per-bank exit
+state and beat counts. Every case is a pure function of its seed, so a
 failure prints a one-line reproducer; :func:`shrink_case` then reduces a
 failing case block-by-block before reporting.
 
@@ -28,7 +28,7 @@ from ..errors import CheckError
 from ..isa import (BInstruction, BinaryOp, CInstruction, Identity, Opcode,
                    Operand, Program, SetMode)
 from ..isa.opcodes import ValueFormat
-from ..pim import AllBankEngine, Beat, LaneEngine, Mode
+from ..pim import Beat, DenseLanes, LaneEngine, Mode
 from .reference import ReferenceEngine
 
 _PRECISIONS = ("fp64", "fp32", "fp16", "int8")
@@ -451,9 +451,11 @@ def _static_beats(program: Program,
 
 
 # ----------------------------------------------------------------------
-# the three oracles
+# the two interpreters
 # ----------------------------------------------------------------------
-def _drive_production(engine, built: BuiltCase) -> int:
+def drive(engine, built: BuiltCase) -> int:
+    """Load *built* into a lane or reference engine and run its stream
+    through the Fig. 1 mode protocol; returns the beats consumed."""
     for name, per_bank in built.dense_data.items():
         engine.host_write_dense(name, per_bank)
     for name, per_bank in built.triple_data.items():
@@ -461,15 +463,6 @@ def _drive_production(engine, built: BuiltCase) -> int:
     engine.switch_mode(Mode.AB)
     engine.load_program(built.program)
     engine.switch_mode(Mode.AB_PIM)
-    return engine.run(built.beats)
-
-
-def _drive_reference(engine: ReferenceEngine, built: BuiltCase) -> int:
-    for name, per_bank in built.dense_data.items():
-        engine.write_dense(name, per_bank)
-    for name, per_bank in built.triple_data.items():
-        engine.write_triples(name, per_bank)
-    engine.load_program(built.program)
     return engine.run(built.beats)
 
 
@@ -483,51 +476,41 @@ def _arr(a: np.ndarray) -> tuple:
     return (a.dtype.str, a.shape, a.tobytes())
 
 
-def _snapshot_production(engine, built: BuiltCase) -> dict:
-    """Architectural state of a scalar or lane engine, as plain bytes."""
-    is_lane = isinstance(engine, LaneEngine)
+def architectural_state(engine) -> dict:
+    """Every bank's registers, queues, regions and exit state, as plain
+    bytes, from a :class:`LaneEngine` or a :class:`ReferenceEngine`."""
+    if isinstance(engine, ReferenceEngine):
+        return _reference_state(engine)
     banks = {}
-    for b in range(len(engine.banks)):
-        unit = engine.units[b]
-        if is_lane:
-            drf = [_arr(engine.dense[i, b])
-                   for i in range(engine.dense.shape[0])]
-            queues = [[(r, c, _pack(v))
-                       for r, c, v in engine.queues[qi].snapshot(b)]
-                      for qi in range(len(engine.queues))]
-        else:
-            drf = [_arr(reg.data) for reg in unit.registers.dense]
-            queues = [[(r, c, _pack(v)) for r, c, v in queue._items]
-                      for queue in unit.registers.queues]
+    for b in range(engine.num_banks):
         regions = {}
-        bank = engine.banks[b]
-        for name in built.dense_data:
-            regions[name] = _arr(bank.dense(name).data)
-        for name in built.triple_data:
-            region = bank.triples(name)
-            regions[name] = (_arr(region.rows), _arr(region.cols),
-                             _arr(region.vals))
+        for name, region in engine.memory.items():
+            n = region.lengths[b]
+            if isinstance(region, DenseLanes):
+                regions[name] = _arr(region.data[b, :n])
+            else:
+                regions[name] = (_arr(region.rows[b, :n]),
+                                 _arr(region.cols[b, :n]),
+                                 _arr(region.vals[b, :n]))
         banks[b] = {
-            "exited": bool(unit.exited),
-            "exhausted_mask": int(unit.exhausted_mask),
-            "load_targets_mask": int(unit.load_targets_mask),
-            "srf": _pack(unit.registers.scalar),
-            "drf": drf,
-            "queues": queues,
+            "exited": bool(engine.exited[b]),
+            "exhausted_mask": int(engine.exhausted_mask[b]),
+            "load_targets_mask": int(engine.load_targets_mask[b]),
+            "srf": _pack(engine.scalar[b]),
+            "drf": [_arr(engine.dense[i, b])
+                    for i in range(engine.dense.shape[0])],
+            "queues": [[(r, c, _pack(v)) for r, c, v in queue.snapshot(b)]
+                       for queue in engine.queues],
             "regions": regions,
         }
     return banks
 
 
-def _snapshot_reference(engine: ReferenceEngine,
-                        built: BuiltCase) -> dict:
+def _reference_state(engine: ReferenceEngine) -> dict:
     banks = {}
     for b, bank in enumerate(engine.banks):
-        regions = {}
-        for name in built.dense_data:
-            regions[name] = _arr(bank.dense[name])
-        for name in built.triple_data:
-            rows, cols, vals = bank.coo[name]
+        regions = {name: _arr(data) for name, data in bank.dense.items()}
+        for name, (rows, cols, vals) in bank.coo.items():
             regions[name] = (_arr(rows), _arr(cols), _arr(vals))
         banks[b] = {
             "exited": bool(bank.exited),
@@ -567,46 +550,37 @@ def _first_diff(a, b, path="state") -> Optional[str]:
     return None
 
 
+#: Engine counters both interpreters keep, compared after every case.
 _STAT_FIELDS = ("beats", "mode_switches", "programs_loaded",
-                "kernel_launches", "instructions", "alu_ops",
-                "predicated_beats")
+                "kernel_launches", "predicated_beats")
+
+
+def engine_diff(lane, ref) -> Optional[str]:
+    """First difference between two engines' counters and architectural
+    state, or None when they agree bitwise."""
+    for name in _STAT_FIELDS:
+        a, b = getattr(lane.stats, name), getattr(ref.stats, name)
+        if a != b:
+            return f"stats.{name}: lane {a} != reference {b}"
+    return _first_diff(architectural_state(lane),
+                       architectural_state(ref), "lane-vs-reference")
 
 
 def run_case(case: FuzzCase,
              config: ProcessingUnitConfig = ProcessingUnitConfig(),
              ) -> BuiltCase:
-    """Run *case* through all three engines; raise CheckError on mismatch.
-
-    Scalar vs lane is compared in full (architectural state plus every
-    stats counter); the reference engine is compared on architectural
-    state only — it has no notion of beat accounting by design.
-    """
+    """Run *case* on the lane engine and the reference; raise CheckError
+    unless beats consumed, engine counters (predicated beats included)
+    and full architectural state agree bitwise."""
     built = build_case(case, config)
-    scalar = AllBankEngine(case.num_banks, config, case.precision)
     lane = LaneEngine(case.num_banks, config, case.precision)
     ref = ReferenceEngine(case.num_banks, config, case.precision)
-    consumed = {
-        "scalar": _drive_production(scalar, built),
-        "lane": _drive_production(lane, built),
-        "reference": _drive_reference(ref, built),
-    }
-    if len(set(consumed.values())) != 1:
-        raise CheckError(
-            f"beat consumption diverged: {consumed}; "
-            f"reproduce: {case.reproducer()}")
-    snap_scalar = _snapshot_production(scalar, built)
-    snap_lane = _snapshot_production(lane, built)
-    snap_ref = _snapshot_reference(ref, built)
-    diff = _first_diff(snap_scalar, snap_lane, "scalar-vs-lane")
-    if diff is None:
-        diff = _first_diff(snap_scalar, snap_ref, "scalar-vs-reference")
-    if diff is None:
-        for name in _STAT_FIELDS:
-            a = getattr(scalar.stats, name)
-            b = getattr(lane.stats, name)
-            if a != b:
-                diff = f"stats.{name}: scalar {a} != lane {b}"
-                break
+    consumed = (drive(lane, built), drive(ref, built))
+    if consumed[0] != consumed[1]:
+        diff = (f"beat consumption diverged: lane {consumed[0]} != "
+                f"reference {consumed[1]}")
+    else:
+        diff = engine_diff(lane, ref)
     if diff is not None:
         raise CheckError(f"{diff}; reproduce: {case.reproducer()}")
     return built
@@ -659,7 +633,7 @@ def fuzz_range(start: int, count: int, shrink: bool = True,
                ) -> List[Tuple[int, str]]:
     """Run seeds ``[start, start+count)``; return (seed, message) failures.
 
-    Every seed goes through the full three-oracle :func:`run_case`. Each
+    Every seed goes through the full lane-vs-reference :func:`run_case`. Each
     failure is shrunk (when *shrink*) before being reported, and the
     reported message always carries the original reproducer seed.
 

@@ -1,4 +1,5 @@
-"""Scalar oracles of the planning tier, and how tests swap them in.
+"""Scalar oracles of the planning tier and the engine, and how tests
+swap them in.
 
 The production planner runs as single-pass array pipelines and every
 kernel driver runs on the vectorized :class:`~repro.pim.LaneEngine`.
@@ -20,12 +21,14 @@ against. No production entry point selects them:
   lock-step batches taken from the bank split's chunk maxima (oracle of
   the one-pass leaf schedule and its closed-form batches).
 
-The engine oracle is :class:`~repro.pim.AllBankEngine` itself.
+The engine oracle is :class:`~repro.check.reference.ReferenceEngine`, the
+flat per-bank ISA interpreter the fuzzer also checks the lane engine
+against.
 
 Tests reach an oracle in one of two ways: they call it directly on the
 inputs the production function receives, or they substitute it for the
 production stage it mirrors with :func:`use_scalar_planner` /
-:func:`use_scalar_engine`. Both take a ``setattr``-style callable such as
+:func:`use_reference_engine`. Both take a ``setattr``-style callable such as
 ``monkeypatch.setattr``, so the substitution ends with the test. No module
 of :mod:`repro` outside :mod:`repro.check` imports this one.
 """
@@ -41,7 +44,7 @@ import numpy as np
 from ..core.partition import SubMatrix
 from ..core.sptrsv import LeafSchedule, _split_rows
 from ..formats import COOMatrix, CSRMatrix
-from ..pim import AllBankEngine
+from .reference import ReferenceEngine
 
 
 # ----------------------------------------------------------------------
@@ -307,13 +310,13 @@ def use_scalar_planner(setattr_: Setter) -> None:
         setattr_(importlib.import_module(module), name, oracle)
 
 
-def use_scalar_engine(setattr_: Setter) -> None:
-    """Make every kernel driver build the scalar :class:`AllBankEngine`
+def use_reference_engine(setattr_: Setter) -> None:
+    """Make every kernel driver build the :class:`ReferenceEngine`
     instead of the lane engine, via *setattr_*."""
     for module in ENGINE_SITES:
         setattr_(importlib.import_module(module), "LaneEngine",
-                 AllBankEngine)
+                 ReferenceEngine)
 
 
-__all__ = ["ENGINE_SITES", "PLANNER_STAGES", "use_scalar_engine",
+__all__ = ["ENGINE_SITES", "PLANNER_STAGES", "use_reference_engine",
            "use_scalar_planner"]

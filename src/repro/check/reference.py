@@ -1,13 +1,22 @@
-"""A third, independently structured interpreter of the pSyncPIM ISA.
+"""The lane engine's oracle: an independently structured ISA interpreter.
 
 :class:`ReferenceEngine` re-states the semantics of Tables IV-VI as a
-flat, dictionary-driven interpreter over plain numpy arrays. It is the
-fuzzer's semantic oracle: deliberately organised nothing like
-:mod:`repro.pim.unit` (no ProcessingUnit / RegisterFile / BankMemory
-class hierarchy, no shared ALU module), so that a bug in the production
-engines' shared structure cannot hide by also appearing here. Scalar
-engine, lane engine and this reference must agree bitwise on every
-register, queue, memory region and per-bank exit state.
+flat, per-bank interpreter over plain numpy arrays and Python lists. It
+is the one oracle the vectorized :class:`~repro.pim.LaneEngine` is checked
+against — by the differential tests, by the kernel drivers swapped onto it
+with :func:`repro.check.oracles.use_reference_engine`, and by the ISA
+fuzzer. It is deliberately organised nothing like the lane engine: every
+bank walks its own program counter and loop counters (lock-step is an
+outcome here, not an assumption), and it shares no ALU, bank-access table
+or state container with :mod:`repro.pim`, so a misconception in the
+production engine's shared structure cannot hide by also appearing here.
+The two must agree bitwise on every register, queue, memory region,
+per-bank exit state and beat count.
+
+It implements the same host surface as the lane engine — the Fig. 1 mode
+protocol, SB-mode host I/O with one array per bank, the AB-mode SRF
+broadcast, ``load_program``/``arm``/``step``/``run`` — so every kernel
+driver runs on it unchanged.
 
 Numerics follow DESIGN.md: all arithmetic in float64; numpy pairwise
 summation for additive reductions; python ``min``/``max`` for scalar
@@ -25,10 +34,14 @@ import numpy as np
 from ..config import ProcessingUnitConfig, element_size
 from ..errors import CapacityError, ExecutionError
 from ..isa import BInstruction, CInstruction, Opcode, Operand, Program
-from ..pim.beat import Beat
+from ..pim import Beat, EngineStats, Mode
 
 _PAD = -1              # padding index of COO streams (paper §V)
 _INDEX_BYTES = 2       # 16-bit row/col sub-queue elements
+
+#: Fig. 1: SB <-> AB, AB -> AB-PIM, and AB-PIM back to either.
+_LEGAL = {("SB", "AB"), ("AB", "SB"), ("AB", "AB_PIM"), ("AB_PIM", "AB"),
+          ("AB_PIM", "SB")}
 
 
 def needs_bank(ins: BInstruction) -> bool:
@@ -117,6 +130,8 @@ class ReferenceEngine:
         if num_banks <= 0:
             raise ExecutionError("need at least one bank")
         value_bytes = element_size(precision)
+        self.num_banks = num_banks
+        self.precision = precision
         self.lanes = config.datapath_bytes // value_bytes
         self.queue_capacity = min(config.subqueue_bytes // value_bytes,
                                   config.subqueue_bytes // _INDEX_BYTES)
@@ -124,30 +139,100 @@ class ReferenceEngine:
         self.num_queues = config.num_sparse_queues
         self.num_dense = config.num_dense_registers
         self.instruction_slots = config.instruction_slots
-        self.banks = [self._fresh_bank() for _ in range(num_banks)]
+        self.banks = [_Bank() for _ in range(num_banks)]
+        for bank in self.banks:
+            self._clear_registers(bank)
         self.program: Optional[Program] = None
         self._classified: Tuple[Tuple[bool, bool], ...] = ()
+        self.mode = Mode.SB
+        self.stats = EngineStats()
 
-    def _fresh_bank(self) -> _Bank:
-        bank = _Bank()
+    def _clear_registers(self, bank: _Bank) -> None:
+        bank.srf = 0.0
         bank.drf = [np.zeros(self.lanes) for _ in range(self.num_dense)]
         bank.queues = [[] for _ in range(self.num_queues)]
-        return bank
+        bank.cursors = {}
+
+    # ------------------------------------------------------------------
+    # mode protocol (Fig. 1)
+    # ------------------------------------------------------------------
+    def switch_mode(self, target: Mode) -> None:
+        if target is self.mode:
+            return
+        if (self.mode.name, target.name) not in _LEGAL:
+            raise ExecutionError(
+                f"illegal mode transition {self.mode.value} -> "
+                f"{target.value}")
+        self.mode = target
+        self.stats.mode_switches += 1
+
+    def _in_mode(self, name: str, what: str) -> None:
+        if self.mode.name != name:
+            raise ExecutionError(f"{what} requires "
+                                 f"{name.replace('_', '-')} mode (Fig. 1)")
 
     # ------------------------------------------------------------------
     # host interface
     # ------------------------------------------------------------------
-    def write_dense(self, name: str, per_bank) -> None:
-        for bank, data in zip(self.banks, per_bank):
-            bank.dense[name] = np.array(data, dtype=np.float64)
+    def _per_bank(self, per_bank) -> None:
+        if len(per_bank) != self.num_banks:
+            raise ExecutionError("need one array per bank")
 
-    def write_triples(self, name: str, per_bank) -> None:
+    def host_write_dense(self, name: str, per_bank) -> None:
+        self._in_mode("SB", "a host write")
+        self._per_bank(per_bank)
+        arrays = [np.array(data, dtype=np.float64) for data in per_bank]
+        if any(a.ndim != 1 for a in arrays):
+            raise ExecutionError("dense regions are one-dimensional")
+        for bank, data in zip(self.banks, arrays):
+            bank.coo.pop(name, None)
+            bank.dense[name] = data
+
+    def host_write_triples(self, name: str, per_bank) -> None:
+        self._in_mode("SB", "a host write")
+        self._per_bank(per_bank)
         for bank, (rows, cols, vals) in zip(self.banks, per_bank):
-            bank.coo[name] = (np.array(rows, dtype=np.int64),
-                              np.array(cols, dtype=np.int64),
-                              np.array(vals, dtype=np.float64))
+            triple = (np.array(rows, dtype=np.int64),
+                      np.array(cols, dtype=np.int64),
+                      np.array(vals, dtype=np.float64))
+            if not triple[0].shape == triple[1].shape == triple[2].shape:
+                raise ExecutionError("triple region arrays must align")
+            bank.dense.pop(name, None)
+            bank.coo[name] = triple
 
-    def load_program(self, program: Program) -> None:
+    def host_read_dense(self, name: str) -> List[np.ndarray]:
+        self._in_mode("SB", "a host read")
+        return [self._dense(bank, name).copy() for bank in self.banks]
+
+    def host_read_triples(self, name: str) -> List[tuple]:
+        self._in_mode("SB", "a host read")
+        return [tuple(a.copy() for a in self._coo(bank, name))
+                for bank in self.banks]
+
+    def broadcast_scalar(self, value: float) -> None:
+        self._in_mode("AB", "a scalar broadcast")
+        for bank in self.banks:
+            bank.srf = float(value)
+
+    def read_scalars(self) -> np.ndarray:
+        self._in_mode("SB", "a scalar readback")
+        return np.array([bank.srf for bank in self.banks])
+
+    @staticmethod
+    def _dense(bank: _Bank, name: str) -> np.ndarray:
+        if name not in bank.dense:
+            raise ExecutionError(f"bank has no dense region {name!r}")
+        return bank.dense[name]
+
+    @staticmethod
+    def _coo(bank: _Bank, name: str):
+        if name not in bank.coo:
+            raise ExecutionError(f"bank has no COO region {name!r}")
+        return bank.coo[name]
+
+    def load_program(self, program: Program,
+                     reset_registers: bool = True) -> None:
+        self._in_mode("AB", "programming")
         if len(program) > self.instruction_slots:
             raise ExecutionError("program exceeds the control register")
         self.program = program
@@ -155,16 +240,18 @@ class ReferenceEngine:
             (isinstance(ins, CInstruction),
              False if isinstance(ins, CInstruction) else needs_bank(ins))
             for ins in program)
+        self.arm(reset_registers=reset_registers)
+        self.stats.programs_loaded += 1
+
+    def arm(self, reset_registers: bool = False) -> None:
         for bank in self.banks:
             bank.pc = 0
             bank.exited = False
             bank.exhausted_mask = 0
             bank.load_targets_mask = 0
             bank.loop_counters = {}
-            bank.srf = 0.0
-            bank.drf = [np.zeros(self.lanes) for _ in range(self.num_dense)]
-            bank.queues = [[] for _ in range(self.num_queues)]
-            bank.cursors = {}
+            if reset_registers:
+                self._clear_registers(bank)
 
     # ------------------------------------------------------------------
     # execution
@@ -173,24 +260,44 @@ class ReferenceEngine:
     def all_exited(self) -> bool:
         return all(bank.exited for bank in self.banks)
 
+    @property
+    def active_count(self) -> int:
+        return sum(not bank.exited for bank in self.banks)
+
+    def step(self, beat: Beat) -> None:
+        """Broadcast one transaction to every bank.
+
+        A beat counts as predicated when a bank exits on it, or when a
+        bank that had exited before it shares it with one still running.
+        """
+        self._in_mode("AB_PIM", "kernel execution")
+        if self.program is None:
+            raise ExecutionError("no program loaded")
+        exited_before = self.num_banks - self.active_count
+        for bank in self.banks:
+            self._consume(bank, beat)
+        self.stats.beats += 1
+        exited_after = self.num_banks - self.active_count
+        if exited_after > exited_before or (
+                exited_before and exited_after < self.num_banks):
+            self.stats.predicated_beats += 1
+
     def run(self, beats) -> int:
+        self.stats.kernel_launches += 1
         consumed = 0
         for beat in beats:
             if self.all_exited:
                 break
-            for bank in self.banks:
-                self._consume(bank, beat)
+            self.step(beat)
             consumed += 1
         for bank in self.banks:
             self._flush(bank)
         return consumed
 
     def _consume(self, bank: _Bank, beat: Beat) -> None:
-        program = self.program
-        if program is None:
-            raise ExecutionError("no program loaded")
         if bank.exited:
             return
+        program = self.program
         budget = 4 * len(program) + 8
         while budget:
             budget -= 1
@@ -299,6 +406,8 @@ class ReferenceEngine:
     @staticmethod
     def _read(data: np.ndarray, start: int, count: int) -> np.ndarray:
         """Dense read; beyond-the-end lanes read as zero."""
+        if start < 0:
+            raise ExecutionError("negative dense region access")
         out = np.zeros(count)
         end = min(start + count, data.size)
         if start < end:
@@ -308,6 +417,8 @@ class ReferenceEngine:
     @staticmethod
     def _write(data: np.ndarray, start: int, values: np.ndarray) -> None:
         """Dense write; beyond-the-end lanes are dropped."""
+        if start < 0:
+            raise ExecutionError("negative dense region access")
         end = min(start + values.size, data.size)
         if start < end:
             data[start:end] = values[:end - start]
@@ -324,18 +435,19 @@ class ReferenceEngine:
     def _dmov(self, bank: _Bank, ins: BInstruction,
               beat: Optional[Beat]) -> None:
         if ins.dst.is_dense_register and ins.src0 is Operand.BANK:
-            data = bank.dense[beat.region]
+            data = self._dense(bank, beat.region)
             window = self._read(data, beat.index * self.lanes, self.lanes)
             bank.drf[ins.dst.dense_index] = window
         elif ins.dst is Operand.BANK and ins.src0.is_dense_register:
-            self._write(bank.dense[beat.region], beat.index * self.lanes,
+            self._write(self._dense(bank, beat.region),
+                        beat.index * self.lanes,
                         bank.drf[ins.src0.dense_index])
         elif ins.dst is Operand.SRF and ins.src0 is Operand.BANK:
-            data = bank.dense[beat.region]
+            data = self._dense(bank, beat.region)
             bank.srf = (float(data[beat.index])
                         if 0 <= beat.index < data.size else 0.0)
         elif ins.dst is Operand.BANK and ins.src0 is Operand.SRF:
-            self._write(bank.dense[beat.region], beat.index,
+            self._write(self._dense(bank, beat.region), beat.index,
                         np.array([bank.srf]))
         elif ins.dst.is_dense_register and ins.src0.is_dense_register:
             bank.drf[ins.dst.dense_index] = (
@@ -351,7 +463,7 @@ class ReferenceEngine:
         _, col, _ = queue[0]
         if col == _PAD:
             return
-        data = bank.dense[beat.region]
+        data = self._dense(bank, beat.region)
         bank.srf = float(data[col]) if 0 <= col < data.size else 0.0
 
     def _spmov(self, bank: _Bank, ins: BInstruction,
@@ -363,7 +475,7 @@ class ReferenceEngine:
             bank.load_targets_mask |= bit
             if self.queue_capacity - len(bank.queues[qi]) < gs:
                 return
-            rows, cols, vals = bank.coo[beat.region]
+            rows, cols, vals = self._coo(bank, beat.region)
             cursor = bank.cursors.get(beat.region, 0)
             if cursor % gs:
                 raise ExecutionError("queue stream cursor misaligned")
@@ -394,7 +506,7 @@ class ReferenceEngine:
         return taken
 
     def _store_triples(self, bank: _Bank, region: str, items) -> None:
-        rows, cols, vals = bank.coo[region]
+        rows, cols, vals = self._coo(bank, region)
         cursor = bank.cursors.get(region, 0)
         hi = cursor + len(items)
         if hi > rows.size:
@@ -419,7 +531,7 @@ class ReferenceEngine:
         gs = self.group_size
         ident = ins.idnt.value_as_float
         if ins.dst.is_sparse_queue and ins.src0 is Operand.BANK:
-            data = bank.dense[beat.region]
+            data = self._dense(bank, beat.region)
             base = beat.index * gs
             window = self._read(data, base, gs)
             qi = ins.dst.queue_index
@@ -431,7 +543,7 @@ class ReferenceEngine:
             if base + gs >= data.size:
                 bank.exhausted_mask |= 1 << qi
         elif ins.dst is Operand.BANK and ins.src0.is_sparse_queue:
-            data = bank.dense[beat.region]
+            data = self._dense(bank, beat.region)
             for row, _, value in self._pop_up_to(
                     bank, ins.src0.queue_index, gs):
                 if 0 <= row < data.size:
@@ -442,7 +554,7 @@ class ReferenceEngine:
     def _sdv(self, bank: _Bank, ins: BInstruction,
              beat: Optional[Beat]) -> None:
         if ins.src1 is Operand.BANK:
-            operand = self._read(bank.dense[beat.region],
+            operand = self._read(self._dense(bank, beat.region),
                                  beat.index * self.lanes, self.lanes)
         else:
             operand = bank.drf[ins.src1.dense_index]
@@ -473,7 +585,7 @@ class ReferenceEngine:
               beat: Optional[Beat]) -> None:
         left = bank.drf[ins.src0.dense_index]
         if ins.src1 is Operand.BANK:
-            right = self._read(bank.dense[beat.region],
+            right = self._read(self._dense(bank, beat.region),
                                beat.index * self.lanes, self.lanes)
         else:
             right = bank.drf[ins.src1.dense_index]
@@ -489,7 +601,7 @@ class ReferenceEngine:
             if not src:
                 return
             row, _, value = src.pop(0)
-            data = bank.dense[beat.region]
+            data = self._dense(bank, beat.region)
             if 0 <= row < data.size:
                 data[row] = float(_binary(ins.binary, data[row], value))
         elif ins.dst.is_sparse_queue and ins.src0.is_sparse_queue \
@@ -498,7 +610,7 @@ class ReferenceEngine:
             if not src:
                 return
             row, col, value = src.pop(0)
-            data = bank.dense[beat.region]
+            data = self._dense(bank, beat.region)
             gathered = (float(data[row])
                         if 0 <= row < data.size else 0.0)
             self._push(bank, ins.dst.queue_index, row, col,

@@ -237,8 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check", help="run the independent verification oracles")
     check.add_argument("--fuzz", type=int, default=0, metavar="N",
-                       help="also run N seeded fuzz programs through all "
-                            "three engines (0 = skip)")
+                       help="also run N seeded fuzz programs through the "
+                            "lane engine and the reference interpreter "
+                            "(0 = skip)")
     check.add_argument("--seed", type=int, default=0,
                        help="first fuzz seed (default 0)")
     check.add_argument("--golden-dir", default=None,

@@ -24,7 +24,7 @@ row-cut scheme (:func:`repro.core.partition.partition`) behind a
 All strategies are array-native in the fast-planner style and emit
 ordinary :class:`SubMatrix` / :class:`PartitionPlan` objects, so bank and
 channel distribution, the lane engine, trace synthesis and the
-three-oracle checkers run unchanged on any of them.
+:mod:`repro.check` conformance checkers run unchanged on any of them.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..isa import Program
-from ..pim import AllBankEngine, Beat, Mode
+from ..pim import Beat, LaneEngine, Mode
 
 #: JUMP's 10-bit iteration immediate bounds a single pass.
 MAX_LOOP_COUNT = 1023
@@ -45,7 +45,7 @@ class LaunchStats:
         return self
 
 
-def launch(engine: AllBankEngine, program: Program,
+def launch(engine: LaneEngine, program: Program,
            beats: Iterable[Beat], scalar: float = None,
            reset_registers: bool = True) -> LaunchStats:
     """Run one program over one beat stream with the full mode protocol."""
@@ -53,7 +53,7 @@ def launch(engine: AllBankEngine, program: Program,
     engine.switch_mode(Mode.AB)
     engine.load_program(program, reset_registers=reset_registers)
     if scalar is not None:
-        broadcast_scalar(engine, scalar)
+        engine.broadcast_scalar(scalar)
     engine.switch_mode(Mode.AB_PIM)
     consumed = engine.run(beats)
     engine.switch_mode(Mode.SB)
@@ -68,7 +68,7 @@ def launch(engine: AllBankEngine, program: Program,
                        programs_loaded=1)
 
 
-def relaunch(engine: AllBankEngine, beats: Iterable[Beat]) -> LaunchStats:
+def relaunch(engine: LaneEngine, beats: Iterable[Beat]) -> LaunchStats:
     """Re-run the already-loaded program on a fresh beat stream.
 
     Queue and register contents survive (streaming kernels resume where
@@ -82,21 +82,6 @@ def relaunch(engine: AllBankEngine, beats: Iterable[Beat]) -> LaunchStats:
     if not engine.all_exited:
         raise ExecutionError("kernel pass did not terminate")
     return LaunchStats(beats=consumed, launches=1, mode_switches=3)
-
-
-def broadcast_scalar(engine: AllBankEngine, value: float) -> None:
-    """Write *value* into every unit's SRF (AB-mode host broadcast)."""
-    if engine.mode is not Mode.AB:
-        raise ExecutionError("scalar broadcast requires AB mode")
-    for unit in engine.units:
-        unit.registers.scalar = float(value)
-
-
-def read_scalars(engine: AllBankEngine) -> np.ndarray:
-    """Host readback of every unit's SRF (SB mode)."""
-    if engine.mode is not Mode.SB:
-        raise ExecutionError("scalar readback requires SB mode")
-    return np.array([unit.registers.scalar for unit in engine.units])
 
 
 def passes(total_iterations: int) -> Iterator[int]:

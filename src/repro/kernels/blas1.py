@@ -21,10 +21,10 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..formats import SparseVector, stable_order
-from ..pim import AllBankEngine, Beat, LaneEngine, padded_triples
+from ..pim import Beat, LaneEngine, padded_triples
 from . import programs
 from .base import (LaunchStats, groups_for, join_even, launch, passes,
-                   read_scalars, split_even)
+                   split_even)
 
 
 @dataclass
@@ -33,37 +33,39 @@ class KernelRun:
 
     result: object
     stats: LaunchStats
-    engine: AllBankEngine
+    engine: LaneEngine
 
 
-def _lanes(engine: AllBankEngine) -> int:
-    return engine.units[0].registers.lanes
-
-
-def _group(engine: AllBankEngine) -> int:
-    return engine.units[0].registers.group_size
+def _vector(values, name: str) -> np.ndarray:
+    """*values* as a one-dimensional float64 array, or ExecutionError."""
+    try:
+        vector = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ExecutionError(f"{name} is not numeric: {exc}") from None
+    if vector.ndim != 1:
+        raise ExecutionError(
+            f"{name} must be a one-dimensional vector, got shape "
+            f"{vector.shape}")
+    return vector
 
 
 # ----------------------------------------------------------------------
 # dense kernels
 # ----------------------------------------------------------------------
-def _dense_setup(engine: AllBankEngine, **vectors) -> int:
+def _dense_setup(engine: LaneEngine, **vectors) -> int:
     """Distribute dense vectors into same-named regions; return chunk len."""
-    lanes = _lanes(engine)
     chunk = None
     for name, vector in vectors.items():
-        chunks = split_even(np.asarray(vector, dtype=np.float64),
-                            len(engine.banks), lanes)
+        chunks = split_even(vector, engine.num_banks, engine.lanes)
         engine.host_write_dense(name, chunks)
         chunk = len(chunks[0])
     return chunk
 
 
-def _dense_run(engine: AllBankEngine, chunk: int, program_builder,
+def _dense_run(engine: LaneEngine, chunk: int, program_builder,
                beat_builder, scalar: Optional[float] = None) -> LaunchStats:
     """Run a dense streaming kernel in <=1023-group passes."""
-    lanes = _lanes(engine)
-    total_groups = groups_for(chunk, lanes)
+    total_groups = groups_for(chunk, engine.lanes)
     stats = LaunchStats()
     offset = 0
     first = True
@@ -81,7 +83,7 @@ def _dense_run(engine: AllBankEngine, chunk: int, program_builder,
 def dcopy(x: np.ndarray, num_banks: int = 16,
           precision: str = "fp64") -> KernelRun:
     """DCOPY: returns y = x streamed through the PIM datapath."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _vector(x, "x")
     engine = LaneEngine(num_banks, precision=precision)
     chunk = _dense_setup(engine, x=x, y=np.zeros_like(x))
 
@@ -99,8 +101,7 @@ def dcopy(x: np.ndarray, num_banks: int = 16,
 def dswap(x: np.ndarray, y: np.ndarray, num_banks: int = 16,
           precision: str = "fp64") -> KernelRun:
     """DSWAP: returns (new_x, new_y) = (y, x)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = _vector(x, "x"), _vector(y, "y")
     if x.size != y.size:
         raise ExecutionError("DSWAP operands must have equal length")
     engine = LaneEngine(num_banks, precision=precision)
@@ -123,7 +124,7 @@ def dswap(x: np.ndarray, y: np.ndarray, num_banks: int = 16,
 def dscal(alpha: float, x: np.ndarray, num_banks: int = 16,
           precision: str = "fp64") -> KernelRun:
     """DSCAL: returns alpha * x (computed in place on the banks)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _vector(x, "x")
     engine = LaneEngine(num_banks, precision=precision)
     chunk = _dense_setup(engine, x=x)
 
@@ -142,8 +143,7 @@ def dscal(alpha: float, x: np.ndarray, num_banks: int = 16,
 def daxpy(alpha: float, x: np.ndarray, y: np.ndarray, num_banks: int = 16,
           precision: str = "fp64") -> KernelRun:
     """DAXPY: returns alpha*x + y."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = _vector(x, "x"), _vector(y, "y")
     if x.size != y.size:
         raise ExecutionError("DAXPY operands must have equal length")
     engine = LaneEngine(num_banks, precision=precision)
@@ -165,8 +165,7 @@ def daxpy(alpha: float, x: np.ndarray, y: np.ndarray, num_banks: int = 16,
 def ddot(x: np.ndarray, y: np.ndarray, num_banks: int = 16,
          precision: str = "fp64") -> KernelRun:
     """DDOT: returns x . y (per-bank partials reduced by the host)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = _vector(x, "x"), _vector(y, "y")
     if x.size != y.size:
         raise ExecutionError("DDOT operands must have equal length")
     engine = LaneEngine(num_banks, precision=precision)
@@ -180,7 +179,7 @@ def ddot(x: np.ndarray, y: np.ndarray, num_banks: int = 16,
     stats = _dense_run(engine, chunk,
                        lambda n: programs.ddot_program(n, precision), beats,
                        scalar=0.0)
-    total = float(np.sum(read_scalars(engine)))
+    total = float(np.sum(engine.read_scalars()))
     return KernelRun(total, stats, engine)
 
 
@@ -194,8 +193,7 @@ def dnrm2(x: np.ndarray, num_banks: int = 16,
 def elementwise(x: np.ndarray, y: np.ndarray, binary: str,
                 num_banks: int = 16, precision: str = "fp64") -> KernelRun:
     """z = x (.) y for any VALU binary op (graph vector building block)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = _vector(x, "x"), _vector(y, "y")
     if x.size != y.size:
         raise ExecutionError("elementwise operands must have equal length")
     engine = LaneEngine(num_banks, precision=precision)
@@ -217,19 +215,19 @@ def elementwise(x: np.ndarray, y: np.ndarray, binary: str,
 # ----------------------------------------------------------------------
 # sparse vector kernels
 # ----------------------------------------------------------------------
-def _sparse_setup(engine: AllBankEngine, name: str, vector: SparseVector,
+def _sparse_setup(engine: LaneEngine, name: str, vector: SparseVector,
                   chunk: int) -> int:
     """Distribute a sparse vector by index range, chunk-local indices.
 
     Returns the padded per-bank element count (identical across banks, the
     all-bank padding rule).
     """
-    group = _group(engine)
+    group = engine.group_size
     srt = vector.sorted()
     owners = srt.indices // chunk
     per_bank = []
     max_count = 0
-    for b in range(len(engine.banks)):
+    for b in range(engine.num_banks):
         mask = owners == b
         local = srt.indices[mask] - b * chunk
         per_bank.append((local, local.copy(), srt.values[mask]))
@@ -243,13 +241,13 @@ def _sparse_setup(engine: AllBankEngine, name: str, vector: SparseVector,
 def spaxpy(alpha: float, x: SparseVector, y: np.ndarray,
            num_banks: int = 16, precision: str = "fp64") -> KernelRun:
     """SpAXPY: returns alpha * x_sp + y_d."""
-    y = np.asarray(y, dtype=np.float64)
+    y = _vector(y, "y")
     if x.length != y.size:
         raise ExecutionError("SpAXPY operands must have equal length")
     engine = LaneEngine(num_banks, precision=precision)
     chunk = _dense_setup(engine, y=y)
     total = _sparse_setup(engine, "xsp", x, chunk)
-    group = _group(engine)
+    group = engine.group_size
     total_groups = groups_for(total, group)
 
     stats = LaunchStats()
@@ -276,13 +274,13 @@ def spaxpy(alpha: float, x: SparseVector, y: np.ndarray,
 def spdot(x: SparseVector, y: np.ndarray, num_banks: int = 16,
           precision: str = "fp64") -> KernelRun:
     """SpDOT: returns x_sp . y_d."""
-    y = np.asarray(y, dtype=np.float64)
+    y = _vector(y, "y")
     if x.length != y.size:
         raise ExecutionError("SpDOT operands must have equal length")
     engine = LaneEngine(num_banks, precision=precision)
     chunk = _dense_setup(engine, y=y)
     total = _sparse_setup(engine, "xsp", x, chunk)
-    group = _group(engine)
+    group = engine.group_size
     total_groups = groups_for(total, group)
 
     stats = LaunchStats()
@@ -302,16 +300,16 @@ def spdot(x: SparseVector, y: np.ndarray, num_banks: int = 16,
                            reset_registers=first))
         offset += step
         first = False
-    return KernelRun(float(np.sum(read_scalars(engine))), stats, engine)
+    return KernelRun(float(np.sum(engine.read_scalars())), stats, engine)
 
 
 def gather(dense: np.ndarray, num_banks: int = 16,
            precision: str = "fp64") -> KernelRun:
     """GATHER: returns the SparseVector of non-zeros of *dense*."""
-    dense = np.asarray(dense, dtype=np.float64)
+    dense = _vector(dense, "dense")
     engine = LaneEngine(num_banks, precision=precision)
     chunk = _dense_setup(engine, y=dense)
-    group = _group(engine)
+    group = engine.group_size
     total_groups = groups_for(chunk, group)
     empty = np.full(total_groups * group, -1, dtype=np.int64)
     engine.host_write_triples(
@@ -334,11 +332,10 @@ def gather(dense: np.ndarray, num_banks: int = 16,
 
     indices: List[int] = []
     values: List[float] = []
-    for b, memory in enumerate(engine.banks):
-        region = memory.triples("xsp")
-        valid = region.rows >= 0
-        indices.extend((region.rows[valid] + b * chunk).tolist())
-        values.extend(region.vals[valid].tolist())
+    for b, (rows, _, vals) in enumerate(engine.host_read_triples("xsp")):
+        valid = rows >= 0
+        indices.extend((rows[valid] + b * chunk).tolist())
+        values.extend(vals[valid].tolist())
     idx = np.asarray(indices, dtype=np.int64)
     order = stable_order(idx)
     result = SparseVector(dense.size, idx[order], np.asarray(values)[order])
@@ -350,14 +347,13 @@ def scatter(x: SparseVector, length: Optional[int] = None,
             precision: str = "fp64") -> KernelRun:
     """SCATTER: returns a dense vector with x_sp written into *base*."""
     length = x.length if length is None else length
-    dense = (np.zeros(length) if base is None
-             else np.asarray(base, dtype=np.float64).copy())
+    dense = np.zeros(length) if base is None else _vector(base, "base")
     if dense.size != x.length:
         raise ExecutionError("scatter base length mismatch")
     engine = LaneEngine(num_banks, precision=precision)
     chunk = _dense_setup(engine, y=dense)
     total = _sparse_setup(engine, "xsp", x, chunk)
-    group = _group(engine)
+    group = engine.group_size
     total_groups = groups_for(total, group)
 
     stats = LaunchStats()

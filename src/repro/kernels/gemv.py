@@ -20,19 +20,19 @@ from ..errors import ExecutionError
 from ..pim import Beat, LaneEngine
 from . import programs
 from .base import LaunchStats, groups_for, join_even, launch, split_even
-from .blas1 import KernelRun, _lanes
+from .blas1 import KernelRun, _vector
 
 
 def dgemv(matrix: np.ndarray, x: np.ndarray, num_banks: int = 16,
           precision: str = "fp64") -> KernelRun:
     """DGEMV: returns y = A @ x for a dense matrix A."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+    x = _vector(x, "x")
     if matrix.ndim != 2 or matrix.shape[1] != x.size:
         raise ExecutionError("DGEMV operand shapes do not match")
     m, n = matrix.shape
     engine = LaneEngine(num_banks, precision=precision)
-    lanes = _lanes(engine)
+    lanes = engine.lanes
 
     rows_per_bank = math.ceil(m / num_banks)
     n_padded = math.ceil(n / lanes) * lanes
@@ -76,14 +76,14 @@ def dtrsv(matrix: np.ndarray, b: np.ndarray, lower: bool = True,
     ``b_chunk -= x_j * T[:, j]_chunk`` updates through the PIM datapath.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    b = _vector(b, "b")
     n = b.size
     if matrix.shape != (n, n):
         raise ExecutionError("DTRSV operand shapes do not match")
     if np.any(np.diag(matrix) == 0.0):
         raise ExecutionError("singular triangular matrix")
     engine = LaneEngine(num_banks, precision=precision)
-    lanes = _lanes(engine)
+    lanes = engine.lanes
 
     chunks = split_even(b, num_banks, lanes)
     chunk = len(chunks[0])
@@ -104,7 +104,7 @@ def dtrsv(matrix: np.ndarray, b: np.ndarray, lower: bool = True,
     x = np.zeros(n)
     for j in order:
         owner, offset = divmod(j, chunk)
-        bj = engine.banks[owner].dense("b").data[offset]
+        bj = engine.host_read_dense("b")[owner][offset]
         xj = bj / matrix[j, j]
         x[j] = xj
         program = programs.dtrsv_update_program(chunk_groups, precision)
@@ -116,9 +116,5 @@ def dtrsv(matrix: np.ndarray, b: np.ndarray, lower: bool = True,
                 yield Beat("b", g, write=True)
 
         stats.merge(launch(engine, program, beats(), scalar=xj))
-        # Re-pin the solved entry: the rank-1 update also touched b[j]
-        # (T[j, j] * x_j), which a real schedule masks out; the functional
-        # model restores it explicitly.
-        engine.banks[owner].dense("b").data[offset] = xj
 
     return KernelRun(x, stats, engine)

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import ExecutionError
-from ..pim import AllBankEngine
+from ..pim import LaneEngine
 from .spmv import LaunchStats, Tile, run_tile_round
 
 
@@ -69,7 +69,7 @@ def expand_block_tiles(tiles: Sequence[Optional[Tile]], num_rhs: int,
     return lanes
 
 
-def run_tile_block(engine: AllBankEngine,
+def run_tile_block(engine: LaneEngine,
                    tiles: Sequence[Optional[Tile]], num_rhs: int = 1,
                    accumulate: str = "add", multiply: str = "mul",
                    y_init: float = 0.0) -> TileBlockResult:
@@ -79,13 +79,12 @@ def run_tile_block(engine: AllBankEngine,
     bank's ``(segment, num_rhs)`` input block; *engine* must provide
     ``len(tiles) * num_rhs`` lanes. The launch is a plain
     :func:`~repro.kernels.spmv.run_tile_round` over the expanded lanes,
-    so scalar/lane engine equivalence carries over unchanged.
+    so the engine-against-reference equivalence carries over unchanged.
     """
     lanes = expand_block_tiles(tiles, num_rhs)
-    if len(lanes) != len(engine.banks):
+    if len(lanes) != engine.num_banks:
         raise ExecutionError(
-            f"need one lane per bank: {len(lanes)} != "
-            f"{len(engine.banks)}")
+            f"need one lane per bank: {len(lanes)} != {engine.num_banks}")
     round_result = run_tile_round(engine, lanes, accumulate=accumulate,
                                   multiply=multiply, y_init=y_init)
     blocks: List[np.ndarray] = []

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import ExecutionError
-from ..pim import AllBankEngine, Beat, padded_triples
+from ..pim import Beat, LaneEngine, padded_triples
 from . import programs
 from .base import LaunchStats, launch, passes
 
@@ -79,7 +79,7 @@ def empty_tile(x_len: int = 1, y_len: int = 1) -> Tile:
     return Tile(zero, zero, zero, np.zeros(max(x_len, 1)), max(y_len, 1))
 
 
-def run_tile_round(engine: AllBankEngine, tiles: Sequence[Optional[Tile]],
+def run_tile_round(engine: LaneEngine, tiles: Sequence[Optional[Tile]],
                    accumulate: str = "add", multiply: str = "mul",
                    y_init: float = 0.0) -> TileRoundResult:
     """Execute one round of tiles on *engine* (one tile per bank).
@@ -90,14 +90,13 @@ def run_tile_round(engine: AllBankEngine, tiles: Sequence[Optional[Tile]],
     ``y_init`` seeds the output tiles (the accumulate operation's identity
     for semiring use: +inf for min, -inf for max).
     """
-    if len(tiles) != len(engine.banks):
+    if len(tiles) != engine.num_banks:
         raise ExecutionError(
-            f"need one tile per bank: {len(tiles)} != {len(engine.banks)}")
+            f"need one tile per bank: {len(tiles)} != {engine.num_banks}")
     tiles = [tile if tile is not None else empty_tile() for tile in tiles]
 
-    rf = engine.units[0].registers
-    group = rf.group_size
-    batch = rf.queue_capacity
+    group = engine.group_size
+    batch = engine.queue_capacity
     loads = max(1, batch // group)
     batch = loads * group  # elements per outer iteration
 

@@ -24,9 +24,9 @@ import numpy as np
 from ..errors import ExecutionError
 from ..formats import SparseVector, stable_order
 from ..isa import assemble
-from ..pim import AllBankEngine, Beat, LaneEngine, padded_triples
+from ..pim import Beat, LaneEngine, padded_triples
 from .base import LaunchStats, launch, passes
-from .blas1 import KernelRun, _group
+from .blas1 import KernelRun
 
 
 def spvspv_program(outer: int, batch: int, binary: str, set_mode: str,
@@ -56,7 +56,7 @@ def spvspv(x: SparseVector, y: SparseVector, binary: str = "add",
     if x.length != y.length:
         raise ExecutionError("sparse operands must share a length")
     engine = LaneEngine(num_banks, precision=precision)
-    group = _group(engine)
+    group = engine.group_size
     chunk = max(group, math.ceil(x.length / num_banks))
 
     x_banks, x_max = _chunked(x, num_banks, chunk, group)
@@ -113,16 +113,15 @@ def _chunked(vector: SparseVector, num_banks: int, chunk: int, group: int):
     return banks, longest
 
 
-def _collect(engine: AllBankEngine, length: int, chunk: int) -> SparseVector:
+def _collect(engine: LaneEngine, length: int, chunk: int) -> SparseVector:
     indices: List[int] = []
     values: List[float] = []
-    for b, memory in enumerate(engine.banks):
-        region = memory.triples("zsp")
-        valid = region.rows >= 0
-        global_idx = region.rows[valid] + b * chunk
+    for b, (rows, _, vals) in enumerate(engine.host_read_triples("zsp")):
+        valid = rows >= 0
+        global_idx = rows[valid] + b * chunk
         in_range = global_idx < length
         indices.extend(global_idx[in_range].tolist())
-        values.extend(region.vals[valid][in_range].tolist())
+        values.extend(vals[valid][in_range].tolist())
     idx = np.asarray(indices, dtype=np.int64)
     order = stable_order(idx)
     return SparseVector(length, idx[order], np.asarray(values)[order])

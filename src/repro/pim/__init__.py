@@ -1,30 +1,22 @@
-"""Processing units, bank memory and the all-bank lock-step engines.
+"""The all-bank lock-step functional engine and its building blocks.
 
 The vectorized :class:`LaneEngine` (whole-channel state as numpy lanes)
-is the functional engine every kernel driver runs on. The scalar
-:class:`AllBankEngine` (one Python :class:`ProcessingUnit` per bank)
-implements the same lock-step broadcast semantics; it is the reference
-oracle the lane engine is checked against bitwise, and no production
-entry point selects it.
+is the functional engine every kernel driver runs on. Its oracle, the
+flat per-bank :class:`repro.check.reference.ReferenceEngine`, lives in
+:mod:`repro.check` and is reached from tests only.
 """
 
-from .memory import (PADDING_INDEX, BankMemory, DenseRegion, TripleRegion,
-                     padded_triples)
-from .registers import DenseRegister, RegisterFile, SparseQueue
+from .memory import PADDING_INDEX, padded_triples
 from .beat import Beat
-from .unit import ProcessingUnit, UnitStats, uses_bank
-from .engine import AllBankEngine, EngineStats, Mode
-from .lane_engine import LaneEngine
+from .lane_engine import EngineStats, LaneEngine, Mode
 from .lanes import DenseLanes, LaneMemory, LaneQueue, TripleLanes
 from .verify import (BeatSlot, beat_signature, check_stream_length,
                      expected_beats)
 from . import alu
 
 __all__ = [
-    "PADDING_INDEX", "BankMemory", "DenseRegion", "TripleRegion",
-    "padded_triples", "DenseRegister", "RegisterFile", "SparseQueue",
-    "Beat", "ProcessingUnit", "UnitStats", "uses_bank", "AllBankEngine",
-    "EngineStats", "Mode", "LaneEngine", "DenseLanes", "LaneMemory",
-    "LaneQueue", "TripleLanes", "alu",
-    "BeatSlot", "beat_signature", "check_stream_length", "expected_beats",
+    "PADDING_INDEX", "padded_triples", "Beat", "EngineStats", "Mode",
+    "LaneEngine", "DenseLanes", "LaneMemory", "LaneQueue", "TripleLanes",
+    "alu", "BeatSlot", "beat_signature", "check_stream_length",
+    "expected_beats",
 ]

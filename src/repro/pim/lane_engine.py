@@ -1,40 +1,51 @@
-"""Vectorized lane engine: all banks of a channel as numpy lanes.
+"""The functional engine: all banks of a channel as numpy lanes.
 
-:class:`LaneEngine` is a drop-in alternative to
-:class:`~repro.pim.engine.AllBankEngine`. Where the scalar engine owns one
-:class:`~repro.pim.unit.ProcessingUnit` per bank and interprets each beat
-bank-by-bank, the lane engine holds every unit's architectural state
+:class:`LaneEngine` holds every processing unit's architectural state
 stacked across banks — scalars, dense registers, queues, stream cursors,
 exit/exhaustion masks as arrays with one *lane* per bank — and executes
-each broadcast beat as a handful of masked array operations.
+each broadcast beat as a handful of masked array operations. Every kernel
+driver runs on it.
 
-Why a single shared program counter is sound: the lock-step invariant the
-scalar engine asserts every beat (all *active* units share a PC) holds by
-construction here. Divergence in pSyncPIM is expressed only through
-predication, per-unit columns and early exit — never through control flow
-— so JUMP counts are immediates shared by the whole cohort, and a lane
-that exits (CEXIT/EXIT/fall-off) never rejoins until the next ``arm()``.
-The engine therefore walks one PC and one set of loop counters for the
-active cohort, applying each instruction under a lane mask.
+Why a single shared program counter is sound: the paper's device is one
+lock-step broadcast machine (Fig. 1). Divergence in pSyncPIM is expressed
+only through predication, per-unit columns and early exit — never through
+control flow — so JUMP counts are immediates shared by the whole cohort,
+and a lane that exits (CEXIT/EXIT/fall-off) never rejoins until the next
+``arm()``. The engine therefore walks one PC and one set of loop counters
+for the active cohort, applying each instruction under a lane mask.
 
-Bitwise equivalence with the scalar engine is a hard guarantee, verified
-by differential tests (``tests/test_pim_lane_engine.py``):
+On each broadcast transaction (:class:`~repro.pim.beat.Beat`) the cohort
+executes instructions up to and including the next *bank-access*
+instruction, which consumes the transaction. Divergence is allowed exactly
+where the paper allows it:
 
-* every elementwise op runs the same float64 IEEE operations, just
-  batched over lanes;
-* Reduce preserves numpy's pairwise summation order by reducing each
-  lane over exactly its own elements (lanes are grouped by pop count so
-  the 2-D axis reduction sees the same per-row lengths the scalar
-  1-D reductions saw);
+* **Predication** (§IV-E): an instruction whose queue operand is empty (or
+  whose data is ``-1`` padding) degrades to a NOP in that lane.
+* **Per-unit columns**: IndMOV and scatter writes address the open row at
+  a lane-computed column, not the broadcast column.
+* **Conditional exit** (§IV-D): CEXIT retires a lane once its stream is
+  exhausted and the watched queues are drained; an exited lane keeps
+  receiving transactions but never changes data.
+
+Its oracle is :class:`repro.check.reference.ReferenceEngine`, a flat
+per-bank interpreter written independently of this module (its own
+per-bank PCs, its own ALU, its own bank-access table). Differential tests
+and the ISA fuzzer require bitwise-equal results, bank memory, registers,
+queues, exit state and beat counts from the two:
+
+* every elementwise op runs float64 IEEE operations, batched over lanes;
+* Reduce keeps numpy's pairwise summation order by reducing each lane
+  over exactly its own elements (lanes are grouped by pop count so the
+  2-D axis reduction sees the same per-row lengths a 1-D reduction of
+  each bank would);
 * queue and cursor state advance through the same sequence of predicated
   steps, so FIFO orders and stream positions match exactly.
-
-The scalar engine remains the reference oracle; it is reachable from
-tests only, through :mod:`repro.check.oracles`.
 """
 
 from __future__ import annotations
 
+import enum
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -46,28 +57,60 @@ from ..isa import (BInstruction, CInstruction, Opcode, Operand, Program,
                    BinaryOp)
 from . import alu
 from .beat import Beat
-from .engine import _TRANSITIONS, EngineStats, Mode
 from .lanes import LaneMemory, LaneQueue
 from .memory import PADDING_INDEX
-from .registers import INDEX_BYTES
-from .unit import uses_bank
+from .verify import uses_bank
+
+#: Index element width in the row/col sub-queues. Tile-local indices are
+#: bounded by the 1 KB memory-row constraint (<= 1024), so 16 bits suffice.
+INDEX_BYTES = 2
+
+
+class Mode(enum.Enum):
+    """HBM-PIM execution modes (paper Fig. 1)."""
+
+    SB = "single-bank"
+    AB = "all-bank"
+    AB_PIM = "all-bank-pim"
+
+
+#: Legal mode transitions of the Fig. 1 protocol.
+_TRANSITIONS = {
+    (Mode.SB, Mode.AB),
+    (Mode.AB, Mode.AB_PIM),
+    (Mode.AB_PIM, Mode.SB),
+    (Mode.AB, Mode.SB),
+    (Mode.AB_PIM, Mode.AB),
+}
+
+
+@dataclass
+class EngineStats:
+    """Engine-wide counters the launch statistics and obs read."""
+
+    #: Broadcast transactions consumed.
+    beats: int = 0
+    mode_switches: int = 0
+    programs_loaded: int = 0
+    kernel_launches: int = 0
+    #: Beats on which a lane exited, or some lane had already exited
+    #: while another was still active (divergence measure).
+    predicated_beats: int = 0
 
 
 def _reduce_rows(op: BinaryOp, values: np.ndarray,
                  seed: np.ndarray) -> np.ndarray:
     """Row-wise :func:`repro.pim.alu.reduce_array` over a (n, k) block.
 
-    numpy's axis reductions use the same pairwise split per row as the
-    1-D reductions the scalar engine performs, so this is bitwise equal
-    to reducing each row separately.
+    numpy's axis reductions use the same pairwise split per row as 1-D
+    reductions, so this is bitwise equal to reducing each row separately.
     """
     if values.shape[1] == 0:
         return seed
     if op is BinaryOp.ADD:
         return seed + values.sum(axis=1)
     if op is BinaryOp.MUL:
-        # Overflow folds to inf (inf times zero to nan), as in the
-        # scalar engine.
+        # Overflow folds to inf (inf times zero to nan), the IEEE result.
         with np.errstate(over="ignore", invalid="ignore"):
             return seed * values.prod(axis=1)
     if op is BinaryOp.MIN:
@@ -87,140 +130,26 @@ def _reduce_rows(op: BinaryOp, values: np.ndarray,
     raise ExecutionError(f"{op.name} is not reducible")
 
 
-class _LaneUnitStats:
-    """Per-lane view with the :class:`~repro.pim.unit.UnitStats` fields."""
-
-    __slots__ = ("_engine", "_lane")
-
-    def __init__(self, engine: "LaneEngine", lane: int) -> None:
-        self._engine = engine
-        self._lane = lane
-
-    @property
-    def instructions(self) -> int:
-        return int(self._engine._instr[self._lane])
-
-    @property
-    def alu_ops(self) -> int:
-        return int(self._engine._alu[self._lane])
-
-    @property
-    def beats(self) -> int:
-        return int(self._engine._beat_count[self._lane])
-
-    @property
-    def nop_beats(self) -> int:
-        return int(self._engine._nop[self._lane])
-
-
-class _LaneRegisters:
-    """Per-lane register-file view (capacities + SRF access)."""
-
-    __slots__ = ("_engine", "_lane")
-
-    def __init__(self, engine: "LaneEngine", lane: int) -> None:
-        self._engine = engine
-        self._lane = lane
-
-    @property
-    def lanes(self) -> int:
-        return self._engine.lanes
-
-    @property
-    def queue_capacity(self) -> int:
-        return self._engine.queue_capacity
-
-    @property
-    def group_size(self) -> int:
-        return self._engine.group_size
-
-    @property
-    def scalar(self) -> float:
-        return float(self._engine.scalar[self._lane])
-
-    @scalar.setter
-    def scalar(self, value: float) -> None:
-        self._engine.scalar[self._lane] = float(value)
-
-
-class LaneUnitView:
-    """One lane presented through the ProcessingUnit interface subset."""
-
-    __slots__ = ("_engine", "_lane", "registers", "stats")
-
-    def __init__(self, engine: "LaneEngine", lane: int) -> None:
-        self._engine = engine
-        self._lane = lane
-        self.registers = _LaneRegisters(engine, lane)
-        self.stats = _LaneUnitStats(engine, lane)
-
-    @property
-    def exited(self) -> bool:
-        return bool(self._engine.exited[self._lane])
-
-    @property
-    def pc(self) -> int:
-        return self._engine.pc
-
-    @property
-    def exhausted_mask(self) -> int:
-        return int(self._engine.exhausted_mask[self._lane])
-
-    @property
-    def load_targets_mask(self) -> int:
-        return int(self._engine.load_targets_mask[self._lane])
-
-    @property
-    def exhausted(self) -> bool:
-        return self.exhausted_mask != 0
-
-
-class LaneBankView:
-    """One lane's memory through the BankMemory read interface.
-
-    ``dense``/``triples`` return scalar-tier region *snapshots* (copies)
-    — the drivers only read regions back after a run, so copy semantics
-    match the host-readback contract.
-    """
-
-    __slots__ = ("_memory", "_lane")
-
-    def __init__(self, memory: LaneMemory, lane: int) -> None:
-        self._memory = memory
-        self._lane = lane
-
-    def dense(self, name: str):
-        return self._memory.dense(name).snapshot(self._lane)
-
-    def triples(self, name: str):
-        return self._memory.triples(name).snapshot(self._lane)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._memory
-
-    def region_names(self):
-        return self._memory.region_names()
-
-
 class LaneEngine:
     """Lock-step broadcast execution, vectorized one-lane-per-bank."""
 
     def __init__(self, num_banks: int,
                  config: ProcessingUnitConfig = ProcessingUnitConfig(),
-                 precision: str = "fp64",
-                 check_lockstep: bool = True) -> None:
+                 precision: str = "fp64") -> None:
         if num_banks <= 0:
             raise ExecutionError("need at least one bank")
         self.config = config
         self.precision = precision
-        #: Kept for interface parity; the lane engine preserves lock-step
-        #: by construction (single shared PC), so there is nothing to check.
-        self.check_lockstep = check_lockstep
-        self.num_lanes = num_banks
+        self.num_banks = num_banks
         value_bytes = element_size(precision)
+        #: SIMD lanes of the 32 B datapath for this precision.
         self.lanes = config.datapath_bytes // value_bytes
+        #: Queue capacity: the binding 64 B sub-queue of the three
+        #: (values vs int16 indices; Table VIII).
         self.queue_capacity = min(config.subqueue_bytes // value_bytes,
                                   config.subqueue_bytes // INDEX_BYTES)
+        #: Beat group size for queue loads: one 32 B beat of values,
+        #: capped by queue capacity for the narrow formats.
         self.group_size = min(self.lanes, self.queue_capacity)
 
         self.memory = LaneMemory(num_banks)
@@ -240,11 +169,6 @@ class LaneEngine:
         self.program: Optional[Program] = None
         self._needs_beat: Sequence[bool] = ()
         self._is_control: Sequence[bool] = ()
-        # per-lane stat counters, aggregated into EngineStats on run()
-        self._instr = np.zeros(num_banks, dtype=np.int64)
-        self._alu = np.zeros(num_banks, dtype=np.int64)
-        self._beat_count = np.zeros(num_banks, dtype=np.int64)
-        self._nop = np.zeros(num_banks, dtype=np.int64)
 
         self.mode = Mode.SB
         self.stats = EngineStats()
@@ -261,15 +185,12 @@ class LaneEngine:
             Opcode.SPVDV: self._spvdv,
             Opcode.SPVSPV: self._spvspv,
         }
-        self.units: List[LaneUnitView] = [LaneUnitView(self, i)
-                                          for i in range(num_banks)]
-        self.banks: List[LaneBankView] = [LaneBankView(self.memory, i)
-                                          for i in range(num_banks)]
 
     # ------------------------------------------------------------------
-    # mode protocol (identical to the scalar engine)
+    # mode protocol
     # ------------------------------------------------------------------
     def switch_mode(self, target: Mode) -> None:
+        """Perform one mode transition (charged by the timing tier)."""
         if target is self.mode:
             return
         if (self.mode, target) not in _TRANSITIONS:
@@ -281,6 +202,7 @@ class LaneEngine:
 
     def load_program(self, program: Program,
                      reset_registers: bool = True) -> None:
+        """Broadcast-program every unit (requires AB mode)."""
         if self.mode is not Mode.AB:
             raise ExecutionError(
                 "programs are written in AB mode (paper Fig. 1)")
@@ -296,6 +218,11 @@ class LaneEngine:
         self.stats.programs_loaded += 1
 
     def arm(self, reset_registers: bool = False) -> None:
+        """Re-arm every lane at PC 0 for another pass of the program.
+
+        Register, queue and cursor contents survive unless
+        *reset_registers* (multi-pass kernels resume where they stopped).
+        """
         self.pc = 0
         self.loop_counters.clear()
         self.exited[:] = False
@@ -326,23 +253,20 @@ class LaneEngine:
         if self.program is None:
             raise ExecutionError("no program loaded")
         exited_before = int(self.exited.sum())
-        if exited_before:
-            self._nop[self.exited] += 1
         active = np.flatnonzero(~self.exited)
         if active.size:
             self._consume(beat, active)
         self.stats.beats += 1
-        key = self.mode.value
-        self.stats.per_mode_beats[key] = (
-            self.stats.per_mode_beats.get(key, 0) + 1)
         exited_after = int(self.exited.sum())
-        active_after = self.num_lanes - exited_after
+        active_after = self.num_banks - exited_after
         if (exited_after > exited_before
                 or (exited_before and active_after)):
             self.stats.predicated_beats += 1
 
     def _consume(self, beat: Beat, active: np.ndarray) -> None:
-        """The consume_beat walk, once for the whole active cohort."""
+        """Walk to and through the next bank access, once for the whole
+        active cohort (control and register-only instructions on the
+        way execute without consuming the beat)."""
         program = self.program
         n = len(program)
         budget = 4 * n + 8
@@ -351,12 +275,10 @@ class LaneEngine:
             if self.pc >= n:
                 # Falling off the end terminates the cohort.
                 self.exited[active] = True
-                self._nop[active] += 1
                 return
             ins = program[self.pc]
-            self._instr[active] += 1
             if self._is_control[self.pc]:
-                active = self._control(ins, active, count_nops=True)
+                active = self._control(ins, active)
                 if active is None:
                     return
                 continue
@@ -364,13 +286,17 @@ class LaneEngine:
             self._execute_b(ins, beat if needs_beat else None, active)
             self.pc += 1
             if needs_beat:
-                self._beat_count[active] += 1
                 return
         raise ExecutionError(
             "program made no bank access within its step budget; "
             "kernel loops must contain a bank-access instruction")
 
     def run(self, beats: Iterable[Beat]) -> int:
+        """Feed a transaction stream; returns the number consumed.
+
+        Stops early once every lane has exited — the host polls
+        completion after the stream (paper §IV-D).
+        """
         consumed = 0
         self.stats.kernel_launches += 1
         mark = self._obs_mark()
@@ -380,7 +306,6 @@ class LaneEngine:
             self.step(beat)
             consumed += 1
         self.flush_control()
-        self._collect_unit_stats()
         if mark is not None:
             self._obs_emit(mark)
         return consumed
@@ -419,30 +344,23 @@ class LaneEngine:
                 return
             ins = program[self.pc]
             if self._is_control[self.pc]:
-                self._instr[active] += 1
-                active = self._control(ins, active, count_nops=False)
+                active = self._control(ins, active)
                 if active is None:
                     return
                 continue
             if self._needs_beat[self.pc]:
                 return
-            self._instr[active] += 1
             self._execute_b(ins, None, active)
             self.pc += 1
-
-    def _collect_unit_stats(self) -> None:
-        self.stats.instructions = int(self._instr.sum())
-        self.stats.alu_ops = int(self._alu.sum())
 
     # ------------------------------------------------------------------
     # control instructions (shared PC; per-lane exit decisions)
     # ------------------------------------------------------------------
-    def _control(self, ins: CInstruction, active: np.ndarray,
-                 count_nops: bool) -> Optional[np.ndarray]:
+    def _control(self, ins: CInstruction,
+                 active: np.ndarray) -> Optional[np.ndarray]:
         """Execute one control instruction for the cohort.
 
-        Returns the surviving cohort, or None when every lane exited
-        (or, in consume mode, when the walk must stop).
+        Returns the surviving cohort, or None when every lane exited.
         """
         op = ins.opcode
         if op is Opcode.NOP:
@@ -450,16 +368,11 @@ class LaneEngine:
             return active
         if op is Opcode.EXIT:
             self.exited[active] = True
-            if count_nops:
-                self._nop[active] += 1
             return None
         if op is Opcode.CEXIT:
             leaving = self._cexit_mask(ins, active)
             if leaving.any():
-                gone = active[leaving]
-                self.exited[gone] = True
-                if count_nops:
-                    self._nop[gone] += 1
+                self.exited[active[leaving]] = True
                 active = active[~leaving]
             if active.size == 0:
                 return None
@@ -491,7 +404,7 @@ class LaneEngine:
         return streams_done & empty
 
     # ------------------------------------------------------------------
-    # B-format dispatch (vectorized ProcessingUnit handlers)
+    # B-format dispatch (one vectorized handler per opcode)
     # ------------------------------------------------------------------
     def _execute_b(self, ins: BInstruction, beat: Optional[Beat],
                    active: np.ndarray) -> None:
@@ -500,7 +413,7 @@ class LaneEngine:
     def _cursor(self, region_name: str) -> np.ndarray:
         arr = self.cursors.get(region_name)
         if arr is None:
-            arr = np.zeros(self.num_lanes, dtype=np.int64)
+            arr = np.zeros(self.num_banks, dtype=np.int64)
             self.cursors[region_name] = arr
         return arr
 
@@ -655,7 +568,6 @@ class LaneEngine:
                            operand)
         self.dense[ins.dst.dense_index][active] = np.asarray(
             result, dtype=np.float64)
-        self._alu[active] += self.lanes
 
     def _sspv(self, ins, beat, active) -> None:
         if not ins.dst.is_sparse_queue or ins.src0 is not Operand.SRF \
@@ -669,7 +581,6 @@ class LaneEngine:
         result = alu.apply(ins.binary, self.scalar[sel], value)
         self.queues[ins.dst.queue_index].push(
             sel, row, col, np.asarray(result, dtype=np.float64))
-        self._alu[sel] += 1
 
     def _reduce(self, ins, beat, active) -> None:
         if ins.dst is not Operand.SRF:
@@ -678,7 +589,6 @@ class LaneEngine:
             values = self.dense[ins.src0.dense_index][active]
             self.scalar[active] = _reduce_rows(ins.binary, values,
                                                self.scalar[active])
-            self._alu[active] += self.lanes
         elif ins.src0.is_sparse_queue:
             queue = self.queues[ins.src0.queue_index]
             _, _, vals, popped = queue.pop_up_to(active, self.group_size)
@@ -691,7 +601,6 @@ class LaneEngine:
                 sel = active[rows]
                 self.scalar[sel] = _reduce_rows(
                     ins.binary, vals[rows][:, :k], self.scalar[sel])
-                self._alu[sel] += int(k)
         else:
             raise ExecutionError("Reduce source must be a DRF or SpVQ")
 
@@ -711,7 +620,6 @@ class LaneEngine:
         result = alu.apply(ins.binary, left, right)
         self.dense[ins.dst.dense_index][active] = np.asarray(
             result, dtype=np.float64)
-        self._alu[active] += self.lanes
 
     def _spvdv(self, ins, beat, active) -> None:
         if ins.dst is Operand.BANK and ins.src0.is_sparse_queue:
@@ -728,7 +636,6 @@ class LaneEngine:
             region.data[tgt, rows] = np.asarray(
                 alu.apply(ins.binary, current, value[ok]),
                 dtype=np.float64)
-            self._alu[sel] += 1
         elif ins.dst.is_sparse_queue and ins.src0.is_sparse_queue \
                 and ins.src1 is Operand.BANK:
             # element (.) dense-at-its-own-index -> sparse result
@@ -743,7 +650,6 @@ class LaneEngine:
                 sel, row, col,
                 np.asarray(alu.apply(ins.binary, value, gathered),
                            dtype=np.float64))
-            self._alu[sel] += 1
         else:
             raise ExecutionError(
                 "SpVDV forms: BANK <- SpVQ (.) BANK (scatter) or "
@@ -779,13 +685,11 @@ class LaneEngine:
                     out.push(pop_b, row, col, np.asarray(
                         alu.apply(ins.binary, ident, value),
                         dtype=np.float64))
-                    self._alu[pop_b] += 1
                 if pop_a.size:
                     row, col, value = qa.pop(pop_a)
                     out.push(pop_a, row, col, np.asarray(
                         alu.apply(ins.binary, value, ident),
                         dtype=np.float64))
-                    self._alu[pop_a] += 1
             else:
                 if pop_b.size:
                     qb.pop(pop_b)
@@ -808,7 +712,6 @@ class LaneEngine:
                 out.push(sel, ra[eq], ca[eq], np.asarray(
                     alu.apply(ins.binary, va[eq], vb[eq]),
                     dtype=np.float64))
-                self._alu[sel] += 1
             if lt.any():
                 sel = lanes[lt]
                 qa.pop(sel)
@@ -816,7 +719,6 @@ class LaneEngine:
                     out.push(sel, ra[lt], ca[lt], np.asarray(
                         alu.apply(ins.binary, va[lt], ident),
                         dtype=np.float64))
-                    self._alu[sel] += 1
             if gt.any():
                 sel = lanes[gt]
                 qb.pop(sel)
@@ -824,29 +726,46 @@ class LaneEngine:
                     out.push(sel, rb[gt], cb[gt], np.asarray(
                         alu.apply(ins.binary, ident, vb[gt]),
                         dtype=np.float64))
-                    self._alu[sel] += 1
 
     # ------------------------------------------------------------------
-    # host-side (SB mode) data access helpers
+    # host interface: SB-mode data movement, AB-mode SRF broadcast
     # ------------------------------------------------------------------
     def host_write_dense(self, name: str, per_bank: Sequence) -> None:
-        self._require_sb("host writes")
-        if len(per_bank) != len(self.banks):
-            raise ExecutionError("need one array per bank")
+        """Host writes a dense region into every bank (one array each)."""
+        self._require(Mode.SB, "a host write")
         self.memory.add_dense(name, per_bank)
 
     def host_write_triples(self, name: str, per_bank: Sequence) -> None:
-        self._require_sb("host writes")
-        if len(per_bank) != len(self.banks):
-            raise ExecutionError("need one (rows, cols, vals) per bank")
+        """Host writes a COO stream region, one (rows, cols, vals) a bank."""
+        self._require(Mode.SB, "a host write")
         self.memory.add_triples(name, per_bank)
 
-    def host_read_dense(self, name: str) -> List:
-        self._require_sb("host reads")
+    def host_read_dense(self, name: str) -> List[np.ndarray]:
+        """Host reads a dense region back from every bank (copies)."""
+        self._require(Mode.SB, "a host read")
         region = self.memory.dense(name)
         return [region.data[lane, :region.lengths[lane]].copy()
-                for lane in range(self.num_lanes)]
+                for lane in range(self.num_banks)]
 
-    def _require_sb(self, what: str) -> None:
-        if self.mode is not Mode.SB:
-            raise ExecutionError(f"{what} require SB mode (paper Fig. 1)")
+    def host_read_triples(self, name: str) -> List[tuple]:
+        """Host reads a COO stream region back, (rows, cols, vals) a bank."""
+        self._require(Mode.SB, "a host read")
+        region = self.memory.triples(name)
+        return [(region.rows[lane, :n].copy(), region.cols[lane, :n].copy(),
+                 region.vals[lane, :n].copy())
+                for lane, n in enumerate(region.lengths.tolist())]
+
+    def broadcast_scalar(self, value: float) -> None:
+        """Write *value* into every unit's SRF (AB-mode host broadcast)."""
+        self._require(Mode.AB, "a scalar broadcast")
+        self.scalar[:] = float(value)
+
+    def read_scalars(self) -> np.ndarray:
+        """Host readback of every unit's SRF."""
+        self._require(Mode.SB, "a scalar readback")
+        return self.scalar.copy()
+
+    def _require(self, mode: Mode, what: str) -> None:
+        if self.mode is not mode:
+            raise ExecutionError(
+                f"{what} requires {mode.name} mode (paper Fig. 1)")

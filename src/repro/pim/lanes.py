@@ -1,26 +1,22 @@
 """Lane-stacked state containers for the vectorized engine.
 
-The scalar tier models each bank's state as independent Python objects
-(:mod:`repro.pim.memory`, :mod:`repro.pim.registers`). The lane engine
-stores the same state *stacked across banks* — one numpy row per bank —
-so a broadcast beat touches every bank with a handful of masked array
-operations instead of a Python loop.
+The lane engine stores every bank's state *stacked across banks* — one
+numpy row per bank — so a broadcast beat touches every bank with a
+handful of masked array operations instead of a Python loop.
 
-Equivalence rules these containers uphold (and the differential tests
-check) so results stay bitwise identical to the scalar engine:
+Per-bank semantics these containers uphold (and the differential tests
+against :mod:`repro.check.reference` check bitwise):
 
 * Dense regions zero-fill reads past a bank's own length; the 2-D store
   keeps the padding strip of shorter banks at exactly 0.0 by masking
   every write against the per-lane length.
 * Triple (COO) regions clip group reads at each bank's length and raise
-  :class:`~repro.errors.CapacityError` on write overflow, like the
-  scalar :class:`~repro.pim.memory.TripleRegion`.
+  :class:`~repro.errors.CapacityError` on write overflow.
 * Queues are fixed-capacity circular buffers with FIFO order per lane;
-  pushes to a full lane drop silently (the scalar predicated push).
+  pushes to a full lane drop silently (the predicated push).
 
-All value storage is float64 and index storage int64, matching the
-scalar tier exactly (the Value format governs lane counts and queue
-capacities, not the reference numerics).
+All value storage is float64 and index storage int64 (the Value format
+governs lane counts and queue capacities, not the reference numerics).
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..errors import CapacityError, ExecutionError
-from .memory import DenseRegion, TripleRegion
 
 
 class LaneQueue:
@@ -139,7 +134,7 @@ class DenseLanes:
         """Per-lane window read; out-of-range positions read as zeros.
 
         The padding strip of shorter lanes is kept at 0.0 by the write
-        paths, so a plain slice already matches the scalar zero-fill.
+        paths, so a plain slice already reads zeros past a bank's end.
         """
         if start < 0 or count < 0:
             raise ExecutionError("negative dense region access")
@@ -179,11 +174,6 @@ class DenseLanes:
         ok = (index >= 0) & (index < self.lengths[lanes])
         self.data[lanes[ok], index[ok]] = values[ok]
 
-    def snapshot(self, lane: int) -> DenseRegion:
-        """One lane's region as a scalar-tier DenseRegion copy."""
-        return DenseRegion(self.name,
-                           self.data[lane, :self.lengths[lane]])
-
 
 class TripleLanes:
     """A COO stream region stacked over lanes, with per-lane lengths."""
@@ -220,8 +210,7 @@ class TripleLanes:
         """Group read at per-lane element *cursors*, clipped per lane.
 
         Returns ``(rows2d, cols2d, vals2d, lens)``; entries at column
-        ``j >= lens[i]`` are unspecified (the scalar read returns shorter
-        arrays there).
+        ``j >= lens[i]`` are unspecified (past that bank's stream).
         """
         lens = np.clip(self.lengths[lanes] - cursors, 0, size)
         if self.width == 0:
@@ -254,12 +243,6 @@ class TripleLanes:
             self.rows[tgt, pos] = rows2d[live, j]
             self.cols[tgt, pos] = cols2d[live, j]
             self.vals[tgt, pos] = vals2d[live, j]
-
-    def snapshot(self, lane: int) -> TripleRegion:
-        """One lane's stream as a scalar-tier TripleRegion copy."""
-        n = self.lengths[lane]
-        return TripleRegion(self.name, self.rows[lane, :n],
-                            self.cols[lane, :n], self.vals[lane, :n])
 
 
 class LaneMemory:
@@ -301,8 +284,6 @@ class LaneMemory:
         except KeyError:
             raise ExecutionError(f"bank has no region {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._regions
-
-    def region_names(self) -> Tuple[str, ...]:
-        return tuple(self._regions)
+    def items(self) -> Tuple[Tuple[str, object], ...]:
+        """(name, region) pairs in installation order."""
+        return tuple(self._regions.items())

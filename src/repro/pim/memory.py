@@ -1,194 +1,22 @@
-"""Functional bank memory: named, typed regions inside one DRAM bank.
+"""COO stream padding: the ``-1`` index convention of bank regions.
 
-The functional tier of the simulator addresses bank contents through *named
-regions* (matrix tile, input-vector tile, output tile, ...) instead of raw
-row/column coordinates. This keeps kernel semantics independent of physical
-placement; the timing tier separately lays the same regions out onto memory
-rows (:mod:`repro.core.mapping`) to produce command traces. The split
-mirrors classic performance-model practice: one model computes *what*, the
-other *how long*.
-
-Two region kinds exist:
-
-* :class:`DenseRegion` — a 1-D float64 array (vector tiles, dense matrix
-  tiles flattened row-major).
-* :class:`TripleRegion` — parallel (row, col, value) arrays holding a COO
-  stream, padded with ``row = -1`` entries so that every bank can be
-  streamed for the same number of beats (paper §V, "Conditional Exit
-  Detection": empty space in index arrays is filled with -1).
+The functional tier addresses bank contents through *named regions*
+(matrix tile, input-vector tile, output tile, ...) instead of raw
+row/column coordinates; the timing tier separately lays the same regions
+out onto memory rows (:mod:`repro.core.mapping`). A COO stream region is
+padded with ``row = -1`` entries so that every bank can be streamed for
+the same number of beats (paper §V, "Conditional Exit Detection": empty
+space in index arrays is filled with -1).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Union
-
 import numpy as np
 
-from ..errors import CapacityError, ExecutionError
+from ..errors import CapacityError
 
 #: Index value that marks padding in COO streams (paper §V).
 PADDING_INDEX = -1
-
-
-class DenseRegion:
-    """A dense, element-addressed region of one bank."""
-
-    __slots__ = ("name", "data")
-
-    def __init__(self, name: str, data: np.ndarray) -> None:
-        self.name = name
-        # np.array always copies: a region owns its storage, so two banks
-        # can never alias one buffer (host writes cross the interface).
-        self.data = np.array(data, dtype=np.float64)
-        if self.data.ndim != 1:
-            raise ExecutionError("dense regions are one-dimensional")
-
-    def __len__(self) -> int:
-        return int(self.data.size)
-
-    def read(self, start: int, count: int) -> np.ndarray:
-        """Read *count* elements from *start*; out-of-range reads as zeros.
-
-        Beyond-the-end reads model streaming past a shorter bank's data
-        under lock-step control — the hardware returns whatever the row
-        holds; the simulator returns zeros, which every kernel treats as
-        identity padding.
-        """
-        if start < 0 or count < 0:
-            raise ExecutionError("negative dense region access")
-        out = np.zeros(count)
-        end = min(start + count, self.data.size)
-        if start < end:
-            out[:end - start] = self.data[start:end]
-        return out
-
-    def write(self, start: int, values: np.ndarray) -> None:
-        """Write *values* from *start*; beyond-the-end writes are dropped."""
-        if start < 0:
-            raise ExecutionError("negative dense region access")
-        end = min(start + values.size, self.data.size)
-        if start < end:
-            self.data[start:end] = values[:end - start]
-
-    def read_scalar(self, index: int) -> float:
-        """Single-element read (IndMOV); out of range reads zero."""
-        if 0 <= index < self.data.size:
-            return float(self.data[index])
-        return 0.0
-
-    def accumulate(self, indices: np.ndarray, values: np.ndarray,
-                   op) -> None:
-        """Predicated scatter ``data[i] = op(data[i], v)`` per element.
-
-        Out-of-range indices are dropped (the predicated write never
-        happens), matching the exited/padded-unit semantics.
-        """
-        ok = (indices >= 0) & (indices < self.data.size)
-        idx = indices[ok]
-        vals = values[ok]
-        for i, v in zip(idx, vals):
-            self.data[i] = op(self.data[i], v)
-
-
-class TripleRegion:
-    """A COO stream region: parallel (row, col, value) arrays with padding."""
-
-    __slots__ = ("name", "rows", "cols", "vals")
-
-    def __init__(self, name: str, rows: np.ndarray, cols: np.ndarray,
-                 vals: np.ndarray) -> None:
-        self.name = name
-        # copies, for the same ownership reason as DenseRegion
-        self.rows = np.array(rows, dtype=np.int64)
-        self.cols = np.array(cols, dtype=np.int64)
-        self.vals = np.array(vals, dtype=np.float64)
-        if not (self.rows.shape == self.cols.shape == self.vals.shape):
-            raise ExecutionError("triple region arrays must align")
-
-    def __len__(self) -> int:
-        return int(self.rows.size)
-
-    @property
-    def valid_count(self) -> int:
-        """Number of non-padding elements."""
-        return int(np.sum(self.rows != PADDING_INDEX))
-
-    def read_group(self, group: int, size: int):
-        """Elements of beat *group* (``[group*size, group*size + size)``).
-
-        Returns (rows, cols, vals) possibly shorter than *size* at the end
-        of the region. Reads past the end return empty arrays (pure
-        padding), never an error: under all-bank control the stream length
-        is the maximum over banks.
-        """
-        if group < 0 or size <= 0:
-            raise ExecutionError("bad triple group access")
-        lo = group * size
-        hi = min(lo + size, self.rows.size)
-        if lo >= hi:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.copy(), np.zeros(0)
-        return (self.rows[lo:hi], self.cols[lo:hi], self.vals[lo:hi])
-
-    def write_elements(self, start: int, rows: np.ndarray,
-                       cols: np.ndarray, vals: np.ndarray) -> None:
-        """Write elements starting at element offset *start* (queue pops)."""
-        lo = start
-        hi = lo + rows.size
-        if hi > self.rows.size:
-            raise CapacityError(
-                f"triple region {self.name!r} overflow: writing "
-                f"[{lo}, {hi}) into {self.rows.size} slots")
-        self.rows[lo:hi] = rows
-        self.cols[lo:hi] = cols
-        self.vals[lo:hi] = vals
-
-
-Region = Union[DenseRegion, TripleRegion]
-
-
-class BankMemory:
-    """All named regions resident in one bank."""
-
-    def __init__(self) -> None:
-        self._regions: Dict[str, Region] = {}
-
-    def add_dense(self, name: str, data: np.ndarray) -> DenseRegion:
-        """Install a dense region (replacing any previous *name*)."""
-        region = DenseRegion(name, data)
-        self._regions[name] = region
-        return region
-
-    def add_triples(self, name: str, rows: np.ndarray, cols: np.ndarray,
-                    vals: np.ndarray) -> TripleRegion:
-        """Install a COO stream region (replacing any previous *name*)."""
-        region = TripleRegion(name, rows, cols, vals)
-        self._regions[name] = region
-        return region
-
-    def dense(self, name: str) -> DenseRegion:
-        region = self._get(name)
-        if not isinstance(region, DenseRegion):
-            raise ExecutionError(f"region {name!r} is not dense")
-        return region
-
-    def triples(self, name: str) -> TripleRegion:
-        region = self._get(name)
-        if not isinstance(region, TripleRegion):
-            raise ExecutionError(f"region {name!r} is not a COO stream")
-        return region
-
-    def _get(self, name: str) -> Region:
-        try:
-            return self._regions[name]
-        except KeyError:
-            raise ExecutionError(f"bank has no region {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._regions
-
-    def region_names(self):
-        return tuple(self._regions)
 
 
 def padded_triples(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,

@@ -19,11 +19,28 @@ from dataclasses import dataclass
 from typing import List
 
 from ..errors import ExecutionError
-from ..isa import BInstruction, CInstruction, Opcode, Program
-from .unit import uses_bank
+from ..isa import BInstruction, CInstruction, Opcode, Operand, Program
 
 #: Safety bound on symbolic execution (total instruction visits).
 _MAX_STEPS = 1_000_000
+
+
+def uses_bank(ins: BInstruction) -> bool:
+    """Whether this instruction consumes a memory transaction.
+
+    Decided per opcode semantics rather than by scanning operand fields:
+    unused operand slots encode as BANK (value 0), so field scanning would
+    misclassify register-only instructions like Reduce.
+    """
+    op = ins.opcode
+    if op in (Opcode.INDMOV, Opcode.SPFW, Opcode.GTHSCT, Opcode.SPVDV):
+        return True
+    if op in (Opcode.SSPV, Opcode.REDUCE, Opcode.SPVSPV):
+        return False
+    if op in (Opcode.DMOV, Opcode.SPMOV):
+        return Operand.BANK in (ins.dst, ins.src0)
+    # SDV / DVDV stream their right-hand operand from the bank if asked.
+    return ins.src1 is Operand.BANK
 
 
 @dataclass(frozen=True)

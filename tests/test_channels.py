@@ -7,7 +7,7 @@ The channel scale-out PR must not disturb physics:
   floating-point result, same synthesised trace, same scheduled cycles
   and energy. One channel of the sharded model IS the old model.
 * Multi-channel runs must stay bitwise-equal between the fast tier's
-  big lane array and the per-channel scalar-engine oracle, and (with
+  big lane array and the per-channel functional-engine tier, and (with
   exactly representable values) equal to accumulating each channel's
   shard solo — channels never interact mid-kernel.
 """
@@ -193,14 +193,14 @@ class TestSingleChannelBitwise:
 
 # ----------------------------------------------------------------------
 class TestMultiChannelEquivalence:
-    """Randomized: lanes == scalar oracle == per-channel solo runs."""
+    """Randomized: fast lanes == functional engine == solo shard runs."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("channels", [2, 5, 16])
     def test_fast_matches_functional_oracle(self, seed, channels):
         # Integer-valued data makes fp64 accumulation exact, so the fast
         # tier's lane array must agree *bitwise* with the per-channel
-        # scalar-engine oracle; real-valued data agrees to rounding
+        # functional engine; real-valued data agrees to rounding
         # (accumulation order differs), matching the legacy contract.
         rng = np.random.default_rng(seed)
         exact = random_coo(rng, n=60, density=0.05, integral=True)

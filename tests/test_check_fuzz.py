@@ -1,8 +1,8 @@
-"""The ISA program fuzzer: three-oracle agreement and self-tests.
+"""The ISA program fuzzer: lane-vs-reference agreement and self-tests.
 
-The headline test runs 200+ seeded random programs through the scalar
-engine, the lane engine and the independent reference interpreter and
-requires bitwise-identical architectural state. The rest pins the
+The headline test runs 200+ seeded random programs through the lane
+engine and the independent reference interpreter and requires
+bitwise-identical architectural state and beat counts. The rest pins the
 fuzzer's own machinery: determinism, block coverage, the shrinker, and
 that an injected semantic bug is actually detected and reported with a
 reproducer seed.
@@ -25,14 +25,16 @@ SEED_COUNT = 220
 
 
 class TestThreeOracleAgreement:
+    """The lane engine and the reference agree on every seed."""
+
     def test_seed_range_agrees(self):
         failures = fuzz_range(0, SEED_COUNT, shrink=False)
         assert failures == [], \
             f"{len(failures)} divergent seeds: {failures[:3]}"
 
     def test_overflowing_fold_agrees_without_warnings(self):
-        """Seed 1172's MUL Reduce overflows to inf in every oracle; the
-        fold yields the IEEE result quietly, so numpy warns nothing."""
+        """Seed 1172's MUL Reduce overflows to inf in both interpreters;
+        the fold yields the IEEE result quietly, so numpy warns nothing."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert fuzz_range(1172, 1) == []
@@ -186,21 +188,26 @@ class TestStaticExpansion:
     def test_truncated_stream_agreement(self, seed):
         """Agreement must hold even when the stream is cut short —
         mid-kernel state is architectural state too."""
-        from repro.config import ProcessingUnitConfig
-        from repro.pim import AllBankEngine, LaneEngine
+        from repro.pim import LaneEngine
 
         case = generate_case(seed)
         built = build_case(case)
         built.beats = built.beats[:max(1, len(built.beats) // 2)]
-        config = ProcessingUnitConfig()
-        scalar = AllBankEngine(case.num_banks, config, case.precision)
-        lane = LaneEngine(case.num_banks, config, case.precision)
-        ref = ReferenceEngine(case.num_banks, config, case.precision)
-        fuzz._drive_production(scalar, built)
-        fuzz._drive_production(lane, built)
-        fuzz._drive_reference(ref, built)
-        snap_s = fuzz._snapshot_production(scalar, built)
-        assert fuzz._first_diff(
-            snap_s, fuzz._snapshot_production(lane, built)) is None
-        assert fuzz._first_diff(
-            snap_s, fuzz._snapshot_reference(ref, built)) is None
+        lane = LaneEngine(case.num_banks, precision=case.precision)
+        ref = ReferenceEngine(case.num_banks, precision=case.precision)
+        assert fuzz.drive(lane, built) == fuzz.drive(ref, built)
+        assert fuzz.engine_diff(lane, ref) is None
+
+    def test_predicated_beat_count_is_compared(self, monkeypatch):
+        """A reference that miscounts predicated beats fails the case."""
+        seed, case = TestBugDetection()._seed_with("spmv")
+
+        class Broken(ReferenceEngine):
+            def run(self, beats):
+                consumed = super().run(beats)
+                self.stats.predicated_beats += 1
+                return consumed
+
+        monkeypatch.setattr(fuzz, "ReferenceEngine", Broken)
+        with pytest.raises(CheckError, match="predicated_beats"):
+            run_case(case)

@@ -7,21 +7,21 @@ caught) after the underlying bug is fixed.
 
 Corpus history:
 
-* 62, 63, 69 — scalar engine flipped SpVSpV union operands on a
-  stream's final element: ``qa.is_empty`` was re-read *after* the pop,
-  so the pass-through of qa's last element computed ``op(ident, value)``
-  instead of ``op(value, ident)``. Invisible to commutative ops; caught
-  by FIRST in union mode. Fixed in ``repro.pim.unit._spvspv`` (and the
-  matching transcription in ``repro.check.reference``).
+* 62, 63, 69 — a since-removed scalar engine flipped SpVSpV union
+  operands on a stream's final element: ``qa.is_empty`` was re-read
+  *after* the pop, so the pass-through of qa's last element computed
+  ``op(ident, value)`` instead of ``op(value, ident)``. Invisible to
+  commutative ops; caught by FIRST in union mode. The replay below pins
+  the operand order on the lane engine and the reference.
 """
 
+import numpy as np
 import pytest
 
 from repro.check.fuzz import generate_case, run_case
-from repro.isa import (BInstruction, BinaryOp, Identity, Opcode, Operand,
-                       Program, SetMode)
-from repro.pim.memory import BankMemory
-from repro.pim.unit import ProcessingUnit
+from repro.check.reference import ReferenceEngine
+from repro.isa import assemble
+from repro.pim import Beat, LaneEngine, Mode, padded_triples
 
 #: Seeds that historically diverged. Append new finds, never remove.
 REGRESSION_SEEDS = [62, 63, 69]
@@ -33,29 +33,47 @@ def test_regression_seed(seed):
 
 
 class TestSpVSpVUnionOperandOrder:
-    """Direct replay of the bug behind seeds 62/63/69."""
+    """Direct replay of the bug behind seeds 62/63/69: one operand holds
+    a stream's final element, the other stream is exhausted and empty."""
 
-    def _unit_with_last_element(self):
-        unit = ProcessingUnit(BankMemory())
-        ins = BInstruction(Opcode.SPVSPV, dst=Operand.SPVQ2,
-                           src0=Operand.SPVQ0, src1=Operand.SPVQ1,
-                           binary=BinaryOp.FIRST, set_mode=SetMode.UNION,
-                           idnt=Identity.ONE)
-        unit.program = Program([ins])
-        unit.exhausted_mask = 0b11
-        return unit, ins
+    PROGRAM = """
+        SPMOV  SPVQ0, BANK
+        SPMOV  SPVQ1, BANK
+        SPVSPV SPVQ2, SPVQ0, SPVQ1 binary=first s=union idnt=one
+        SPFW   BANK, SPVQ2
+        EXIT
+    """
+
+    def _merged(self, a, b):
+        """The union of one-bank streams *a* and *b*, on both engines."""
+        outputs = []
+        for cls in (LaneEngine, ReferenceEngine):
+            engine = cls(1)
+            for name, element in (("a", a), ("b", b)):
+                row, col, val = element or ((), (), ())
+                engine.host_write_triples(name, [padded_triples(
+                    np.array(row, ndmin=1, dtype=np.int64),
+                    np.array(col, ndmin=1, dtype=np.int64),
+                    np.array(val, ndmin=1, dtype=np.float64), 4)])
+            pad = np.full(4, -1, dtype=np.int64)
+            engine.host_write_triples("out", [(pad, pad, np.zeros(4))])
+            engine.switch_mode(Mode.AB)
+            engine.load_program(assemble(self.PROGRAM))
+            engine.switch_mode(Mode.AB_PIM)
+            engine.run([Beat("a", 0), Beat("b", 0),
+                        Beat("out", 0, write=True)])
+            engine.switch_mode(Mode.SB)
+            rows, cols, vals = engine.host_read_triples("out")[0]
+            outputs.append([(int(r), int(c), float(v))
+                            for r, c, v in zip(rows, cols, vals) if r >= 0])
+        assert outputs[0] == outputs[1]
+        return outputs[0]
 
     def test_last_element_keeps_left_operand_position(self):
-        unit, ins = self._unit_with_last_element()
-        unit.registers.queues[0].push(5, 1, 2.0)   # qa's final element
-        unit._spvspv(ins, None)
-        # FIRST(value, ident) == value: the element passes through
-        assert list(unit.registers.queues[2]._items) == [(5, 1, 2.0)]
+        # FIRST(value, ident) == value: qa's final element passes through
+        assert self._merged((5, 1, 2.0), None) == [(5, 1, 2.0)]
 
     def test_b_side_pass_through_takes_identity(self):
-        unit, ins = self._unit_with_last_element()
-        unit.registers.queues[1].push(4, 2, 3.0)   # qb's final element
-        unit._spvspv(ins, None)
         # FIRST(ident, value) == ident: the b-side pass-through under
         # FIRST yields the identity, by construction
-        assert list(unit.registers.queues[2]._items) == [(4, 2, 1.0)]
+        assert self._merged(None, (4, 2, 3.0)) == [(4, 2, 1.0)]

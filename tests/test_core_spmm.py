@@ -166,14 +166,15 @@ class TestFunctionalTier:
                                     engine_banks=4)
 
     def test_lane_equals_scalar_engine(self, monkeypatch):
+        """Lane engine vs the bank-at-a-time reference interpreter."""
         m = uniform_random(80, 80, 0.06, seed=9)
         x = RNG.random((80, 2))
         lane = run_spmm(m, x, CFG, fidelity="functional",
                         engine_banks=4)
-        oracles.use_scalar_engine(monkeypatch.setattr)
-        scalar = run_spmm(m, x, CFG, fidelity="functional",
-                          engine_banks=4)
-        np.testing.assert_array_equal(lane.y, scalar.y)
+        oracles.use_reference_engine(monkeypatch.setattr)
+        reference = run_spmm(m, x, CFG, fidelity="functional",
+                             engine_banks=4)
+        np.testing.assert_array_equal(lane.y, reference.y)
 
     def test_functional_stencil(self):
         m = stencil_2d(10)

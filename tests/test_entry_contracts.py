@@ -1,4 +1,5 @@
-"""Bad inputs fail at the SpMV / SpMM / SpTRSV entry points, typed.
+"""Bad inputs fail at the SpMV / SpMM / SpTRSV entry points and the
+dense kernel drivers, typed.
 
 Each case here used to get past the public function: a wrong-length
 ``y0`` failed deep inside numpy, a non-positive ``engine_banks`` silently
@@ -7,19 +8,21 @@ solved as if it were 1.0, an unknown SpTRSV fidelity ran the functional
 tier, and a bad matrix format, policy, fidelity or semiring failed only
 after partitioning, and so did a functional-tier ``multiply`` that no
 ALU operation names. They must now raise a :class:`ReproError` subclass
-before any work is done.
+before any work is done. Likewise a kernel driver handed a matrix or a
+scalar where it takes a vector raises :class:`ExecutionError` instead of
+failing inside numpy.
 """
 
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import kernels, obs
 from repro.config import default_system
 from repro.core import (plan_spmv, run_spmm, run_spmv, run_sptrsv,
                         solve_unit_triangular_reference)
 from repro.errors import (AssemblerError, ConfigError, ExecutionError,
                           MappingError, ReproError)
-from repro.formats import COOMatrix
+from repro.formats import COOMatrix, SparseVector
 from repro.formats.generators import uniform_random, unit_lower_from
 
 CFG = default_system()
@@ -276,3 +279,42 @@ def test_sptrsv_leaf_size_integer_and_default():
     assert one.execution.leaf_size == 1
     # a one-row leaf has nothing to batch: one element-free level each
     assert one.execution.level_elements == [0] * 40
+
+
+# ----------------------------------------------------------------------
+# dense kernel drivers: operands must be one-dimensional vectors
+# ----------------------------------------------------------------------
+_FLAT = np.arange(10.0)
+_GRID = np.arange(10.0).reshape(2, 5)
+_SPARSE = SparseVector(10, np.array([1, 7]), np.array([2.0, 3.0]))
+
+#: One call per dense-operand entry point of repro.kernels, each with a
+#: non-vector operand that used to fail inside numpy (or index a scalar).
+VECTOR_CASES = {
+    "dcopy": lambda: kernels.dcopy(_GRID),
+    "dcopy-scalar": lambda: kernels.dcopy(3.0),
+    "dswap": lambda: kernels.dswap(_GRID, _GRID),
+    "dscal": lambda: kernels.dscal(2.0, _GRID),
+    "daxpy": lambda: kernels.daxpy(2.0, _GRID, _GRID),
+    "ddot": lambda: kernels.ddot(_GRID, _GRID),
+    "dnrm2": lambda: kernels.dnrm2(_GRID),
+    "elementwise": lambda: kernels.elementwise(_GRID, _GRID, "add"),
+    "spaxpy": lambda: kernels.spaxpy(2.0, _SPARSE, _GRID),
+    "spdot": lambda: kernels.spdot(_SPARSE, _GRID),
+    "gather": lambda: kernels.gather(_GRID),
+    "scatter-base": lambda: kernels.scatter(_SPARSE, base=_GRID),
+    "dgemv-x": lambda: kernels.dgemv(np.eye(4), np.ones((4, 1))),
+    "dtrsv-b": lambda: kernels.dtrsv(np.eye(4), np.ones((4, 1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VECTOR_CASES))
+def test_kernel_drivers_reject_non_vector_operands(case):
+    with pytest.raises(ExecutionError, match="one-dimensional"):
+        VECTOR_CASES[case]()
+
+
+def test_kernel_drivers_accept_vector_like_operands():
+    assert np.array_equal(kernels.dcopy(list(_FLAT), num_banks=2).result,
+                          _FLAT)
+    assert kernels.ddot(_FLAT, _FLAT, num_banks=2).result == 285.0

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
-from repro.pim import AllBankEngine, LaneEngine
+from repro.check.reference import ReferenceEngine
+from repro.pim import LaneEngine
 from repro.kernels import (Tile, expand_block_tiles, run_tile_block,
                            run_tile_round)
 
@@ -73,7 +74,7 @@ class TestTileBlock:
         k = 3
         tiles = [random_block_tile(rng, nnz=int(rng.integers(1, 30)), k=k)
                  for _ in range(4)]
-        engine = AllBankEngine(num_banks=4 * k)
+        engine = LaneEngine(num_banks=4 * k)
         result = run_tile_block(engine, tiles, num_rhs=k)
         for tile, y in zip(tiles, result.y_per_bank):
             assert y.shape == (tile.y_len, k)
@@ -87,19 +88,20 @@ class TestTileBlock:
         flat = [Tile(t.rows, t.cols, t.vals,
                      np.ascontiguousarray(t.x_segment[:, 0]), t.y_len)
                 for t in tiles]
-        block = run_tile_block(AllBankEngine(num_banks=3), tiles,
+        block = run_tile_block(LaneEngine(num_banks=3), tiles,
                                num_rhs=1)
-        solo = run_tile_round(AllBankEngine(num_banks=3), flat)
+        solo = run_tile_round(LaneEngine(num_banks=3), flat)
         for yb, ys in zip(block.y_per_bank, solo.y_per_bank):
             np.testing.assert_array_equal(yb[:, 0], ys)
         assert block.batches == solo.batches
         assert block.nnz_per_bank == solo.nnz_per_bank
 
     def test_lane_equals_scalar(self):
+        """The lane engine equals the bank-at-a-time reference."""
         rng = np.random.default_rng(6)
         k = 2
         tiles = [random_block_tile(rng, nnz=15, k=k) for _ in range(2)]
-        a = run_tile_block(AllBankEngine(num_banks=2 * k), tiles,
+        a = run_tile_block(ReferenceEngine(num_banks=2 * k), tiles,
                            num_rhs=k)
         b = run_tile_block(LaneEngine(num_banks=2 * k), tiles, num_rhs=k)
         for ya, yb in zip(a.y_per_bank, b.y_per_bank):
@@ -108,7 +110,7 @@ class TestTileBlock:
     def test_none_tile_block(self):
         rng = np.random.default_rng(7)
         tiles = [random_block_tile(rng, k=2), None]
-        result = run_tile_block(AllBankEngine(num_banks=4), tiles,
+        result = run_tile_block(LaneEngine(num_banks=4), tiles,
                                 num_rhs=2)
         np.testing.assert_allclose(result.y_per_bank[1], 0.0)
         assert result.nnz_per_bank[1] == 0
@@ -117,12 +119,12 @@ class TestTileBlock:
         rng = np.random.default_rng(8)
         tiles = [random_block_tile(rng, k=2)]
         with pytest.raises(ExecutionError, match="lane"):
-            run_tile_block(AllBankEngine(num_banks=3), tiles, num_rhs=2)
+            run_tile_block(LaneEngine(num_banks=3), tiles, num_rhs=2)
 
     def test_semiring_block(self):
         rng = np.random.default_rng(9)
         tile = random_block_tile(rng, nnz=18, k=2)
-        result = run_tile_block(AllBankEngine(num_banks=2), [tile],
+        result = run_tile_block(LaneEngine(num_banks=2), [tile],
                                 num_rhs=2, accumulate="min",
                                 multiply="add", y_init=0.0)
         expect = np.zeros((tile.y_len, 2))
@@ -136,7 +138,7 @@ class TestTileBlock:
         rng = np.random.default_rng(seed)
         tile = random_block_tile(rng, y_len=20, x_len=20,
                                  nnz=min(nnz, 19 * 19), k=k)
-        result = run_tile_block(AllBankEngine(num_banks=k), [tile],
+        result = run_tile_block(LaneEngine(num_banks=k), [tile],
                                 num_rhs=k)
         np.testing.assert_allclose(result.y_per_bank[0],
                                    golden_block(tile), rtol=1e-9,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
-from repro.pim import AllBankEngine
+from repro.pim import LaneEngine
 from repro.kernels import Tile, empty_tile, run_tile_round
 
 
@@ -49,7 +49,7 @@ class TestTileValidation:
 class TestTileRound:
     def test_matches_golden_per_bank(self):
         rng = np.random.default_rng(0)
-        engine = AllBankEngine(num_banks=8)
+        engine = LaneEngine(num_banks=8)
         tiles = [random_tile(rng, nnz=int(rng.integers(1, 30)))
                  for _ in range(8)]
         result = run_tile_round(engine, tiles)
@@ -59,7 +59,7 @@ class TestTileRound:
 
     def test_none_tiles_are_empty(self):
         rng = np.random.default_rng(1)
-        engine = AllBankEngine(num_banks=4)
+        engine = LaneEngine(num_banks=4)
         tiles = [random_tile(rng), None, random_tile(rng), None]
         result = run_tile_round(engine, tiles)
         np.testing.assert_allclose(result.y_per_bank[1], 0.0)
@@ -67,17 +67,16 @@ class TestTileRound:
 
     def test_batches_track_slowest_bank(self):
         rng = np.random.default_rng(2)
-        engine = AllBankEngine(num_banks=4)
+        engine = LaneEngine(num_banks=4)
         tiles = [random_tile(rng, nnz=n) for n in (2, 40, 5, 1)]
         result = run_tile_round(engine, tiles)
-        batch = (engine.units[0].registers.queue_capacity
-                 // engine.units[0].registers.group_size
-                 * engine.units[0].registers.group_size)
+        batch = (engine.queue_capacity // engine.group_size
+                 * engine.group_size)
         assert result.batches == -(-40 // batch)
 
     def test_sub_accumulate(self):
         rng = np.random.default_rng(3)
-        engine = AllBankEngine(num_banks=2)
+        engine = LaneEngine(num_banks=2)
         tile = random_tile(rng)
         result = run_tile_round(engine, [tile, None], accumulate="sub")
         np.testing.assert_allclose(result.y_per_bank[0][:tile.y_len],
@@ -86,7 +85,7 @@ class TestTileRound:
     def test_min_semiring(self):
         """SSSP-style (min, +) semiring: y[r] = min(y[r], x[c] + v)."""
         rng = np.random.default_rng(4)
-        engine = AllBankEngine(num_banks=1)
+        engine = LaneEngine(num_banks=1)
         tile = random_tile(rng, nnz=20)
         result = run_tile_round(engine, [tile], accumulate="min",
                                 multiply="add")
@@ -97,7 +96,7 @@ class TestTileRound:
                                    expect)
 
     def test_tile_count_must_match_banks(self):
-        engine = AllBankEngine(num_banks=4)
+        engine = LaneEngine(num_banks=4)
         with pytest.raises(ExecutionError, match="per bank"):
             run_tile_round(engine, [None, None])
 
@@ -112,7 +111,7 @@ class TestTileRound:
         # (duplicates are fine for the kernel: each element is a MAC)
         vals = rng.standard_normal(nnz)
         tile = Tile(rows, cols, vals, rng.random(x_len), y_len)
-        engine = AllBankEngine(num_banks=1)
+        engine = LaneEngine(num_banks=1)
         result = run_tile_round(engine, [tile])
         np.testing.assert_allclose(result.y_per_bank[0][:y_len],
                                    golden(tile), rtol=1e-9)
@@ -122,7 +121,7 @@ class TestTileRound:
     @settings(max_examples=15, deadline=None)
     def test_property_random_sizes(self, nnz, seed):
         rng = np.random.default_rng(seed)
-        engine = AllBankEngine(num_banks=2)
+        engine = LaneEngine(num_banks=2)
         tile = random_tile(rng, y_len=20, x_len=20, nnz=min(nnz, 19 * 19))
         result = run_tile_round(engine, [tile, None])
         np.testing.assert_allclose(result.y_per_bank[0][:tile.y_len],
@@ -132,7 +131,7 @@ class TestTileRound:
 class TestInt8Path:
     def test_int8_tile_round(self):
         rng = np.random.default_rng(6)
-        engine = AllBankEngine(num_banks=2, precision="int8")
+        engine = LaneEngine(num_banks=2, precision="int8")
         tile = random_tile(rng, nnz=25)
         tile.vals = np.round(tile.vals * 4)
         tile.x_segment = np.round(tile.x_segment * 4)
@@ -141,7 +140,6 @@ class TestInt8Path:
                                    golden(tile))
 
     def test_int8_uses_larger_batches(self):
-        engine8 = AllBankEngine(num_banks=1, precision="int8")
-        engine64 = AllBankEngine(num_banks=1, precision="fp64")
-        assert (engine8.units[0].registers.queue_capacity
-                > engine64.units[0].registers.queue_capacity)
+        engine8 = LaneEngine(num_banks=1, precision="int8")
+        engine64 = LaneEngine(num_banks=1, precision="fp64")
+        assert engine8.queue_capacity > engine64.queue_capacity

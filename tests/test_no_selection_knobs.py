@@ -1,12 +1,13 @@
 """The lane engine and the fast planner are the only production paths.
 
-The scalar engine and the scalar planning loops are bitwise oracles for
-tests (:mod:`repro.check.oracles`), not user-facing choices. These guards
-keep an ``engine=`` / ``planner=`` switch, its environment variable or
-its factory from coming back, and keep the oracle module out of every
-production import graph. Likewise there is no jobs tier: sweeps run one
-job per worker submission and every fuzz seed goes through all three
-oracles, so no ``batch=`` / ``group_size=`` switch may return. Nor is
+The reference interpreter and the scalar planning loops are bitwise
+oracles for tests (:mod:`repro.check.oracles`), not user-facing
+choices. These guards keep an ``engine=`` / ``planner=`` switch, its
+environment variable or its factory from coming back, and keep the
+oracle module out of every production import graph. Likewise there is
+no jobs tier: sweeps run one job per worker submission and every fuzz
+seed goes through both ISA interpreters, so no ``batch=`` /
+``group_size=`` switch may return. Nor is
 there an SpMM width knob or a second SpMM execution record: the width
 comes from the operand or an explicit argument, and SpMV is SpMM at
 ``k = 1`` in one record. Nor do the partitioning strategy, the channel
@@ -196,7 +197,7 @@ def test_resolver_sees_relative_imports():
     # The scan below is only as good as its import resolution.
     names = set(_imported_modules(SRC / "check" / "oracles.py"))
     assert "repro.core.sptrsv" in names
-    assert "repro.pim.AllBankEngine" in names
+    assert "repro.check.reference.ReferenceEngine" in names
 
 
 def test_oracles_are_imported_only_inside_repro_check():

@@ -22,6 +22,7 @@ import pytest
 
 from repro import obs
 from repro.check import oracles
+from repro.check.reference import ReferenceEngine
 from repro.config import default_system
 from repro.core import run_spmv, run_sptrsv, time_spmv
 from repro.core.spmv import plan_spmv
@@ -236,18 +237,38 @@ def test_obs_does_not_change_results():
 # differential guarantees
 # ----------------------------------------------------------------------
 def test_scalar_and_lane_engine_counters_match(recording):
+    """The lane engine's obs counters equal the same quantities counted
+    by the bank-at-a-time reference interpreter, launch by launch."""
     m = generate("poisson3Da", scale=0.04)
     x = np.random.default_rng(2).random(m.shape[1])
-    counters = {}
-    for engine in ("scalar", "lane"):
-        obs.reset()
-        with pytest.MonkeyPatch.context() as mp:
-            if engine == "scalar":
-                oracles.use_scalar_engine(mp.setattr)
-            run_spmv(m, x, CFG, fidelity="functional", engine_banks=8)
-        counters[engine] = dict(obs.recorder().counters)
-    assert counters["scalar"] == counters["lane"]
-    assert counters["lane"]["engine.beats"] > 0  # non-trivial workload
+    expected = dict.fromkeys(
+        ("engine.beats", "engine.predicated_beats",
+         "engine.kernel_launches", "engine.exited_lanes",
+         "engine.exhausted_lanes"), 0)
+
+    class Counting(ReferenceEngine):
+        def run(self, beats):
+            before = self.stats.beats, self.stats.predicated_beats
+            consumed = super().run(beats)
+            expected["engine.beats"] += self.stats.beats - before[0]
+            expected["engine.predicated_beats"] += (
+                self.stats.predicated_beats - before[1])
+            expected["engine.kernel_launches"] += 1
+            expected["engine.exited_lanes"] += sum(
+                bank.exited for bank in self.banks)
+            expected["engine.exhausted_lanes"] += sum(
+                bank.exhausted_mask != 0 for bank in self.banks)
+            return consumed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "ReferenceEngine", Counting)
+        oracles.use_reference_engine(mp.setattr)
+        run_spmv(m, x, CFG, fidelity="functional", engine_banks=8)
+    obs.reset()
+    run_spmv(m, x, CFG, fidelity="functional", engine_banks=8)
+    counters = obs.recorder().counters
+    assert {name: counters[name] for name in expected} == expected
+    assert expected["engine.beats"] > 0  # non-trivial workload
 
 
 def test_scalar_and_fast_planner_counters_match(recording):

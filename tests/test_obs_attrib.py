@@ -180,22 +180,22 @@ def test_spmm_single_channel_trace_passes_protocol(mode, config):
 
 
 def test_both_engines_attribute_identically(config):
-    """The lane and scalar engines produce one execution record, so the
-    attribution must be identical command for command."""
+    """The lane and reference engines produce one execution record, so
+    the attribution must be identical command for command."""
     matrix = generate("wiki-Vote", scale=SCALE)
     x = np.random.default_rng(3).random(matrix.shape[1])
     results = {}
-    for engine in ("lane", "scalar"):
+    for engine in ("lane", "reference"):
         with pytest.MonkeyPatch.context() as mp:
-            if engine == "scalar":
-                oracles.use_scalar_engine(mp.setattr)
+            if engine == "reference":
+                oracles.use_reference_engine(mp.setattr)
             execution = run_spmv(matrix, x, config, fidelity="functional",
                                  engine_banks=4, validate=False).execution
         results[engine] = attribute_spmv(execution, config)
     lane_att, lane_perf = results["lane"]
-    scalar_att, scalar_perf = results["scalar"]
-    assert lane_perf.cycles == scalar_perf.cycles
-    assert lane_att.lane_cycles == scalar_att.lane_cycles
+    ref_att, ref_perf = results["reference"]
+    assert lane_perf.cycles == ref_perf.cycles
+    assert lane_att.lane_cycles == ref_att.lane_cycles
     _assert_exact(lane_att, lane_perf)
 
 

@@ -5,7 +5,7 @@ All VALU arithmetic runs in float64 regardless of the Value format
 infinity, NaN generation and propagation, and the places where the
 Reduce fold's Python ``min``/``max`` deliberately differ from numpy's
 NaN-propagating elementwise forms. These pins keep the semantics the
-three-oracle fuzzer relies on from drifting silently.
+lane-vs-reference fuzzer relies on from drifting silently.
 """
 
 import math

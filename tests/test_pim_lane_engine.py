@@ -1,15 +1,20 @@
-"""Differential tests: the vectorized LaneEngine vs the scalar oracle.
+"""Differential tests: the vectorized LaneEngine vs the reference oracle.
 
-The scalar :class:`AllBankEngine` is the reference semantics; the
-:class:`LaneEngine` must match it *bitwise* — register and memory contents,
-every stats counter, exit/exhaustion state — on driver-produced programs
-and on randomized workloads covering predication, conditional exit,
-per-unit IndMOV columns and queue exhaustion.
+The independent :class:`~repro.check.reference.ReferenceEngine` is the
+reference semantics; the :class:`LaneEngine` must match it *bitwise* —
+results, register and memory contents, exit/exhaustion state and the
+engine counters (beats, predicated beats, launches, mode switches) — on
+every driver-produced program and on randomized workloads covering
+predication, conditional exit, per-unit IndMOV columns and queue
+exhaustion.
 
-Kernel drivers build the lane engine; their scalar runs swap in the
-oracle with :func:`repro.check.oracles.use_scalar_engine`.
+Kernel drivers build the lane engine; their reference runs swap the
+oracle in with :func:`repro.check.oracles.use_reference_engine`. Every
+engine a driver builds is recorded, so final bank memory is compared
+for the core SpMV/SpMM/SpTRSV drivers too, not only their results.
 """
 
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -17,74 +22,63 @@ import pytest
 
 import repro
 from repro.check import oracles
+from repro.check.fuzz import engine_diff
+from repro.check.reference import ReferenceEngine
 from repro.config import default_system
-from repro.core import run_spmv
-from repro.errors import ExecutionError
+from repro.core import run_spmm, run_spmv, run_sptrsv
 from repro.formats import SparseVector
-from repro.formats.generators import uniform_random
+from repro.formats.generators import uniform_random, unit_lower_from
 from repro.isa import assemble
-from repro.kernels import (Tile, daxpy, ddot, dscal, empty_tile, gather,
+from repro.kernels import (Tile, daxpy, dcopy, ddot, dgemv, dnrm2, dscal,
+                           dswap, dtrsv, elementwise, empty_tile, gather,
                            run_tile_round, scatter, spaxpy, spdot, spvspv)
-from repro.pim import AllBankEngine, Beat, LaneEngine, Mode, padded_triples
+from repro.pim import Beat, LaneEngine, Mode, padded_triples
 
-ENGINE_STATS = ("beats", "mode_switches", "programs_loaded",
-                "kernel_launches", "instructions", "alu_ops",
-                "predicated_beats")
-UNIT_STATS = ("instructions", "alu_ops", "beats", "nop_beats")
+CFG = default_system()
+
+
+def _recording(base, log):
+    """*base*, with every instance appended to *log* when built."""
+    class Recorded(base):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            log.append(self)
+    return Recorded
 
 
 def _both(fn):
-    """Run *fn* once per engine implementation; return (scalar, lane)."""
+    """Run *fn* on the reference engine, then on the lane engine; check
+    every engine the two runs built pairwise; return (reference, lane)."""
+    built = {"reference": [], "lane": []}
     with pytest.MonkeyPatch.context() as mp:
-        oracles.use_scalar_engine(mp.setattr)
-        scalar = fn()
-    lane = fn()
-    return scalar, lane
+        mp.setattr(oracles, "ReferenceEngine",
+                   _recording(ReferenceEngine, built["reference"]))
+        oracles.use_reference_engine(mp.setattr)
+        ref = fn()
+    with pytest.MonkeyPatch.context() as mp:
+        for module in oracles.ENGINE_SITES:
+            mp.setattr(importlib.import_module(module), "LaneEngine",
+                       _recording(LaneEngine, built["lane"]))
+        lane = fn()
+    assert built["lane"], "the run built no engine"
+    assert len(built["reference"]) == len(built["lane"])
+    for ref_engine, lane_engine in zip(built["reference"], built["lane"]):
+        _assert_engines_match(ref_engine, lane_engine)
+    return ref, lane
 
 
-def _assert_engines_match(scalar, lane):
-    """Full architectural-state equality, bitwise."""
-    for field in ENGINE_STATS:
-        assert getattr(scalar.stats, field) == getattr(lane.stats, field), \
-            f"stats.{field}"
-    assert scalar.stats.per_mode_beats == lane.stats.per_mode_beats
-    for b, (su, lu) in enumerate(zip(scalar.units, lane.units)):
-        assert su.exited == lu.exited, f"bank {b} exited"
-        assert su.exhausted_mask == lu.exhausted_mask, f"bank {b}"
-        assert su.load_targets_mask == lu.load_targets_mask, f"bank {b}"
-        for field in UNIT_STATS:
-            assert getattr(su.stats, field) == getattr(lu.stats, field), \
-                f"bank {b} stats.{field}"
-        assert su.registers.scalar == lu.registers.scalar, f"bank {b} SRF"
-        for i, reg in enumerate(su.registers.dense):
-            assert np.array_equal(reg.data, lane.dense[i, b]), \
-                f"bank {b} DRF{i}"
-        for qi, queue in enumerate(su.registers.queues):
-            assert list(queue._items) == lane.queues[qi].snapshot(b), \
-                f"bank {b} SPVQ{qi}"
-    for b, bank in enumerate(scalar.banks):
-        for name in bank.region_names():
-            lane_bank = lane.banks[b]
-            try:
-                region = bank.dense(name)
-            except ExecutionError:
-                sct = bank.triples(name)
-                lct = lane_bank.triples(name)
-                assert np.array_equal(sct.rows, lct.rows), (b, name)
-                assert np.array_equal(sct.cols, lct.cols), (b, name)
-                assert np.array_equal(sct.vals, lct.vals), (b, name)
-            else:
-                assert np.array_equal(region.data,
-                                      lane_bank.dense(name).data), (b, name)
+def _assert_engines_match(ref, lane):
+    """Engine counters and full architectural state equal, bitwise."""
+    diff = engine_diff(lane, ref)
+    assert diff is None, diff
 
 
-def _assert_runs_match(scalar_run, lane_run):
-    assert isinstance(scalar_run.engine, AllBankEngine)
+def _assert_runs_match(ref_run, lane_run):
+    assert isinstance(ref_run.engine, ReferenceEngine)
     assert isinstance(lane_run.engine, LaneEngine)
     for field in ("beats", "launches", "mode_switches", "programs_loaded"):
-        assert (getattr(scalar_run.stats, field)
+        assert (getattr(ref_run.stats, field)
                 == getattr(lane_run.stats, field)), field
-    _assert_engines_match(scalar_run.engine, lane_run.engine)
 
 
 def _sparse(rng, length, density):
@@ -99,14 +93,15 @@ def _sparse(rng, length, density):
 class TestEngineSelection:
     def test_default_is_lane(self, monkeypatch):
         x = np.arange(40.0)
-        monkeypatch.setenv("PSYNCPIM_ENGINE", "scalar")
+        monkeypatch.setenv("PSYNCPIM_ENGINE", "reference")
         assert isinstance(dscal(2.0, x, num_banks=4).engine, LaneEngine)
-        oracles.use_scalar_engine(monkeypatch.setattr)
-        assert isinstance(dscal(2.0, x, num_banks=4).engine, AllBankEngine)
+        oracles.use_reference_engine(monkeypatch.setattr)
+        assert isinstance(dscal(2.0, x, num_banks=4).engine,
+                          ReferenceEngine)
 
     def test_every_construction_site_is_swappable(self):
         """Every production module that builds a ``LaneEngine`` is listed
-        in ``ENGINE_SITES``, so the scalar runs reach all of them."""
+        in ``ENGINE_SITES``, so the reference runs reach all of them."""
         src = Path(repro.__file__).parent
         builders = {
             ".".join(path.relative_to(src.parent).with_suffix("").parts)
@@ -130,52 +125,52 @@ class TestKernelEquivalence:
     def test_daxpy(self, precision):
         rng = np.random.default_rng(1)
         x, y = rng.standard_normal(333), rng.standard_normal(333)
-        s, l = _both(lambda: daxpy(1.5, x, y, precision=precision))
-        assert np.array_equal(s.result, l.result)
-        _assert_runs_match(s, l)
+        r, l = _both(lambda: daxpy(1.5, x, y, precision=precision))
+        assert np.array_equal(r.result, l.result)
+        _assert_runs_match(r, l)
 
     def test_ddot_reduction(self):
         rng = np.random.default_rng(2)
         x, y = rng.standard_normal(500), rng.standard_normal(500)
-        s, l = _both(lambda: ddot(x, y))
-        assert s.result == l.result  # bitwise, not approx
-        _assert_runs_match(s, l)
+        r, l = _both(lambda: ddot(x, y))
+        assert r.result == l.result  # bitwise, not approx
+        _assert_runs_match(r, l)
 
     def test_dscal_scalar_broadcast(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(100)
-        s, l = _both(lambda: dscal(-0.75, x, num_banks=8))
-        assert np.array_equal(s.result, l.result)
-        _assert_runs_match(s, l)
+        r, l = _both(lambda: dscal(-0.75, x, num_banks=8))
+        assert np.array_equal(r.result, l.result)
+        _assert_runs_match(r, l)
 
     def test_spaxpy_predicated_streams(self):
         rng = np.random.default_rng(4)
         xs = _sparse(rng, 640, 0.11)  # uneven per-bank splits -> PAD beats
         y = rng.standard_normal(640)
-        s, l = _both(lambda: spaxpy(2.0, xs, y))
-        assert np.array_equal(s.result, l.result)
-        _assert_runs_match(s, l)
+        r, l = _both(lambda: spaxpy(2.0, xs, y))
+        assert np.array_equal(r.result, l.result)
+        _assert_runs_match(r, l)
 
     def test_spdot_queue_reduce(self):
         rng = np.random.default_rng(5)
         xs = _sparse(rng, 512, 0.2)
         y = rng.standard_normal(512)
-        s, l = _both(lambda: spdot(xs, y))
-        assert s.result == l.result
-        _assert_runs_match(s, l)
+        r, l = _both(lambda: spdot(xs, y))
+        assert r.result == l.result
+        _assert_runs_match(r, l)
 
     def test_gather_scatter_roundtrip(self):
         rng = np.random.default_rng(6)
         dense = rng.standard_normal(256)
         dense[rng.random(256) < 0.6] = 0.0
-        s, l = _both(lambda: gather(dense))
-        assert np.array_equal(s.result.indices, l.result.indices)
-        assert np.array_equal(s.result.values, l.result.values)
-        _assert_runs_match(s, l)
+        r, l = _both(lambda: gather(dense))
+        assert np.array_equal(r.result.indices, l.result.indices)
+        assert np.array_equal(r.result.values, l.result.values)
+        _assert_runs_match(r, l)
         xs = _sparse(rng, 256, 0.3)
-        s, l = _both(lambda: scatter(xs))
-        assert np.array_equal(s.result, l.result)
-        _assert_runs_match(s, l)
+        r, l = _both(lambda: scatter(xs))
+        assert np.array_equal(r.result, l.result)
+        _assert_runs_match(r, l)
 
     @pytest.mark.parametrize("set_mode,binary", [("union", "add"),
                                                  ("intersection", "mul")])
@@ -183,11 +178,82 @@ class TestKernelEquivalence:
         rng = np.random.default_rng(7)
         xs = _sparse(rng, 400, 0.15)
         ys = _sparse(rng, 400, 0.1)  # different lengths -> stalls
-        s, l = _both(lambda: spvspv(xs, ys, binary=binary,
+        r, l = _both(lambda: spvspv(xs, ys, binary=binary,
                                     set_mode=set_mode))
-        assert np.array_equal(s.result.indices, l.result.indices)
-        assert np.array_equal(s.result.values, l.result.values)
-        _assert_runs_match(s, l)
+        assert np.array_equal(r.result.indices, l.result.indices)
+        assert np.array_equal(r.result.values, l.result.values)
+        _assert_runs_match(r, l)
+
+    def test_dense_copies_and_elementwise(self):
+        rng = np.random.default_rng(8)
+        x, y = rng.standard_normal(203), rng.standard_normal(203)
+        for fn in (lambda: dcopy(x, num_banks=5),
+                   lambda: dswap(x, y, num_banks=3),
+                   lambda: dnrm2(x, num_banks=4),
+                   lambda: elementwise(x, y, "max", num_banks=6)):
+            r, l = _both(fn)
+            assert np.array_equal(np.asarray(r.result, dtype=float),
+                                  np.asarray(l.result, dtype=float))
+            _assert_runs_match(r, l)
+
+    def test_dgemv(self):
+        rng = np.random.default_rng(9)
+        a, x = rng.standard_normal((23, 17)), rng.standard_normal(17)
+        r, l = _both(lambda: dgemv(a, x, num_banks=4))
+        assert np.array_equal(r.result, l.result)
+        _assert_runs_match(r, l)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_dtrsv_solution_and_final_b(self, lower):
+        """The solution and every bank's final ``b`` region agree; the
+        solved entries are never written back, so ``b`` ends as the
+        updated right-hand side on both engines."""
+        rng = np.random.default_rng(10)
+        t = rng.standard_normal((10, 10)) + 10 * np.eye(10)
+        t = np.tril(t) if lower else np.triu(t)
+        b = rng.standard_normal(10)
+        r, l = _both(lambda: dtrsv(t, b, lower=lower, num_banks=2))
+        assert np.array_equal(r.result, l.result)
+        np.testing.assert_allclose(l.result, np.linalg.solve(t, b))
+        assert all(np.array_equal(rb, lb) for rb, lb in zip(
+            r.engine.host_read_dense("b"), l.engine.host_read_dense("b")))
+        _assert_runs_match(r, l)
+
+
+# ----------------------------------------------------------------------
+# the core functional tier: every round's engines, both interpreters
+# ----------------------------------------------------------------------
+class TestCoreFunctionalEquivalence:
+    @pytest.mark.parametrize("precision", ["fp64", "fp32", "int8"])
+    @pytest.mark.parametrize("channels", [None, 3])
+    def test_run_spmv(self, precision, channels):
+        m = uniform_random(70, 60, density=0.08, seed=11)
+        x = np.random.default_rng(11).random(60)
+        r, l = _both(lambda: run_spmv(m, x, CFG, precision=precision,
+                                      fidelity="functional",
+                                      engine_banks=8, channels=channels))
+        assert np.array_equal(r.y, l.y)
+
+    @pytest.mark.parametrize("channels", [None, 3])
+    def test_run_spmm(self, channels):
+        m = uniform_random(60, 60, density=0.07, seed=12)
+        x = np.random.default_rng(12).random((60, 3))
+        r, l = _both(lambda: run_spmm(m, x, CFG, fidelity="functional",
+                                      engine_banks=4, channels=channels))
+        assert np.array_equal(r.y, l.y)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("channels", [None, 3])
+    def test_run_sptrsv(self, lower, channels):
+        tri = unit_lower_from(uniform_random(80, 80, 0.05, seed=13),
+                              seed=14)
+        if not lower:
+            tri = tri.transpose()
+        b = np.random.default_rng(13).random(80)
+        r, l = _both(lambda: run_sptrsv(tri, b, CFG, lower=lower,
+                                        fidelity="functional",
+                                        engine_banks=8, channels=channels))
+        assert np.array_equal(r.x, l.x)
 
 
 # ----------------------------------------------------------------------
@@ -226,13 +292,13 @@ class TestTileRoundEquivalence:
             engine = cls(num_banks)
             return run_tile_round(engine, tiles), engine
 
-        sres, seng = round_once(AllBankEngine)
+        rres, reng = round_once(ReferenceEngine)
         lres, leng = round_once(LaneEngine)
-        assert sres.batches == lres.batches
-        assert sres.nnz_per_bank == lres.nnz_per_bank
-        for sy, ly in zip(sres.y_per_bank, lres.y_per_bank):
-            assert np.array_equal(sy, ly)
-        _assert_engines_match(seng, leng)
+        assert rres.batches == lres.batches
+        assert rres.nnz_per_bank == lres.nnz_per_bank
+        for ry, ly in zip(rres.y_per_bank, lres.y_per_bank):
+            assert np.array_equal(ry, ly)
+        _assert_engines_match(reng, leng)
 
     @pytest.mark.parametrize("accumulate,y_init", [("sub", 0.0),
                                                    ("min", 1e30)])
@@ -245,11 +311,11 @@ class TestTileRoundEquivalence:
             return run_tile_round(engine, tiles, accumulate=accumulate,
                                   y_init=y_init), engine
 
-        sres, seng = round_once(AllBankEngine)
+        rres, reng = round_once(ReferenceEngine)
         lres, leng = round_once(LaneEngine)
-        for sy, ly in zip(sres.y_per_bank, lres.y_per_bank):
-            assert np.array_equal(sy, ly)
-        _assert_engines_match(seng, leng)
+        for ry, ly in zip(rres.y_per_bank, lres.y_per_bank):
+            assert np.array_equal(ry, ly)
+        _assert_engines_match(reng, leng)
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +342,7 @@ class TestBeatByBeat:
                                   rng.standard_normal(3 * b), cap)
                    for b in range(num_banks)]
         engines = []
-        for cls in (AllBankEngine, LaneEngine):
+        for cls in (ReferenceEngine, LaneEngine):
             eng = cls(num_banks)
             eng.host_write_triples("x", streams)
             eng.host_write_dense("y", [np.zeros(8)] * num_banks)
@@ -284,16 +350,15 @@ class TestBeatByBeat:
             eng.load_program(assemble(SCATTER_PROG))
             eng.switch_mode(Mode.AB_PIM)
             engines.append(eng)
-        scalar, lane = engines
-        group = scalar.units[0].registers.group_size
-        for g in range(-(-cap // group)):
+        ref, lane = engines
+        for g in range(-(-cap // ref.group_size)):
             for beat in (Beat("x", g), Beat("y", 0, write=True)):
-                scalar.step(beat)
+                ref.step(beat)
                 lane.step(beat)
-                _assert_engines_match(scalar, lane)
-        # run([]) flushes trailing control instructions and collects stats
-        # identically on both implementations.
-        scalar.run([])
+                _assert_engines_match(ref, lane)
+        # run([]) flushes trailing control instructions identically on
+        # both implementations.
+        ref.run([])
         lane.run([])
-        _assert_engines_match(scalar, lane)
-        assert scalar.all_exited and lane.all_exited
+        _assert_engines_match(ref, lane)
+        assert ref.all_exited and lane.all_exited

@@ -479,7 +479,7 @@ class TestSweepCli:
 
 
 # ----------------------------------------------------------------------
-# the fuzz kernel: every seed through the three oracles, keyed on seeds
+# the fuzz kernel: every seed through both interpreters, keyed on seeds
 # ----------------------------------------------------------------------
 class TestFuzzKernel:
     def test_every_seed_runs_the_three_oracles(self, tmp_path,

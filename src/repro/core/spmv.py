@@ -498,26 +498,35 @@ def _fast_rounds(x: np.ndarray, rounds: Sequence[list], accumulate,
                  multiply, y: np.ndarray) -> np.ndarray:
     """Accumulate every tile's products into the ``(m, k)`` block *y*.
 
-    Each column runs a 1-D ``ufunc.at`` on its own contiguous column of
-    *y*: the tile order, and so every column's float operations, are
-    exactly the single-vector ones, and a 1-D ``at`` is several times
-    faster than one 2-D ``at`` over the block (even at ``k = 1``).
+    Every placed tile, in round and bank order, joins one element
+    stream, so each column costs one gather, one multiply and one 1-D
+    ``ufunc.at`` on its own contiguous column of *y*. ``at`` applies its
+    elements in order and the multiply is elementwise, so every
+    column's float operations, and their order, are exactly the
+    tile-by-tile ones; a 1-D ``at`` is several times faster than one
+    2-D ``at`` over the block (even at ``k = 1``).
     """
     acc = _ACCUM_UFUNC[accumulate]
     mul = _MULT_FUNC[multiply]
-    columns = [(x[:, j], y[:, j]) for j in range(x.shape[1])]
-    for round_tiles in rounds:
-        for tile in round_tiles:
-            if tile is None or tile.nnz == 0:
-                continue
-            rows = tile.rows + tile.row_range[0]
-            for x_col, y_col in columns:
-                # bank-local compute: products against the staged x
-                # segment
-                seg = tile.x_segment(x_col)
-                partial = mul(tile.vals, seg[tile.cols]).astype(float)
-                # host-side remote accumulation of the output partial
-                acc.at(y_col, rows, partial)
+    tiles = [tile for round_tiles in rounds for tile in round_tiles
+             if tile is not None and tile.rows.size]
+    if tiles:
+        sizes = [tile.rows.size for tile in tiles]
+        # Output rows (tile-local plus the tile's first row) and input
+        # columns (tile-local into its global_cols, concatenated).
+        rows = (np.concatenate([tile.rows for tile in tiles])
+                + np.repeat([tile.row_range[0] for tile in tiles], sizes))
+        widths = [tile.global_cols.size for tile in tiles]
+        col_base = np.repeat(np.cumsum([0] + widths[:-1]), sizes)
+        cols = np.concatenate([tile.global_cols for tile in tiles])[
+            np.concatenate([tile.cols for tile in tiles]) + col_base]
+        vals = np.concatenate([tile.vals for tile in tiles])
+        x = np.asarray(x, dtype=np.float64)
+        for j in range(x.shape[1]):
+            # bank-local compute: products against the staged x values
+            partial = mul(vals, x[cols, j]).astype(float)
+            # host-side remote accumulation of the output partials
+            acc.at(y[:, j], rows, partial)
     if accumulate == "lor":
         y = y.astype(bool).astype(float)
     return y

@@ -30,17 +30,17 @@ bank state"); :attr:`ChannelScheduler.banks` splits first as well, so the
 per-bank list stays the only bank model visible outside the scheduler.
 
 A host sweep that meets the channel in lock step with every bank
-precharged leaves the banks' states *pending*: the shared state plus the
-sweeps (and refreshes) applied to it since, replayed into the per-bank
-list only when something reads a single bank (DESIGN.md, "Sweeps from
-lock step").
+precharged keeps it that way: the shared state plus a per-bank
+``act_ready`` vector, each bank's last sweep touch and the last refresh
+block, from which a single-bank read rebuilds the per-bank list exactly
+(DESIGN.md, "Sweeps from lock step").
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import (Deque, Dict, Iterator, List, NamedTuple, Optional, Tuple,
-                    Union)
+from typing import (AbstractSet, Deque, Dict, Iterator, List, NamedTuple,
+                    Optional, Tuple)
 
 from ..errors import TimingError
 from .bank import BankState
@@ -86,20 +86,6 @@ class SweepIssue(NamedTuple):
         return (sum(lc - act for _, act, lc, _, _ in self.anchors)
                 + (self.banks - len(self.anchors)) * self.col_span)
 
-    def bank(self, index: int) -> Optional[SweepBank]:
-        """Bank *index*'s :data:`SweepBank`, or ``None`` if not swept."""
-        anchors = self.anchors
-        if not anchors[0][0] <= index < self.banks:
-            return None
-        i = len(anchors) - 1
-        while anchors[i][0] > index:
-            i -= 1
-        bank, _, _, pre, refreshes = anchors[i]
-        if bank == index:
-            return anchors[i]
-        act = pre + 1 + (index - bank - 1) * (self.pre_span + 1)
-        return index, act, act + self.col_span, act + self.pre_span, refreshes
-
     def per_bank(self) -> Iterator[SweepBank]:
         """Every bank's :data:`SweepBank`, in issue order."""
         anchors = self.anchors
@@ -111,11 +97,6 @@ class SweepIssue(NamedTuple):
                 act = pre + 1
                 pre = act + self.pre_span
                 yield follower, act, act + self.col_span, pre, refreshes
-
-
-#: One pending update of the per-bank states: a sweep's banks (with
-#: their issue outcome), or a refresh's block cycle.
-_PendingOp = Union[int, Tuple[BankSweep, SweepIssue]]
 
 
 class ChannelScheduler:
@@ -143,13 +124,23 @@ class ChannelScheduler:
         # The states a broadcast reads and updates: every bank, or, in
         # lock step (after a broadcast ACT), one state shared by all.
         self._broadcast: List[BankState] = self._banks
-        # Pending per-bank states after sweeps from lock step: the shared
-        # state they started from, then each sweep (with its issue
-        # outcome) and each refresh's block cycle, in issue order. While
-        # pending, ``_broadcast`` holds one precharged state carrying the
-        # banks' maximum ``act_ready``.
-        self._base: Optional[BankState] = None
-        self._pending: Optional[List[_PendingOp]] = None
+        # A precharged lock-step channel after host sweeps: each bank's
+        # act_ready (else None), and each bank's last sweep touch: its
+        # ACT (-1 for none) and that sweep's shape, the last column's
+        # offset from the ACT and its direction. The shared state then
+        # holds the banks' maximum act_ready and the other windows of
+        # every bank no sweep touched; _block is the last refresh's
+        # block cycle.
+        self._ready: Optional[List[int]] = None
+        self._touch_act: List[int] = []
+        self._touch_shape: List[Tuple[int, bool]] = []
+        self._block = 0
+        # Tag cycles of row-visit stretches (the controller shares one
+        # dict across its channels), and the beats of stretches tagged
+        # with one of host_tags.
+        self.tag_cycles: Dict[str, int] = {}
+        self.host_tags: AbstractSet[str] = frozenset()
+        self.host_columns = 0
         # Banks with an open row; refresh may only go in when it is 0.
         self._open_banks = 0
         self._row_bus_free = 0
@@ -166,6 +157,16 @@ class ChannelScheduler:
         self._next_refresh = timing.trefi
         # Issue spacing of the columns after a stretch's first.
         self._col_spacing = max(1, timing.burst_cycles, timing.tccd_l)
+        # An ACT's windows past its issue cycle: RD/WR, PRE and ACT.
+        self._act_windows = (timing.trcd, timing.tras, timing.trc)
+        # Column rules by direction (indexed by is_write): the data-bus
+        # turnaround into it, and a column's PRE, RD and WR windows past
+        # its issue cycle (BankState.apply_read / apply_write).
+        self._turn = (timing.write_to_read, timing.read_to_write)
+        self._col_after = (
+            (timing.trtp, timing.burst_cycles, timing.read_to_write),
+            (timing.write_recovery, timing.write_to_read,
+             timing.burst_cycles))
         self._now = 0
         self.counts: Dict[CommandType, int] = {k: 0 for k in CommandType}
         self.refreshes_performed = 0
@@ -188,12 +189,19 @@ class ChannelScheduler:
         return self._banks
 
     def _split(self) -> None:
-        """Leave lock step: copy the shared state into every bank and
-        replay whatever is pending on top of it."""
+        """Leave lock step: copy the shared state into every bank, then,
+        after host sweeps, each bank's ``act_ready`` and last touch.
+
+        A swept bank is precharged, so ``act_ready`` is its only window
+        the sweeps' ``ACT``/``PRE`` pairs accumulate; its last ``ACT``
+        assigned the others, its last column raised them, and only a
+        refresh after that can raise them further. A refresh before the
+        touch blocked no later than that ``ACT``, so the last block is
+        the only one that can bind.
+        """
         if self._broadcast is self._banks:
             return
-        pending = self._pending
-        shared = self._broadcast[0] if pending is None else self._base
+        shared = self._broadcast[0]
         banks = self._banks
         for b in banks:
             b.open_row = shared.open_row
@@ -202,21 +210,19 @@ class ChannelScheduler:
             b.wr_ready = shared.wr_ready
             b.pre_ready = shared.pre_ready
         self._broadcast = banks
-        if pending is None:
+        ready = self._ready
+        if ready is None:
             return
-        self._base = self._pending = None
-        for op in pending:
-            if op.__class__ is int:
-                for b in banks:
-                    b.block_until(op)
-                continue
-            sweep, issue = op
-            row, write = sweep.command.row, sweep.command.kind.is_write
-            for bank, act, last_col, pre, _ in issue.per_bank():
-                state = banks[bank]
-                state.apply_act(act, row)
-                (state.apply_write if write else state.apply_read)(last_col)
-                state.apply_pre(pre)
+        self._ready = None
+        for i, state in enumerate(banks):
+            act = self._touch_act[i]
+            if act >= 0:
+                col, write = self._touch_shape[i]
+                # Opening no row: the bank ends precharged.
+                state.apply_act(act, None)
+                (state.apply_write if write else state.apply_read)(act + col)
+                state.block_until(self._block)
+            state.act_ready = ready[i]
 
     def _group_of(self, bank: int) -> int:
         return bank // BANKS_PER_GROUP
@@ -261,26 +267,54 @@ class ChannelScheduler:
         is a max-accumulation, so applying each stretch's last column
         reproduces the per-command state exactly. An ``ACT_AB`` enters
         lock step, so an all-bank visit reads and writes only the one
-        shared state; a single-bank visit uses its own bank's. The cost
-        is O(stretches) (DESIGN.md, "Row visits").
+        shared state, in place when the channel is already in lock step;
+        a single-bank visit uses its own bank's. Each stretch adds its
+        gap to the command before it to :attr:`tag_cycles` under its
+        tag, as the expansion's columns would. The cost is
+        O(stretches) (DESIGN.md, "Row visits").
         """
         now = self._now
         if self.enable_refresh and self._next_refresh <= now:
             self._maybe_refresh(now)
         cycle = self._row_bus_free if self._row_bus_free > now else now
-        all_bank, bank = visit.all_bank, visit.bank
-        if all_bank:
-            act = self._activate_all(cycle, visit.row)
-            state = self._broadcast[0]
-            group: Optional[int] = None
-            act_kind, pre_kind = CommandType.ACT_AB, CommandType.PRE_AB
-        else:
+        t = self.timing
+        all_bank = visit.all_bank
+        group: Optional[int] = None
+        counts = self.counts
+        if not all_bank:
+            bank = visit.bank
             state = self._bank(bank)
             act = self._activate(state, bank, cycle, visit.row)
             group = self._group_of(bank)
-            act_kind, pre_kind = CommandType.ACT, CommandType.PRE
-        counts = self.counts
-        counts[act_kind] += 1
+            counts[CommandType.ACT] += 1
+            pre_kind = CommandType.PRE
+            rd, wr, pre_ready = state.rd_ready, state.wr_ready, state.pre_ready
+        elif self._broadcast is self._banks:
+            act = self._activate_all(cycle, visit.row)
+            state = self._broadcast[0]
+            counts[CommandType.ACT_AB] += 1
+            pre_kind = CommandType.PRE_AB
+            rd, wr, pre_ready = state.rd_ready, state.wr_ready, state.pre_ready
+        else:
+            # Lock step: the broadcast ACT on the shared state, which it
+            # leaves precharged again at the PRE. It issues at or past
+            # every bank's act_ready and assigns every other window, as
+            # apply_act does.
+            state = self._broadcast[0]
+            if state.open_row is not None:
+                raise TimingError("ACT issued to a bank with an open row")
+            act = state.act_ready
+            if cycle > act:
+                act = cycle
+            trcd, tras, trc = self._act_windows
+            state.act_ready = act + trc
+            rd = wr = act + trcd
+            pre_ready = act + tras
+            self._ready = None
+            self._last_act_cycle = act
+            self._last_act_group = None
+            counts[CommandType.ACT_AB] += 1
+            pre_kind = CommandType.PRE_AB
         ends = [act]
         now = act
         stretches = visit.stretches
@@ -288,15 +322,15 @@ class ChannelScheduler:
             # The per-command rules of _issue_column and BankState's
             # apply_read/apply_write, on locals: each stretch's first
             # column, then its last at the fixed spacing.
-            t = self.timing
             spacing = self._col_spacing
+            turns, col_after = self._turn, self._col_after
             col_free = self._col_bus_free
             last_col = self._last_col_cycle
             last_write = self._last_col_was_write
             same_group = self._last_col_all_bank or all_bank or (
                 self._last_col_group == group)
-            rd, wr, pre_ready = state.rd_ready, state.wr_ready, state.pre_ready
-            for kind, beats, _, _ in stretches:
+            tags = self.tag_cycles
+            for kind, beats, _, tag in stretches:
                 write = kind.is_write
                 first = col_free if col_free > now else now
                 ready = wr if write else rd
@@ -307,37 +341,42 @@ class ChannelScheduler:
                     if ccd > first:
                         first = ccd
                     if write != last_write:
-                        turn = last_col + (t.read_to_write if write
-                                           else t.write_to_read)
+                        turn = last_col + turns[write]
                         if turn > first:
                             first = turn
-                now = first + (beats - 1) * spacing
-                if write:
-                    after_pre = now + t.write_recovery
-                    after_wr = now + t.burst_cycles
-                    after_rd = now + t.write_to_read
-                else:
-                    after_pre = now + t.trtp
-                    after_rd = now + t.burst_cycles
-                    after_wr = now + t.read_to_write
-                if after_pre > pre_ready:
-                    pre_ready = after_pre
-                if after_rd > rd:
-                    rd = after_rd
-                if after_wr > wr:
-                    wr = after_wr
+                end = first + (beats - 1) * spacing
+                to_pre, to_rd, to_wr = col_after[write]
+                if end + to_pre > pre_ready:
+                    pre_ready = end + to_pre
+                if end + to_rd > rd:
+                    rd = end + to_rd
+                if end + to_wr > wr:
+                    wr = end + to_wr
                 counts[kind] += beats
-                ends.append(now)
-                last_col, last_write, same_group = now, write, True
-                col_free = now + 1
-            state.rd_ready, state.wr_ready, state.pre_ready = rd, wr, pre_ready
+                if tag is not None:
+                    # The stretch's columns gap from the command before
+                    # it: the ACT, then the previous stretch's last.
+                    tags[tag] = tags.get(tag, 0) + end - now
+                    if tag in self.host_tags:
+                        self.host_columns += beats
+                ends.append(end)
+                now = last_col = end
+                last_write, same_group = write, True
+                col_free = end + 1
             self._last_col_cycle = now
             self._last_col_group = group
             self._last_col_was_write = last_write
             self._last_col_all_bank = all_bank
             self._col_bus_free = col_free
-        pre = max(now, act + 1, state.pre_ready)
-        state.apply_pre(pre)
+        # The PRE, as _issue_row and BankState.apply_pre would.
+        pre = now if now > act else act + 1
+        if pre_ready > pre:
+            pre = pre_ready
+        state.open_row = None
+        state.rd_ready, state.wr_ready, state.pre_ready = rd, wr, pre_ready
+        after = pre + t.trp
+        if after > state.act_ready:
+            state.act_ready = after
         if all_bank:
             self._open_banks = 0
         else:
@@ -386,8 +425,7 @@ class ChannelScheduler:
         per-command state exactly, as in :meth:`issue_visit`.
 
         A closed-form sweep that finds the channel in lock step with
-        every bank precharged touches no bank state at all
-        (:meth:`_sweep_from_lockstep`).
+        every bank precharged keeps it there (:meth:`_sweep_lockstep`).
         """
         t = self.timing
         template = sweep.command
@@ -402,11 +440,12 @@ class ChannelScheduler:
                   and period >= t.trrd_l and t.trcd + 1 >= t.tccd_l)
         anchors: List[SweepBank] = []
         issue = SweepIssue(anchors, banks, col_span, pre_span)
-        bank = 0
         if (closed and self._broadcast is not self._banks
                 and not self._open_banks
                 and banks <= self.banks_per_channel):
-            bank = self._sweep_from_lockstep(sweep, issue, spacing)
+            self._sweep_lockstep(sweep, issue, spacing)
+            return issue
+        bank = 0
         while bank < banks:
             anchors.append(self._sweep_anchor(sweep, bank))
             bank += 1
@@ -438,173 +477,162 @@ class ChannelScheduler:
                                       spacing)
         return issue
 
-    def _sweep_from_lockstep(self, sweep: BankSweep, issue: SweepIssue,
-                             spacing: int) -> int:
-        """Issue *sweep* from lock step; return the first bank left to
-        the per-bank path (``sweep.banks`` when it is all issued).
+    def _sweep_lockstep(self, sweep: BankSweep, issue: SweepIssue,
+                        spacing: int) -> None:
+        """Issue *sweep* on a precharged lock-step channel, all of it.
 
-        Anchors come from :meth:`_lockstep_anchor` and followers from
-        :meth:`_close_followers`; the per-bank states stay pending, and
-        only the shared state's ``act_ready`` tracks the banks' maximum.
-        A refresh lands before the first follower whose ``ACT - 1``
-        reaches ``_next_refresh`` (found by division), and that bank
-        becomes the next anchor. A follower that pending ``act_ready``
-        windows would delay hands the rest of the sweep to the per-bank
-        path, after the pending states are replayed.
+        The banks stay in lock step: a bank's ``ACT`` reads only its own
+        ``act_ready`` (the vector), and the sweep records each bank's
+        ``ACT``, last column and direction as its last touch
+        (:meth:`_split` rebuilds the per-bank states from them). An
+        anchor is priced on the bus, CCD, turnaround, RRD and FAW
+        history as :meth:`issue_visit` would its ``ACT``, columns and
+        ``PRE``, after any refresh due; followers run in closed form
+        while ``act_ready`` is at or before their ``ACT`` and no refresh
+        falls due (found by division), and the bank that ends a run
+        becomes the next anchor. The scheduler's history lives on locals
+        until the sweep ends or a refresh goes in.
         """
         t = self.timing
-        if self._pending is None:
-            self._base = self._broadcast[0]
-            self._pending = []
-            # The banks' shared view while pending: precharged, with
-            # their maximum act_ready.
-            shared = BankState(t)
-            shared.act_ready = self._base.act_ready
-            self._broadcast = [shared]
         shared = self._broadcast[0]
-        pending = self._pending
-        anchors = issue.anchors
+        ready = self._ready
+        if ready is None:
+            n = self.banks_per_channel
+            ready = self._ready = [shared.act_ready] * n
+            self._touch_act = [-1] * n
+            self._touch_shape = [(0, False)] * n
+            self._block = 0
+        touch_act, touch_shape = self._touch_act, self._touch_shape
+        kind = sweep.command.kind
+        write = kind.is_write
         banks, col_span, pre_span = issue.banks, issue.col_span, issue.pre_span
         period = pre_span + 1
-        recorded = 0    # anchors already in a pending op
+        trcd, tras, trc = self._act_windows
+        trp = t.trp
+        col_tail = col_span - trcd
+        to_pre = self._col_after[write][0]
+        # A follower's act_ready after its ACT a is a + grow.
+        grow = max(trc, pre_span + trp)
+        refresh = self.enable_refresh
+        checker = self._checker
+        anchors = issue.anchors
+        act_times = self._act_times
+        now, row_free = self._now, self._row_bus_free
+        col_free = self._col_bus_free
+        last_act, act_group = self._last_act_cycle, self._last_act_group
+        last_col, col_group = self._last_col_cycle, self._last_col_group
+        turn = 0 if self._last_col_was_write == write else self._turn[write]
+        ccd_long = self._last_col_all_bank
+        refreshes = self.refreshes_performed
         bank = 0
         while bank < banks:
-            if self.enable_refresh and self._next_refresh <= self._now:
-                # The refresh blocks every bank after this sweep's banks
-                # so far and before the rest.
-                if len(anchors) > recorded:
-                    pending.append((sweep, SweepIssue(
-                        anchors[recorded:], bank, col_span, pre_span)))
-                    recorded = len(anchors)
-                self._maybe_refresh(self._now)
-            anchor = self._lockstep_anchor(sweep, bank, spacing)
-            anchors.append(anchor)
-            _, act, _, pre, _ = anchor
-            shared.act_ready = max(shared.act_ready, act + t.trc,
-                                   pre + t.trp)
+            if refresh and self._next_refresh <= now:
+                self._now, self._row_bus_free = now, row_free
+                self._maybe_refresh(now)
+                now, row_free = self._now, self._row_bus_free
+                refreshes = self.refreshes_performed
+            # An anchor: ACT, then the first column and the PRE.
+            group = bank // BANKS_PER_GROUP
+            act = row_free if row_free > now else now
+            if ready[bank] > act:
+                act = ready[bank]
+            if last_act >= 0:
+                rrd = last_act + (t.trrd_l if act_group == group
+                                  else t.trrd_s)
+                if rrd > act:
+                    act = rrd
+            if len(act_times) == 4 and act_times[0] + t.tfaw > act:
+                act = act_times[0] + t.tfaw
+            first = act + trcd
+            if col_free > first:
+                first = col_free
+            if last_col >= 0:
+                ccd = last_col + (t.tccd_l if ccd_long or col_group == group
+                                  else t.tccd_s)
+                if ccd > first:
+                    first = ccd
+                if turn and last_col + turn > first:
+                    first = last_col + turn
+            last_col = first + col_tail
+            pre = act + tras
+            if last_col + to_pre > pre:
+                pre = last_col + to_pre
+            if last_col > pre:
+                pre = last_col
+            act_times.append(act)
+            last_act = act
+            act_group = col_group = group
+            turn, ccd_long = 0, False
+            col_free = last_col + 1
+            row_free = pre + 1
+            now = pre
+            anchors.append((bank, act, last_col, pre, refreshes))
+            touch_act[bank] = act
+            touch_shape[bank] = (last_col - act, write)
+            after = act + trc if act + trc > pre + trp else pre + trp
+            ready[bank] = after
+            if after > shared.act_ready:
+                shared.act_ready = after
+            if checker is not None:
+                self._observe_bank(sweep, bank, act, first, pre, spacing)
             bank += 1
             if bank == banks:
                 break
+            # Followers from pre + 1 on. RRD already holds, as the next
+            # ACT is at least a period past this one; FAW may not.
             act = pre + 1
-            if (self._rrd_window(bank, act) != act
-                    or self._faw_window(act) != act):
+            if len(act_times) == 4 and act_times[0] + t.tfaw > act:
                 continue
             end = banks
-            if self.enable_refresh:
-                end = min(end, bank + max(
-                    0, -((act - 1 - self._next_refresh) // period)))
-            if end == bank:
+            if refresh:
+                due = bank - (act - 1 - self._next_refresh) // period
+                if due < end:
+                    end = due
+            start = bank
+            while bank < end and ready[bank] <= act:
+                bank += 1
+                act += period
+            if bank == start:
                 continue
-            if not self._pending_clear(bank, end, act, period):
-                pending.append((sweep, SweepIssue(
-                    anchors[recorded:], bank, col_span, pre_span)))
-                self._split()
-                return bank
-            self._close_followers(sweep, bank, end, act, period, spacing)
-            last_act = act + (end - 1 - bank) * period
-            shared.act_ready = max(shared.act_ready, last_act + t.trc,
-                                   last_act + pre_span + t.trp)
-            bank = end
-        pending.append((sweep, issue if not recorded else SweepIssue(
-            anchors[recorded:], banks, col_span, pre_span)))
-        return banks
-
-    def _lockstep_anchor(self, sweep: BankSweep, bank: int,
-                         spacing: int) -> SweepBank:
-        """One bank of a sweep from lock step, priced as
-        :meth:`issue_visit` would its ``ACT``, columns and ``PRE``
-        (refresh already in).
-
-        ``apply_act`` assigns the bank's column windows ``act + tRCD``
-        and ``pre_ready = act + tRAS``; the columns then only add their
-        recovery, so the bank's own state enters through ``act_ready``
-        alone.
-        """
-        t = self.timing
-        template = sweep.command
-        write = template.kind.is_write
-        group = self._group_of(bank)
-        act = max(self._now, self._row_bus_free,
-                  self._pending_act_ready(bank))
-        act = self._faw_window(self._rrd_window(bank, act))
-        refreshes = self.refreshes_performed
-        self._act_times.append(act)
-        self._last_act_cycle = act
-        self._last_act_group = group
-        first = max(act + t.trcd, self._col_bus_free,
-                    self._ccd_window(group), self._turnaround(write))
-        last_col = first + (sweep.beats - 1) * spacing
-        self._last_col_cycle = last_col
-        self._last_col_group = group
+            first = act - (bank - start) * period
+            ready[start:bank] = range(first + grow, act + grow, period)
+            touch_act[start:bank] = range(first, act, period)
+            touch_shape[start:bank] = [(col_span, write)] * (bank - start)
+            act_times.extend(range(max(first, act - 4 * period), act, period))
+            if checker is not None:
+                for b, a in zip(range(start, bank),
+                                range(first, act, period)):
+                    self._observe_bank(sweep, b, a, a + trcd, a + pre_span,
+                                       spacing)
+            last_act = act - period
+            act_group = col_group = (bank - 1) // BANKS_PER_GROUP
+            last_col = last_act + col_span
+            col_free = last_col + 1
+            now = last_act + pre_span
+            row_free = now + 1
+            if last_act + grow > shared.act_ready:
+                shared.act_ready = last_act + grow
+        self._now, self._row_bus_free = now, row_free
+        self._col_bus_free = col_free
+        self._last_act_cycle, self._last_act_group = last_act, act_group
+        self._last_col_cycle, self._last_col_group = last_col, col_group
         self._last_col_was_write = write
         self._last_col_all_bank = False
-        self._col_bus_free = last_col + 1
-        recovery = t.write_recovery if write else t.trtp
-        pre = max(act + t.tras, last_col, last_col + recovery)
-        self._row_bus_free = pre + 1
-        self._now = pre
         counts = self.counts
-        counts[CommandType.ACT] += 1
-        counts[template.kind] += sweep.beats
-        counts[CommandType.PRE] += 1
-        if self._checker is not None:
-            observe = self._checker.observe
-            act_cmd, column, pre_cmd = sweep.bank_commands(bank)
-            observe(act, act_cmd)
-            for k in range(sweep.beats):
-                observe(first + k * spacing, column)
-            observe(pre, pre_cmd)
-        return bank, act, last_col, pre, refreshes
+        counts[CommandType.ACT] += banks
+        counts[kind] += banks * sweep.beats
+        counts[CommandType.PRE] += banks
 
-    def _pending_act_ready(self, bank: int) -> int:
-        """One bank's ``act_ready``, replayed from the pending updates
-        (``ACT`` adds ``+ tRC``, ``PRE`` adds ``+ tRP``, refresh blocks)."""
-        t = self.timing
-        ready = self._base.act_ready
-        for op in self._pending:
-            if op.__class__ is int:
-                ready = max(ready, op)
-                continue
-            swept = op[1].bank(bank)
-            if swept is not None:
-                ready = max(ready, swept[1] + t.trc, swept[3] + t.trp)
-        return ready
-
-    def _pending_clear(self, start: int, end: int, first: int,
-                       period: int) -> bool:
-        """Whether banks ``[start, end)`` are ready for ACTs at ``first +
-        (bank - start) * period`` under the pending sweeps.
-
-        A pending sweep's ``act_ready`` contribution is linear in the
-        bank across each anchor's followers, and so is the ACT cycle,
-        so checking the ends of every stretch checks every bank. The
-        shared state before the sweeps and every refresh block are at
-        or before the current anchor's ``ACT``, hence before ``first``.
-        """
-        t = self.timing
-        for op in self._pending:
-            if op.__class__ is int:
-                continue
-            issue = op[1]
-            anchors = issue.anchors
-            span = issue.pre_span
-            for i, (a_bank, a_act, _, a_pre, _) in enumerate(anchors):
-                if a_bank >= end:
-                    break
-                if (a_bank >= start and max(a_act + t.trc, a_pre + t.trp)
-                        > first + (a_bank - start) * period):
-                    return False
-                stop = (anchors[i + 1][0] if i + 1 < len(anchors)
-                        else issue.banks)
-                lo, hi = max(a_bank + 1, start), min(stop, end) - 1
-                if lo > hi:
-                    continue
-                for b in (lo, hi):
-                    act = a_pre + 1 + (b - a_bank - 1) * (span + 1)
-                    if (max(act + t.trc, act + span + t.trp)
-                            > first + (b - start) * period):
-                        return False
-        return True
+    def _observe_bank(self, sweep: BankSweep, bank: int, act: int,
+                      first: int, pre: int, spacing: int) -> None:
+        """Show the protocol checker one bank of *sweep*'s expansion:
+        its ``ACT``, its columns from *first* on and its ``PRE``."""
+        observe = self._checker.observe
+        act_cmd, column, pre_cmd = sweep.bank_commands(bank)
+        observe(act, act_cmd)
+        for k in range(sweep.beats):
+            observe(first + k * spacing, column)
+        observe(pre, pre_cmd)
 
     def _sweep_anchor(self, sweep: BankSweep, bank: int) -> SweepBank:
         """Issue one bank of a sweep: as a single-bank visit, or command
@@ -617,9 +645,11 @@ class ChannelScheduler:
             for _ in range(sweep.beats):
                 last_col = self.issue(column)
             return bank, act, last_col, self.issue(pre_cmd), refreshes
+        # Untagged: the controller charges a sweep's tag cycles from its
+        # SweepIssue, anchors included.
         act, last_col, pre = self.issue_visit(RowVisit(
             False, c.channel, bank, c.row,
-            ((c.kind, sweep.beats, c.col, c.tag),)))
+            ((c.kind, sweep.beats, c.col, None),)))
         # No refresh goes in after a visit's ACT.
         return bank, act, last_col, pre, self.refreshes_performed
 
@@ -647,14 +677,10 @@ class ChannelScheduler:
         if self._checker is not None:
             # The checker sees the per-command expansion at the
             # closed-form cycles, which validates the offsets themselves.
-            observe = self._checker.observe
             for i, bank in enumerate(range(start, end)):
                 act = first + i * period
-                act_cmd, column, pre_cmd = sweep.bank_commands(bank)
-                observe(act, act_cmd)
-                for k in range(beats):
-                    observe(act + t.trcd + k * spacing, column)
-                observe(act + period - 1, pre_cmd)
+                self._observe_bank(sweep, bank, act, act + t.trcd,
+                                   act + period - 1, spacing)
 
     # ------------------------------------------------------------------
     # row commands
@@ -705,15 +731,15 @@ class ChannelScheduler:
             shared = BankState(self.timing)
             self._broadcast = [shared]
         else:
-            # Lock step or pending: one state stands for every bank, and
-            # nothing but this scheduler holds it, so it is reused.
+            # Lock step: one state stands for every bank, and nothing but
+            # this scheduler holds it, so it is reused.
             shared = broadcast[0]
             cycle = max(cycle, shared.earliest_act())
         # The issue cycle is at or past every bank's act_ready, so
         # apply_act leaves every bank in the same state: enter (or stay
         # in) lock step with one shared state.
         shared.apply_act(cycle, row)
-        self._base = self._pending = None
+        self._ready = None
         self._open_banks = self.banks_per_channel
         # Broadcast ACT resets single-bank RRD history; internal
         # staggering is folded into the per-bank tRC spacing.
@@ -778,9 +804,7 @@ class ChannelScheduler:
         """Data-bus direction switch penalty."""
         if self._last_col_cycle < 0 or write == self._last_col_was_write:
             return 0
-        t = self.timing
-        gap = t.read_to_write if write else t.write_to_read
-        return self._last_col_cycle + gap
+        return self._last_col_cycle + self._turn[write]
 
     # ------------------------------------------------------------------
     # mode switches and refresh
@@ -803,8 +827,12 @@ class ChannelScheduler:
         done = cycle + self.timing.trfc
         for b in self._broadcast:
             b.block_until(done)
-        if self._pending is not None:
-            self._pending.append(done)
+        ready = self._ready
+        if ready is not None:
+            # The refresh issued at or past the banks' maximum act_ready,
+            # so done is past every one of them.
+            ready[:] = [done] * len(ready)
+            self._block = done
         self._row_bus_free = cycle + 1
         self.refreshes_performed += 1
         return cycle

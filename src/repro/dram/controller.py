@@ -172,21 +172,13 @@ class MemoryController:
                     validate_protocol=self.validate_protocol,
                     channel=channel,
                     banks_per_channel=self.banks_per_channel)
+                # A visit's stretches charge their tags as it issues;
+                # one dict keeps the trace's order across channels.
+                sched.tag_cycles = tag_cycles
+                sched.host_tags = host_tags
                 channels[channel] = sched
             if cls is RowVisit:
                 ends = sched.issue_visit(entry)
-                # Each stretch's columns gap from the command before it:
-                # the ACT, then the previous stretch's last column.
-                prev = ends[0]
-                i = 1
-                for _, beats, _, tag in entry.stretches:
-                    end = ends[i]
-                    i += 1
-                    if tag is not None:
-                        tag_cycles[tag] = tag_cycles.get(tag, 0) + end - prev
-                        if tag in host_tags:
-                            host_columns += beats
-                    prev = end
                 last_cycle[channel] = ends[-1]
                 if collector is not None:
                     collector.observe_visit(entry, ends,
@@ -224,6 +216,7 @@ class MemoryController:
         per_channel = {ch: sched.now for ch, sched in channels.items()}
         total_cycles = max(per_channel.values()) if per_channel else 0
         refreshes = sum(s.refreshes_performed for s in channels.values())
+        host_columns += sum(s.host_columns for s in channels.values())
         # The schedulers count every command they issued, inserted
         # refreshes included, so the REF tally is every refresh performed
         # (the trace's explicit REFs among them) and the trace's own

@@ -233,23 +233,34 @@ class AttributionCollector:
         debts and any refresh inserted before it; none can go in after
         it. Once no debt is left, each stretch's delta lands whole on its
         category and the ``PRE``'s on ``row``, on every lane for an
-        all-bank visit and on the visit's bank otherwise.
+        all-bank visit and on the visit's bank otherwise. An all-bank
+        visit that owes no debt and follows no inserted refresh lands
+        whole, its ``ACT`` included, as :meth:`_charge` would land it.
         """
-        charge = self._charge
-        charge(ch, CommandType.ACT_AB if all_bank else CommandType.ACT,
-               C_ROW, bank, ends[0], refreshes)
         n = len(stretches)
         i = 0
-        while i < n and self._in_debt(ch):
-            kind, _, _, tag = stretches[i]
-            i += 1
-            charge(ch, kind, _column_category(tag), bank, ends[i], refreshes)
         pre = ends[-1]
-        if self._in_debt(ch):
-            charge(ch, CommandType.PRE_AB if all_bank else CommandType.PRE,
-                   C_ROW, bank, pre, refreshes)
-            return
-        prev = ends[i]
+        if (all_bank and refreshes == self._refs.get(ch, 0)
+                and not self._in_debt(ch)):
+            ab = self._ab.get(ch)
+            if ab is None:
+                ab = self._ab[ch] = [0] * NCAT
+            ab[C_ROW] += ends[0] - self._now.get(ch, 0)
+            prev = ends[0]
+        else:
+            charge = self._charge
+            charge(ch, CommandType.ACT_AB if all_bank else CommandType.ACT,
+                   C_ROW, bank, ends[0], refreshes)
+            while i < n and self._in_debt(ch):
+                kind, _, _, tag = stretches[i]
+                i += 1
+                charge(ch, kind, _column_category(tag), bank, ends[i],
+                       refreshes)
+            if self._in_debt(ch):
+                charge(ch, CommandType.PRE_AB if all_bank else CommandType.PRE,
+                       C_ROW, bank, pre, refreshes)
+                return
+            prev = ends[i]
         if all_bank:
             lane = self._ab[ch]
         else:

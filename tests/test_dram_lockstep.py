@@ -29,9 +29,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.dram import (BANKS_PER_CHANNEL, BankSweep, ChannelScheduler,
-                        Command, CommandType, MemoryController, RowVisit,
-                        TimingParams, expand_trace)
+from repro.dram import (BANKS_PER_CHANNEL, HOST_TAGS, BankSweep,
+                        ChannelScheduler, Command, CommandType,
+                        MemoryController, RowVisit, TimingParams,
+                        expand_trace)
 from repro.dram.bank import BankState
 from repro.errors import TimingError
 
@@ -584,8 +585,10 @@ class TestSweepClosedForm:
 
 class TestSweepFromLockstep:
     """Sweeps that meet the channel in lock step, with every bank
-    precharged, leave the per-bank states pending; the SpTRSV-shaped
-    traces price exactly as their expansion under every timing set."""
+    precharged, keep it there and leave the per-bank states pending (a
+    per-bank ``act_ready`` vector plus each bank's last touch); the
+    SpTRSV-shaped traces price exactly as their expansion under every
+    timing set."""
 
     @pytest.mark.parametrize("name", TestSweepClosedForm.TIMINGS)
     @pytest.mark.parametrize("seed", LEVEL_SEEDS)
@@ -608,7 +611,7 @@ class TestSweepFromLockstep:
             return anchor(self, sweep, bank)
 
         def counting_sweep(self, sweep):
-            pending = self._pending is not None
+            pending = self._ready is not None
             before = len(issued)
             outcome = issue_sweep(self, sweep)
             counts["sweeps"] += 1
@@ -644,7 +647,7 @@ class TestSweepFromLockstep:
         assert_prices_as_expansion(trace, TimingParams(), 1)
         sched = ChannelScheduler(TimingParams(), validate_protocol=True)
         _schedule_channel(sched, trace[:4], 0)
-        assert sched._pending
+        assert sched._ready is not None
         _schedule_channel(sched, trace[4:], 0)
         assert sched.protocol_violations == []
 
@@ -660,8 +663,8 @@ class TestSweepFromLockstep:
                                                            trfc=50), 1)
 
     def test_pending_states_materialise_on_demand(self):
-        """A single-bank command and ``banks`` replay pending sweeps and
-        refreshes exactly as the per-command expansion leaves them."""
+        """A single-bank command and ``banks`` rebuild the swept banks'
+        states exactly as the per-command expansion leaves them."""
         t = TimingParams(trefi=400, trfc=100)
         head = [Command(CommandType.MODE), Command(CommandType.ACT_AB, row=1),
                 Command(CommandType.PRE_AB),
@@ -672,6 +675,129 @@ class TestSweepFromLockstep:
                      [Command(CommandType.MODE), Command(CommandType.REF)]):
             assert_prices_as_expansion(head + tail, t, 1)
 
+
+
+def _swept(trace, timing, channel=0):
+    """Schedule *trace*'s entries on *channel*; return the scheduler,
+    each sweep's :class:`SweepIssue` and one flag per ``_split`` call
+    made while issuing (whether the channel was in lock step)."""
+    sched = ChannelScheduler(timing, validate_protocol=True, channel=channel)
+    issues, calls = [], []
+    split = ChannelScheduler._split
+
+    def counting(self):
+        calls.append(self._broadcast is not self._banks)
+        return split(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ChannelScheduler, "_split", counting)
+        for entry in trace:
+            if entry.channel != channel:
+                continue
+            if isinstance(entry, BankSweep):
+                issues.append(sched.issue_sweep(entry))
+            elif isinstance(entry, RowVisit):
+                sched.issue_visit(entry)
+            else:
+                sched.issue(entry)
+    return sched, issues, calls
+
+
+class TestSweepOnTheReadyVector:
+    """A sweep that meets swept lock-step history prices on the per-bank
+    ``act_ready`` vector: no ``_split``, and exactly its expansion."""
+
+    #: tRP long enough that a bank a slow sweep touched is not ready for
+    #: a fast sweep's closed-form ACT.
+    SLOW_PRE = TimingParams(trp=1500)
+
+    @staticmethod
+    def _history_trace():
+        """A slow sweep over four banks, then a fast one over all 16."""
+        return [Command(CommandType.MODE),
+                RowVisit(True, 0, 0, 1, ((CommandType.RD_AB, 2, 0, None),)),
+                BankSweep(Command(CommandType.WR, row=2, tag="stage_x"),
+                          beats=30, banks=4),
+                BankSweep(Command(CommandType.RD, row=3, tag="read_b"),
+                          beats=1, banks=16),
+                RowVisit(True, 0, 0, 1, ((CommandType.RD_AB, 2, 0, None),))]
+
+    def test_follower_behind_its_ready_becomes_an_anchor(self):
+        trace = self._history_trace()
+        sched, issues, calls = _swept(trace, self.SLOW_PRE)
+        fast = issues[1]
+        # Banks 1-3 wait out the slow sweep's tRP, as anchors of their
+        # own; bank 4 on follows again until a refresh falls due.
+        unrefreshed = [a[0] for a in fast.anchors
+                       if a[4] == fast.anchors[0][4]]
+        assert unrefreshed == [0, 1, 2, 3]
+        assert not any(calls)
+        assert sched.protocol_violations == []
+        assert_prices_as_expansion(trace, self.SLOW_PRE, 1)
+
+    def test_refresh_inserted_mid_sweep_from_history(self):
+        """Move tREFI across both sweeps: a refresh that goes in inside
+        the fast sweep waits for every bank's act_ready, including the
+        banks the sweep itself has just touched."""
+        mid_sweep = 0
+        for trefi in range(150, 2400, 9):
+            timing = TimingParams(trp=1500, trefi=trefi, trfc=50)
+            trace = self._history_trace()
+            _, issues, calls = _swept(trace, timing)
+            refreshes = [a[4] for a in issues[1].anchors]
+            mid_sweep += refreshes[-1] > refreshes[0]
+            assert not any(calls), trefi
+            assert_prices_as_expansion(trace, timing, 1)
+        assert mid_sweep >= 20
+
+    @pytest.mark.parametrize("name", ["default", "trp", "refi"])
+    def test_sptrsv_shaped_traces_never_split(self, name):
+        """SpTRSV-shaped traces price without leaving lock step, and the
+        protocol checker still observes every command of the expansion."""
+        timing = TestSweepClosedForm.TIMINGS[name]
+        for seed in LEVEL_SEEDS:
+            trace, channels = sptrsv_trace(seed)
+            for ch in range(channels):
+                sched, _, calls = _swept(trace, timing, ch)
+                flat = ChannelScheduler(timing, validate_protocol=True,
+                                        channel=ch)
+                _schedule_channel(flat, list(expand_trace(trace)), ch)
+                assert calls == [], (seed, ch)
+                assert (sched._checker.commands_seen
+                        == flat._checker.commands_seen)
+                assert sched.protocol_violations == []
+                assert _bank_rows(sched.banks) == _bank_rows(flat.banks)
+
+    def test_anchor_visits_charge_no_tags(self, monkeypatch):
+        """Anchors of a sweep on a split channel issue as visits, yet
+        their tags count once (from the sweep), as host traffic too."""
+        anchors = []
+        sweep_anchor = ChannelScheduler._sweep_anchor
+
+        def counting(self, sweep, bank):
+            anchors.append(bank)
+            return sweep_anchor(self, sweep, bank)
+
+        monkeypatch.setattr(ChannelScheduler, "_sweep_anchor", counting)
+        trace = [Command(CommandType.ACT, bank=3, row=1),
+                 Command(CommandType.PRE, bank=3),
+                 BankSweep(Command(CommandType.WR, row=2, tag="stage_x"),
+                           beats=5, banks=16),
+                 BankSweep(Command(CommandType.RD, row=2, tag="merge_y",
+                                   min_gap=3), beats=2, banks=6),
+                 RowVisit(False, 0, 7, 1,
+                          ((CommandType.RD, 3, 0, "read_b"),
+                           (CommandType.WR, 1, 0, "a")))]
+        controller = MemoryController(TimingParams(), num_channels=1,
+                                      validate_protocol=True)
+        got = controller.run(trace, with_energy=True, host_tags=HOST_TAGS)
+        assert anchors
+        want = controller.run(list(expand_trace(trace)), with_energy=True,
+                              host_tags=HOST_TAGS)
+        assert got.violations == [] and want.violations == []
+        assert got.tag_cycles == want.tag_cycles
+        assert got.energy.as_dict() == want.energy.as_dict()
+        assert got.total_cycles == want.total_cycles
 
 def dump_records(records, out) -> None:
     """The pinned file's layout: a JSON list, one record per line."""

@@ -136,11 +136,6 @@ class PartitionPlan:
         """
         return int(self.tile_x_lengths.sum())
 
-    @cached_property
-    def output_partial_elements(self) -> int:
-        """Output elements the host accumulates across all tiles."""
-        return sum(tile.y_length for tile in self.tiles)
-
 
 def tile_capacity(config: SystemConfig, precision: str) -> int:
     """Max rows/cols of a tile: one memory row of elements (§V)."""

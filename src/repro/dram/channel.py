@@ -28,12 +28,13 @@ query and update in O(1) instead of O(banks). The first single-bank
 command splits it back into the per-bank states (DESIGN.md, "Lock-step
 bank state"); :attr:`ChannelScheduler.banks` splits first as well, so the
 per-bank list stays the only bank model visible outside the scheduler.
+Fresh banks are identical, so a channel starts in lock step.
 
-A host sweep that meets the channel in lock step with every bank
-precharged keeps it that way: the shared state plus a per-bank
+A host sweep that meets every bank precharged, in lock step or split,
+leaves the channel in lock step: the shared state plus a per-bank
 ``act_ready`` vector, each bank's last sweep touch and the last refresh
 block, from which a single-bank read rebuilds the per-bank list exactly
-(DESIGN.md, "Sweeps from lock step").
+(DESIGN.md, "Host sweeps").
 """
 
 from __future__ import annotations
@@ -61,12 +62,14 @@ SweepBank = Tuple[int, int, int, int, int]
 class SweepIssue(NamedTuple):
     """Issue outcome of one :class:`~repro.dram.commands.BankSweep`.
 
-    ``anchors`` lists the banks issued command by command (the first
-    bank, and every bank where a guard failed or a refresh went in).
-    Every other bank issued in closed form right after its predecessor:
-    ``act = previous pre + 1``, ``last_col = act + col_span``,
-    ``pre = act + pre_span``, with the predecessor's refresh count. The
-    outcome is O(anchors) in size; :meth:`per_bank` expands it.
+    ``anchors`` lists the banks whose ``ACT`` waited on the history: the
+    first bank, every bank whose ``act_ready`` or tFAW held its ``ACT``
+    back and every bank a refresh went in before (every bank, when the
+    sweep issued command by command). Every other bank issued in closed
+    form right after its predecessor: ``act = previous pre + 1``,
+    ``last_col = act + col_span``, ``pre = act + pre_span``, with the
+    predecessor's refresh count. The outcome is O(anchors) in size;
+    :meth:`per_bank` expands it.
     """
 
     anchors: List[SweepBank]
@@ -122,16 +125,19 @@ class ChannelScheduler:
         self._banks: List[BankState] = [BankState(timing)
                                         for _ in range(banks_per_channel)]
         # The states a broadcast reads and updates: every bank, or, in
-        # lock step (after a broadcast ACT), one state shared by all.
-        self._broadcast: List[BankState] = self._banks
+        # lock step, one state shared by all. Fresh banks are identical,
+        # so a channel starts in lock step.
+        self._broadcast: List[BankState] = [BankState(timing)]
         # A precharged lock-step channel after host sweeps: each bank's
         # act_ready (else None), and each bank's last sweep touch: its
         # ACT (-1 for none) and that sweep's shape, the last column's
         # offset from the ACT and its direction. The shared state then
-        # holds the banks' maximum act_ready and the other windows of
+        # holds the banks' maximum act_ready and, unless the sweeps
+        # found the banks split (_own_windows), the other windows of
         # every bank no sweep touched; _block is the last refresh's
         # block cycle.
         self._ready: Optional[List[int]] = None
+        self._own_windows = False
         self._touch_act: List[int] = []
         self._touch_shape: List[Tuple[int, bool]] = []
         self._block = 0
@@ -189,8 +195,9 @@ class ChannelScheduler:
         return self._banks
 
     def _split(self) -> None:
-        """Leave lock step: copy the shared state into every bank, then,
-        after host sweeps, each bank's ``act_ready`` and last touch.
+        """Leave lock step: copy the shared state into every bank (unless
+        host sweeps found the banks split), then, after host sweeps,
+        each bank's ``act_ready``, last touch and the last block.
 
         A swept bank is precharged, so ``act_ready`` is its only window
         the sweeps' ``ACT``/``PRE`` pairs accumulate; its last ``ACT``
@@ -203,17 +210,19 @@ class ChannelScheduler:
             return
         shared = self._broadcast[0]
         banks = self._banks
-        for b in banks:
-            b.open_row = shared.open_row
-            b.act_ready = shared.act_ready
-            b.rd_ready = shared.rd_ready
-            b.wr_ready = shared.wr_ready
-            b.pre_ready = shared.pre_ready
         self._broadcast = banks
         ready = self._ready
+        if ready is None or not self._own_windows:
+            for b in banks:
+                b.open_row = shared.open_row
+                b.act_ready = shared.act_ready
+                b.rd_ready = shared.rd_ready
+                b.wr_ready = shared.wr_ready
+                b.pre_ready = shared.pre_ready
         if ready is None:
             return
         self._ready = None
+        block = self._block
         for i, state in enumerate(banks):
             act = self._touch_act[i]
             if act >= 0:
@@ -221,7 +230,7 @@ class ChannelScheduler:
                 # Opening no row: the bank ends precharged.
                 state.apply_act(act, None)
                 (state.apply_write if write else state.apply_read)(act + col)
-                state.block_until(self._block)
+            state.block_until(block)
             state.act_ready = ready[i]
 
     def _group_of(self, bank: int) -> int:
@@ -398,34 +407,19 @@ class ChannelScheduler:
         return ends
 
     def issue_sweep(self, sweep: BankSweep) -> SweepIssue:
-        """Issue a host sweep; exactly its expansion, mostly in closed form.
+        """Issue a host sweep; exactly its expansion.
 
-        An *anchor* bank issues as a single-bank visit (command by
-        command under a ``min_gap``) and absorbs whatever state the sweep
-        meets: busy
-        buses, RRD/FAW history, CCD and turnaround, the lock-step split,
-        a refresh due before its ``ACT``. Each following bank then runs
-        at fixed offsets from its own ``ACT`` cycle ``a``: the first
-        column at ``a + tRCD``, the last at ``a + col_span``, ``PRE`` at
-        ``a + pre_span`` and the next bank's ``ACT`` one cycle later
-        (DESIGN.md, "Host sweeps"). That holds while
-
-        * the columns carry no ``min_gap``, and the ``ACT`` period
-          ``pre_span + 1`` covers tFAW and tRRD_L, and ``tRCD + 1``
-          covers tCCD_L (sweep-wide);
-        * the first follower's ``ACT`` clears RRD/FAW against the
-          history, and every follower is precharged with ``act_ready``
-          at or before its ``ACT``;
-        * no refresh goes in before a follower's ``ACT``.
-
-        A bank that fails a per-bank check becomes the next anchor; a
-        sweep that fails a sweep-wide one issues command by command.
-        Every bank window is a max-accumulation, so applying each
-        follower's ``ACT``, last column and ``PRE`` reproduces the
-        per-command state exactly, as in :meth:`issue_visit`.
-
-        A closed-form sweep that finds the channel in lock step with
-        every bank precharged keeps it there (:meth:`_sweep_lockstep`).
+        A sweep that meets every bank of the channel precharged prices
+        in one closed-form loop on the per-bank ``act_ready`` vector
+        (:meth:`_sweep_lockstep`, DESIGN.md "Host sweeps"). Each bank
+        after an anchor runs at fixed offsets from its own ``ACT`` cycle
+        ``a``: the first column at ``a + tRCD``, the last at
+        ``a + col_span``, ``PRE`` at ``a + pre_span`` and the next
+        bank's ``ACT`` one cycle later. That needs, sweep-wide, columns
+        with no ``min_gap``, an ``ACT`` period ``pre_span + 1`` that
+        covers tFAW and tRRD_L, and ``tRCD + 1`` covering tCCD_L. A
+        sweep that fails one of these, or meets an open bank, issues
+        its expansion command by command.
         """
         t = self.timing
         template = sweep.command
@@ -436,72 +430,59 @@ class ChannelScheduler:
         recovery = t.write_recovery if write else t.trtp
         pre_span = max(t.tras, col_span, col_span + recovery)
         period = pre_span + 1
-        closed = (template.min_gap == 0 and period >= t.tfaw
-                  and period >= t.trrd_l and t.trcd + 1 >= t.tccd_l)
         anchors: List[SweepBank] = []
         issue = SweepIssue(anchors, banks, col_span, pre_span)
-        if (closed and self._broadcast is not self._banks
+        if (template.min_gap == 0 and period >= t.tfaw
+                and period >= t.trrd_l and t.trcd + 1 >= t.tccd_l
                 and not self._open_banks
                 and banks <= self.banks_per_channel):
             self._sweep_lockstep(sweep, issue, spacing)
             return issue
-        bank = 0
-        while bank < banks:
-            anchors.append(self._sweep_anchor(sweep, bank))
-            bank += 1
-            if not closed or bank == banks:
-                continue
-            # The anchor split the lock-step state, and its PRE left the
-            # open-bank count as the sweep found it.
-            act = anchors[-1][3] + 1
-            refresh_can_insert = self.enable_refresh and not self._open_banks
-            if (self._rrd_window(bank, act) != act
-                    or self._faw_window(act) != act):
-                continue
-            start, first = bank, act
-            states = self._banks
-            while bank < banks:
-                state = states[bank]
-                if (state.open_row is not None or state.act_ready > act
-                        or (refresh_can_insert
-                            and self._next_refresh <= act - 1)):
-                    break
-                state.apply_act(act, template.row)
-                (state.apply_write if write else state.apply_read)(
-                    act + col_span)
-                state.apply_pre(act + pre_span)
-                bank += 1
-                act += period
-            if bank > start:
-                self._close_followers(sweep, start, bank, first, period,
-                                      spacing)
+        for bank in range(banks):
+            act_cmd, column, pre_cmd = sweep.bank_commands(bank)
+            act = self.issue(act_cmd)
+            # No refresh goes in while the bank is open.
+            refreshes = self.refreshes_performed
+            for _ in range(beats):
+                last_col = self.issue(column)
+            anchors.append((bank, act, last_col, self.issue(pre_cmd),
+                            refreshes))
         return issue
 
     def _sweep_lockstep(self, sweep: BankSweep, issue: SweepIssue,
                         spacing: int) -> None:
-        """Issue *sweep* on a precharged lock-step channel, all of it.
+        """Issue *sweep* on a precharged channel, all of it.
 
-        The banks stay in lock step: a bank's ``ACT`` reads only its own
-        ``act_ready`` (the vector), and the sweep records each bank's
-        ``ACT``, last column and direction as its last touch
-        (:meth:`_split` rebuilds the per-bank states from them). An
-        anchor is priced on the bus, CCD, turnaround, RRD and FAW
-        history as :meth:`issue_visit` would its ``ACT``, columns and
-        ``PRE``, after any refresh due; followers run in closed form
-        while ``act_ready`` is at or before their ``ACT`` and no refresh
-        falls due (found by division), and the bank that ends a run
-        becomes the next anchor. The scheduler's history lives on locals
-        until the sweep ends or a refresh goes in.
+        The channel enters (or stays in) lock step on the per-bank
+        ``act_ready`` vector: a bank's ``ACT`` reads only its own entry,
+        and the sweep records each bank's ``ACT``, last column and
+        direction as its last touch (:meth:`_split` rebuilds the
+        per-bank states from them). A split channel enters with its
+        banks' ``act_ready`` as the vector, and its banks keep their
+        other windows. An anchor is priced on the bus, CCD, turnaround,
+        RRD and FAW history as :meth:`issue_visit` would its ``ACT``,
+        columns and ``PRE``, after any refresh due; followers run in
+        closed form while ``act_ready`` is at or before their ``ACT``
+        and no refresh falls due (found by division), and the bank that
+        ends a run becomes the next anchor. The scheduler's history
+        lives on locals until the sweep ends or a refresh goes in.
         """
         t = self.timing
-        shared = self._broadcast[0]
         ready = self._ready
         if ready is None:
             n = self.banks_per_channel
-            ready = self._ready = [shared.act_ready] * n
+            self._own_windows = self._broadcast is self._banks
+            if self._own_windows:
+                ready = [b.act_ready for b in self._banks]
+                self._broadcast = [BankState(t)]
+                self._broadcast[0].act_ready = max(ready)
+            else:
+                ready = [self._broadcast[0].act_ready] * n
+            self._ready = ready
             self._touch_act = [-1] * n
             self._touch_shape = [(0, False)] * n
             self._block = 0
+        shared = self._broadcast[0]
         touch_act, touch_shape = self._touch_act, self._touch_shape
         kind = sweep.command.kind
         write = kind.is_write
@@ -633,54 +614,6 @@ class ChannelScheduler:
         for k in range(sweep.beats):
             observe(first + k * spacing, column)
         observe(pre, pre_cmd)
-
-    def _sweep_anchor(self, sweep: BankSweep, bank: int) -> SweepBank:
-        """Issue one bank of a sweep: as a single-bank visit, or command
-        by command when its columns carry a ``min_gap``."""
-        c = sweep.command
-        if c.min_gap:
-            act_cmd, column, pre_cmd = sweep.bank_commands(bank)
-            act = self.issue(act_cmd)
-            refreshes = self.refreshes_performed
-            for _ in range(sweep.beats):
-                last_col = self.issue(column)
-            return bank, act, last_col, self.issue(pre_cmd), refreshes
-        # Untagged: the controller charges a sweep's tag cycles from its
-        # SweepIssue, anchors included.
-        act, last_col, pre = self.issue_visit(RowVisit(
-            False, c.channel, bank, c.row,
-            ((c.kind, sweep.beats, c.col, None),)))
-        # No refresh goes in after a visit's ACT.
-        return bank, act, last_col, pre, self.refreshes_performed
-
-    def _close_followers(self, sweep: BankSweep, start: int, end: int,
-                         first: int, period: int, spacing: int) -> None:
-        """Scheduler history after closed-form banks ``[start, end)``."""
-        t = self.timing
-        beats = sweep.beats
-        n = end - start
-        last_act = first + (n - 1) * period
-        last_col = last_act + t.trcd + (beats - 1) * spacing
-        last_pre = last_act + period - 1
-        self._act_times.extend(first + i * period
-                               for i in range(max(0, n - 4), n))
-        self._last_act_cycle = last_act
-        self._last_act_group = self._group_of(end - 1)
-        self._last_col_cycle = last_col
-        self._last_col_group = self._group_of(end - 1)
-        self._col_bus_free = last_col + 1
-        self._row_bus_free = last_pre + 1
-        self.counts[CommandType.ACT] += n
-        self.counts[CommandType.PRE] += n
-        self.counts[sweep.command.kind] += n * beats
-        self._now = last_pre
-        if self._checker is not None:
-            # The checker sees the per-command expansion at the
-            # closed-form cycles, which validates the offsets themselves.
-            for i, bank in enumerate(range(start, end)):
-                act = first + i * period
-                self._observe_bank(sweep, bank, act, act + t.trcd,
-                                   act + period - 1, spacing)
 
     # ------------------------------------------------------------------
     # row commands

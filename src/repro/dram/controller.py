@@ -127,8 +127,9 @@ class MemoryController:
         :class:`~repro.dram.commands.RowVisit` row visits and
         :class:`~repro.dram.commands.BankSweep` host passes; both price
         exactly like their expansion (same cycles, counters and tag
-        attributions), a visit in O(stretches) and a sweep mostly in
-        closed form.
+        attributions), a visit in O(stretches), a sweep that meets its
+        channel's banks precharged in one closed-form loop and any other
+        sweep command by command.
 
         ``host_tags``, ``alu_operations`` and ``precision`` feed the
         energy model only. Column commands tagged with one of

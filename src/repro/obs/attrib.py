@@ -14,10 +14,12 @@ Attribution is **post-hoc over the trace**: the
 scheduling pass (``MemoryController.run(..., collector=...)``) and buckets
 each entry's issue-to-issue delta. The scheduler's issue logic is never
 consulted or altered — pricing with and without a collector is bitwise
-identical, and the in-loop observation cost is one list append per trace
-entry (gated below 5% of pricing time by
-``benchmarks/test_perf_attrib.py``); the bucketing itself runs once in
-:meth:`AttributionCollector.finalize`.
+identical. Observing costs one list append per trace entry; the bucketing
+runs once in :meth:`AttributionCollector.finalize`, and that is where
+most of attribution's cost lies. ``benchmarks/test_perf_attrib.py``
+gates only the observing side below 5% of pricing (its collector is
+never finalised); its informational ``pricing_vs_attrib_sptrsv`` ratio
+is the full cost, ``finalize`` included.
 
 Exactness bookkeeping, per channel:
 
@@ -546,10 +548,6 @@ class CriticalPath:
     @property
     def total_slack(self) -> int:
         return sum(sum(node.slack.values()) for node in self.nodes)
-
-    def critical_nodes(self, top: int = 5) -> List[PathNode]:
-        """The *top* longest steps on the path."""
-        return sorted(self.nodes, key=lambda n: -n.duration)[:top]
 
 
 def critical_path(attribution: Attribution) -> Optional[CriticalPath]:

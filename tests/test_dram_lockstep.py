@@ -25,16 +25,21 @@ prints a fresh record set for inspection.
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from repro.config import default_system
+from repro.core import (ildu, plan_spmm, price_trace, run_sptrsv,
+                        synthesize)
 from repro.dram import (BANKS_PER_CHANNEL, HOST_TAGS, BankSweep,
                         ChannelScheduler, Command, CommandType,
                         MemoryController, RowVisit, TimingParams,
                         expand_trace)
 from repro.dram.bank import BankState
 from repro.errors import TimingError
+from repro.formats import generate, matrices_for
 
 RECORDS = Path(__file__).parent / "golden" / "scheduler_lockstep.json"
 #: Seeds of traces without sweeps, and of traces that also carry sweeps.
@@ -561,7 +566,7 @@ class TestSweepClosedForm:
         sweep = BankSweep(Command(CommandType.WR, row=2, tag="stage_x"),
                           beats=8, banks=16)
         outcome = sched.issue_sweep(sweep)
-        # The anchor bank issues as a visit, the rest in closed form.
+        # Bank 0 anchors the loop, the rest follow in closed form.
         assert issued == []
         assert [a[0] for a in outcome.anchors] == [0]
         assert sched._checker.commands_seen == sweep.commands == 160
@@ -598,39 +603,18 @@ class TestSweepFromLockstep:
                                    channels)
 
     def test_lockstep_path_prices_most_sweeps(self, monkeypatch):
-        """Most sweeps price no bank on the per-bank anchor path,
-        including sweeps that meet pending states and sweeps a refresh
-        lands in."""
-        counts = {"sweeps": 0, "lockstep": 0, "pending": 0, "refresh": 0}
-        issued = []
-        anchor = ChannelScheduler._sweep_anchor
-        issue_sweep = ChannelScheduler.issue_sweep
-
-        def counting_anchor(self, sweep, bank):
-            issued.append(bank)
-            return anchor(self, sweep, bank)
-
-        def counting_sweep(self, sweep):
-            pending = self._ready is not None
-            before = len(issued)
-            outcome = issue_sweep(self, sweep)
-            counts["sweeps"] += 1
-            if len(issued) == before:
-                counts["lockstep"] += 1
-                counts["pending"] += pending
-                counts["refresh"] += (outcome.anchors[-1][4]
-                                      > outcome.anchors[0][4])
-            return outcome
-
-        monkeypatch.setattr(ChannelScheduler, "_sweep_anchor",
-                            counting_anchor)
-        monkeypatch.setattr(ChannelScheduler, "issue_sweep", counting_sweep)
+        """Every sweep that meets a precharged channel prices in the one
+        closed-form loop, with no per-command issue, including sweeps
+        that meet pending states and sweeps a refresh lands in."""
+        sweeps = _count_sweep_paths(monkeypatch)
         for seed in LEVEL_SEEDS:
             trace, channels = sptrsv_trace(seed)
             MemoryController(TimingParams(), num_channels=channels).run(trace)
-        assert counts["lockstep"] >= 0.9 * counts["sweeps"]
-        assert counts["pending"] >= 100
-        assert counts["refresh"] >= 10
+        assert sweeps and all(s.precharged for s in sweeps)
+        assert all((s.loops, s.issues) == (1, 0) for s in sweeps)
+        assert sum(s.pending for s in sweeps) >= 100
+        assert sum(s.outcome.anchors[-1][4] > s.outcome.anchors[0][4]
+                   for s in sweeps) >= 10
 
     def test_broadcast_act_drops_pending_states(self):
         """``ACT_AB`` after a pending sweep, ``PRE_AB``, then a sweep on
@@ -703,6 +687,50 @@ def _swept(trace, timing, channel=0):
     return sched, issues, calls
 
 
+class _SweepPath(NamedTuple):
+    """How one sweep issued: whether it met every bank precharged, a
+    split channel and a ready vector, its closed-form loop calls and
+    per-command issues."""
+
+    precharged: bool
+    split: bool
+    pending: bool
+    loops: int
+    issues: int
+    outcome: object
+
+
+def _count_sweep_paths(monkeypatch):
+    """Record a :class:`_SweepPath` per sweep any scheduler issues."""
+    sweeps, calls = [], {"loops": 0, "issues": 0}
+    loop = ChannelScheduler._sweep_lockstep
+    issue = ChannelScheduler.issue
+    issue_sweep = ChannelScheduler.issue_sweep
+
+    def counting_loop(self, *args):
+        calls["loops"] += 1
+        return loop(self, *args)
+
+    def counting_issue(self, command, earliest=0):
+        calls["issues"] += 1
+        return issue(self, command, earliest)
+
+    def counting_sweep(self, sweep):
+        met = (not self._open_banks, self._broadcast is self._banks,
+               self._ready is not None)
+        before = dict(calls)
+        outcome = issue_sweep(self, sweep)
+        sweeps.append(_SweepPath(*met, calls["loops"] - before["loops"],
+                                 calls["issues"] - before["issues"],
+                                 outcome))
+        return outcome
+
+    monkeypatch.setattr(ChannelScheduler, "_sweep_lockstep", counting_loop)
+    monkeypatch.setattr(ChannelScheduler, "issue", counting_issue)
+    monkeypatch.setattr(ChannelScheduler, "issue_sweep", counting_sweep)
+    return sweeps
+
+
 class TestSweepOnTheReadyVector:
     """A sweep that meets swept lock-step history prices on the per-bank
     ``act_ready`` vector: no ``_split``, and exactly its expansion."""
@@ -769,16 +797,10 @@ class TestSweepOnTheReadyVector:
                 assert _bank_rows(sched.banks) == _bank_rows(flat.banks)
 
     def test_anchor_visits_charge_no_tags(self, monkeypatch):
-        """Anchors of a sweep on a split channel issue as visits, yet
-        their tags count once (from the sweep), as host traffic too."""
-        anchors = []
-        sweep_anchor = ChannelScheduler._sweep_anchor
-
-        def counting(self, sweep, bank):
-            anchors.append(bank)
-            return sweep_anchor(self, sweep, bank)
-
-        monkeypatch.setattr(ChannelScheduler, "_sweep_anchor", counting)
+        """A sweep that meets a split channel prices in the closed-form
+        loop and a ``min_gap`` sweep command by command, yet each
+        sweep's tags count once, as host traffic too."""
+        sweeps = _count_sweep_paths(monkeypatch)
         trace = [Command(CommandType.ACT, bank=3, row=1),
                  Command(CommandType.PRE, bank=3),
                  BankSweep(Command(CommandType.WR, row=2, tag="stage_x"),
@@ -791,13 +813,110 @@ class TestSweepOnTheReadyVector:
         controller = MemoryController(TimingParams(), num_channels=1,
                                       validate_protocol=True)
         got = controller.run(trace, with_energy=True, host_tags=HOST_TAGS)
-        assert anchors
+        assert [(s.loops, s.issues) for s in sweeps] == [(1, 0), (0, 24)]
         want = controller.run(list(expand_trace(trace)), with_energy=True,
                               host_tags=HOST_TAGS)
         assert got.violations == [] and want.violations == []
         assert got.tag_cycles == want.tag_cycles
         assert got.energy.as_dict() == want.energy.as_dict()
         assert got.total_cycles == want.total_cycles
+
+
+class TestSweepFromSplit:
+    """A sweep that meets a split channel with every bank precharged
+    prices on the ready vector too, resting on the banks' own states."""
+
+    @staticmethod
+    def _pb_trace():
+        """Two PB-shaped steps. Single-bank visits and commands of
+        differing lengths leave the banks split with differing windows
+        (some banks untouched); then a host sweep over the whole channel,
+        in the second step a sweep over 11 banks and one over 7, so
+        banks 11-15 keep their own windows."""
+        trace = [Command(CommandType.MODE)]
+        for widths in ((16,), (11, 7)):
+            for bank in (0, 2, 3, 6, 9, 10, 15):
+                kind = CommandType.WR if bank % 3 else CommandType.RD
+                trace.append(RowVisit(False, 0, bank, bank % 4,
+                                      ((kind, 1 + 3 * bank % 11, 0, "a"),)))
+            trace += [Command(CommandType.ACT, bank=12, row=1),
+                      Command(CommandType.WR, bank=12, row=1, tag="b"),
+                      Command(CommandType.PRE, bank=12)]
+            for banks in widths:
+                kind = CommandType.WR if banks % 2 else CommandType.RD
+                trace.append(BankSweep(Command(kind, row=2, tag="stage_x"),
+                                       beats=1 + banks % 4, banks=banks))
+        return trace
+
+    #: Per tRP: the tREFI values whose first refresh falls due at every
+    #: cycle of the first sweep, and whose second at every cycle of the
+    #: second. A 1500-cycle tRP keeps the visited banks' act_ready past
+    #: their closed-form ACTs, so they become anchors of their own.
+    TREFI = {TimingParams().trp: range(400, 960), 1500: range(1540, 2140)}
+
+    @pytest.mark.parametrize("trp", TREFI)
+    def test_refresh_due_at_every_cycle_of_a_split_sweep(self, monkeypatch,
+                                                         trp):
+        """Move tREFI across both sweeps one cycle at a time; both take
+        the loop from the split channel, and the per-bank states
+        (``_bank_rows``) and pricing match the expansion."""
+        sweeps = _count_sweep_paths(monkeypatch)
+        trace = self._pb_trace()
+        for trefi in self.TREFI[trp]:
+            timing = TimingParams(trp=trp, trefi=trefi, trfc=50)
+            assert_prices_as_expansion(trace, timing, 1)
+        assert all((s.loops, s.issues) == (1, 0) for s in sweeps)
+        # Each step's first sweep meets the channel split, the 7-bank
+        # sweep the 11-bank sweep's ready vector.
+        assert [(s.split, s.pending) for s in sweeps] == [
+            (True, False), (True, False), (False, True)] * (len(sweeps) // 3)
+        assert sum(s.outcome.anchors[-1][4] > s.outcome.anchors[0][4]
+                   for s in sweeps) >= len(self.TREFI[trp])
+
+    @pytest.mark.parametrize("trefi", [TimingParams().trefi, 300])
+    @pytest.mark.parametrize("tail", ["none", "single-bank", "broadcast"])
+    def test_split_sweep_state_materialises(self, tail, trefi):
+        """After the sweeps, ``banks`` (``_bank_rows``), a single-bank
+        command or a broadcast phase see exactly the per-command
+        scheduler's banks, with no refresh (so banks 11-15 show their own
+        windows) and with refreshes inside the sweeps."""
+        t = TimingParams(trefi=trefi, trfc=100)
+        trace = self._pb_trace() + {
+            "none": [],
+            "single-bank": [Command(CommandType.ACT, bank=6, row=3),
+                            Command(CommandType.RD, bank=6, row=3)],
+            "broadcast": [Command(CommandType.MODE),
+                          RowVisit(True, 0, 0, 1,
+                                   ((CommandType.RD_AB, 2, 0, None),))],
+        }[tail]
+        assert_prices_as_expansion(trace, t, 1)
+
+    def test_synthesised_sweeps_take_the_loop(self, monkeypatch):
+        """No sweep that synthesis emits for Fig. 8 (AB and PB, one and
+        16 channels, k = 1 and 4) or Fig. 9 issues command by command;
+        the PB traces' sweeps meet split channels."""
+        sweeps = _count_sweep_paths(monkeypatch)
+        config = default_system()
+        matrix = generate(matrices_for("spmv")[0], scale=0.02)
+        for channels in (None, 16):
+            for k in (1, 4):
+                execution = plan_spmm(matrix, config, num_rhs=k,
+                                      channels=channels)[2]
+                for mode in ("ab", "pb"):
+                    price_trace(synthesize(execution, config,
+                                           mode=mode).trace, config)
+        fig8 = len(sweeps)
+        factors = ildu(generate(matrices_for("sptrsv")[0], scale=0.005))
+        for tri, lower in ((factors.lower, True), (factors.upper, False)):
+            b = np.random.default_rng(0).random(tri.shape[0])
+            for channels in (None, 4):
+                execution = run_sptrsv(tri, b, config, lower=lower,
+                                       channels=channels).execution
+                price_trace(synthesize(execution, config).trace, config)
+        assert fig8 and len(sweeps) > fig8
+        assert all((s.loops, s.issues) == (1, 0) for s in sweeps)
+        assert any(s.split for s in sweeps[:fig8])
+
 
 def dump_records(records, out) -> None:
     """The pinned file's layout: a JSON list, one record per line."""

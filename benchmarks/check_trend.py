@@ -62,9 +62,9 @@ PINNED = {
     "BENCH_channels.json": ("channels_16v1", "channels_4v1"),
     "BENCH_spmm.json": ("amortisation_16v1", "amortisation_4v1"),
     "BENCH_partition.json": ("auto_vs_paper",),
-    # plain-pricing over pricing-with-collector: ~1.0 when attribution
-    # observation stays free; a drop means the collector got expensive.
-    "BENCH_attrib.json": ("pricing_vs_attrib",),
+    # plain over attributed pricing (finalize included), on the SpMV
+    # suite and the SpTRSV factors: a drop means attribution got costlier.
+    "BENCH_attrib.json": ("pricing_vs_attrib", "pricing_vs_attrib_sptrsv"),
     # cold sweep over warm sweep: drops when a warm job starts loading or
     # recomputing more than its small per-stage records.
     "BENCH_sweep.json": ("warm_vs_cold",),

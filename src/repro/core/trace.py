@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Union
 
+import numpy as np
+
 from ..config import SystemConfig, element_size
 from ..dram import (BankSweep, Command, CommandType, RowVisit, Stretch,
                     TraceEntry)
@@ -470,16 +472,18 @@ def _representative_channel_loads(execution: SpmvExecution,
     under non-default channel geometry.
     """
     width = banks if banks is not None else execution.banks_per_channel
-    loads = execution.per_bank_elements
-    channels = max(1, loads.size // width)
-    best, best_sum = None, -1
-    for ch in range(channels):
-        chunk = loads[ch * width:(ch + 1) * width]
-        if chunk.sum() > best_sum:
-            best, best_sum = chunk, chunk.sum()
-    if best is None:
-        raise MappingError("no banks in execution record")
-    return [float(v) for v in best]
+    busiest = _busiest_chunks(execution.per_bank_elements[None], width)
+    return busiest[0].astype(float).tolist()
+
+
+def _busiest_chunks(loads: np.ndarray, width: int) -> np.ndarray:
+    """Each row's busiest *width*-wide chunk of per-bank loads: the first
+    chunk with the largest (exact, integer) element sum, for every row of
+    a ``(records, banks)`` array at once."""
+    records, size = loads.shape
+    channels = max(1, size // width)
+    chunks = loads[:, :channels * width].reshape(records, channels, -1)
+    return chunks[np.arange(records), chunks.sum(axis=2).argmax(axis=1)]
 
 
 def _queue_batch(precision: str, subqueue_bytes: int = 64) -> int:

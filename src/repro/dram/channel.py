@@ -147,6 +147,10 @@ class ChannelScheduler:
         self.tag_cycles: Dict[str, int] = {}
         self.host_tags: AbstractSet[str] = frozenset()
         self.host_columns = 0
+        # Attribution's per-lane charge record for this channel (a
+        # repro.obs.attrib.ChannelCharges), when a collector rides the
+        # pass: every gap of the expansion lands on one of its lanes.
+        self.lanes = None
         # Banks with an open row; refresh may only go in when it is 0.
         self._open_banks = 0
         self._row_bus_free = 0
@@ -173,16 +177,12 @@ class ChannelScheduler:
             (timing.trtp, timing.burst_cycles, timing.read_to_write),
             (timing.write_recovery, timing.write_to_read,
              timing.burst_cycles))
-        self._now = 0
+        #: Cycle at which the most recent command issued.
+        self.now = 0
         self.counts: Dict[CommandType, int] = {k: 0 for k in CommandType}
         self.refreshes_performed = 0
 
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> int:
-        """Cycle at which the most recent command issued."""
-        return self._now
-
     @property
     def protocol_violations(self) -> list:
         """Violations found by the opt-in independent protocol checker."""
@@ -243,7 +243,7 @@ class ChannelScheduler:
         Commands must arrive in program order (in-order controller, as the
         paper requires for PIM: out-of-order issue is disabled).
         """
-        earliest = max(earliest, self._now + command.min_gap)
+        earliest = max(earliest, self.now + command.min_gap)
         if self.enable_refresh and self._next_refresh <= earliest:
             self._maybe_refresh(earliest)
         kind = command.kind
@@ -258,7 +258,7 @@ class ChannelScheduler:
         else:  # pragma: no cover - enum is exhaustive
             raise TimingError(f"unhandled command kind {kind}")
         self.counts[kind] += 1
-        self._now = cycle
+        self.now = cycle
         if self._checker is not None:
             self._checker.observe(cycle, command)
         return cycle
@@ -279,10 +279,13 @@ class ChannelScheduler:
         shared state, in place when the channel is already in lock step;
         a single-bank visit uses its own bank's. Each stretch adds its
         gap to the command before it to :attr:`tag_cycles` under its
-        tag, as the expansion's columns would. The cost is
-        O(stretches) (DESIGN.md, "Row visits").
+        tag, as the expansion's columns would, and with :attr:`lanes`
+        set, the ``ACT``'s, each stretch's and the ``PRE``'s gap lands
+        on the visit's lane (all-bank or its bank's) after any stall
+        debt and inserted refresh. The cost is O(stretches) (DESIGN.md,
+        "Row visits").
         """
-        now = self._now
+        now = self.now
         if self.enable_refresh and self._next_refresh <= now:
             self._maybe_refresh(now)
         cycle = self._row_bus_free if self._row_bus_free > now else now
@@ -326,6 +329,17 @@ class ChannelScheduler:
             pre_kind = CommandType.PRE_AB
         ends = [act]
         now = act
+        lanes = self.lanes
+        lane = None
+        if lanes is not None:
+            lane = lanes.shared if all_bank else lanes.own[visit.bank]
+            column = lanes.column
+            refreshes = self.refreshes_performed
+            # The ACT's gap, charged to row with the PRE's.
+            head = act - lanes.clock
+            if lanes.owed or lanes.refreshes != refreshes:
+                head = lanes.settle(head, refreshes)
+            owed = lanes.owed
         stretches = visit.stretches
         if stretches:
             # The per-command rules of _issue_column and BankState's
@@ -362,12 +376,18 @@ class ChannelScheduler:
                 if end + to_wr > wr:
                     wr = end + to_wr
                 counts[kind] += beats
+                # The stretch's columns gap from the command before it:
+                # the ACT, then the previous stretch's last.
+                gap = end - now
                 if tag is not None:
-                    # The stretch's columns gap from the command before
-                    # it: the ACT, then the previous stretch's last.
-                    tags[tag] = tags.get(tag, 0) + end - now
+                    tags[tag] = tags.get(tag, 0) + gap
                     if tag in self.host_tags:
                         self.host_columns += beats
+                if lane is not None:
+                    if owed:
+                        gap = lanes.settle(gap, refreshes)
+                        owed = lanes.owed
+                    lane[column[tag]] += gap
                 ends.append(end)
                 now = last_col = end
                 last_write, same_group = write, True
@@ -392,8 +412,14 @@ class ChannelScheduler:
             self._open_banks -= 1
         self._row_bus_free = pre + 1
         counts[pre_kind] += 1
+        if lane is not None:
+            gap = pre - now
+            if owed:
+                gap = lanes.settle(gap, refreshes)
+            lane[lanes.row] += head + gap
+            lanes.clock = pre
         ends.append(pre)
-        self._now = pre
+        self.now = pre
         if self._checker is not None:
             # The checker sees the visit's per-command expansion at the
             # closed-form cycles, which validates the spacing itself.
@@ -445,8 +471,11 @@ class ChannelScheduler:
             refreshes = self.refreshes_performed
             for _ in range(beats):
                 last_col = self.issue(column)
-            anchors.append((bank, act, last_col, self.issue(pre_cmd),
-                            refreshes))
+            pre = self.issue(pre_cmd)
+            anchors.append((bank, act, last_col, pre, refreshes))
+            if self.lanes is not None:
+                self._charge_bank(bank, self.lanes.column[template.tag],
+                                  act, last_col, pre)
         return issue
 
     def _sweep_lockstep(self, sweep: BankSweep, issue: SweepIssue,
@@ -466,6 +495,12 @@ class ChannelScheduler:
         and no refresh falls due (found by division), and the bank that
         ends a run becomes the next anchor. The scheduler's history
         lives on locals until the sweep ends or a refresh goes in.
+
+        With :attr:`lanes` set, each anchor is charged as the
+        single-bank visit it is. A follower owes ``pre_span + 1 -
+        col_span`` row and ``col_span`` column cycles, so a run of them
+        is one bank-range tally, or, while cycles are owed, a charge per
+        bank (:meth:`_charge_bank`).
         """
         t = self.timing
         ready = self._ready
@@ -498,19 +533,23 @@ class ChannelScheduler:
         checker = self._checker
         anchors = issue.anchors
         act_times = self._act_times
-        now, row_free = self._now, self._row_bus_free
+        now, row_free = self.now, self._row_bus_free
         col_free = self._col_bus_free
         last_act, act_group = self._last_act_cycle, self._last_act_group
         last_col, col_group = self._last_col_cycle, self._last_col_group
         turn = 0 if self._last_col_was_write == write else self._turn[write]
         ccd_long = self._last_col_all_bank
         refreshes = self.refreshes_performed
+        lanes = self.lanes
+        if lanes is not None:
+            own, runs, row = lanes.own, lanes.runs, lanes.row
+            cat = lanes.column[sweep.command.tag]
         bank = 0
         while bank < banks:
             if refresh and self._next_refresh <= now:
-                self._now, self._row_bus_free = now, row_free
+                self.now, self._row_bus_free = now, row_free
                 self._maybe_refresh(now)
-                now, row_free = self._now, self._row_bus_free
+                now, row_free = self.now, self._row_bus_free
                 refreshes = self.refreshes_performed
             # An anchor: ACT, then the first column and the PRE.
             group = bank // BANKS_PER_GROUP
@@ -556,6 +595,15 @@ class ChannelScheduler:
                 shared.act_ready = after
             if checker is not None:
                 self._observe_bank(sweep, bank, act, first, pre, spacing)
+            if lanes is None:
+                pass
+            elif lanes.owed or lanes.refreshes != refreshes:
+                self._charge_bank(bank, cat, act, last_col, pre)
+            else:
+                lane = own[bank]
+                lane[row] += act - lanes.clock + pre - last_col
+                lane[cat] += last_col - act
+                lanes.clock = pre
             bank += 1
             if bank == banks:
                 break
@@ -591,9 +639,22 @@ class ChannelScheduler:
             col_free = last_col + 1
             now = last_act + pre_span
             row_free = now + 1
+            if lanes is None:
+                pass
+            elif lanes.owed:
+                for b, a in zip(range(start, bank),
+                                range(first, act, period)):
+                    self._charge_bank(b, cat, a, a + col_span, a + pre_span)
+            else:
+                lo, hi = runs[start], runs[bank]
+                lo[row] += period - col_span
+                lo[cat] += col_span
+                hi[row] -= period - col_span
+                hi[cat] -= col_span
+                lanes.clock = now
             if last_act + grow > shared.act_ready:
                 shared.act_ready = last_act + grow
-        self._now, self._row_bus_free = now, row_free
+        self.now, self._row_bus_free = now, row_free
         self._col_bus_free = col_free
         self._last_act_cycle, self._last_act_group = last_act, act_group
         self._last_col_cycle, self._last_col_group = last_col, col_group
@@ -603,6 +664,25 @@ class ChannelScheduler:
         counts[CommandType.ACT] += banks
         counts[kind] += banks * sweep.beats
         counts[CommandType.PRE] += banks
+
+    def _charge_bank(self, bank: int, cat: int, act: int, last_col: int,
+                     pre: int) -> None:
+        """Charge one bank of a sweep as the single-bank visit it is:
+        its ``ACT``'s, its columns' (to *cat*) and its ``PRE``'s gap,
+        each after any owed cycles and inserted refresh."""
+        lanes = self.lanes
+        refreshes = self.refreshes_performed
+        head = lanes.settle(act - lanes.clock, refreshes)
+        # No refresh goes in while the bank is open: only owed cycles
+        # can reach its columns and PRE.
+        columns, tail = last_col - act, pre - last_col
+        if lanes.owed:
+            columns = lanes.settle(columns, refreshes)
+            tail = lanes.settle(tail, refreshes)
+        lane = lanes.own[bank]
+        lane[lanes.row] += head + tail
+        lane[cat] += columns
+        lanes.clock = pre
 
     def _observe_bank(self, sweep: BankSweep, bank: int, act: int,
                       first: int, pre: int, spacing: int) -> None:
@@ -779,15 +859,15 @@ class ChannelScheduler:
         """
         if self._open_banks:
             return
-        while self._next_refresh <= max(earliest, self._now):
+        while self._next_refresh <= max(earliest, self.now):
             self.counts[CommandType.REF] += 1
-            self._now = self._issue_refresh(max(self._next_refresh,
-                                                self._now))
+            self.now = self._issue_refresh(max(self._next_refresh,
+                                                self.now))
             if self._checker is not None:
                 # Deferred refreshes never appear in the input trace, so
                 # the checker observes them here, in issue order.
                 self._checker.observe(
-                    self._now, Command(CommandType.REF,
+                    self.now, Command(CommandType.REF,
                                        channel=self._channel),
                     inserted=True)
             self._next_refresh += self.timing.trefi
@@ -816,7 +896,7 @@ class ChannelScheduler:
         """Summary counters of this channel's schedule so far."""
         columns = sum(n for k, n in self.counts.items() if k.is_column)
         return {
-            "cycles": self._now,
+            "cycles": self.now,
             "commands": sum(self.counts.values()),
             "column_commands": columns,
             "row_hits": self.row_hits,

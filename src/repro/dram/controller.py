@@ -137,20 +137,22 @@ class MemoryController:
         tallies them itself, so the trace is walked once. The other two
         describe how much PU compute the trace's PIM phases performed.
 
-        ``collector`` (e.g. an
-        :class:`repro.obs.attrib.AttributionCollector`) is a passive
-        observer whose ``observe(command, last, refreshes)`` hook sees
-        every command's issue outcome as it prices, whose
-        ``observe_visit(visit, ends, refreshes)`` hook sees every visit's
-        :meth:`~repro.dram.channel.ChannelScheduler.issue_visit` cycles,
-        and whose ``observe_sweep(sweep, issue)`` hook sees every sweep's
-        :class:`~repro.dram.channel.SweepIssue` — the attribution
-        engine rides the one scheduling pass instead of re-running it.
-        Issue decisions are never affected.
+        ``collector`` (an :class:`repro.obs.attrib.AttributionCollector`)
+        charges cycle attribution in this one scheduling pass. Its
+        ``channel_charges(channel, banks)`` gives each channel's
+        scheduler a per-lane charge record
+        (:class:`~repro.obs.attrib.ChannelCharges`, which also keeps
+        the stall-debt and inserted-refresh split): visits and sweeps
+        charge it as they issue, and this walk charges every plain
+        command, ``MODE`` and ``REF`` included, with its gap to the
+        previous command of its channel. With ``entry_cycles`` captured,
+        each entry's last cycle is appended to it. Issue decisions are
+        never affected.
         """
         channels: Dict[int, ChannelScheduler] = {}
         tag_cycles: Dict[str, int] = {}
-        last_cycle: Dict[int, int] = {}
+        capture = (None if collector is None or collector.entry_cycles is None
+                   else collector.entry_cycles.append)
         explicit_refs = 0
         host_columns = 0
         for entry in trace:
@@ -177,15 +179,13 @@ class MemoryController:
                 # one dict keeps the trace's order across channels.
                 sched.tag_cycles = tag_cycles
                 sched.host_tags = host_tags
+                if collector is not None:
+                    sched.lanes = collector.channel_charges(
+                        channel, self.banks_per_channel)
                 channels[channel] = sched
             if cls is RowVisit:
-                ends = sched.issue_visit(entry)
-                last_cycle[channel] = ends[-1]
-                if collector is not None:
-                    collector.observe_visit(entry, ends,
-                                            sched.refreshes_performed)
-                continue
-            if cls is BankSweep:
+                sched.issue_visit(entry)
+            elif cls is BankSweep:
                 issue = sched.issue_sweep(entry)
                 columns = entry.banks * entry.beats
                 tag = command.tag
@@ -196,25 +196,28 @@ class MemoryController:
                                        + issue.column_cycles)
                     if tag in host_tags:
                         host_columns += columns
-                last_cycle[channel] = issue.last
-                if collector is not None:
-                    collector.observe_sweep(entry, issue)
-                continue
-            last = sched.issue(entry)
-            tag = entry.tag
-            if tag is not None:
-                # A command's attribution is its positive gap to the
-                # previous command of its channel.
-                gap = last - last_cycle.get(channel, 0)
-                tag_cycles[tag] = tag_cycles.get(tag, 0) + max(gap, 0)
-                if tag in host_tags and entry.kind.is_column:
-                    host_columns += 1
-            last_cycle[channel] = last
-            explicit_refs += entry.kind is CommandType.REF
-            if collector is not None:
-                collector.observe(entry, last, sched.refreshes_performed)
+            else:
+                # A command's attribution is its gap to the previous
+                # command of its channel (in order, never negative).
+                prev = sched.now
+                last = sched.issue(entry)
+                gap = last - prev
+                tag = entry.tag
+                if tag is not None:
+                    tag_cycles[tag] = tag_cycles.get(tag, 0) + gap
+                    if tag in host_tags and entry.kind.is_column:
+                        host_columns += 1
+                explicit_refs += entry.kind is CommandType.REF
+                lanes = sched.lanes
+                if lanes is not None:
+                    lanes.charge(entry, last, sched.refreshes_performed)
+            if capture is not None:
+                capture(sched.now)
 
         per_channel = {ch: sched.now for ch, sched in channels.items()}
+        if collector is not None:
+            for ch, sched in channels.items():
+                sched.lanes.close(per_channel[ch])
         total_cycles = max(per_channel.values()) if per_channel else 0
         refreshes = sum(s.refreshes_performed for s in channels.values())
         host_columns += sum(s.host_columns for s in channels.values())

@@ -9,26 +9,31 @@ per-lane category cycles sum bitwise to the schedule's ``total_cycles``
 makes category deltas between two runs trustworthy: a cycle cannot be
 double-counted into two buckets or silently dropped from all of them.
 
-Attribution is **post-hoc over the trace**: the
-:class:`AttributionCollector` passively observes the controller's single
-scheduling pass (``MemoryController.run(..., collector=...)``) and buckets
-each entry's issue-to-issue delta. The scheduler's issue logic is never
-consulted or altered — pricing with and without a collector is bitwise
-identical. Observing costs one list append per trace entry; the bucketing
-runs once in :meth:`AttributionCollector.finalize`, and that is where
-most of attribution's cost lies. ``benchmarks/test_perf_attrib.py``
-gates only the observing side below 5% of pricing (its collector is
-never finalised); its informational ``pricing_vs_attrib_sptrsv`` ratio
-is the full cost, ``finalize`` included.
+Attribution is **charged in the one scheduling pass**: with a
+:class:`AttributionCollector` attached (``MemoryController.run(...,
+collector=...)``), each channel's scheduler charges every issue-to-issue
+gap of the expansion to a per-lane vector of its
+:class:`ChannelCharges` record where it already charges tags: in a row
+visit's stretch loop, once per sweep anchor bank and once per run of
+closed-form sweep banks, and in the controller's walk for every plain
+command. The scheduler learns no category names: the record hands it
+lane vectors and a tag -> category map as data, and keeps the stall-debt
+and inserted-refresh split below. Issue decisions are never consulted or
+altered, so pricing with and without a collector is bitwise identical,
+and :meth:`AttributionCollector.finalize` only assembles the lanes.
 
 Exactness bookkeeping, per channel:
 
-* every entry's delta ``last - previous_last`` is split into (1) stall
-  debts left by earlier commands whose occupancy outlives their issue
-  cycle (mode switches block both buses for ``mode_switch_cycles``;
-  refresh blocks every bank for ``tRFC``), (2) cycles of silently
-  inserted deferred refreshes (visible as jumps in the channel's
-  refresh counter), and (3) the command's own category;
+* every gap of the expansion (a command's issue cycle minus the one
+  before it) is split into (1) stall cycles of earlier commands whose
+  occupancy outlives their issue cycle (a mode switch blocks both buses
+  for ``mode_switch_cycles``, charged to ``seam`` as it issues since the
+  next command waits them out; a refresh blocks every bank for
+  ``tRFC``, owed and paid out of later gaps), (2) cycles of silently
+  inserted deferred refreshes (visible as jumps in the channel's refresh
+  counter), and (3) the command's own category; the owed cycles and (2)
+  are :meth:`ChannelCharges.settle`, which runs only while debt is owed
+  or the refresh count moved;
 * all-bank scope (AB/MODE/REF commands) applies to every bank of the
   channel; single-bank scope applies to the addressed bank only, with the
   same cycles surfacing as ``idle`` on the channel's other banks;
@@ -42,11 +47,13 @@ split preserves the per-lane sum by construction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..dram.commands import (HOST_TAGS, BankSweep, Command, CommandType,
-                             RowVisit, Stretch)
+import numpy as np
+
+from ..dram.commands import HOST_TAGS, Command, CommandType
 from ..errors import ExecutionError
 
 #: Exclusive, exhaustive cycle categories, in reporting order.
@@ -65,13 +72,17 @@ C_COMPUTE, C_PADDING, C_SEAM, C_ROW, C_REFRESH, C_HOST, C_IDLE = range(NCAT)
 #: Bump when the taxonomy or bookkeeping changes (keys cached RunReports).
 ATTRIB_VERSION = 1
 
+# Enum members read through the class cost a lookup each; charging reads
+# these two per plain command.
+_MODE, _REF = CommandType.MODE, CommandType.REF
+
 
 def category_of(command: Command) -> int:
     """Exclusive category index of one command's bus/bank occupancy."""
     kind = command.kind
-    if kind is CommandType.MODE:
+    if kind is _MODE:
         return C_SEAM
-    if kind is CommandType.REF:
+    if kind is _REF:
         return C_REFRESH
     if kind.is_row:
         return C_ROW
@@ -154,7 +165,7 @@ class Attribution:
                     f"attribution broke sum-to-total on lane "
                     f"(ch={ch}, bank={bank}): {got} != "
                     f"{self.total_cycles}")
-            if any(v < 0 for v in vec):
+            if min(vec) < 0:
                 raise ExecutionError(
                     f"negative category cycles on lane "
                     f"(ch={ch}, bank={bank}): {vec}")
@@ -163,302 +174,180 @@ class Attribution:
 # ----------------------------------------------------------------------
 # the collector
 # ----------------------------------------------------------------------
+class _ColumnCategories(dict):
+    """Tag -> category index of a column command, filled on first use."""
+
+    def __missing__(self, tag: Optional[str]) -> int:
+        cat = self[tag] = _column_category(tag)
+        return cat
+
+
+class ChannelCharges:
+    """One channel's category cycles, charged as its scheduler prices.
+
+    The scheduler charges each gap of the expansion, from ``clock`` (the
+    cycle the channel is charged through) on, to a lane vector:
+    ``shared`` for all-bank scope (every lane of the channel),
+    ``own[bank]`` for single-bank scope, and ``runs``, a per-bank
+    difference array, for a run of closed-form sweep banks (a vector at
+    ``lo`` applies to banks ``lo`` and up, cancelled at ``hi``). It
+    indexes them with ``row`` and ``column[tag]``, so it learns no
+    category names, and moves ``clock`` to the entry's last cycle.
+
+    This record keeps the stall split. A ``MODE`` holds both buses for
+    ``mode_switch_cycles`` past its issue cycle, and the channel's next
+    command waits them out, so :meth:`charge` lands them on ``seam`` at
+    once and moves ``clock`` past them. A ``REF`` blocks every bank for
+    ``tRFC``, but a ``MODE`` may issue under it, so its ``owed`` cycles
+    are paid out of later gaps. Only while ``owed`` is non-zero or the
+    channel's refresh count moved past ``refreshes`` does a gap go
+    through :meth:`settle` first.
+    """
+
+    __slots__ = ("shared", "own", "runs", "row", "column", "clock", "owed",
+                 "refreshes", "_trfc", "_mode")
+
+    def __init__(self, banks: int, column: Dict[Optional[str], int],
+                 trfc: int, mode_switch_cycles: int) -> None:
+        self.shared = [0] * NCAT
+        self.own = [[0] * NCAT for _ in range(banks)]
+        self.runs = [[0] * NCAT for _ in range(banks + 1)]
+        self.row = C_ROW
+        self.column = column
+        self.clock = 0
+        #: Refresh-blocking cycles of explicit REFs not yet paid.
+        self.owed = 0
+        #: The channel's refresh count at the last settled gap.
+        self.refreshes = 0
+        self._trfc = trfc
+        self._mode = mode_switch_cycles
+
+    def settle(self, gap: int, refreshes: int) -> int:
+        """Charge owed cycles and inserted refreshes out of *gap*, on
+        the all-bank lane's ``refresh``; return what is left for the
+        command itself. Refreshes the scheduler inserted show as a jump
+        in *refreshes*, each worth at most ``tRFC`` of the gap.
+        """
+        part = self.owed if self.owed < gap else gap
+        self.owed -= part
+        inserted = refreshes - self.refreshes
+        if inserted:
+            self.refreshes = refreshes
+            part += min(gap - part, inserted * self._trfc)
+        self.shared[C_REFRESH] += part
+        return gap - part
+
+    def charge(self, command: Command, cycle: int, refreshes: int) -> None:
+        """Charge a plain command that issued at *cycle*."""
+        gap = cycle - self.clock
+        if self.owed or refreshes != self.refreshes:
+            gap = self.settle(gap, refreshes)
+        kind = command.kind
+        if kind is _MODE:
+            hold = self._mode
+            self.shared[C_SEAM] += gap + hold
+            self.clock = cycle + hold
+            return
+        if kind is _REF:
+            self.owed += self._trfc
+        self.clock = cycle
+        lane = self.shared if kind.is_all_bank else self.own[command.bank]
+        lane[category_of(command)] += gap
+
+    def close(self, now: int) -> None:
+        """End the channel at its last issue cycle *now*: the bus hold
+        of a final ``MODE`` lies past the schedule and is taken back."""
+        self.shared[C_SEAM] -= self.clock - now
+        self.clock = now
+
+
 class AttributionCollector:
-    """Passive per-entry observer for ``MemoryController.run``.
+    """Per-lane category charges of one ``MemoryController.run``.
 
     Construct with the run's timing constants, pass as
     ``collector=`` to :func:`repro.core.timing.price_trace` (or
     ``MemoryController.run`` directly), then :meth:`finalize` into an
-    :class:`Attribution`. ``capture_entries=True`` additionally records
-    the channel clock after every entry so segment timelines and the
-    critical path can be reconstructed.
+    :class:`Attribution`. The controller asks :meth:`channel_charges`
+    for each channel's :class:`ChannelCharges` and hands it to that
+    channel's scheduler, which charges it as it prices; the collector
+    holds O(channels x banks) numbers whatever the trace length.
+    ``capture_entries=True`` additionally records the channel clock
+    after every entry so segment timelines and the critical path can be
+    reconstructed.
     """
 
     def __init__(self, trfc: int, mode_switch_cycles: int,
                  capture_entries: bool = False) -> None:
         self.trfc = trfc
         self.mode_switch_cycles = mode_switch_cycles
-        self._now: Dict[int, int] = {}
-        self._refs: Dict[int, int] = {}
-        self._debt_seam: Dict[int, int] = {}
-        self._debt_refresh: Dict[int, int] = {}
-        #: Per-channel cycles of all-bank scope (apply to every lane).
-        self._ab: Dict[int, List[int]] = {}
-        #: Per-channel, per-bank cycles of single-bank scope.
-        self._sb: Dict[int, Dict[int, List[int]]] = {}
-        self._sb_sum: Dict[int, int] = {}
-        #: Per-channel single-bank cycles charged to bank ranges, as a
-        #: difference array: the vector at ``lo`` applies to banks
-        #: ``lo`` and up, cancelled at ``hi`` (resolved in finalize).
-        self._sb_ranges: Dict[int, Dict[int, List[int]]] = {}
+        self._column = _ColumnCategories()
+        self._channels: Dict[int, ChannelCharges] = {}
         self.entry_cycles: Optional[List[int]] = (
             [] if capture_entries else None)
-        #: Raw issue outcomes in observation order; bucketed lazily so the
-        #: scheduler's hot loop only pays one list append per entry.
-        self._log: List[tuple] = []
 
-    def observe(self, command: Command, last: int, refreshes: int) -> None:
-        """Record one issue outcome (bucketing is deferred to finalize)."""
-        self._log.append((command, last, refreshes))
-
-    def observe_visit(self, visit: RowVisit, ends: List[int],
-                      refreshes: int) -> None:
-        """Record one visit's ``ACT``, stretch-end and ``PRE`` cycles."""
-        self._log.append((visit, ends, refreshes))
-
-    def observe_sweep(self, sweep: BankSweep, issue) -> None:
-        """Record one sweep's :class:`~repro.dram.channel.SweepIssue`."""
-        self._log.append((sweep, issue))
-
-    def _bucket(self, command: Command, last: int, refreshes: int) -> None:
-        """Bucket one command's issue-to-issue cycle delta."""
-        self._charge(command.channel, command.kind, category_of(command),
-                     command.bank, last, refreshes)
-        if self.entry_cycles is not None:
-            self.entry_cycles.append(last)
-
-    def _bucket_visit(self, visit: RowVisit, ends: List[int],
-                      refreshes: int) -> None:
-        """Bucket a visit exactly as its ACT/stretches/PRE expansion."""
-        self._bucket_row(visit.channel, visit.bank, visit.all_bank,
-                         visit.stretches, ends, refreshes)
-        if self.entry_cycles is not None:
-            self.entry_cycles.append(ends[-1])
-
-    def _bucket_row(self, ch: int, bank: int, all_bank: bool,
-                    stretches: Sequence[Stretch], ends: Sequence[int],
-                    refreshes: int) -> None:
-        """Bucket one row visit from its ``ACT``, stretch-end and ``PRE``
-        cycles (:meth:`~repro.dram.channel.ChannelScheduler.issue_visit`).
-
-        The ``ACT`` goes through :meth:`_charge`, which absorbs the stall
-        debts and any refresh inserted before it; none can go in after
-        it. Once no debt is left, each stretch's delta lands whole on its
-        category and the ``PRE``'s on ``row``, on every lane for an
-        all-bank visit and on the visit's bank otherwise. An all-bank
-        visit that owes no debt and follows no inserted refresh lands
-        whole, its ``ACT`` included, as :meth:`_charge` would land it.
-        """
-        n = len(stretches)
-        i = 0
-        pre = ends[-1]
-        if (all_bank and refreshes == self._refs.get(ch, 0)
-                and not self._in_debt(ch)):
-            ab = self._ab.get(ch)
-            if ab is None:
-                ab = self._ab[ch] = [0] * NCAT
-            ab[C_ROW] += ends[0] - self._now.get(ch, 0)
-            prev = ends[0]
-        else:
-            charge = self._charge
-            charge(ch, CommandType.ACT_AB if all_bank else CommandType.ACT,
-                   C_ROW, bank, ends[0], refreshes)
-            while i < n and self._in_debt(ch):
-                kind, _, _, tag = stretches[i]
-                i += 1
-                charge(ch, kind, _column_category(tag), bank, ends[i],
-                       refreshes)
-            if self._in_debt(ch):
-                charge(ch, CommandType.PRE_AB if all_bank else CommandType.PRE,
-                       C_ROW, bank, pre, refreshes)
-                return
-            prev = ends[i]
-        if all_bank:
-            lane = self._ab[ch]
-        else:
-            lanes = self._sb.setdefault(ch, {})
-            lane = lanes.get(bank)
-            if lane is None:
-                lane = lanes[bank] = [0] * NCAT
-            self._sb_sum[ch] = self._sb_sum.get(ch, 0) + pre - prev
-        while i < n:
-            tag = stretches[i][3]
-            i += 1
-            lane[_column_category(tag)] += ends[i] - prev
-            prev = ends[i]
-        lane[C_ROW] += pre - prev
-        self._now[ch] = pre
-
-    def _bucket_sweep(self, sweep: BankSweep, issue) -> None:
-        """Bucket a sweep exactly as its ACT/columns/PRE expansion.
-
-        Each anchor bank is bucketed on its own (:meth:`_bucket_bank`).
-        Its closed-form followers share its refresh count, and once no
-        stall debt is left each one's deltas are the same: ``1 +
-        pre_span - col_span`` on ``row`` and ``col_span`` on the
-        columns' category. They are charged as one bank-range tally,
-        so a sweep costs O(anchors). The sweep is one trace entry, so
-        it records one entry cycle.
-        """
-        command = sweep.command
-        ch = command.channel
-        cat = category_of(command)
-        anchors = issue.anchors
-        col_span, pre_span = issue.col_span, issue.pre_span
-        period = pre_span + 1
-        for i, (bank, act, last_col, pre, refreshes) in enumerate(anchors):
-            self._bucket_bank(sweep, bank, act, last_col, pre, refreshes)
-            end = anchors[i + 1][0] if i + 1 < len(anchors) else issue.banks
-            bank += 1
-            while bank < end and self._in_debt(ch):
-                act = pre + 1
-                pre = act + pre_span
-                self._bucket_bank(sweep, bank, act, act + col_span, pre,
-                                  refreshes)
-                bank += 1
-            if bank == end:
-                continue
-            ranges = self._sb_ranges.setdefault(ch, {})
-            for edge, sign in ((bank, 1), (end, -1)):
-                diff = ranges.get(edge)
-                if diff is None:
-                    diff = ranges[edge] = [0] * NCAT
-                diff[C_ROW] += sign * (period - col_span)
-                diff[cat] += sign * col_span
-            n = end - bank
-            self._sb_sum[ch] = self._sb_sum.get(ch, 0) + n * period
-            self._now[ch] = pre + n * period
-        if self.entry_cycles is not None:
-            self.entry_cycles.append(issue.last)
-
-    def _bucket_bank(self, sweep: BankSweep, bank: int, act: int,
-                     last_col: int, pre: int, refreshes: int) -> None:
-        """Bucket one bank of a sweep as the single-bank visit it is."""
-        c = sweep.command
-        self._bucket_row(c.channel, bank, False,
-                         ((c.kind, sweep.beats, c.col, c.tag),),
-                         (act, last_col, pre), refreshes)
-
-    def _in_debt(self, ch: int) -> bool:
-        """Whether channel *ch* still owes stall cycles."""
-        return bool(self._debt_seam.get(ch, 0)
-                    or self._debt_refresh.get(ch, 0))
-
-    def _charge(self, ch: int, kind: CommandType, cat: int, bank: int,
-                last: int, refreshes: int) -> None:
-        """Split one issue-to-issue delta into debts, refresh and *cat*."""
-        delta = last - self._now.get(ch, 0)
-        self._now[ch] = last
-        ab = self._ab.get(ch)
-        if ab is None:
-            ab = self._ab[ch] = [0] * NCAT
-        # (1) stall debts of earlier commands whose occupancy outlives
-        # their issue cycle: a MODE switch holds both buses until
-        # cycle + mode_switch_cycles, an explicit REF blocks every bank
-        # for tRFC — the wait lands in this entry's gap.
-        debt = self._debt_seam.get(ch, 0)
-        if debt:
-            part = debt if debt < delta else delta
-            ab[C_SEAM] += part
-            self._debt_seam[ch] = debt - part
-            delta -= part
-        debt = self._debt_refresh.get(ch, 0)
-        if debt:
-            part = debt if debt < delta else delta
-            ab[C_REFRESH] += part
-            self._debt_refresh[ch] = debt - part
-            delta -= part
-        # (2) deferred refreshes the scheduler inserted ahead of this
-        # entry, visible as a jump in the channel's refresh counter.
-        inserted = refreshes - self._refs.get(ch, 0)
-        if inserted:
-            self._refs[ch] = refreshes
-            part = min(delta, inserted * self.trfc)
-            ab[C_REFRESH] += part
-            delta -= part
-        # (3) the command's own category and scope.
-        if kind is CommandType.MODE:
-            self._debt_seam[ch] = (self._debt_seam.get(ch, 0)
-                                   + self.mode_switch_cycles)
-        elif kind is CommandType.REF:
-            self._debt_refresh[ch] = (self._debt_refresh.get(ch, 0)
-                                      + self.trfc)
-        if kind.is_all_bank or kind is CommandType.MODE:
-            ab[cat] += delta
-        else:
-            lanes = self._sb.get(ch)
-            if lanes is None:
-                lanes = self._sb[ch] = {}
-            lane = lanes.get(bank)
-            if lane is None:
-                lane = lanes[bank] = [0] * NCAT
-            lane[cat] += delta
-            self._sb_sum[ch] = self._sb_sum.get(ch, 0) + delta
-
-    def _resolve_ranges(self, banks_per_channel: int) -> None:
-        """Fold the bank-range tallies into the per-bank lanes, once."""
-        ranges_by_channel, self._sb_ranges = self._sb_ranges, {}
-        for ch, ranges in ranges_by_channel.items():
-            lanes = self._sb.setdefault(ch, {})
-            running = [0] * NCAT
-            for bank in range(banks_per_channel):
-                diff = ranges.get(bank)
-                if diff is not None:
-                    for i in range(NCAT):
-                        running[i] += diff[i]
-                lane = lanes.get(bank)
-                if lane is None:
-                    lane = lanes[bank] = [0] * NCAT
-                for i in range(NCAT):
-                    lane[i] += running[i]
+    def channel_charges(self, channel: int, banks: int) -> ChannelCharges:
+        """A fresh charge record for *channel*'s *banks* lanes."""
+        charges = self._channels[channel] = ChannelCharges(
+            banks, self._column, self.trfc, self.mode_switch_cycles)
+        return charges
 
     def finalize(self, banks_per_channel: int,
                  useful_loads: Optional[
                      Dict[int, Tuple[Sequence[float], float]]] = None,
                  segments: Optional[Sequence] = None,
                  total_cycles: Optional[int] = None) -> Attribution:
-        """Assemble the observed deltas into per-lane category vectors.
+        """Assemble the charges into per-lane category vectors.
 
-        ``total_cycles`` cross-checks the schedule the collector saw
-        (defaults to the max over observed channel clocks).
-        ``useful_loads`` maps channel -> (per-bank useful elements,
-        lock-step stream length) and drives the padding split.
-        ``segments`` are the trace's :class:`~repro.core.trace
-        .TraceSegment` list when entry cycles were captured.
+        A channel's clock is the sum of its charges, as every gap up to
+        its last issue cycle was charged once; ``total_cycles``
+        cross-checks it (defaults to the max over channel clocks).
+        ``useful_loads`` maps channel ->
+        (per-bank useful elements, lock-step stream length) and drives
+        the padding split. ``segments`` are the trace's
+        :class:`~repro.core.trace.TraceSegment` list when entry cycles
+        were captured.
         """
-        log, self._log = self._log, []
-        for entry in log:
-            cls = entry[0].__class__
-            if cls is RowVisit:
-                self._bucket_visit(*entry)
-            elif cls is BankSweep:
-                self._bucket_sweep(*entry)
-            else:
-                self._bucket(*entry)
-        self._resolve_ranges(banks_per_channel)
-        observed = max(self._now.values()) if self._now else 0
+        records = sorted(self._channels.items())
+        for ch, charges in records:
+            if len(charges.own) != banks_per_channel:
+                raise ExecutionError(
+                    f"collector charged {len(charges.own)} banks on "
+                    f"channel {ch}, caller says {banks_per_channel}")
+        channels = [ch for ch, _ in records] or [0]
+        # (channel, bank, category) cycles: each bank's own charges with
+        # the follower runs summed in, plus the shared ones.
+        if records:
+            own = _stack([c.own for _, c in records])
+            own += _stack([c.runs for _, c in records]).cumsum(axis=1)[:, :-1]
+            shared = np.array([c.shared for _, c in records])[:, None]
+        else:  # nothing was priced: one idle channel
+            own = np.zeros((1, banks_per_channel, NCAT), np.int64)
+            shared = np.zeros((1, 1, NCAT), np.int64)
+        own_sums = own.sum(axis=2)
+        clocks = shared.sum(axis=(1, 2)) + own_sums.sum(axis=1)
+        clock = {ch: c for (ch, _), c in zip(records, clocks.tolist())}
+        observed = max(clock.values()) if clock else 0
         if total_cycles is None:
             total_cycles = observed
         elif total_cycles != observed:
             raise ExecutionError(
                 f"collector saw a different schedule: observed "
                 f"{observed} cycles, caller says {total_cycles}")
-        channels = sorted(self._now) if self._now else [0]
-        lane_cycles: Dict[Tuple[int, int], List[int]] = {}
-        for ch in channels:
-            ab = self._ab.get(ch, [0] * NCAT)
-            now = self._now.get(ch, 0)
-            sb_sum = self._sb_sum.get(ch, 0)
-            lanes = self._sb.get(ch, {})
-            tail = total_cycles - now
-            for bank in range(banks_per_channel):
-                vec = list(ab)
-                own = lanes.get(bank)
-                own_sum = 0
-                if own:
-                    own_sum = sum(own)
-                    for i in range(NCAT):
-                        vec[i] += own[i]
-                # barrier tail + the shadow of other banks' SB traffic
-                vec[C_IDLE] += tail + (sb_sum - own_sum)
-                lane_cycles[(ch, bank)] = vec
+        lanes = own + shared
+        # barrier tail + the shadow of other banks' SB traffic
+        lanes[:, :, C_IDLE] += ((total_cycles - clocks
+                                 + own_sums.sum(axis=1))[:, None]
+                                - own_sums)
+        if useful_loads:
+            _split_padding(lanes, channels, useful_loads)
+        lane_cycles = {(ch, bank): vec
+                       for ch, rows in zip(channels, lanes.tolist())
+                       for bank, vec in enumerate(rows)}
         attribution = Attribution(
             categories=CATEGORIES, channels=channels,
             banks_per_channel=banks_per_channel,
             total_cycles=total_cycles, lane_cycles=lane_cycles,
-            channel_clock=dict(self._now))
-        if useful_loads:
-            _split_padding(attribution, useful_loads)
+            channel_clock=clock)
         if segments is not None and self.entry_cycles is not None:
             attribution.segment_cycles = _segment_cycles(
                 segments, self.entry_cycles)
@@ -466,33 +355,45 @@ class AttributionCollector:
         return attribution
 
 
-def _split_padding(attribution: Attribution,
+def _stack(vectors: List[List[List[int]]]) -> np.ndarray:
+    """Per-channel lists of category vectors as one (channel, lane,
+    category) array (flattened first: far cheaper than nested lists)."""
+    flat = itertools.chain.from_iterable
+    cells = np.fromiter(flat(flat(vectors)), np.int64)
+    return cells.reshape(len(vectors), -1, NCAT)
+
+
+def _split_padding(lanes: np.ndarray, channels: List[int],
                    useful_loads: Dict[int, Tuple[Sequence[float], float]]
                    ) -> None:
     """Move each lane's lock-step waste from ``compute`` to ``padding``.
 
     A bank in the broadcast group streams the round maximum regardless of
     its own element count; its padding share is ``1 - own/lockstep`` of
-    the compute cycles. The move preserves the lane sum exactly.
+    the compute cycles (a bank past the given loads has none of its own).
+    The move preserves the lane sum exactly. *lanes* is the
+    ``(channel, bank, category)`` array of *channels*.
     """
+    banks = lanes.shape[1]
+    index = {ch: i for i, ch in enumerate(channels)}
+    waste = [[0.0] * banks for _ in channels]
     for ch, (loads, lockstep) in useful_loads.items():
-        if lockstep <= 0:
-            continue
-        for bank in range(attribution.banks_per_channel):
-            vec = attribution.lane_cycles.get((ch, bank))
-            if vec is None:
-                continue
-            load = float(loads[bank]) if bank < len(loads) else 0.0
-            waste = max(0.0, 1.0 - load / lockstep)
-            pad = int(round(vec[C_COMPUTE] * waste))
-            pad = min(max(pad, 0), vec[C_COMPUTE])
-            vec[C_COMPUTE] -= pad
-            vec[C_PADDING] += pad
+        if lockstep > 0 and ch in index:
+            row = [max(0.0, 1.0 - float(v) / lockstep)
+                   for v in loads[:banks]]
+            waste[index[ch]] = row + [1.0] * (banks - len(row))
+    compute = lanes[:, :, C_COMPUTE]
+    # rint halves to even, as round() does.
+    pad = np.clip(np.rint(compute * np.array(waste)).astype(np.int64),
+                  0, compute)
+    lanes[:, :, C_COMPUTE] -= pad
+    lanes[:, :, C_PADDING] += pad
 
 
 def _segment_cycles(segments: Sequence, entry_cycles: List[int]
                     ) -> Dict[str, Dict[int, Tuple[int, int]]]:
-    """Per-segment (start, end) scheduler cycles from the entry replay.
+    """Per-segment (start, end) scheduler cycles from the captured
+    entry cycles.
 
     Segments must tile each channel's entry stream in order (the
     ``*_segments`` synthesisers guarantee this), so a segment starts at
@@ -500,15 +401,15 @@ def _segment_cycles(segments: Sequence, entry_cycles: List[int]
     """
     out: Dict[str, Dict[int, Tuple[int, int]]] = {}
     clock: Dict[int, int] = {}
-    for seg in segments:
-        if seg.end > len(entry_cycles):
+    observed = len(entry_cycles)
+    for label, channel, _, end in segments:
+        if end > observed:
             raise ExecutionError(
-                f"segment {seg.label!r} spans entries the collector "
+                f"segment {label!r} spans entries the collector "
                 f"never observed")
-        start = clock.get(seg.channel, 0)
-        end = entry_cycles[seg.end - 1]
-        out.setdefault(seg.label, {})[seg.channel] = (start, end)
-        clock[seg.channel] = end
+        stop = entry_cycles[end - 1]
+        out.setdefault(label, {})[channel] = (clock.get(channel, 0), stop)
+        clock[channel] = stop
     return out
 
 
@@ -601,8 +502,8 @@ def attribute_trace(trace, config, segments=None, useful_loads=None,
     """Price *trace* once and attribute it; returns ``(Attribution,
     PerfReport)``.
 
-    The collector rides the controller's scheduling pass, so this costs
-    one pricing plus O(entries) bookkeeping.
+    The collector is charged in the controller's scheduling pass, so
+    this costs one pricing plus an O(channels x banks) assembly.
     """
     from ..core.timing import price_trace
     from ..dram import TimingParams
@@ -684,17 +585,21 @@ def sptrsv_useful_loads(execution
     bank, so the leaf share is spread uniformly; the recursive update
     SpMVs contribute their exact per-bank loads.
     """
-    from ..core.trace import _representative_channel_loads
+    from ..core.trace import _busiest_chunks
 
     def shard(sub, banks: int) -> Tuple[List[float], float]:
-        lockstep = float(sum(sub.level_batches))
+        updates = sub.update_execs
+        # Integer element counts: exact in any order.
+        lockstep = float(sum(sub.level_batches)
+                         + sum(upd.lockstep_elements for upd in updates))
         uniform = sum(sub.level_elements) / max(1, sub.num_banks)
-        per_bank = [float(uniform)] * banks
-        for upd in sub.update_execs:
-            loads = _representative_channel_loads(upd, banks)
-            lockstep += float(upd.lockstep_elements)
-            per_bank = [p + u for p, u in zip(per_bank, loads)]
-        return per_bank, lockstep
+        rows = [np.full(banks, float(uniform))]
+        if updates:
+            rows.extend(_busiest_chunks(
+                np.stack([upd.per_bank_elements for upd in updates]), banks))
+        # The uniform share plus each update's loads in turn (cumsum adds
+        # row by row, as the float sums always did).
+        return np.cumsum(rows, axis=0)[-1].tolist(), lockstep
 
     banks = execution.banks_per_channel
     if execution.num_channels is not None:

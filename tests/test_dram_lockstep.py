@@ -233,16 +233,27 @@ def _runs(trace):
 
 
 class _IssueLog:
-    """Collector recording the issue cycle of every command, visits and
-    sweeps included (their columns at the closed-form spacing)."""
+    """Issue *trace* on one scheduler per channel and record the issue
+    cycle of every command, visits and sweeps included (their columns
+    at the closed-form spacing), from the schedulers' own returns:
+    ``issue``'s cycle, ``issue_visit``'s ends and each sweep's
+    ``SweepIssue.per_bank()``."""
 
-    def __init__(self, timing=TimingParams()):
+    def __init__(self, trace, channels, timing=TimingParams(),
+                 enable_refresh=True):
         self.spacing = max(1, timing.burst_cycles, timing.tccd_l)
+        self.scheds = [ChannelScheduler(timing, enable_refresh, channel=ch)
+                       for ch in range(channels)]
         self.cycles = []
         self.sweeps = []
-
-    def observe(self, command, last, refreshes):
-        self.cycles.append(last)
+        for entry in trace:
+            sched = self.scheds[entry.channel]
+            if isinstance(entry, BankSweep):
+                self._sweep(entry, sched.issue_sweep(entry))
+            elif isinstance(entry, RowVisit):
+                self._visit(entry, sched.issue_visit(entry))
+            else:
+                self.cycles.append(sched.issue(entry))
 
     def _row(self, act, stretches, pre, spacing):
         self.cycles.append(act)
@@ -251,16 +262,20 @@ class _IssueLog:
                             for k in range(beats - 1, -1, -1)]
         self.cycles.append(pre)
 
-    def observe_visit(self, visit, ends, refreshes):
+    def _visit(self, visit, ends):
         self._row(ends[0], [(s[1], end) for s, end
                             in zip(visit.stretches, ends[1:-1])],
                   ends[-1], self.spacing)
 
-    def observe_sweep(self, sweep, issue):
+    def _sweep(self, sweep, issue):
         self.sweeps.append(issue)
         spacing = max(sweep.command.min_gap, self.spacing)
         for _, act, last_col, pre, _ in issue.per_bank():
             self._row(act, [(sweep.beats, last_col)], pre, spacing)
+
+    def bank_rows(self):
+        """Each channel's per-bank state after its last command."""
+        return [_bank_rows(sched.banks) for sched in self.scheds]
 
 
 def _pinned_issue_last(trace, cycles):
@@ -297,21 +312,22 @@ def _schedule_channel(sched, trace, ch):
             sched.issue(entry)
 
 
-def build_record(seed: int, validate: bool = False, log=None) -> dict:
+def _seed_log(seed: int) -> _IssueLog:
+    """The issue log of one seeded trace."""
+    trace, channels = random_trace(seed)
+    return _IssueLog(trace, channels, enable_refresh=seed % 6 != 5)
+
+
+def build_record(seed: int, validate: bool = False) -> dict:
     """Schedule one seeded trace; return every pinned figure."""
     trace, channels = random_trace(seed)
     enable_refresh = seed % 6 != 5
-    log = _IssueLog() if log is None else log
     controller = MemoryController(TimingParams(), num_channels=channels,
                                   enable_refresh=enable_refresh,
                                   validate_protocol=validate)
-    result = controller.run(trace, collector=log)
-    banks = {}
-    for ch in range(channels):
-        sched = ChannelScheduler(TimingParams(), enable_refresh,
-                                 channel=ch)
-        _schedule_channel(sched, trace, ch)
-        banks[str(ch)] = _bank_rows(sched.banks)
+    result = controller.run(trace)
+    log = _seed_log(seed)
+    banks = {str(ch): rows for ch, rows in enumerate(log.bank_rows())}
     issue_last = _pinned_issue_last(trace, log.cycles)
     record = {
         "seed": seed,
@@ -364,8 +380,7 @@ class TestPinnedRecords:
         widths = set()
         for seed in SWEEP_SEEDS:
             trace, _ = random_trace(seed)
-            log = _IssueLog()
-            build_record(seed, log=log)
+            log = _seed_log(seed)
             sweeps = [e for e in trace if isinstance(e, BankSweep)]
             for sweep, issue in zip(sweeps, log.sweeps):
                 widths.add(sweep.banks)
@@ -496,31 +511,23 @@ class TestBankView:
         assert _bank_rows(sched.banks) == _bank_rows(banks)
 
 
-def _price(trace, timing, channels, log):
+def _price(trace, timing, channels):
     """Price *trace* under the protocol checker; return the result and
-    each channel's per-bank state after its last command."""
+    its issue log."""
     controller = MemoryController(timing, num_channels=channels,
                                   validate_protocol=True)
-    result = controller.run(trace, collector=log)
-    banks = {}
-    for ch in range(channels):
-        sched = ChannelScheduler(timing, channel=ch)
-        _schedule_channel(sched, trace, ch)
-        banks[ch] = _bank_rows(sched.banks)
-    return result, banks
+    return controller.run(trace), _IssueLog(trace, channels, timing)
 
 
 def assert_prices_as_expansion(trace, timing, channels):
     """Pricing *trace* reproduces pricing its per-command expansion
     exactly, every issue cycle included, with no protocol violation on
     either."""
-    swept, flat = _IssueLog(timing), _IssueLog(timing)
-    got, got_banks = _price(trace, timing, channels, swept)
-    want, want_banks = _price(list(expand_trace(trace)), timing, channels,
-                              flat)
+    got, swept = _price(trace, timing, channels)
+    want, flat = _price(list(expand_trace(trace)), timing, channels)
     assert got.violations == [] and want.violations == []
     assert swept.cycles == flat.cycles
-    assert got_banks == want_banks
+    assert swept.bank_rows() == flat.bank_rows()
     for field in ("total_cycles", "per_channel_cycles", "counts",
                   "command_total", "refreshes", "tag_cycles",
                   "per_channel_stats"):

@@ -429,6 +429,45 @@ def test_collector_does_not_change_pricing(config):
     assert plain.tag_cycles == observed.tag_cycles
 
 
+def _footprint(value):
+    """Items held in the containers reachable from *value*, through this
+    module's records (the collector's charges), not through its other
+    objects."""
+    if isinstance(value, dict):
+        return sum(1 + _footprint(k) + _footprint(v)
+                   for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return sum(1 + _footprint(v) for v in value)
+    if type(value).__module__ == AttributionCollector.__module__:
+        slots = getattr(type(value), "__slots__", ())
+        fields = dict(getattr(value, "__dict__", {}))
+        fields.update((name, getattr(value, name)) for name in slots)
+        return _footprint(fields)
+    return 0
+
+
+def test_collector_state_does_not_grow_with_the_trace(config):
+    """After pricing, the collector holds O(channels x banks) numbers
+    whatever the trace length; only captured entry cycles grow."""
+    trace, channels = sptrsv_trace(LEVEL_SEEDS[1])
+    assert channels == 2
+    banks = config.memory.banks_per_channel
+    sizes = []
+    for reps in (1, 6):
+        timing = TimingParams()
+        collector = AttributionCollector(
+            trfc=timing.trfc, mode_switch_cycles=timing.mode_switch_cycles,
+            capture_entries=True)
+        price_trace(trace * reps, config, collector=collector)
+        entries, collector.entry_cycles = collector.entry_cycles, None
+        sizes.append(_footprint(collector))
+        collector.entry_cycles = entries
+        collector.finalize(banks_per_channel=banks)
+        assert len(collector.entry_cycles) == len(trace) * reps
+    assert sizes[0] == sizes[1]
+    assert sizes[0] <= channels * (2 * banks + 4) * (len(CATEGORIES) + 2)
+
+
 # ----------------------------------------------------------------------
 # segments, critical path, phases
 # ----------------------------------------------------------------------
